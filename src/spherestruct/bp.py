@@ -24,6 +24,7 @@ the 2-adic valuation of 8 * t_{4j} * t_{4k} is at least that of t_{4(j+k)}.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from .cyclic import CyclicGroup
@@ -33,8 +34,12 @@ from .tables import GroupTable, KnownGroup, bp_from_table
 __all__ = ["t", "bp_order", "residual_group", "image_f_is_subgroup"]
 
 
+@lru_cache(maxsize=None)
 def t(i: int) -> int:
-    """The constant t_i: |bP_{4k}| for i = 4k >= 8, 2 for i = 4, else 0."""
+    """The constant t_i: |bP_{4k}| for i = 4k >= 8, 2 for i = 4, else 0.
+
+    Results are cached, so repeated calls cost a dictionary lookup.
+    """
     if i < 1:
         raise ValueError(f"t(i) requires i >= 1, got {i}")
     if i % 4 != 0:

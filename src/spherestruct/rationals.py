@@ -11,49 +11,75 @@ absolute value of the classical B_{2k}, so
 
     bernoulli(1) = 1/6,  bernoulli(2) = 1/30,  bernoulli(3) = 1/42, ...
 
-The odd-index classical values (which vanish beyond B_1) never appear in
-this indexing, and the sign convention for B_1 is irrelevant because only
-even classical indices are consulted.
+They are derived from the tangent numbers T_k (the Taylor coefficients
+tan x = sum T_k x^(2k-1) / (2k-1)!, so T_1, T_2, T_3, ... = 1, 2, 16, ...)
+through
+
+    |B_{2k}| = 2k T_k / (4^k (4^k - 1)).
+
+The tangent numbers are integers and come from the all-integer in-place
+recurrence of Brent and Harvey, "Fast computation of Bernoulli, tangent
+and secant numbers" (2011): filling T_1..T_n costs O(n^2) integer
+operations, for every index up to n at once.  The table is built on the
+first request, not at import, and is rebuilt to at least twice its length
+whenever a larger index is asked for, so a sweep up to n stays O(n^2).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 
 Rational = Fraction
 
 __all__ = ["Rational", "bernoulli", "num_b_over_4k"]
 
+# _TANGENT[k - 1] is the tangent number T_k.  Only ever replaced whole, by
+# a single assignment, so a reader sees either the old table or the new.
+_TANGENT: list[int] = []
+
+
+def _tangent_numbers(n: int) -> list[int]:
+    # Brent-Harvey: start from T_k = (k - 1)!, then sweep the triangle in
+    # place; after pass k the entries up to index k hold final values.
+    table = [1] * n
+    for j in range(1, n):
+        table[j] = j * table[j - 1]
+    for k in range(1, n):
+        for j in range(k, n):
+            table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
+    return table
+
+
+def _tangent(k: int) -> int:
+    global _TANGENT
+    table = _TANGENT
+    if k > len(table):
+        table = _tangent_numbers(max(k, 2 * len(table)))
+        _TANGENT = table
+    return table[k - 1]
+
 
 @lru_cache(maxsize=None)
-def _abs_classical_bernoulli(n: int) -> Fraction:
-    # Akiyama-Tanigawa triangular recurrence.  Row m starts with 1/(m+1);
-    # after the in-place sweep the left end holds B_m (in the convention
-    # with B_1 = +1/2, which agrees with the usual one at even indices).
-    row: list[Fraction] = []
-    value = Fraction(1)
-    for m in range(n + 1):
-        row.append(Fraction(1, m + 1))
-        for j in range(m, 0, -1):
-            row[j - 1] = j * (row[j - 1] - row[j])
-        value = row[0]
-    return abs(value)
-
-
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number in the topologist's indexing, i.e. |B_{2k}|.
 
-    Exact for any k >= 1; intended working range is k <= 100 or so, where
-    the quadratic recurrence stays cheap.
+    Exact for any k >= 1, computed as 2k T_k / (4^k (4^k - 1)) from the
+    tangent numbers; all indices up to k together cost O(k^2) integer
+    operations.  Results are cached.
     """
     if k < 1:
         raise ValueError(f"bernoulli(k) requires k >= 1, got {k}")
-    return _abs_classical_bernoulli(2 * k)
+    return Fraction(2 * k * _tangent(k), 4**k * (4**k - 1))
 
 
 def num_b_over_4k(k: int) -> int:
-    """Numerator of bernoulli(k)/4k in lowest terms (a positive integer)."""
+    """Numerator of bernoulli(k)/4k in lowest terms (a positive integer).
+
+    bernoulli(k)/4k = T_k / (2 * 4^k (4^k - 1)), so no rational is formed.
+    """
     if k < 1:
         raise ValueError(f"num_b_over_4k(k) requires k >= 1, got {k}")
-    return (bernoulli(k) / (4 * k)).numerator
+    tangent = _tangent(k)
+    return tangent // gcd(tangent, 2 * 4**k * (4**k - 1))

@@ -192,13 +192,18 @@ def bp_from_table(m: int, table: GroupTable | None = None) -> KnownGroup:
 _FAMILIES = ("theta", "pi_go_torsion", "bp")
 
 
+def _decimal(text: str) -> int | None:
+    # Plain ASCII digits only: int() would also accept signs, surrounding
+    # whitespace, underscores ("7_0" -> 70) and non-ASCII digits.
+    return int(text) if text.isascii() and text.isdigit() else None
+
+
 def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGroup]:
-    try:
-        dim = int(dim_key, 10)
-    except ValueError:
+    dim = _decimal(dim_key)
+    if dim is None:
         raise TableError(
             f"{family}: dimension keys must be decimal strings, got {dim_key!r}"
-        ) from None
+        )
     if dim < 1:
         raise TableError(f"{family}[{dim_key}]: dimension must be >= 1")
     if family == "bp" and dim % 4 != 2:
@@ -216,16 +221,12 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
             )
         return dim, KnownGroup.finite(1)
     if isinstance(value, str):
-        try:
-            order = int(value, 10)
-        except ValueError:
-            raise TableError(
-                f"{family}[{dim_key}]: expected a decimal order string, "
-                f"'Z', or 'unknown'; got {value!r}"
-            ) from None
-    elif isinstance(value, int):
+        order = _decimal(value)
+    elif isinstance(value, int) and not isinstance(value, bool):  # bool is an int
         order = value
     else:
+        order = None
+    if order is None:
         raise TableError(
             f"{family}[{dim_key}]: expected a decimal order string, "
             f"'Z', or 'unknown'; got {value!r}"

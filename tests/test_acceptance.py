@@ -140,8 +140,8 @@ def test_acceptance_08_group_structure():
 def test_acceptance_09_residual_odd_and_fast():
     def body():
         start = time.perf_counter()
-        for j in range(1, 11):
-            for k in range(1, 11):
+        for j in range(1, 101):
+            for k in range(1, 101):
                 group = residual_group(4 * j, 4 * k)
                 assert group.order % 2 == 1, (j, k)
                 assert group.order > 1, (j, k)

@@ -37,6 +37,15 @@ def test_t_off_degree_and_errors():
         t(-4)
 
 
+def test_t_cache_keeps_errors_and_values():
+    assert t(32) == t_oracle(32)
+    assert t(32) == t_oracle(32)
+    for i in (0, -4, 0):  # a raised error is never cached as a value
+        with pytest.raises(ValueError):
+            t(i)
+    assert t.cache_info().hits >= 1
+
+
 def test_t_against_independent_assembly():
     for i in range(1, 81):
         assert t(i) == t_oracle(i), i

@@ -1,8 +1,11 @@
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from spherestruct import bernoulli, num_b_over_4k
+from spherestruct import bernoulli, num_b_over_4k, rationals
 
 from helpers import bernoulli_oracle, von_staudt_clausen_denominator
 
@@ -71,3 +74,50 @@ def test_num_b_over_4k_always_odd():
         assert value >= 1
         assert value % 2 == 1, k
         assert value == (bernoulli_oracle(k) / (4 * k)).numerator
+
+
+def test_bernoulli_agrees_with_sympy():
+    sympy = pytest.importorskip("sympy")
+    for k in range(1, 301):
+        expected = abs(sympy.bernoulli(2 * k))
+        expected = Fraction(int(expected.p), int(expected.q))
+        assert bernoulli(k) == expected, k
+        assert num_b_over_4k(k) == (expected / (4 * k)).numerator, k
+
+
+def _cold() -> None:
+    """Drop the tangent table and the Bernoulli cache, as in a fresh process."""
+    rationals._TANGENT = []
+    bernoulli.cache_clear()
+
+
+def _check_from_cold(indices) -> None:
+    _cold()
+    for k in indices:
+        assert bernoulli(k) == bernoulli_oracle(k), k
+        assert num_b_over_4k(k) == (bernoulli_oracle(k) / (4 * k)).numerator, k
+
+
+def test_results_do_not_depend_on_call_order():
+    _check_from_cold([80, *range(1, 81)])
+    _check_from_cold(range(1, 81))
+    shuffled = list(range(1, 81))
+    random.Random(2).shuffle(shuffled)
+    _check_from_cold(shuffled)
+
+
+def test_results_on_each_side_of_a_table_rebuild():
+    _cold()
+    # Each step names the index asked for and the table length after it:
+    # a larger index rebuilds the table to max(k, twice its length).
+    for k, length in ((10, 10), (11, 20), (20, 20), (21, 40), (40, 40), (41, 80),
+                      (9, 80), (200, 200)):
+        assert bernoulli(k) == bernoulli_oracle(k), k
+        assert len(rationals._TANGENT) == length, k
+        assert num_b_over_4k(k) == (bernoulli_oracle(k) / (4 * k)).numerator, k
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=10))
+def test_any_call_order_matches_oracle(indices):
+    _check_from_cold(indices)

@@ -1,3 +1,4 @@
+import json
 import warnings
 
 import pytest
@@ -144,3 +145,21 @@ def test_load_table_roundtrip(tmp_path):
     assert load_table(str(empty)) is builtin_table()
     with pytest.raises(TableError, match="cannot read"):
         load_table(str(tmp_path / "missing.json"))
+
+
+def test_parse_rejects_boolean_order():
+    # bool is a subclass of int, so JSON true must be caught explicitly.
+    with pytest.raises(TableError, match="decimal order"):
+        parse_table('{"theta": {"7": true}}')
+    with pytest.raises(TableError, match="decimal order"):
+        parse_table('{"pi_go_torsion": {"5": false}}')
+
+
+def test_parse_accepts_only_plain_decimal_digits():
+    # int() would read "7_0" as 70 and " 7" or "+7" as 7.
+    for key in ("7_0", " 7", "+7", "-7", "٧", ""):
+        with pytest.raises(TableError, match="dimension keys"):
+            parse_table('{"theta": {%s: "28"}}' % json.dumps(key))
+    for value in ("2_8", " 28", "+28"):
+        with pytest.raises(TableError, match="decimal order"):
+            parse_table('{"theta": {"7": %s}}' % json.dumps(value))
