@@ -46,7 +46,7 @@ from .ltheory import (
     theta_diff,
     theta_top,
 )
-from .rationals import Rational, bernoulli, num_b_over_4k
+from .rationals import MAX_BERNOULLI_INDEX, Rational, bernoulli, num_b_over_4k
 from .structset import (
     DInvariant,
     GroupStructureVerdict,
@@ -73,6 +73,7 @@ from .tables import (
 __all__ = [
     "__version__",
     "Rational",
+    "MAX_BERNOULLI_INDEX",
     "bernoulli",
     "num_b_over_4k",
     "CyclicGroup",

@@ -27,24 +27,39 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .cyclic import CyclicGroup
-from .rationals import num_b_over_4k
+from .cyclic import CyclicGroup, cyclic_group
+from .rationals import MAX_BERNOULLI_INDEX, num_b_over_4k
 from .tables import GroupTable, KnownGroup, bp_from_table
 
-__all__ = ["t", "bp_order", "residual_group", "image_f_is_subgroup"]
+__all__ = [
+    "t",
+    "bp_order",
+    "check_pair",
+    "pairing_coefficient",
+    "residual_group",
+    "residual_of_checked_pair",
+    "image_f_is_subgroup",
+]
 
 
 @lru_cache(maxsize=None)
 def t(i: int) -> int:
     """The constant t_i: |bP_{4k}| for i = 4k >= 8, 2 for i = 4, else 0.
 
-    Results are cached, so repeated calls cost a dictionary lookup.
+    Multiples of 4 are capped at i <= 4 * MAX_BERNOULLI_INDEX, because
+    t_{4k} needs the Bernoulli number of index k.  Results are cached, so
+    repeated calls cost a dictionary lookup.
     """
     if i < 1:
         raise ValueError(f"t(i) requires i >= 1, got {i}")
     if i % 4 != 0:
         return 0
     k = i // 4
+    if k > MAX_BERNOULLI_INDEX:
+        raise ValueError(
+            f"t(i) requires i <= {4 * MAX_BERNOULLI_INDEX} for multiples of 4 "
+            f"(the Bernoulli index cap is {MAX_BERNOULLI_INDEX}), got {i}"
+        )
     if k == 1:
         return 2
     a_k = 2 if k % 2 == 1 else 1
@@ -56,22 +71,31 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
 
     Odd m and m = 4 give the trivial group, m = 4k >= 8 is computed by the
     Levine order formula, and m = 2 mod 4 is a table lookup (typically
-    unknown unless forced or overridden).
+    unknown unless forced or overridden).  Formula values are shared and
+    cached; the table is consulted on every call.
     """
     if m < 4:
         raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
-    if m % 2 == 1:
+    if m % 2 == 1 or m == 4:
         return KnownGroup.trivial()
     if m % 4 == 0:
-        return KnownGroup.trivial() if m == 4 else KnownGroup.finite(t(m))
+        return KnownGroup.finite(t(m))
     return bp_from_table(m, table)
 
 
-def _check_pair(p: int, q: int) -> None:
+def check_pair(p: int, q: int) -> None:
+    """Reject dimensions (p, q) that do not describe S^p x S^q with
+    p, q >= 2 and p + q >= 5, the range the surgery sequence covers."""
     if p < 2 or q < 2 or p + q < 5:
         raise ValueError(
             f"sphere factors need p, q >= 2 with p + q >= 5, got ({p}, {q})"
         )
+
+
+def pairing_coefficient(a: int, b: int) -> int:
+    """8 * t_a * t_b: the L-group pairing of the comparison images, which
+    generates the residual group and the stabilisers."""
+    return 8 * t(a) * t(b)
 
 
 def residual_group(p: int, q: int) -> CyclicGroup:
@@ -79,14 +103,22 @@ def residual_group(p: int, q: int) -> CyclicGroup:
 
     Trivial unless both p and q are divisible by 4.  Always computable:
     a nontrivial answer needs p + q = 4(j + k) with j + k >= 2, where the
-    order formula applies.
+    order formula applies.  The result is a shared, cached value.
     """
-    _check_pair(p, q)
-    generator = 8 * t(p) * t(q)
+    check_pair(p, q)
+    return residual_of_checked_pair(p, q)
+
+
+# Bounded: a factor not divisible by 4 may be any integer.
+@lru_cache(maxsize=4096)
+def residual_of_checked_pair(p: int, q: int) -> CyclicGroup:
+    """``residual_group`` for a pair the caller has already passed through
+    ``check_pair``."""
+    generator = pairing_coefficient(p, q)
     if (p + q) % 4 != 0 or generator == 0:
-        return CyclicGroup(1)
+        return cyclic_group(1)
     ambient = t(p + q)
-    return CyclicGroup(ambient // gcd(ambient, generator))
+    return cyclic_group(ambient // gcd(ambient, generator))
 
 
 def image_f_is_subgroup(p: int, q: int) -> bool:
@@ -97,4 +129,4 @@ def image_f_is_subgroup(p: int, q: int) -> bool:
         raise ValueError(
             f"image_f_is_subgroup expects dimensions (4j, 4k), got ({p}, {q})"
         )
-    return residual_group(p, q).order == 1
+    return residual_of_checked_pair(p, q).order == 1

@@ -8,7 +8,9 @@ SURGERY_TABLE environment variable) merges a JSON override file over the
 built-in table.
 
 Exit status: 0 on success, 1 on domain errors (a precondition violated by
-otherwise well-formed arguments), 2 on usage errors.
+otherwise well-formed arguments, a malformed table file, or an index
+above the Bernoulli cap), 2 on usage errors (including a table file that
+cannot be read).
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .bp import bp_order, image_f_is_subgroup, residual_group, t
+from .bp import bp_order, image_f_is_subgroup, pairing_coefficient, residual_group, t
 from .classify import (
     S3S4Invariant,
     S4S4Manifold,
@@ -41,7 +43,7 @@ from .structset import (
     stabilizer,
     top_structure_set,
 )
-from .tables import GroupTable, KnownGroup, load_table
+from .tables import GroupTable, KnownGroup, TableReadError, load_table
 
 PROG = "spherestruct"
 
@@ -111,13 +113,12 @@ def _cmd_bp_order(args, table):
 
 def _cmd_residual(args, table):
     group = residual_group(args.p, args.q)
-    coefficient = 8 * t(args.p) * t(args.q)
     n = args.p + args.q
     payload = {
         "p": args.p,
         "q": args.q,
         "order": group.order,
-        "generator_coefficient": coefficient,
+        "generator_coefficient": pairing_coefficient(args.p, args.q),
         "ambient_bp_dim": n,
         "ambient_bp_order": t(n) if n % 4 == 0 else None,
     }
@@ -387,7 +388,10 @@ def _load_table(args) -> GroupTable | None:
     path = args.table or os.environ.get("SURGERY_TABLE")
     if not path:
         return None
-    return load_table(path)
+    try:
+        return load_table(path)
+    except TableReadError as exc:
+        raise UsageError(str(exc)) from exc
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -11,10 +11,12 @@ subgroup is stored with generator n itself.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 __all__ = [
     "CyclicGroup",
+    "cyclic_group",
     "CyclicElement",
     "CyclicSubgroup",
     "subgroup_generated",
@@ -38,6 +40,14 @@ class CyclicGroup:
 
     def __str__(self) -> str:
         return "0" if self.order == 1 else f"Z_{self.order}"
+
+
+@lru_cache(maxsize=1024)
+def cyclic_group(n: int) -> CyclicGroup:
+    """The shared Z_n value: equal to ``CyclicGroup(n)``, built once per
+    order and then reused (safe because the value is frozen).  The cache
+    is bounded because orders are arbitrary integers."""
+    return CyclicGroup(n)
 
 
 @dataclass(frozen=True)
@@ -110,7 +120,13 @@ def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
     """The subgroup of Z_n generated by g, i.e. (g mod n)Z_n."""
     if n < 1:
         raise ValueError(f"ambient order must be >= 1, got {n}")
-    return CyclicSubgroup(CyclicGroup(n), g)
+    return _subgroup(n, gcd(g % n, n))
+
+
+@lru_cache(maxsize=1024)
+def _subgroup(n: int, generator: int) -> CyclicSubgroup:
+    # One shared value per subgroup, keyed by its canonical generator.
+    return CyclicSubgroup(cyclic_group(n), generator)
 
 
 def in_subgroup(x: CyclicElement, subgroup: CyclicSubgroup) -> bool:

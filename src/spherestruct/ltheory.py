@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bp import t
+from .bp import check_pair, t
 
 __all__ = [
     "LGroupKind",
@@ -129,13 +129,6 @@ class NormalClassDiff:
             object.__setattr__(self, "phi", 0)
 
 
-def _check_pair_dims(p: int, q: int) -> None:
-    if p < 2 or q < 2 or p + q < 5:
-        raise ValueError(
-            f"sphere factors need p, q >= 2 with p + q >= 5, got ({p}, {q})"
-        )
-
-
 def pairing(p: int, q: int, x: LClass, y: LClass) -> LClass:
     """External product L_p x L_q -> L_{p+q}: 8*x*y when 4 | p and 4 | q,
     zero otherwise."""
@@ -152,7 +145,7 @@ def pairing(p: int, q: int, x: LClass, y: LClass) -> LClass:
 def theta_top(p: int, q: int, x: LClass, y: LClass, z: LClass) -> LClass:
     """Surgery obstruction x*y + z of a topological normal invariant
     (x, y, z) of S^p x S^q."""
-    _check_pair_dims(p, q)
+    check_pair(p, q)
     if z.dim != p + q:
         raise ValueError(
             f"third coordinate must live in dimension {p + q}, got {z.dim}"
@@ -173,7 +166,7 @@ def theta_diff(
 ) -> LClass:
     """Surgery obstruction of a smooth normal invariant (u, v, w) of
     S^p x S^q: theta_top applied to the comparison images."""
-    _check_pair_dims(p, q)
+    check_pair(p, q)
     if u.dim != p or v.dim != q or w.dim != p + q:
         raise ValueError(
             f"coordinate dimensions must be ({p}, {q}, {p + q}), "

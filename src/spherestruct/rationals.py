@@ -21,8 +21,15 @@ The tangent numbers are integers and come from the all-integer in-place
 recurrence of Brent and Harvey, "Fast computation of Bernoulli, tangent
 and secant numbers" (2011): filling T_1..T_n costs O(n^2) integer
 operations, for every index up to n at once.  The table is built on the
-first request, not at import, and is rebuilt to at least twice its length
-whenever a larger index is asked for, so a sweep up to n stays O(n^2).
+first request, not at import, and is rebuilt to twice its length (at
+least the index asked for, at most the cap below) whenever a larger index
+is asked for, so a sweep up to n stays O(n^2).
+
+Indices are capped at ``MAX_BERNOULLI_INDEX``: the bit cost of the table
+grows about eightfold per doubling of the index (on a 2-core Xeon a cold
+``bernoulli(1000)`` takes about a second, ``bernoulli(4000)`` over a
+minute), so a larger index raises ``ValueError`` at once instead of
+running for minutes.
 """
 
 from __future__ import annotations
@@ -33,7 +40,10 @@ from math import gcd
 
 Rational = Fraction
 
-__all__ = ["Rational", "bernoulli", "num_b_over_4k"]
+__all__ = ["Rational", "MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
+
+# Largest index bernoulli and num_b_over_4k accept (so t_i needs i <= 4000).
+MAX_BERNOULLI_INDEX = 1000
 
 # _TANGENT[k - 1] is the tangent number T_k.  Only ever replaced whole, by
 # a single assignment, so a reader sees either the old table or the new.
@@ -56,21 +66,31 @@ def _tangent(k: int) -> int:
     global _TANGENT
     table = _TANGENT
     if k > len(table):
-        table = _tangent_numbers(max(k, 2 * len(table)))
+        # Never past the cap, or one doubling could cost eight capped builds.
+        table = _tangent_numbers(min(max(k, 2 * len(table)), MAX_BERNOULLI_INDEX))
         _TANGENT = table
     return table[k - 1]
+
+
+def _check_index(name: str, k: int) -> None:
+    if k < 1:
+        raise ValueError(f"{name}(k) requires k >= 1, got {k}")
+    if k > MAX_BERNOULLI_INDEX:
+        raise ValueError(
+            f"{name}(k) requires k <= {MAX_BERNOULLI_INDEX} "
+            f"(MAX_BERNOULLI_INDEX), got {k}"
+        )
 
 
 @lru_cache(maxsize=None)
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number in the topologist's indexing, i.e. |B_{2k}|.
 
-    Exact for any k >= 1, computed as 2k T_k / (4^k (4^k - 1)) from the
-    tangent numbers; all indices up to k together cost O(k^2) integer
-    operations.  Results are cached.
+    Exact for 1 <= k <= MAX_BERNOULLI_INDEX, computed as
+    2k T_k / (4^k (4^k - 1)) from the tangent numbers; all indices up to k
+    together cost O(k^2) integer operations.  Results are cached.
     """
-    if k < 1:
-        raise ValueError(f"bernoulli(k) requires k >= 1, got {k}")
+    _check_index("bernoulli", k)
     return Fraction(2 * k * _tangent(k), 4**k * (4**k - 1))
 
 
@@ -79,7 +99,6 @@ def num_b_over_4k(k: int) -> int:
 
     bernoulli(k)/4k = T_k / (2 * 4^k (4^k - 1)), so no rational is formed.
     """
-    if k < 1:
-        raise ValueError(f"num_b_over_4k(k) requires k >= 1, got {k}")
+    _check_index("num_b_over_4k", k)
     tangent = _tangent(k)
     return tangent // gcd(tangent, 2 * 4**k * (4**k - 1))

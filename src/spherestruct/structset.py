@@ -34,7 +34,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from . import bp, tables
-from .cyclic import CyclicElement, CyclicGroup, CyclicSubgroup, subgroup_generated
+from .cyclic import (
+    CyclicElement,
+    CyclicGroup,
+    CyclicSubgroup,
+    cyclic_group,
+    subgroup_generated,
+)
 from .ltheory import LGroupKind, l_group
 from .tables import GroupTable, KnownGroup
 
@@ -71,17 +77,10 @@ def _d_value(d: DInvariant | int) -> int:
     return d.value if isinstance(d, DInvariant) else int(d)
 
 
-def _check_pair(p: int, q: int) -> None:
-    if p < 2 or q < 2 or p + q < 5:
-        raise ValueError(
-            f"sphere factors need p, q >= 2 with p + q >= 5, got ({p}, {q})"
-        )
-
-
 def normalize_dims(p: int, q: int) -> tuple[int, int, bool]:
     """Validate (p, q) and apply the convention that the even factor is
     listed second when p + q is odd.  Returns (p, q, swapped)."""
-    _check_pair(p, q)
+    bp.check_pair(p, q)
     if (p + q) % 2 == 1 and q % 2 == 1:
         return q, p, True
     return p, q, False
@@ -124,7 +123,6 @@ class StructureSetPresentation:
 
     def as_dict(self) -> dict:
         n = self.p + self.q
-        coefficient = 8 * bp.t(self.p) * bp.t(self.q)
         payload = {
             "p": self.p,
             "q": self.q,
@@ -134,7 +132,7 @@ class StructureSetPresentation:
             "bp_next": self.bp_next.as_json(),
             "normal_invariants": [g.as_json() for g in self.normal_invariants],
             "residual_order": self.residual.order,
-            "residual_generator_coefficient": coefficient,
+            "residual_generator_coefficient": bp.pairing_coefficient(self.p, self.q),
             "bp_dim": n,
             "action": self.action_case,
             "sequence": self.sequence_text(),
@@ -168,10 +166,10 @@ def present(
     theta_group = tables.theta_order(n, table)
     bp_next = bp.bp_order(n + 1, table)
     normal = (tables.pi_go(np_, table), tables.pi_go(nq, table))
-    residual = bp.residual_group(np_, nq)
+    residual = bp.residual_of_checked_pair(np_, nq)
     if _is_stabilizer_shape(np_, nq):
         case = ACTION_STABILIZER
-        coefficient = 8 * bp.t(np_ + 1) * bp.t(nq)
+        coefficient = bp.pairing_coefficient(np_ + 1, nq)
     else:
         case = ACTION_FREE
         coefficient = None
@@ -195,12 +193,12 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     When p + q is not divisible by 4 the target is represented by the
     trivial group (the map is identically zero there).
     """
-    _check_pair(p, q)
+    bp.check_pair(p, q)
     n = p + q
     if n % 4 != 0:
-        return CyclicGroup(1).element(0)
-    group = CyclicGroup(bp.t(n))
-    return group.element(8 * bp.t(p) * bp.t(q) * phi_u * phi_v)
+        return cyclic_group(1).element(0)
+    group = cyclic_group(bp.t(n))
+    return group.element(bp.pairing_coefficient(p, q) * phi_u * phi_v)
 
 
 def stabilizer(p: int, q: int, d: DInvariant | int) -> CyclicSubgroup:
@@ -213,10 +211,14 @@ def stabilizer(p: int, q: int, d: DInvariant | int) -> CyclicSubgroup:
     the formulas, the trivial group otherwise).
     """
     np_, nq, _ = normalize_dims(p, q)
-    value = _d_value(d)
-    m = np_ + nq + 1
-    if _is_stabilizer_shape(np_, nq):
-        return subgroup_generated(bp.t(m), 8 * value * bp.t(np_ + 1) * bp.t(nq))
+    return _stabilizer(np_, nq, _d_value(d))
+
+
+def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
+    # ``stabilizer`` for dimensions already checked and normalised.
+    m = p + q + 1
+    if _is_stabilizer_shape(p, q):
+        return subgroup_generated(bp.t(m), d * bp.pairing_coefficient(p + 1, q))
     if m % 4 == 0:
         return subgroup_generated(bp.t(m), 0)
     return subgroup_generated(1, 0)
@@ -234,7 +236,7 @@ def eta_fiber_size(
     theta_group = tables.theta_order(np_ + nq, table)
     if theta_group.is_unknown:
         return KnownGroup.unknown()
-    stab = stabilizer(np_, nq, d)
+    stab = _stabilizer(np_, nq, _d_value(d))
     if theta_group.order % stab.order != 0:
         raise ValueError(
             f"table gives |Theta_{np_ + nq}| = {theta_group.order}, which the "
@@ -262,7 +264,7 @@ class TopStructureSet:
 
 def top_structure_set(p: int, q: int) -> TopStructureSet:
     """S^Top(S^p x S^q) as the group L_p x L_q (factor order as given)."""
-    _check_pair(p, q)
+    bp.check_pair(p, q)
     return TopStructureSet(l_group(p), l_group(q))
 
 
@@ -285,7 +287,7 @@ def group_structure_possible(p: int, q: int) -> GroupStructureVerdict:
     np_, nq, _ = normalize_dims(p, q)
     if _is_stabilizer_shape(np_, nq):
         return GroupStructureVerdict(False, "non-constant stabilizers")
-    if np_ % 4 == 0 and nq % 4 == 0 and bp.residual_group(np_, nq).order > 1:
+    if np_ % 4 == 0 and nq % 4 == 0 and bp.residual_of_checked_pair(np_, nq).order > 1:
         return GroupStructureVerdict(False, "image not a subgroup")
     return GroupStructureVerdict(True, None)
 

@@ -29,11 +29,13 @@ from __future__ import annotations
 import json
 import warnings
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 __all__ = [
     "KnownGroup",
     "GroupTable",
     "TableError",
+    "TableReadError",
     "TableConsistencyWarning",
     "builtin_table",
     "theta_order",
@@ -46,6 +48,10 @@ __all__ = [
 
 class TableError(ValueError):
     """Raised when a table file cannot be parsed or fails validation."""
+
+
+class TableReadError(TableError):
+    """Raised when a table file cannot be opened or read at all."""
 
 
 class TableConsistencyWarning(UserWarning):
@@ -65,7 +71,11 @@ class KnownGroup:
     kind: str  # "finite" | "z_times_finite" | "unknown"
     order: int | None = None  # group order, or torsion order for z_times_finite
 
+    # finite and z_times_finite return one shared value per order.  The
+    # caches are bounded because orders are arbitrary integers.
+
     @staticmethod
+    @lru_cache(maxsize=1024)
     def finite(order: int) -> KnownGroup:
         if order < 1:
             raise ValueError(f"finite group order must be >= 1, got {order}")
@@ -73,9 +83,10 @@ class KnownGroup:
 
     @staticmethod
     def trivial() -> KnownGroup:
-        return KnownGroup("finite", 1)
+        return _TRIVIAL
 
     @staticmethod
+    @lru_cache(maxsize=256)
     def z_times_finite(torsion_order: int) -> KnownGroup:
         if torsion_order < 1:
             raise ValueError(f"torsion order must be >= 1, got {torsion_order}")
@@ -83,7 +94,7 @@ class KnownGroup:
 
     @staticmethod
     def unknown() -> KnownGroup:
-        return KnownGroup("unknown", None)
+        return _UNKNOWN
 
     @property
     def is_unknown(self) -> bool:
@@ -116,6 +127,11 @@ class KnownGroup:
         return {"kind": "unknown"}
 
 
+# Shared values behind KnownGroup.trivial() and KnownGroup.unknown(); safe
+# to hand to every caller because KnownGroup is frozen.
+_TRIVIAL = KnownGroup("finite", 1)
+_UNKNOWN = KnownGroup("unknown", None)
+
 # Orders of the homotopy-sphere groups Theta_n, n <= 20 (reference data).
 _THETA_ORDERS: dict[int, int] = {
     1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 28, 8: 2, 9: 8, 10: 6,
@@ -142,7 +158,7 @@ class GroupTable:
     bp: dict[int, KnownGroup] = field(default_factory=dict)
 
     def theta_order(self, n: int) -> KnownGroup:
-        return self.theta.get(n, KnownGroup.unknown())
+        return self.theta.get(n, _UNKNOWN)
 
     def pi_go(self, n: int) -> KnownGroup:
         """Order data for pi_n(G/O); Z x torsion in the 4-periodic degrees."""
@@ -150,12 +166,12 @@ class GroupTable:
             override = self.pi_go_torsion.get(n)
             torsion = override if override is not None else self.theta_order(n)
             if torsion.is_unknown:
-                return KnownGroup.unknown()
+                return _UNKNOWN
             return KnownGroup.z_times_finite(torsion.order)
-        return self.pi_go_torsion.get(n, KnownGroup.unknown())
+        return self.pi_go_torsion.get(n, _UNKNOWN)
 
     def bp_2mod4(self, m: int) -> KnownGroup:
-        return self.bp.get(m, KnownGroup.unknown())
+        return self.bp.get(m, _UNKNOWN)
 
 
 def _finite_map(orders: dict[int, int]) -> dict[int, KnownGroup]:
@@ -252,19 +268,31 @@ def _check_consistency(table: GroupTable) -> None:
             )
 
 
+def _object_without_duplicates(pairs: list[tuple[str, object]]) -> dict:
+    # json.loads would keep the last of two equal keys without a word.
+    result: dict = {}
+    for key, value in pairs:
+        if key in result:
+            raise TableError(f"table JSON has a duplicate key {key!r} in one object")
+        result[key] = value
+    return result
+
+
 def parse_table(text: str) -> GroupTable:
     """Parse override JSON and merge it over the built-in table.
 
     Empty input yields the built-ins unchanged.  Each family maps decimal
     dimension strings to a decimal order string, the marker ``"Z"`` (for
     pi_go_torsion only), or ``"unknown"``.  Entries replace the built-in
-    entry for that dimension wholesale.  Divisibility violations between
-    bp and theta entries are reported as warnings, not errors.
+    entry for that dimension wholesale.  A key repeated in one JSON object,
+    or two keys naming the same dimension (``"07"`` and ``"7"``), is an
+    error.  Divisibility violations between bp and theta entries are
+    reported as warnings, not errors.
     """
     if not text.strip():
         return _BUILTIN
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_object_without_duplicates)
     except json.JSONDecodeError as exc:
         raise TableError(
             f"table JSON is malformed at line {exc.lineno}, column {exc.colno}: "
@@ -288,8 +316,15 @@ def parse_table(text: str) -> GroupTable:
             continue
         if not isinstance(entries, dict):
             raise TableError(f"{family}: expected an object of dimension entries")
+        seen: dict[int, str] = {}
         for dim_key, value in entries.items():
             dim, group = _parse_entry(family, dim_key, value)
+            if dim in seen:
+                raise TableError(
+                    f"{family}: keys {seen[dim]!r} and {dim_key!r} both name "
+                    f"dimension {dim}"
+                )
+            seen[dim] = dim_key
             merged[family][dim] = group
     table = GroupTable(**merged)
     _check_consistency(table)
@@ -302,5 +337,5 @@ def load_table(path: str) -> GroupTable:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
     except OSError as exc:
-        raise TableError(f"cannot read table file {path!r}: {exc}") from exc
+        raise TableReadError(f"cannot read table file {path!r}: {exc}") from exc
     return parse_table(text)

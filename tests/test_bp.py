@@ -1,16 +1,21 @@
+import dataclasses
 import time
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherestruct import (
     KnownGroup,
+    MAX_BERNOULLI_INDEX,
     bp_order,
     image_f_is_subgroup,
     parse_table,
     residual_group,
     t,
 )
+from spherestruct.bp import residual_of_checked_pair
 
 from helpers import brute_subgroup, t_oracle
 
@@ -142,3 +147,64 @@ def test_image_f_is_subgroup():
         image_f_is_subgroup(3, 4)
     with pytest.raises(ValueError):
         image_f_is_subgroup(4, 6)
+
+
+def _residual_oracle(p: int, q: int) -> int:
+    """Order of <8 t_p t_q> in Z_{t_{p+q}}, from the oracle t alone."""
+    generator = 8 * t_oracle(p) * t_oracle(q)
+    if (p + q) % 4 != 0 or generator == 0:
+        return 1
+    ambient = t_oracle(p + q)
+    return ambient // gcd(ambient, generator)
+
+
+_DIMS = st.integers(min_value=2, max_value=48)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.tuples(_DIMS, _DIMS), st.integers(min_value=4, max_value=120)),
+        min_size=1,
+        max_size=25,
+    )
+)
+def test_memoised_values_match_oracle_in_any_call_order(calls):
+    # Start cold, as in a fresh process; every answer must match the
+    # oracle whether it was computed now or shared from an earlier call.
+    residual_of_checked_pair.cache_clear()
+    KnownGroup.finite.cache_clear()
+    for call in calls * 2:
+        if isinstance(call, tuple):
+            p, q = call
+            if p + q < 5:
+                continue
+            assert residual_group(p, q).order == _residual_oracle(p, q), call
+        elif call % 4 != 2:  # 2 mod 4 is a table lookup, never cached
+            expected = t_oracle(call) if call % 4 == 0 and call > 4 else 1
+            assert bp_order(call) == KnownGroup.finite(expected), call
+
+
+def test_shared_results_are_frozen():
+    group = residual_group(4, 4)
+    assert group is residual_group(4, 4)
+    bp8 = bp_order(8)
+    assert bp8 is bp_order(8)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        group.order = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        bp8.order = 1
+    assert residual_group(4, 4).order == 7
+    assert bp_order(8) == KnownGroup.finite(28)
+
+
+def test_t_is_capped_at_once():
+    cap = 4 * MAX_BERNOULLI_INDEX
+    assert t(cap + 1) == 0  # off multiples of 4 no Bernoulli number is needed
+    for i in (cap + 4, 100000):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"i <= {cap}"):
+            t(i)
+        assert time.perf_counter() - start < 0.5
+    with pytest.raises(ValueError, match=f"i <= {cap}"):
+        bp_order(cap + 4)

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -172,6 +173,16 @@ def test_domain_errors_exit_1(capsys):
         assert out == ""
 
 
+def test_indices_above_the_bernoulli_cap_exit_1_at_once(capsys):
+    for argv in (["t", "100000"], ["bernoulli", "1001"], ["bp-order", "4004"]):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv)
+        assert time.perf_counter() - start < 0.5, argv
+        assert code == 1, argv
+        assert "1000" in err or "4000" in err, argv
+        assert out == ""
+
+
 def test_usage_errors_exit_2(capsys):
     for argv in (
         [],
@@ -247,10 +258,14 @@ def test_table_flag_beats_env_var(tmp_path, capsys, monkeypatch):
     assert "8 elements" in out
 
 
-def test_unreadable_table_is_a_domain_error(tmp_path, capsys):
-    code, out, err = run(capsys, ["t", "4", "--table", str(tmp_path / "absent.json")])
-    assert code == 1
-    assert "error:" in err
+def test_unreadable_table_is_a_usage_error(tmp_path, capsys):
+    # A file that cannot be read is a bad argument (2); a file that reads
+    # but does not parse is a domain error (1), checked below.
+    for path in (tmp_path / "absent.json", tmp_path):
+        code, out, err = run(capsys, ["t", "4", "--table", str(path)])
+        assert code == 2, path
+        assert err.startswith("usage error: cannot read table file"), path
+        assert out == ""
 
 
 def test_malformed_table_reports_position(tmp_path, capsys):

@@ -1,3 +1,5 @@
+import dataclasses
+
 import pytest
 
 from spherestruct import (
@@ -6,6 +8,7 @@ from spherestruct import (
     quotient_order,
     subgroup_generated,
 )
+from spherestruct.cyclic import cyclic_group
 
 from helpers import check_cyclic_against_bruteforce
 
@@ -96,3 +99,20 @@ def test_against_bruteforce_sampled_up_to_1000():
     # a few dense spot checks at the top of the range
     for g in range(0, 1000, 13):
         check_cyclic_against_bruteforce(1000, g, exhaustive_membership=False)
+
+
+def test_shared_cyclic_values_are_frozen():
+    z28 = cyclic_group(28)
+    assert z28 is cyclic_group(28)
+    assert z28 == CyclicGroup(28)
+    assert CyclicGroup(28) is not CyclicGroup(28)  # the public class still builds
+    sub = subgroup_generated(28, 32)
+    assert sub is subgroup_generated(28, 4)  # same subgroup, same shared value
+    assert sub.ambient is z28
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        z28.order = 7
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        sub.generator_value = 1
+    with pytest.raises(ValueError):
+        cyclic_group(0)
+    assert cyclic_group(28).order == 28 and sub.order == 7

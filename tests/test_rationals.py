@@ -121,3 +121,23 @@ def test_results_on_each_side_of_a_table_rebuild():
 @given(st.lists(st.integers(min_value=1, max_value=100), min_size=1, max_size=10))
 def test_any_call_order_matches_oracle(indices):
     _check_from_cold(indices)
+
+
+def test_indices_above_the_cap_are_rejected():
+    cap = rationals.MAX_BERNOULLI_INDEX
+    for fn in (bernoulli, num_b_over_4k):
+        with pytest.raises(ValueError, match=f"k <= {cap}"):
+            fn(cap + 1)
+    assert cap >= 300  # the sympy comparison above and the benchmark stay inside
+
+
+def test_table_rebuild_never_grows_past_the_cap(monkeypatch):
+    # With a cap of 30, a rebuild from 20 entries stops at 30, not 40.
+    monkeypatch.setattr(rationals, "MAX_BERNOULLI_INDEX", 30)
+    _cold()
+    for k, length in ((20, 20), (21, 30), (30, 30)):
+        assert bernoulli(k) == bernoulli_oracle(k), k
+        assert len(rationals._TANGENT) == length, k
+    with pytest.raises(ValueError):
+        bernoulli(31)
+    _cold()

@@ -232,3 +232,22 @@ def test_present_validates_range():
         present(1, 6)
     with pytest.raises(ValueError):
         del_map(2, 2, 1, 1)
+
+
+def test_override_and_builtin_never_share_answers():
+    override = parse_table(
+        '{"theta": {"21": "4"}, "bp": {"22": "2"}, "pi_go_torsion": {"4": "3"}}'
+    )
+    builtin = present(4, 17)
+    for first, second in ((None, override), (override, None)):
+        a = present(4, 17, first)
+        b = present(4, 17, second)
+        with_override, without = (b, a) if first is None else (a, b)
+        assert with_override.theta_group == KnownGroup.finite(4)
+        assert with_override.bp_next == KnownGroup.finite(2)
+        assert with_override.normal_invariants[1] == KnownGroup.z_times_finite(3)
+        assert without == builtin
+        assert without.theta_group.is_unknown and without.bp_next.is_unknown
+        assert without.normal_invariants[1] == KnownGroup.z_times_finite(1)
+        assert eta_fiber_size(4, 17, 1, override) == KnownGroup.finite(4)
+        assert eta_fiber_size(4, 17, 1).is_unknown

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import warnings
 
@@ -163,3 +164,30 @@ def test_parse_accepts_only_plain_decimal_digits():
     for value in ("2_8", " 28", "+28"):
         with pytest.raises(TableError, match="decimal order"):
             parse_table('{"theta": {"7": %s}}' % json.dumps(value))
+
+
+def test_parse_rejects_colliding_dimension_keys():
+    # "07" and "7" name the same dimension; neither may silently win.
+    with pytest.raises(TableError, match="both name dimension 7"):
+        parse_table('{"theta": {"07": "3", "7": "28"}}')
+    with pytest.raises(TableError, match="both name dimension 10"):
+        parse_table('{"bp": {"10": "2", "010": "2"}}')
+
+
+def test_parse_rejects_duplicate_json_keys():
+    with pytest.raises(TableError, match="duplicate key '7'"):
+        parse_table('{"theta": {"7": "3", "7": "28"}}')
+    with pytest.raises(TableError, match="duplicate key 'theta'"):
+        parse_table('{"theta": {"7": "28"}, "theta": {"9": "8"}}')
+
+
+def test_shared_known_group_constants_are_frozen():
+    assert KnownGroup.unknown() is KnownGroup.unknown()
+    assert KnownGroup.trivial() is KnownGroup.trivial()
+    for group in (KnownGroup.unknown(), KnownGroup.trivial()):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            group.order = 5
+    assert KnownGroup.unknown().as_json() == {"kind": "unknown"}
+    assert KnownGroup.trivial() == KnownGroup.finite(1)
+    # a lookup that misses returns the shared unknown value
+    assert builtin_table().theta_order(99) is KnownGroup.unknown()
