@@ -48,7 +48,6 @@ from .ltheory import (
 )
 from .rationals import MAX_BERNOULLI_INDEX, Rational, bernoulli, num_b_over_4k
 from .structset import (
-    DInvariant,
     GroupStructureVerdict,
     StructureSetPresentation,
     TopStructureSet,
@@ -102,7 +101,6 @@ __all__ = [
     "theta_top",
     "forgetful_f",
     "theta_diff",
-    "DInvariant",
     "StructureSetPresentation",
     "TopStructureSet",
     "GroupStructureVerdict",

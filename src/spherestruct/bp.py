@@ -42,18 +42,22 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def t(i: int) -> int:
     """The constant t_i: |bP_{4k}| for i = 4k >= 8, 2 for i = 4, else 0.
 
     Multiples of 4 are capped at i <= 4 * MAX_BERNOULLI_INDEX, because
-    t_{4k} needs the Bernoulli number of index k.  Results are cached, so
-    repeated calls cost a dictionary lookup.
+    t_{4k} needs the Bernoulli number of index k.  Their values are
+    cached, so repeated calls cost a dictionary lookup; other arguments
+    are answered before the cache, which therefore holds at most
+    MAX_BERNOULLI_INDEX entries.
     """
     if i < 1:
         raise ValueError(f"t(i) requires i >= 1, got {i}")
-    if i % 4 != 0:
-        return 0
+    return _t_multiple_of_4(i) if i % 4 == 0 else 0
+
+
+@lru_cache(maxsize=None)
+def _t_multiple_of_4(i: int) -> int:
     k = i // 4
     if k > MAX_BERNOULLI_INDEX:
         raise ValueError(

@@ -31,9 +31,10 @@ trivial because Salpha's image lies in 24Z, inside 4Z.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import ClassVar
 
-from .cyclic import CyclicElement, CyclicGroup, CyclicSubgroup, in_subgroup, subgroup_generated
+from .bp import t
+from .cyclic import CyclicElement, CyclicSubgroup, cyclic_group, in_subgroup, subgroup_generated
+from .structset import stabilizer
 
 __all__ = [
     "BP8",
@@ -50,7 +51,7 @@ __all__ = [
     "s4s4_diffeomorphic",
 ]
 
-BP8 = CyclicGroup(28)
+BP8 = cyclic_group(t(8))
 
 
 @dataclass(frozen=True)
@@ -70,10 +71,10 @@ class S3S4Invariant:
 
 def s3s4_structure_equal(a: S3S4Invariant, b: S3S4Invariant) -> bool:
     """Same point of the structure set: equal v and sigma difference in
-    <32 v> (the stabiliser subgroup for the d = v structures)."""
+    the stabiliser of the d = v structures, <8 t_4 t_4 v> = <32 v>."""
     if a.v != b.v:
         return False
-    return in_subgroup(a.sigma - b.sigma, subgroup_generated(28, 32 * a.v))
+    return in_subgroup(a.sigma - b.sigma, stabilizer(3, 4, a.v))
 
 
 def s3s4_diffeomorphic(a: S3S4Invariant, b: S3S4Invariant) -> bool:
@@ -85,9 +86,9 @@ def s3s4_diffeomorphic(a: S3S4Invariant, b: S3S4Invariant) -> bool:
 
 
 def s3s4_inertia_group(v: int) -> CyclicSubgroup:
-    """Inertia group of N_v: the subgroup <2v> of Z_28, whose order is
-    14 / gcd(14, v)."""
-    return subgroup_generated(28, 2 * v)
+    """Inertia group of N_v: the subgroup <2v> of bP_8 = Z_28, whose
+    order is 14 / gcd(14, v)."""
+    return subgroup_generated(BP8.order, 2 * v)
 
 
 @dataclass(frozen=True)
@@ -97,8 +98,6 @@ class WallTriple:
 
     s_alpha_x: int
     s_alpha_y: int
-
-    lambda_matrix: ClassVar[tuple[tuple[int, int], tuple[int, int]]] = ((0, 1), (1, 0))
 
     @property
     def signature(self) -> int:

@@ -156,7 +156,7 @@ def _cmd_structure_set(args, table):
     else:
         text.append(
             f"Theta_{n} stabilisers vary: stab(d) = "
-            f"<{pres.stabilizer_coefficient}*d> in Z_{t(n + 1)}"
+            f"<{pres.stabilizer_coefficient}*d> in Z_{payload['stabilizer_ambient_order']}"
         )
     text.append(f"bP_{n + 1}: {pres.bp_next.describe()}")
     return payload, text, [_NOTE_FORMULA, _NOTE_TABLE]
@@ -230,7 +230,7 @@ def _cmd_top_set(args, table):
         "p": args.p,
         "q": args.q,
         "factors": [top.p_factor.symbol, top.q_factor.symbol],
-        "is_group": top.is_group,
+        "is_group": True,
         "singleton": top.is_singleton,
     }
     text = [f"S^Top(S^{args.p} x S^{args.q}) = {top} (a group)"]
@@ -307,19 +307,43 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
-_HANDLERS = {
-    "bernoulli": _cmd_bernoulli,
-    "t": _cmd_t,
-    "bp-order": _cmd_bp_order,
-    "residual": _cmd_residual,
-    "structure-set": _cmd_structure_set,
-    "fiber": _cmd_fiber,
-    "stabilizer": _cmd_stabilizer,
-    "group-structure": _cmd_group_structure,
-    "image-f": _cmd_image_f,
-    "top-set": _cmd_top_set,
-    "classify-s3s4": _cmd_classify_s3s4,
-    "classify-s4s4": _cmd_classify_s4s4,
+def _ints(*names: str) -> tuple:
+    return tuple((name, {}) for name in names)
+
+
+_PQ = _ints("p", "q")
+_PQD = _PQ + (("--d", {"required": True, "help": "even-factor coordinate"}),)
+
+# Subcommand name -> (handler, help text, integer arguments), in help order.
+# Each argument is (name or flag, extra add_argument keywords).
+_COMMANDS = {
+    "bernoulli": (_cmd_bernoulli, "Bernoulli number B_k", _ints("k")),
+    "t": (_cmd_t, "the constant t_i", _ints("i")),
+    "bp-order": (_cmd_bp_order, "order of bP_m", _ints("m")),
+    "residual": (_cmd_residual, "residual group 8 t_p t_q . bP_{p+q}", _PQ),
+    "structure-set": (_cmd_structure_set, "present S^Diff(S^p x S^q)", _PQ),
+    "group-structure": (
+        _cmd_group_structure, "can the smooth structure set be a group?", _PQ
+    ),
+    "image-f": (_cmd_image_f, "is the forgetful image a subgroup? (4j, 4k only)", _PQ),
+    "top-set": (_cmd_top_set, "the topological structure set L_p x L_q", _PQ),
+    "fiber": (_cmd_fiber, "normal-invariant fibre size", _PQD),
+    "stabilizer": (_cmd_stabilizer, "stabiliser subgroup", _PQD),
+    "classify-s3s4": (
+        _cmd_classify_s3s4,
+        "compare two manifolds over S^3 x S^4",
+        _ints("sigma0", "v0", "sigma1", "v1"),
+    ),
+    "classify-s4s4": (
+        _cmd_classify_s4s4,
+        "compare two manifolds over S^4 x S^4",
+        (
+            ("data", {"nargs": "*", "metavar": "U0 V0 PHI0 U1 V1 PHI1",
+                      "help": "two (u, v, phi) triples"}),
+            ("--plumbing", {"nargs": 2, "metavar": ("U", "V"),
+                            "help": "boundary of the plumbing W_{u,v} instead"}),
+        ),
+    ),
 }
 
 
@@ -334,53 +358,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
-
-    sp = sub.add_parser("bernoulli", parents=[common], help="Bernoulli number B_k")
-    sp.add_argument("k", type=int)
-
-    sp = sub.add_parser("t", parents=[common], help="the constant t_i")
-    sp.add_argument("i", type=int)
-
-    sp = sub.add_parser("bp-order", parents=[common], help="order of bP_m")
-    sp.add_argument("m", type=int)
-
-    for name, help_text in (
-        ("residual", "residual group 8 t_p t_q . bP_{p+q}"),
-        ("structure-set", "present S^Diff(S^p x S^q)"),
-        ("group-structure", "can the smooth structure set be a group?"),
-        ("image-f", "is the forgetful image a subgroup? (4j, 4k only)"),
-        ("top-set", "the topological structure set L_p x L_q"),
-    ):
+    for name, (_, help_text, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
-        sp.add_argument("p", type=int)
-        sp.add_argument("q", type=int)
-
-    sp = sub.add_parser("fiber", parents=[common], help="normal-invariant fibre size")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--d", type=int, required=True, help="even-factor coordinate")
-
-    sp = sub.add_parser("stabilizer", parents=[common], help="stabiliser subgroup")
-    sp.add_argument("p", type=int)
-    sp.add_argument("q", type=int)
-    sp.add_argument("--d", type=int, required=True, help="even-factor coordinate")
-
-    sp = sub.add_parser(
-        "classify-s3s4", parents=[common], help="compare two manifolds over S^3 x S^4"
-    )
-    for name in ("sigma0", "v0", "sigma1", "v1"):
-        sp.add_argument(name, type=int)
-
-    sp = sub.add_parser(
-        "classify-s4s4", parents=[common], help="compare two manifolds over S^4 x S^4"
-    )
-    sp.add_argument(
-        "data", type=int, nargs="*", metavar="U0 V0 PHI0 U1 V1 PHI1", help="two (u, v, phi) triples"
-    )
-    sp.add_argument(
-        "--plumbing", type=int, nargs=2, metavar=("U", "V"), help="boundary of the plumbing W_{u,v} instead"
-    )
-
+        for flag, options in arguments:
+            sp.add_argument(flag, type=int, **options)
     return parser
 
 
@@ -403,7 +384,7 @@ def main(argv: list[str] | None = None) -> int:
 
     try:
         table = _load_table(args)
-        payload, text, provenance = _HANDLERS[args.command](args, table)
+        payload, text, provenance = _COMMANDS[args.command][0](args, table)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

@@ -32,7 +32,6 @@ from .bp import check_pair, t
 
 __all__ = [
     "LGroupKind",
-    "SymmetricLGroupKind",
     "LClass",
     "NormalClassDiff",
     "l_group",
@@ -58,16 +57,12 @@ class LGroupKind:
         return self.symbol
 
 
-# The symmetric groups carry the same shape of data.
-SymmetricLGroupKind = LGroupKind
-
-
 def l_group(i: int) -> LGroupKind:
     """The quadratic L-group in dimension i >= 0."""
     return LGroupKind(i, _QUADRATIC[i % 4])
 
 
-def symmetric_l_group(i: int) -> SymmetricLGroupKind:
+def symmetric_l_group(i: int) -> LGroupKind:
     """The symmetric L-group in dimension i >= 0."""
     return LGroupKind(i, _SYMMETRIC[i % 4])
 
@@ -115,14 +110,11 @@ class NormalClassDiff:
     """A smooth normal invariant of a sphere, reduced to its Z-coordinate.
 
     ``phi`` is the integer coordinate, meaningful only in dimensions
-    divisible by 4 and normalised to 0 elsewhere.  ``torsion_label`` is an
-    opaque tag callers may attach to remember a torsion component; nothing
-    in this package reads it.
+    divisible by 4 and normalised to 0 elsewhere.
     """
 
     dim: int
     phi: int = 0
-    torsion_label: str | None = None
 
     def __post_init__(self) -> None:
         if self.dim % 4 != 0:

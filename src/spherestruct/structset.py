@@ -45,7 +45,6 @@ from .ltheory import LGroupKind, l_group
 from .tables import GroupTable, KnownGroup
 
 __all__ = [
-    "DInvariant",
     "StructureSetPresentation",
     "TopStructureSet",
     "GroupStructureVerdict",
@@ -65,25 +64,13 @@ ACTION_FREE = "free_everywhere"
 ACTION_STABILIZER = "stabilizers_vary_with_d"
 
 
-@dataclass(frozen=True)
-class DInvariant:
-    """Integer coordinate of the even-factor normal invariant of a
-    structure; the quantity stabilisers depend on."""
-
-    value: int
-
-
-def _d_value(d: DInvariant | int) -> int:
-    return d.value if isinstance(d, DInvariant) else int(d)
-
-
-def normalize_dims(p: int, q: int) -> tuple[int, int, bool]:
+def normalize_dims(p: int, q: int) -> tuple[int, int]:
     """Validate (p, q) and apply the convention that the even factor is
-    listed second when p + q is odd.  Returns (p, q, swapped)."""
+    listed second when p + q is odd."""
     bp.check_pair(p, q)
     if (p + q) % 2 == 1 and q % 2 == 1:
-        return q, p, True
-    return p, q, False
+        return q, p
+    return p, q
 
 
 def _is_stabilizer_shape(p: int, q: int) -> bool:
@@ -105,10 +92,6 @@ class StructureSetPresentation:
     residual: CyclicGroup
     action_case: str
     stabilizer_coefficient: int | None  # 8 t_{p+1} t_q in the stabiliser case
-
-    def stabilizer_rule(self, d: DInvariant | int) -> CyclicSubgroup:
-        """Stabiliser of a structure with even-factor coordinate d."""
-        return stabilizer(self.p, self.q, d)
 
     def sequence_text(self) -> str:
         n = self.p + self.q
@@ -161,7 +144,7 @@ def present(
 ) -> StructureSetPresentation:
     """Populate the presentation of S^Diff(S^p x S^q) from the order
     formulas and the reference table."""
-    np_, nq, _ = normalize_dims(p, q)
+    np_, nq = normalize_dims(p, q)
     n = np_ + nq
     theta_group = tables.theta_order(n, table)
     bp_next = bp.bp_order(n + 1, table)
@@ -201,7 +184,7 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     return group.element(bp.pairing_coefficient(p, q) * phi_u * phi_v)
 
 
-def stabilizer(p: int, q: int, d: DInvariant | int) -> CyclicSubgroup:
+def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     """Stabiliser in bP_{p+q+1} of a structure with even-factor integer
     coordinate d.
 
@@ -210,8 +193,8 @@ def stabilizer(p: int, q: int, d: DInvariant | int) -> CyclicSubgroup:
     trivial subgroup (with ambient bP_{p+q+1} when its order follows from
     the formulas, the trivial group otherwise).
     """
-    np_, nq, _ = normalize_dims(p, q)
-    return _stabilizer(np_, nq, _d_value(d))
+    np_, nq = normalize_dims(p, q)
+    return _stabilizer(np_, nq, d)
 
 
 def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
@@ -225,18 +208,18 @@ def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
 
 
 def eta_fiber_size(
-    p: int, q: int, d: DInvariant | int, table: GroupTable | None = None
+    p: int, q: int, d: int, table: GroupTable | None = None
 ) -> KnownGroup:
     """Size of the normal-invariant-map fibre through a structure with
     even-factor coordinate d: |Theta_{p+q}| / |stabiliser(d)|.
 
     Unknown when the order of Theta_{p+q} is outside the table.
     """
-    np_, nq, _ = normalize_dims(p, q)
+    np_, nq = normalize_dims(p, q)
     theta_group = tables.theta_order(np_ + nq, table)
     if theta_group.is_unknown:
         return KnownGroup.unknown()
-    stab = _stabilizer(np_, nq, _d_value(d))
+    stab = _stabilizer(np_, nq, d)
     if theta_group.order % stab.order != 0:
         raise ValueError(
             f"table gives |Theta_{np_ + nq}| = {theta_group.order}, which the "
@@ -252,7 +235,6 @@ class TopStructureSet:
 
     p_factor: LGroupKind
     q_factor: LGroupKind
-    is_group: bool = True
 
     @property
     def is_singleton(self) -> bool:
@@ -284,7 +266,7 @@ def group_structure_possible(p: int, q: int) -> GroupStructureVerdict:
     """Group-structure verdict by normalised shape: (4j-1, 4k) fails with
     varying stabilisers, (4j, 4k) fails when the residual group is
     nontrivial, everything else succeeds."""
-    np_, nq, _ = normalize_dims(p, q)
+    np_, nq = normalize_dims(p, q)
     if _is_stabilizer_shape(np_, nq):
         return GroupStructureVerdict(False, "non-constant stabilizers")
     if np_ % 4 == 0 and nq % 4 == 0 and bp.residual_of_checked_pair(np_, nq).order > 1:
@@ -296,19 +278,20 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
     """Size of the forgetful-map fibre over a topological structure of
     S^3 x S^4 with normal invariant ``top_invariant`` in Z.
 
-    Smooth structures hit exactly the even invariants (the comparison map
-    has index-two image in degree 4), so odd inputs are rejected.  Over
-    2y the fibre has 4 elements when 7 does not divide y, else 28.
+    The comparison map multiplies the degree-4 coordinate by t_4 = 2, so
+    smooth structures hit exactly the even invariants and odd inputs are
+    rejected.  Over t_4 * y the fibre is the normal-invariant fibre over
+    d = y, of size |Theta_7| / |stabiliser(y)|.
     """
-    np_, nq, _ = normalize_dims(p, q)
+    np_, nq = normalize_dims(p, q)
     if (np_, nq) != (3, 4):
         raise ValueError(
             f"forgetful_fiber currently handles only S^3 x S^4, got ({p}, {q})"
         )
-    if top_invariant % 2 != 0:
+    t_q = bp.t(nq)
+    if top_invariant % t_q != 0:
         raise ValueError(
             f"topological normal invariant {top_invariant} is odd, hence not "
             "in the image of the smooth structure set (even invariants only)"
         )
-    y = top_invariant // 2
-    return KnownGroup.finite(28 if y % 7 == 0 else 4)
+    return eta_fiber_size(np_, nq, top_invariant // t_q)

@@ -7,7 +7,8 @@ Three families are tabulated:
 * ``bp``             -- orders of the boundary-sphere groups bP_m for
                         m = 2 mod 4, the only residue with no closed
                         formula used here (odd m is trivial and m = 4k
-                        follows from the Levine order formula in ``bp``).
+                        follows from the Levine order formula in ``bp``);
+                        each is 1 or 2.
 
 The shipped entries cover dimensions up to 20 and come from the standard
 Kervaire-Milnor era tables; they are reference data, not computed by this
@@ -27,16 +28,16 @@ Tables are immutable once constructed.
 from __future__ import annotations
 
 import json
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
+
+from .rationals import MAX_BERNOULLI_INDEX
 
 __all__ = [
     "KnownGroup",
     "GroupTable",
     "TableError",
     "TableReadError",
-    "TableConsistencyWarning",
     "builtin_table",
     "theta_order",
     "pi_go",
@@ -52,10 +53,6 @@ class TableError(ValueError):
 
 class TableReadError(TableError):
     """Raised when a table file cannot be opened or read at all."""
-
-
-class TableConsistencyWarning(UserWarning):
-    """Emitted when loaded orders violate a divisibility constraint."""
 
 
 @dataclass(frozen=True)
@@ -99,10 +96,6 @@ class KnownGroup:
     @property
     def is_unknown(self) -> bool:
         return self.kind == "unknown"
-
-    @property
-    def is_finite(self) -> bool:
-        return self.kind == "finite"
 
     @property
     def is_trivial(self) -> bool:
@@ -249,22 +242,28 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
         )
     if order < 1:
         raise TableError(f"{family}[{dim_key}]: orders must be >= 1, got {order}")
+    if family == "bp" and order > 2:
+        raise TableError(f"bp[{dim_key}]: |bP_{{4k+2}}| is 1 or 2, got {order}")
     return dim, KnownGroup.finite(order)
 
 
 def _check_consistency(table: GroupTable) -> None:
-    # bP_m embeds in Theta_{m-1}, so its order must divide when both known.
-    for m, bp_group in sorted(table.bp.items()):
-        theta_group = table.theta.get(m - 1)
-        if theta_group is None or bp_group.is_unknown or theta_group.is_unknown:
+    # Kervaire-Milnor: bP_{n+1} is a subgroup of Theta_n, so its order,
+    # whether a table entry or formula output, divides every known
+    # |Theta_n|.
+    from .bp import bp_order  # bp imports this module
+
+    for n, theta_group in sorted(table.theta.items()):
+        m = n + 1
+        past_cap = m % 4 == 0 and m > 4 * MAX_BERNOULLI_INDEX  # t_m not computable
+        if theta_group.is_unknown or m < 4 or past_cap:
             continue
-        if theta_group.order % bp_group.order != 0:
-            warnings.warn(
-                f"|bP_{m}| = {bp_group.order} does not divide "
-                f"|Theta_{m - 1}| = {theta_group.order}; the table is "
-                "inconsistent with bP_m being a subgroup of Theta_{m-1}",
-                TableConsistencyWarning,
-                stacklevel=3,
+        bp_group = bp_order(m, table)
+        if not bp_group.is_unknown and theta_group.order % bp_group.order != 0:
+            raise TableError(
+                f"|bP_{m}| = {bp_group.order} does not divide |Theta_{n}| = "
+                f"{theta_group.order}; the table is inconsistent with bP_{m} "
+                f"being a subgroup of Theta_{n}"
             )
 
 
@@ -286,8 +285,9 @@ def parse_table(text: str) -> GroupTable:
     pi_go_torsion only), or ``"unknown"``.  Entries replace the built-in
     entry for that dimension wholesale.  A key repeated in one JSON object,
     or two keys naming the same dimension (``"07"`` and ``"7"``), is an
-    error.  Divisibility violations between bp and theta entries are
-    reported as warnings, not errors.
+    error, and so is an order that breaks the Kervaire-Milnor chain
+    |bP_{n+1}| divides |Theta_n|, where bP_{n+1} comes from a table entry
+    or from the order formula.
     """
     if not text.strip():
         return _BUILTIN
@@ -338,4 +338,6 @@ def load_table(path: str) -> GroupTable:
             text = handle.read()
     except OSError as exc:
         raise TableReadError(f"cannot read table file {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise TableError(f"table file {path!r} is not UTF-8 text: {exc}") from exc
     return parse_table(text)

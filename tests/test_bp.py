@@ -15,7 +15,7 @@ from spherestruct import (
     residual_group,
     t,
 )
-from spherestruct.bp import residual_of_checked_pair
+from spherestruct.bp import _t_multiple_of_4, residual_of_checked_pair
 
 from helpers import brute_subgroup, t_oracle
 
@@ -48,7 +48,17 @@ def test_t_cache_keeps_errors_and_values():
     for i in (0, -4, 0):  # a raised error is never cached as a value
         with pytest.raises(ValueError):
             t(i)
-    assert t.cache_info().hits >= 1
+    assert _t_multiple_of_4.cache_info().hits >= 1
+
+
+def test_t_cache_holds_only_multiples_of_four():
+    t(8)
+    before = _t_multiple_of_4.cache_info().currsize
+    for i in range(1, 20000, 4):  # 5000 off-degree arguments
+        assert t(i) == 0
+    after = _t_multiple_of_4.cache_info().currsize
+    assert after == before
+    assert after <= MAX_BERNOULLI_INDEX
 
 
 def test_t_against_independent_assembly():

@@ -1,6 +1,8 @@
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherestruct import (
     BP8,
@@ -15,6 +17,7 @@ from spherestruct import (
     s4s4_almost_diffeomorphic,
     s4s4_boundary_is_standard,
     s4s4_diffeomorphic,
+    stabilizer,
     subgroup_generated,
     wall_triple_of_plumbing,
 )
@@ -95,7 +98,6 @@ def test_s3s4_equivalence_laws():
 def test_wall_triple_fields():
     triple = wall_triple_of_plumbing(2, -3)
     assert triple == WallTriple(48, -72)
-    assert triple.lambda_matrix == ((0, 1), (1, 0))
     assert triple.signature == 0
     assert triple.s_alpha_squared == 2 * 48 * -72
 
@@ -165,3 +167,12 @@ def test_s4s4_relations_are_equivalences():
             assert s4s4_diffeomorphic(a, b) == (
                 key_almost(a) == key_almost(b) and a.phi == b.phi
             )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=-200, max_value=200), st.integers(0, 27), st.integers(0, 27))
+def test_structure_equality_is_stabiliser_membership(v, sigma0, sigma1):
+    a, b = S3S4Invariant(sigma0, v), S3S4Invariant(sigma1, v)
+    difference = (sigma0 - sigma1) % BP8.order
+    assert s3s4_structure_equal(a, b) == stabilizer(3, 4, v).contains(BP8.element(difference))
+    assert not s3s4_structure_equal(a, S3S4Invariant(sigma0, v + 1))

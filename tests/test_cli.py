@@ -274,3 +274,21 @@ def test_malformed_table_reports_position(tmp_path, capsys):
     code, out, err = run(capsys, ["t", "4", "--table", str(path)])
     assert code == 1
     assert "line" in err
+
+
+def test_non_utf8_table_is_a_domain_error_naming_the_file(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{}")
+    code, out, err = run(capsys, ["t", "4", "--table", str(path)])
+    assert code == 1
+    assert err.startswith(f"error: table file {str(path)!r} is not UTF-8")
+    assert out == ""
+
+
+def test_inconsistent_table_is_rejected_at_load(tmp_path, capsys):
+    path = tmp_path / "theta7.json"
+    path.write_text('{"theta": {"7": "3"}}')
+    code, out, err = run(capsys, ["structure-set", "3", "4", "--table", str(path)])
+    assert code == 1
+    assert "|bP_8| = 28 does not divide |Theta_7| = 3" in err
+    assert out == ""

@@ -87,8 +87,6 @@ def test_normal_class_normalises_phi():
     assert NormalClassDiff(3, 5).phi == 0
     assert NormalClassDiff(6, 5).phi == 0
     assert NormalClassDiff(8, 5).phi == 5
-    tagged = NormalClassDiff(8, 5, torsion_label="ignored")
-    assert tagged.torsion_label == "ignored"
 
 
 def test_forgetful_multiplies_by_t():

@@ -1,9 +1,12 @@
+import dataclasses
 from math import gcd
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherestruct import (
-    DInvariant,
+    GroupTable,
     KnownGroup,
     del_map,
     eta_fiber_size,
@@ -15,17 +18,18 @@ from spherestruct import (
     stabilizer,
     subgroup_generated,
     t,
+    theta_order,
     top_structure_set,
 )
 from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, normalize_dims
 
 
 def test_normalize_dims():
-    assert normalize_dims(3, 4) == (3, 4, False)
-    assert normalize_dims(4, 3) == (3, 4, True)
-    assert normalize_dims(2, 3) == (3, 2, True)
-    assert normalize_dims(4, 4) == (4, 4, False)
-    assert normalize_dims(3, 5) == (3, 5, False)
+    assert normalize_dims(3, 4) == (3, 4)
+    assert normalize_dims(4, 3) == (3, 4)
+    assert normalize_dims(2, 3) == (3, 2)
+    assert normalize_dims(4, 4) == (4, 4)
+    assert normalize_dims(3, 5) == (3, 5)
     with pytest.raises(ValueError):
         normalize_dims(1, 10)
     with pytest.raises(ValueError):
@@ -40,8 +44,8 @@ def test_present_s3_s4():
     assert pres.residual.order == 1
     assert pres.action_case == ACTION_STABILIZER
     assert pres.stabilizer_coefficient == 32
-    assert pres.stabilizer_rule(1) == subgroup_generated(28, 32)
-    assert pres.stabilizer_rule(DInvariant(7)).order == 1
+    assert stabilizer(pres.p, pres.q, 1) == subgroup_generated(28, 32)
+    assert stabilizer(pres.p, pres.q, 7).order == 1
     assert pres.normal_invariants[0] == KnownGroup.trivial()
     assert pres.normal_invariants[1] == KnownGroup.z_times_finite(1)
 
@@ -147,7 +151,8 @@ def test_eta_fiber_unknown_theta():
 
 
 def test_eta_fiber_rejects_inconsistent_table():
-    table = parse_table('{"theta": {"7": "5"}}')
+    # parse_table rejects this table, so it is built directly.
+    table = GroupTable(theta={7: KnownGroup.finite(5)})
     with pytest.raises(ValueError, match="does not divide"):
         eta_fiber_size(3, 4, 1, table)
 
@@ -155,7 +160,6 @@ def test_eta_fiber_rejects_inconsistent_table():
 def test_top_structure_set():
     top = top_structure_set(3, 4)
     assert (top.p_factor.symbol, top.q_factor.symbol) == ("0", "Z")
-    assert top.is_group
     assert not top.is_singleton
     assert top_structure_set(4, 4).p_factor.symbol == "Z"
     assert top_structure_set(3, 3).is_singleton
@@ -251,3 +255,41 @@ def test_override_and_builtin_never_share_answers():
         assert without.normal_invariants[1] == KnownGroup.z_times_finite(1)
         assert eta_fiber_size(4, 17, 1, override) == KnownGroup.finite(4)
         assert eta_fiber_size(4, 17, 1).is_unknown
+
+
+_FACTOR = st.integers(min_value=2, max_value=18)
+_D = st.integers(min_value=-500, max_value=500)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FACTOR, _FACTOR, _D)
+def test_fibre_times_stabiliser_is_theta(p, q, d):
+    if p + q < 5:
+        return
+    theta = theta_order(p + q)
+    fibre = eta_fiber_size(p, q, d)
+    assert fibre.is_unknown == theta.is_unknown
+    if not theta.is_unknown:
+        assert fibre.order * stabilizer(p, q, d).order == theta.order
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FACTOR, _FACTOR)
+def test_present_is_symmetric_after_normalisation(p, q):
+    if p + q < 5:
+        return
+    forward, backward = present(p, q), present(q, p)
+    assert (forward.input_p, forward.input_q) == (p, q)
+    assert (backward.input_p, backward.input_q) == (q, p)
+    if (p + q) % 2 == 0:  # nothing is normalised, so the factors swap
+        backward = dataclasses.replace(
+            backward, p=p, q=q, normal_invariants=backward.normal_invariants[::-1]
+        )
+    assert forward == dataclasses.replace(backward, input_p=p, input_q=q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_D)
+def test_forgetful_fibre_is_the_eta_fibre_over_half_the_invariant(y):
+    assert forgetful_fiber(3, 4, 2 * y) == eta_fiber_size(3, 4, y)
+    assert forgetful_fiber(4, 3, 2 * y) == eta_fiber_size(3, 4, y)

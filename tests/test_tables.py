@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import warnings
 
 import pytest
 
@@ -12,7 +11,7 @@ from spherestruct import (
     pi_go,
     theta_order,
 )
-from spherestruct.tables import TableConsistencyWarning, TableError, bp_from_table
+from spherestruct.tables import TableError, bp_from_table
 
 
 def test_theta_builtin_values():
@@ -128,12 +127,27 @@ def test_parse_rejects_bad_structure():
         parse_table('{"bp": {"12": "3"}}')
 
 
-def test_parse_warns_on_divisibility_violation():
-    with pytest.warns(TableConsistencyWarning):
-        parse_table('{"bp": {"10": "3"}}')  # 3 does not divide |Theta_9| = 8
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        parse_table('{"bp": {"10": "4"}}')  # 4 divides 8: fine
+def test_parse_rejects_divisibility_violation():
+    # bP_{n+1} is a subgroup of Theta_n, whether its order is a table
+    # entry or formula output.
+    with pytest.raises(TableError, match=r"\|bP_10\| = 2 does not divide \|Theta_9\| = 3"):
+        parse_table('{"bp": {"10": "2"}, "theta": {"9": "3"}}')
+    with pytest.raises(TableError, match=r"\|bP_8\| = 28 does not divide \|Theta_7\| = 3"):
+        parse_table('{"theta": {"7": "3"}}')
+    with pytest.raises(TableError, match=r"\|bP_12\| = 992 does not divide"):
+        parse_table('{"theta": {"11": "496"}}')
+    table = parse_table('{"bp": {"10": "2"}}')  # 2 divides |Theta_9| = 8: fine
+    assert bp_from_table(10, table) == KnownGroup.finite(2)
+    assert parse_table('{"theta": {"7": "56"}}').theta_order(7) == KnownGroup.finite(56)
+
+
+def test_parse_rejects_impossible_bp_2mod4_orders():
+    # bP_{4k+2} is 0 or Z/2 (Kervaire-Milnor), so no other order is possible.
+    for order in ("3", "4", "8"):
+        with pytest.raises(TableError, match="is 1 or 2"):
+            parse_table('{"bp": {"10": "%s"}}' % order)
+    for order in ("1", "2", "unknown"):
+        parse_table('{"bp": {"10": "%s"}}' % order)
 
 
 def test_load_table_roundtrip(tmp_path):
