@@ -38,6 +38,7 @@ __all__ = [
     "pairing_coefficient",
     "residual_group",
     "residual_of_checked_pair",
+    "image_f_residual",
     "image_f_is_subgroup",
 ]
 
@@ -125,12 +126,18 @@ def residual_of_checked_pair(p: int, q: int) -> CyclicGroup:
     return cyclic_group(ambient // gcd(ambient, generator))
 
 
-def image_f_is_subgroup(p: int, q: int) -> bool:
-    """Whether the forgetful image in the topological structure set of
-    S^{4j} x S^{4k} forms a subgroup; equivalent to the residual group
-    being trivial."""
+def image_f_residual(p: int, q: int) -> CyclicGroup:
+    """The residual group of S^{4j} x S^{4k}, which decides
+    ``image_f_is_subgroup``; other shapes are rejected with its message."""
     if p % 4 != 0 or q % 4 != 0 or p < 4 or q < 4:
         raise ValueError(
             f"image_f_is_subgroup expects dimensions (4j, 4k), got ({p}, {q})"
         )
-    return residual_of_checked_pair(p, q).order == 1
+    return residual_of_checked_pair(p, q)
+
+
+def image_f_is_subgroup(p: int, q: int) -> bool:
+    """Whether the forgetful image in the topological structure set of
+    S^{4j} x S^{4k} forms a subgroup; equivalent to the residual group
+    being trivial."""
+    return image_f_residual(p, q).order == 1

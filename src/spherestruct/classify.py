@@ -53,8 +53,11 @@ __all__ = [
 
 BP8 = cyclic_group(t(8))
 
+# Constructors write each field once, already canonical (see ``cyclic``).
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class S3S4Invariant:
     """A manifold Sigma # N_v: the class sigma of Sigma in Z_28 and the
     bundle parameter v.  ``sigma`` may be given as a plain integer."""
@@ -62,11 +65,13 @@ class S3S4Invariant:
     sigma: CyclicElement
     v: int
 
-    def __post_init__(self) -> None:
-        if isinstance(self.sigma, int):
-            object.__setattr__(self, "sigma", BP8.element(self.sigma))
-        elif self.sigma.group != BP8:
-            raise ValueError(f"sigma must lie in {BP8}, got {self.sigma.group}")
+    def __init__(self, sigma: CyclicElement | int, v: int) -> None:
+        if isinstance(sigma, int):
+            sigma = CyclicElement(BP8, sigma)
+        elif sigma.group.order != BP8.order:
+            raise ValueError(f"sigma must lie in {BP8}, got {sigma.group}")
+        _set(self, "sigma", sigma)
+        _set(self, "v", v)
 
 
 def s3s4_structure_equal(a: S3S4Invariant, b: S3S4Invariant) -> bool:
@@ -91,7 +96,7 @@ def s3s4_inertia_group(v: int) -> CyclicSubgroup:
     return subgroup_generated(BP8.order, 2 * v)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WallTriple:
     """Wall classification data of a plumbing: hyperbolic intersection
     form, the tangential invariant on the standard basis, signature 0."""
@@ -129,7 +134,7 @@ def s4s4_boundary_is_standard(u: int, v: int) -> bool:
     return plumbing_boundary_class(u, v).is_zero
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class S4S4Manifold:
     """A closed manifold N_{u,v,phi} obtained by capping off W_{u,v}.
 
@@ -141,13 +146,15 @@ class S4S4Manifold:
     v: int
     phi: int
 
-    def __post_init__(self) -> None:
-        if (self.u * self.v) % 7 != 0:
+    def __init__(self, u: int, v: int, phi: int) -> None:
+        if (u * v) % 7 != 0:
             raise ValueError(
-                f"no closed manifold for (u, v) = ({self.u}, {self.v}): the "
+                f"no closed manifold for (u, v) = ({u}, {v}): the "
                 "plumbing boundary is an exotic sphere unless 7 divides u*v"
             )
-        object.__setattr__(self, "phi", self.phi % 2)
+        _set(self, "u", u)
+        _set(self, "v", v)
+        _set(self, "phi", phi % 2)
 
 
 def s4s4_almost_diffeomorphic(a: S4S4Manifold, b: S4S4Manifold) -> bool:

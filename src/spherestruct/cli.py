@@ -21,7 +21,7 @@ import os
 import sys
 
 from . import __version__
-from .bp import bp_order, image_f_is_subgroup, pairing_coefficient, residual_group, t
+from .bp import bp_order, image_f_residual, pairing_coefficient, residual_group, t
 from .classify import (
     S3S4Invariant,
     S4S4Manifold,
@@ -206,8 +206,8 @@ def _cmd_group_structure(args, table):
 
 
 def _cmd_image_f(args, table):
-    is_subgroup = image_f_is_subgroup(args.p, args.q)
-    residual = residual_group(args.p, args.q)
+    residual = image_f_residual(args.p, args.q)
+    is_subgroup = residual.order == 1
     payload = {
         "p": args.p,
         "q": args.q,

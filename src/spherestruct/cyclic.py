@@ -24,16 +24,24 @@ __all__ = [
     "quotient_order",
 ]
 
+# Frozen dataclasses refuse plain attribute assignment; constructors write
+# each field once, already canonical, through this.
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True, init=False)
 class CyclicGroup:
-    """The additive cyclic group Z_n; order 1 is the trivial group."""
+    """The additive cyclic group Z_n; order 1 is the trivial group.
+
+    Z_n is determined by n, so code that only needs to know whether two
+    groups are the same compares their orders."""
 
     order: int
 
-    def __post_init__(self) -> None:
-        if self.order < 1:
-            raise ValueError(f"cyclic group order must be >= 1, got {self.order}")
+    def __init__(self, order: int) -> None:
+        if order < 1:
+            raise ValueError(f"cyclic group order must be >= 1, got {order}")
+        _set(self, "order", order)
 
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self, value)
@@ -50,18 +58,19 @@ def cyclic_group(n: int) -> CyclicGroup:
     return CyclicGroup(n)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CyclicElement:
     """An element of Z_n, stored by its representative in 0..n-1."""
 
     group: CyclicGroup
     value: int
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "value", self.value % self.group.order)
+    def __init__(self, group: CyclicGroup, value: int) -> None:
+        _set(self, "group", group)
+        _set(self, "value", value % group.order)
 
     def _check_same_group(self, other: CyclicElement) -> None:
-        if self.group != other.group:
+        if self.group.order != other.group.order:
             raise ValueError(
                 f"elements live in different groups: {self.group} vs {other.group}"
             )
@@ -85,23 +94,24 @@ class CyclicElement:
         return f"{self.value} in {self.group}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class CyclicSubgroup:
     """A subgroup of Z_n, canonicalised to its generator gcd(g mod n, n)."""
 
     ambient: CyclicGroup
     generator_value: int
 
-    def __post_init__(self) -> None:
-        n = self.ambient.order
-        object.__setattr__(self, "generator_value", gcd(self.generator_value % n, n))
+    def __init__(self, ambient: CyclicGroup, generator_value: int) -> None:
+        n = ambient.order
+        _set(self, "ambient", ambient)
+        _set(self, "generator_value", gcd(generator_value % n, n))
 
     @property
     def order(self) -> int:
         return self.ambient.order // self.generator_value
 
     def contains(self, x: CyclicElement) -> bool:
-        if x.group != self.ambient:
+        if x.group.order != self.ambient.order:
             raise ValueError(
                 f"element of {x.group} tested against a subgroup of {self.ambient}"
             )

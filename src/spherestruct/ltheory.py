@@ -45,8 +45,11 @@ __all__ = [
 _QUADRATIC = ("Z", "0", "Z/2", "0")
 _SYMMETRIC = ("Z", "Z/2", "0", "0")
 
+# Constructors write each field once, already canonical (see ``cyclic``).
+_set = object.__setattr__
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, slots=True)
 class LGroupKind:
     """An L-group in a fixed dimension, identified by its symbol."""
 
@@ -67,7 +70,7 @@ def symmetric_l_group(i: int) -> LGroupKind:
     return LGroupKind(i, _SYMMETRIC[i % 4])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class LClass:
     """An element of the quadratic L-group in its dimension.
 
@@ -79,12 +82,14 @@ class LClass:
     dim: int
     value: int
 
-    def __post_init__(self) -> None:
-        symbol = _QUADRATIC[self.dim % 4]
+    def __init__(self, dim: int, value: int) -> None:
+        symbol = _QUADRATIC[dim % 4]
         if symbol == "0":
-            object.__setattr__(self, "value", 0)
+            value = 0
         elif symbol == "Z/2":
-            object.__setattr__(self, "value", self.value % 2)
+            value %= 2
+        _set(self, "dim", dim)
+        _set(self, "value", value)
 
     @property
     def kind(self) -> LGroupKind:
@@ -105,7 +110,7 @@ class LClass:
         return f"{self.value}*z_{self.dim}"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True, init=False)
 class NormalClassDiff:
     """A smooth normal invariant of a sphere, reduced to its Z-coordinate.
 
@@ -116,9 +121,9 @@ class NormalClassDiff:
     dim: int
     phi: int = 0
 
-    def __post_init__(self) -> None:
-        if self.dim % 4 != 0:
-            object.__setattr__(self, "phi", 0)
+    def __init__(self, dim: int, phi: int = 0) -> None:
+        _set(self, "dim", dim)
+        _set(self, "phi", phi if dim % 4 == 0 else 0)
 
 
 def pairing(p: int, q: int, x: LClass, y: LClass) -> LClass:

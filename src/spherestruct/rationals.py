@@ -25,11 +25,14 @@ first request, not at import, and is rebuilt to twice its length (at
 least the index asked for, at most the cap below) whenever a larger index
 is asked for, so a sweep up to n stays O(n^2).
 
-Indices are capped at ``MAX_BERNOULLI_INDEX``: the bit cost of the table
-grows about eightfold per doubling of the index (on a 2-core Xeon a cold
-``bernoulli(1000)`` takes about a second, ``bernoulli(4000)`` over a
-minute), so a larger index raises ``ValueError`` at once instead of
-running for minutes.
+Indices are capped at ``MAX_BERNOULLI_INDEX`` = 827, so t_i is computed
+for i <= 3308.  The cap is where the values stop being printable: Python
+refuses to convert an int of more than 4300 decimal digits to a string
+(its default ``sys.get_int_max_str_digits()``), and t_3308 has 4281
+digits while t_3312 has 4308.  The cap also bounds the work, whose bit
+cost grows about eightfold per doubling of the index (on a 2-core Xeon a
+cold ``bernoulli(827)`` takes about 0.4 s).  A larger index raises
+``ValueError`` at once instead of failing after the work is done.
 """
 
 from __future__ import annotations
@@ -42,8 +45,12 @@ Rational = Fraction
 
 __all__ = ["Rational", "MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
 
-# Largest index bernoulli and num_b_over_4k accept (so t_i needs i <= 4000).
-MAX_BERNOULLI_INDEX = 1000
+# Largest index bernoulli and num_b_over_4k accept, so t_i needs i <= 3308.
+# It is the largest k for which t_{4k} has at most 4300 decimal digits,
+# Python's default limit for int-to-str conversion: t_3308 has 4281 digits,
+# t_3312 has 4308.  The products 8 t_a t_b with a + b <= 3308 that the
+# structure set prints stay below the limit too (at most 4284 digits).
+MAX_BERNOULLI_INDEX = 827
 
 # _TANGENT[k - 1] is the tangent number T_k.  Only ever replaced whole, by
 # a single assignment, so a reader sees either the old table or the new.

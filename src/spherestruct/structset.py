@@ -78,7 +78,7 @@ def _is_stabilizer_shape(p: int, q: int) -> bool:
     return p % 4 == 3 and q % 4 == 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StructureSetPresentation:
     """Everything the exact sequence above says about one product."""
 
@@ -229,7 +229,7 @@ def eta_fiber_size(
     return KnownGroup.finite(theta_group.order // stab.order)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class TopStructureSet:
     """The topological structure set: a group, isomorphic to L_p x L_q."""
 
@@ -250,7 +250,7 @@ def top_structure_set(p: int, q: int) -> TopStructureSet:
     return TopStructureSet(l_group(p), l_group(q))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GroupStructureVerdict:
     """Whether the smooth structure set can carry a compatible group
     structure; ``reason`` names the obstruction when it cannot."""

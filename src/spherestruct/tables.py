@@ -55,7 +55,7 @@ class TableReadError(TableError):
     """Raised when a table file cannot be opened or read at all."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class KnownGroup:
     """Order data for a group: finite of known order, Z x finite, or unknown.
 

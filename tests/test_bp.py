@@ -208,6 +208,13 @@ def test_shared_results_are_frozen():
     assert bp_order(8) == KnownGroup.finite(28)
 
 
+def test_t_at_the_cap_stays_printable():
+    # Python converts ints of at most 4300 digits to str by default.
+    top = t(4 * MAX_BERNOULLI_INDEX)
+    assert top < 10**4300
+    assert len(str(top)) <= 4300
+
+
 def test_t_is_capped_at_once():
     cap = 4 * MAX_BERNOULLI_INDEX
     assert t(cap + 1) == 0  # off multiples of 4 no Bernoulli number is needed

@@ -3,7 +3,7 @@ import time
 
 import pytest
 
-from spherestruct import KnownGroup, eta_fiber_size, t
+from spherestruct import MAX_BERNOULLI_INDEX, KnownGroup, eta_fiber_size, t
 from spherestruct.cli import main
 
 
@@ -174,13 +174,35 @@ def test_domain_errors_exit_1(capsys):
 
 
 def test_indices_above_the_bernoulli_cap_exit_1_at_once(capsys):
-    for argv in (["t", "100000"], ["bernoulli", "1001"], ["bp-order", "4004"]):
+    cap = MAX_BERNOULLI_INDEX
+    for argv in (
+        ["t", "100000"],
+        ["bernoulli", str(cap + 1)],
+        ["bp-order", str(4 * cap + 4)],
+    ):
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert time.perf_counter() - start < 0.5, argv
         assert code == 1, argv
-        assert "1000" in err or "4000" in err, argv
+        assert str(cap) in err or str(4 * cap) in err, argv
         assert out == ""
+
+
+def test_values_at_the_bernoulli_cap_print(capsys):
+    # The cap keeps every printed value under Python's int-to-str limit.
+    top = 4 * MAX_BERNOULLI_INDEX
+    for argv, prefix in (
+        (["t", str(top)], f"t_{top} = "),
+        (["bp-order", str(top)], f"bP_{top} = Z_"),
+        (["bernoulli", str(MAX_BERNOULLI_INDEX)], f"B_{MAX_BERNOULLI_INDEX} = "),
+    ):
+        code, out, err = run(capsys, argv)
+        assert code == 0, argv
+        assert err == ""
+        assert out.startswith(prefix), argv
+    code, out, _ = run(capsys, ["t", str(top), "--json"])
+    assert code == 0
+    assert json.loads(out)["result"]["value"] == t(top)
 
 
 def test_usage_errors_exit_2(capsys):

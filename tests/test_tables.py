@@ -4,6 +4,7 @@ import json
 import pytest
 
 from spherestruct import (
+    MAX_BERNOULLI_INDEX,
     KnownGroup,
     builtin_table,
     parse_table,
@@ -139,6 +140,16 @@ def test_parse_rejects_divisibility_violation():
     table = parse_table('{"bp": {"10": "2"}}')  # 2 divides |Theta_9| = 8: fine
     assert bp_from_table(10, table) == KnownGroup.finite(2)
     assert parse_table('{"theta": {"7": "56"}}').theta_order(7) == KnownGroup.finite(56)
+
+
+def test_chain_check_near_the_bernoulli_cap():
+    # |bP_n| at the cap still prints in the error; past the cap the link
+    # is not checked, so the entry loads instead of failing on str().
+    top = 4 * MAX_BERNOULLI_INDEX
+    with pytest.raises(TableError, match=f"bP_{top}"):
+        parse_table(f'{{"theta": {{"{top - 1}": "5"}}}}')
+    for n in (top + 3, 3999):
+        assert theta_order(n, parse_table(f'{{"theta": {{"{n}": "5"}}}}')).order == 5
 
 
 def test_parse_rejects_impossible_bp_2mod4_orders():

@@ -1,0 +1,197 @@
+"""The contract of the package's immutable value classes.
+
+Every value is a frozen, slotted dataclass whose constructor puts each
+field in canonical form, and a cyclic group Z_n is identified by n alone:
+elements and subgroups built on a shared ``cyclic_group(n)`` and on a
+fresh ``CyclicGroup(n)`` mix freely.
+"""
+
+import dataclasses
+import pickle
+import re
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from spherestruct import (
+    GroupStructureVerdict,
+    KnownGroup,
+    StructureSetPresentation,
+    TopStructureSet,
+    group_structure_possible,
+    in_subgroup,
+    l_group,
+    present,
+    subgroup_generated,
+    top_structure_set,
+)
+from spherestruct.classify import (
+    BP8,
+    S3S4Invariant,
+    S4S4Manifold,
+    WallTriple,
+    wall_triple_of_plumbing,
+)
+from spherestruct.cyclic import CyclicElement, CyclicGroup, CyclicSubgroup, cyclic_group
+from spherestruct.ltheory import LClass, LGroupKind, NormalClassDiff
+
+from helpers import brute_subgroup
+
+
+def _samples():
+    z28 = CyclicGroup(28)
+    return [
+        z28,
+        CyclicElement(z28, 5),
+        CyclicSubgroup(z28, 8),
+        KnownGroup.finite(28),
+        l_group(2),
+        LClass(4, 3),
+        NormalClassDiff(8, 3),
+        present(3, 4),
+        top_structure_set(4, 4),
+        group_structure_possible(4, 4),
+        S3S4Invariant(3, 5),
+        wall_triple_of_plumbing(1, 7),
+        S4S4Manifold(7, 1, 3),
+    ]
+
+
+VALUE_CLASSES = (
+    CyclicGroup, CyclicElement, CyclicSubgroup, KnownGroup, LGroupKind, LClass,
+    NormalClassDiff, StructureSetPresentation, TopStructureSet,
+    GroupStructureVerdict, S3S4Invariant, WallTriple, S4S4Manifold,
+)
+
+
+def test_every_value_class_is_frozen_and_slotted():
+    samples = _samples()
+    assert [type(x) for x in samples] == list(VALUE_CLASSES)
+    for value in samples:
+        cls = type(value)
+        assert cls.__dataclass_params__.frozen, cls
+        assert "__slots__" in cls.__dict__, cls
+        assert not hasattr(value, "__dict__"), cls
+        assert not hasattr(cls, "__post_init__"), cls
+        for f in dataclasses.fields(value):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(value, f.name, getattr(value, f.name))
+
+
+def test_values_survive_replace_pickle_and_hashing():
+    for value in _samples():
+        assert dataclasses.replace(value) == value
+        clone = pickle.loads(pickle.dumps(value))
+        assert clone == value and clone is not value
+        assert repr(clone) == repr(value)
+        assert hash(clone) == hash(value)
+
+
+def test_constructor_and_replace_put_fields_in_canonical_form():
+    z28 = CyclicGroup(28)
+    assert CyclicElement(z28, -1).value == 27
+    assert dataclasses.replace(CyclicElement(z28, 3), value=-1).value == 27
+    assert CyclicSubgroup(z28, -32).generator_value == 4
+    assert dataclasses.replace(CyclicSubgroup(z28, 1), generator_value=0).generator_value == 28
+    assert LClass(2, 5).value == 1
+    assert LClass(1, 5).value == 0 and LClass(4, -5).value == -5
+    assert dataclasses.replace(LClass(2, 0), value=5).value == 1
+    assert NormalClassDiff(6, 3).phi == 0
+    assert NormalClassDiff(8).phi == 0 and NormalClassDiff(8, -3).phi == -3
+    assert dataclasses.replace(NormalClassDiff(8, 3), dim=6).phi == 0
+    assert S4S4Manifold(7, 1, 3).phi == 1
+    assert dataclasses.replace(S4S4Manifold(7, 1, 0), phi=3).phi == 1
+    assert S3S4Invariant(30, 1).sigma == CyclicElement(BP8, 2)
+    assert dataclasses.replace(S3S4Invariant(0, 1), sigma=-1).sigma.value == 27
+    with pytest.raises(ValueError, match="exotic sphere"):
+        dataclasses.replace(S4S4Manifold(7, 1, 0), u=1)
+
+
+def test_shared_and_fresh_groups_agree():
+    for n in (1, 2, 28, 992):
+        shared, fresh = cyclic_group(n), CyclicGroup(n)
+        assert shared == fresh and hash(shared) == hash(fresh)
+        assert shared is not fresh
+    assert CyclicGroup(28) != CyclicGroup(14)
+    assert repr(CyclicGroup(28)) == "CyclicGroup(order=28)"
+    assert repr(CyclicElement(BP8, 30)) == "CyclicElement(group=CyclicGroup(order=28), value=2)"
+    # A fresh Z_28 is the group bP_8.
+    assert S3S4Invariant(CyclicElement(CyclicGroup(28), 30), 1) == S3S4Invariant(2, 1)
+
+
+def test_error_messages_are_unchanged():
+    with pytest.raises(ValueError, match=r"^cyclic group order must be >= 1, got 0$"):
+        CyclicGroup(0)
+    with pytest.raises(
+        ValueError,
+        match=r"^no closed manifold for \(u, v\) = \(1, 1\): the plumbing boundary "
+        r"is an exotic sphere unless 7 divides u\*v$",
+    ):
+        S4S4Manifold(1, 1, 0)
+    with pytest.raises(ValueError, match=r"^sigma must lie in Z_28, got Z_27$"):
+        S3S4Invariant(CyclicGroup(27).element(1), 1)
+    with pytest.raises(ValueError, match=r"^elements live in different groups: Z_28 vs Z_5$"):
+        CyclicGroup(28).element(1) + cyclic_group(5).element(1)
+    with pytest.raises(
+        ValueError, match=r"^element of Z_14 tested against a subgroup of Z_28$"
+    ):
+        subgroup_generated(28, 4).contains(CyclicGroup(14).element(2))
+
+
+def _group(n, shared):
+    return cyclic_group(n) if shared else CyclicGroup(n)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(-200, 200),
+    st.integers(-200, 200),
+    st.integers(-200, 200),
+    st.booleans(),
+    st.booleans(),
+    st.booleans(),
+)
+def test_mixed_shared_and_fresh_groups_match_the_oracle(
+    n, a, b, g, shared_x, shared_y, shared_subgroup
+):
+    x = CyclicElement(_group(n, shared_x), a)
+    y = _group(n, shared_y).element(b)
+    assert (x + y).value == ((a % n) + (b % n)) % n
+    assert (x - y).value == ((a % n) - (b % n)) % n
+    assert (x + y).group.order == n
+    if shared_subgroup:
+        sub = subgroup_generated(n, g)
+    else:
+        sub = CyclicSubgroup(CyclicGroup(n), g)
+    elements = brute_subgroup(n, g)
+    for z in (x, y, x + y, x - y):
+        assert sub.contains(z) == (z.value in elements)
+        assert in_subgroup(z, sub) == (z.value in elements)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 60),
+    st.integers(1, 60),
+    st.integers(-200, 200),
+    st.booleans(),
+    st.booleans(),
+)
+def test_mixing_groups_of_different_orders_still_raises(n, m, a, shared_x, shared_y):
+    if n == m:
+        m += 1
+    x = _group(n, shared_x).element(a)
+    y = _group(m, shared_y).element(a)
+    mixed = re.escape(f"elements live in different groups: {x.group} vs {y.group}")
+    with pytest.raises(ValueError, match=mixed):
+        x + y
+    with pytest.raises(ValueError, match=mixed):
+        x - y
+    sub = subgroup_generated(m, a) if shared_y else CyclicSubgroup(CyclicGroup(m), a)
+    outside = re.escape(f"element of {x.group} tested against a subgroup of {sub.ambient}")
+    with pytest.raises(ValueError, match=outside):
+        sub.contains(x)
+    with pytest.raises(ValueError, match=outside):
+        in_subgroup(x, sub)
