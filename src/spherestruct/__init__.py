@@ -12,7 +12,7 @@ from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .bp import bp_order, image_f_is_subgroup, residual_group, t
+from .bp import bp_order, residual_group, t
 from .classify import (
     BP8,
     S3S4Invariant,
@@ -32,7 +32,6 @@ from .cyclic import (
     CyclicGroup,
     CyclicSubgroup,
     in_subgroup,
-    quotient_order,
     subgroup_generated,
 )
 from .ltheory import (
@@ -42,11 +41,10 @@ from .ltheory import (
     forgetful_f,
     l_group,
     pairing,
-    symmetric_l_group,
     theta_diff,
     theta_top,
 )
-from .rationals import MAX_BERNOULLI_INDEX, Rational, bernoulli, num_b_over_4k
+from .rationals import MAX_BERNOULLI_INDEX, bernoulli, num_b_over_4k
 from .structset import (
     GroupStructureVerdict,
     StructureSetPresentation,
@@ -71,7 +69,6 @@ from .tables import (
 
 __all__ = [
     "__version__",
-    "Rational",
     "MAX_BERNOULLI_INDEX",
     "bernoulli",
     "num_b_over_4k",
@@ -80,7 +77,6 @@ __all__ = [
     "CyclicSubgroup",
     "subgroup_generated",
     "in_subgroup",
-    "quotient_order",
     "KnownGroup",
     "GroupTable",
     "builtin_table",
@@ -91,12 +87,10 @@ __all__ = [
     "t",
     "bp_order",
     "residual_group",
-    "image_f_is_subgroup",
     "LGroupKind",
     "LClass",
     "NormalClassDiff",
     "l_group",
-    "symmetric_l_group",
     "pairing",
     "theta_top",
     "forgetful_f",

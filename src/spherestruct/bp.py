@@ -39,7 +39,6 @@ __all__ = [
     "residual_group",
     "residual_of_checked_pair",
     "image_f_residual",
-    "image_f_is_subgroup",
 ]
 
 
@@ -127,17 +126,11 @@ def residual_of_checked_pair(p: int, q: int) -> CyclicGroup:
 
 
 def image_f_residual(p: int, q: int) -> CyclicGroup:
-    """The residual group of S^{4j} x S^{4k}, which decides
-    ``image_f_is_subgroup``; other shapes are rejected with its message."""
+    """The residual group of S^{4j} x S^{4k}; the forgetful image in the
+    topological structure set is a subgroup exactly when this group is
+    trivial.  Other shapes are rejected."""
     if p % 4 != 0 or q % 4 != 0 or p < 4 or q < 4:
         raise ValueError(
             f"image_f_is_subgroup expects dimensions (4j, 4k), got ({p}, {q})"
         )
     return residual_of_checked_pair(p, q)
-
-
-def image_f_is_subgroup(p: int, q: int) -> bool:
-    """Whether the forgetful image in the topological structure set of
-    S^{4j} x S^{4k} forms a subgroup; equivalent to the residual group
-    being trivial."""
-    return image_f_residual(p, q).order == 1

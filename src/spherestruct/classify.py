@@ -15,11 +15,15 @@ over S^4 with Pontrjagin data (48u, 48v).  Its Wall classification triple
 is the rank-2 hyperbolic intersection form together with the tangential
 invariant Salpha taking values (24u, 24v) on the standard basis, and
 signature 0.  The boundary of W_{u,v} is a homotopy 7-sphere whose class
-in bP_8 = Z_28 is the Eells-Kuiper style quantity
+in bP_8 = Z_28 is -del(u, v), minus the surgery obstruction of the
+normal invariant (u, v) (``structset.del_map``):
 
-    (signature - Salpha^2) / 8  mod 28  =  -4uv  mod 28,
+    -8 t_4 t_4 uv  =  -4uv  mod 28,
 
-so the boundary is the standard sphere exactly when 7 divides uv.  In
+which agrees with the Eells-Kuiper style quantity (signature - Salpha^2)/8
+of the Wall triple.  So the boundary is the standard sphere exactly when
+r divides uv, where r = 7 is the order of the residual group
+8 t_4 t_4 . bP_8 (``bp.residual_group(4, 4)``).  In
 that case capping off gives closed manifolds N_{u,v,phi} indexed by a
 gluing twist phi in Z/2.  Two of them are almost diffeomorphic exactly
 when {u0, v0} = {eps u1, eps v1} as unordered pairs for a sign eps (the
@@ -32,9 +36,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bp import t
+from .bp import residual_group, t
 from .cyclic import CyclicElement, CyclicSubgroup, cyclic_group, in_subgroup, subgroup_generated
-from .structset import stabilizer
+from .structset import _stabilizer, del_map
 
 __all__ = [
     "BP8",
@@ -52,6 +56,8 @@ __all__ = [
 ]
 
 BP8 = cyclic_group(t(8))
+# r: the boundary of W_{u,v} is standard exactly when r divides uv.
+_S4S4_RESIDUAL = residual_group(4, 4).order
 
 # Constructors write each field once, already canonical (see ``cyclic``).
 _set = object.__setattr__
@@ -79,7 +85,7 @@ def s3s4_structure_equal(a: S3S4Invariant, b: S3S4Invariant) -> bool:
     the stabiliser of the d = v structures, <8 t_4 t_4 v> = <32 v>."""
     if a.v != b.v:
         return False
-    return in_subgroup(a.sigma - b.sigma, stabilizer(3, 4, a.v))
+    return in_subgroup(a.sigma - b.sigma, _stabilizer(3, 4, a.v))
 
 
 def s3s4_diffeomorphic(a: S3S4Invariant, b: S3S4Invariant) -> bool:
@@ -104,15 +110,6 @@ class WallTriple:
     s_alpha_x: int
     s_alpha_y: int
 
-    @property
-    def signature(self) -> int:
-        return 0
-
-    @property
-    def s_alpha_squared(self) -> int:
-        # Hyperbolic evaluation: (a x + b y)^2 = 2ab.
-        return 2 * self.s_alpha_x * self.s_alpha_y
-
 
 def wall_triple_of_plumbing(u: int, v: int) -> WallTriple:
     """Wall triple of W_{u,v}: Salpha is (24u, 24v) on the basis."""
@@ -120,17 +117,14 @@ def wall_triple_of_plumbing(u: int, v: int) -> WallTriple:
 
 
 def plumbing_boundary_class(u: int, v: int) -> CyclicElement:
-    """Class of the boundary sphere of W_{u,v} in bP_8 = Z_28, computed
-    as (signature - Salpha^2)/8 from the Wall triple; equals -4uv mod 28."""
-    triple = wall_triple_of_plumbing(u, v)
-    numerator = triple.signature - triple.s_alpha_squared
-    # 8 | 2 * 24u * 24v, so the division is exact.
-    return BP8.element(numerator // 8)
+    """Class of the boundary sphere of W_{u,v} in bP_8 = Z_28: minus the
+    surgery obstruction del(u, v), which is -4uv mod 28."""
+    return -del_map(4, 4, u, v)
 
 
 def s4s4_boundary_is_standard(u: int, v: int) -> bool:
     """Whether the boundary of W_{u,v} is the standard 7-sphere
-    (equivalently 7 | uv)."""
+    (equivalently r | uv, r = 7 the residual order)."""
     return plumbing_boundary_class(u, v).is_zero
 
 
@@ -138,8 +132,9 @@ def s4s4_boundary_is_standard(u: int, v: int) -> bool:
 class S4S4Manifold:
     """A closed manifold N_{u,v,phi} obtained by capping off W_{u,v}.
 
-    Requires 7 | uv; otherwise the boundary sphere is exotic and no such
-    closed manifold exists.  The twist phi is reduced mod 2.
+    Requires r | uv, where r = 7 is the residual order; otherwise the
+    boundary sphere is exotic and no such closed manifold exists.  The
+    twist phi is reduced mod 2.
     """
 
     u: int
@@ -147,10 +142,10 @@ class S4S4Manifold:
     phi: int
 
     def __init__(self, u: int, v: int, phi: int) -> None:
-        if (u * v) % 7 != 0:
+        if (u * v) % _S4S4_RESIDUAL != 0:
             raise ValueError(
-                f"no closed manifold for (u, v) = ({u}, {v}): the "
-                "plumbing boundary is an exotic sphere unless 7 divides u*v"
+                f"no closed manifold for (u, v) = ({u}, {v}): the plumbing "
+                f"boundary is an exotic sphere unless {_S4S4_RESIDUAL} divides u*v"
             )
         _set(self, "u", u)
         _set(self, "v", v)

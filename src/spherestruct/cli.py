@@ -30,7 +30,6 @@ from .classify import (
     s3s4_inertia_group,
     s3s4_structure_equal,
     s4s4_almost_diffeomorphic,
-    s4s4_boundary_is_standard,
     s4s4_diffeomorphic,
     wall_triple_of_plumbing,
 )
@@ -274,7 +273,7 @@ def _cmd_classify_s4s4(args, table):
             "v": v,
             "s_alpha": [triple.s_alpha_x, triple.s_alpha_y],
             "boundary_class": boundary.value,
-            "standard": s4s4_boundary_is_standard(u, v),
+            "standard": boundary.is_zero,
         }
         text = [
             f"plumbing W_({u},{v}): Salpha = ({triple.s_alpha_x}, {triple.s_alpha_y})",

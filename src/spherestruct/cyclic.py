@@ -21,7 +21,6 @@ __all__ = [
     "CyclicSubgroup",
     "subgroup_generated",
     "in_subgroup",
-    "quotient_order",
 ]
 
 # Frozen dataclasses refuse plain attribute assignment; constructors write
@@ -142,10 +141,3 @@ def _subgroup(n: int, generator: int) -> CyclicSubgroup:
 def in_subgroup(x: CyclicElement, subgroup: CyclicSubgroup) -> bool:
     """Whether x lies in the subgroup; groups must match."""
     return subgroup.contains(x)
-
-
-def quotient_order(n: int, g: int) -> int:
-    """Order of Z_n / <g>, which is gcd(g mod n, n)."""
-    if n < 1:
-        raise ValueError(f"ambient order must be >= 1, got {n}")
-    return gcd(g % n, n)

@@ -1,10 +1,9 @@
 """Surgery obstruction groups of the trivial group and the product pairing.
 
 The quadratic L-groups are 4-periodic: L_i = Z, 0, Z/2, 0 for i = 0, 1,
-2, 3 mod 4.  The symmetric groups run Z, Z/2, 0, 0 in the same order.
-Classes are stored as an integer coefficient of a fixed generator z_i of
-L_i; the coefficient is normalised to 0 in the zero groups and to {0, 1}
-in the Z/2 groups.
+2, 3 mod 4.  Classes are stored as an integer coefficient of a fixed
+generator z_i of L_i; the coefficient is normalised to 0 in the zero
+groups and to {0, 1} in the Z/2 groups.
 
 The external product L_p x L_q -> L_{p+q} vanishes unless both degrees
 are divisible by 4, where it is multiplication by 8 on the integer
@@ -17,25 +16,28 @@ multiplies phi by t_{4k} in degree 4k and is treated as zero elsewhere
 package's scope).  The surgery obstructions of a product of two spheres
 are then
 
-    theta_top(x, y, z)  = x*y + z           on topological invariants,
-    theta_diff(u, v, w) = F(u)F(v) + F(w)   on smooth ones,
+    theta_top(x, y, z)  = x*y + z,
+    theta_diff(u, v, w) = 8 t_p t_q phi_u phi_v + t_{p+q} phi_w
 
-so theta_diff is theta_top after applying the comparison map to every
-coordinate.
+on topological and on smooth invariants respectively.  ``theta_diff``
+evaluates its formula directly, taking 8 t_p t_q from
+``bp.pairing_coefficient``, the one home of the obstruction;
+``structset.del_map`` is its image in Z_{t_{p+q}}.  The composed route
+theta_top(F(u), F(v), F(w)) through the comparison map F gives the same
+class and is kept as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bp import check_pair, t
+from .bp import check_pair, pairing_coefficient, t
 
 __all__ = [
     "LGroupKind",
     "LClass",
     "NormalClassDiff",
     "l_group",
-    "symmetric_l_group",
     "pairing",
     "theta_top",
     "forgetful_f",
@@ -43,7 +45,6 @@ __all__ = [
 ]
 
 _QUADRATIC = ("Z", "0", "Z/2", "0")
-_SYMMETRIC = ("Z", "Z/2", "0", "0")
 
 # Constructors write each field once, already canonical (see ``cyclic``).
 _set = object.__setattr__
@@ -63,11 +64,6 @@ class LGroupKind:
 def l_group(i: int) -> LGroupKind:
     """The quadratic L-group in dimension i >= 0."""
     return LGroupKind(i, _QUADRATIC[i % 4])
-
-
-def symmetric_l_group(i: int) -> LGroupKind:
-    """The symmetric L-group in dimension i >= 0."""
-    return LGroupKind(i, _SYMMETRIC[i % 4])
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -90,10 +86,6 @@ class LClass:
             value %= 2
         _set(self, "dim", dim)
         _set(self, "value", value)
-
-    @property
-    def kind(self) -> LGroupKind:
-        return l_group(self.dim)
 
     @property
     def is_zero(self) -> bool:
@@ -161,12 +153,13 @@ def forgetful_f(u: NormalClassDiff) -> LClass:
 def theta_diff(
     p: int, q: int, u: NormalClassDiff, v: NormalClassDiff, w: NormalClassDiff
 ) -> LClass:
-    """Surgery obstruction of a smooth normal invariant (u, v, w) of
-    S^p x S^q: theta_top applied to the comparison images."""
+    """Surgery obstruction 8 t_p t_q phi_u phi_v + t_{p+q} phi_w of a
+    smooth normal invariant (u, v, w) of S^p x S^q; the same class as
+    theta_top applied to the comparison images."""
     check_pair(p, q)
     if u.dim != p or v.dim != q or w.dim != p + q:
         raise ValueError(
             f"coordinate dimensions must be ({p}, {q}, {p + q}), "
             f"got ({u.dim}, {v.dim}, {w.dim})"
         )
-    return theta_top(p, q, forgetful_f(u), forgetful_f(v), forgetful_f(w))
+    return LClass(p + q, pairing_coefficient(p, q) * u.phi * v.phi + t(p + q) * w.phi)

@@ -2,9 +2,8 @@
 
 Integers throughout the package are plain Python ``int`` (arbitrary
 precision) and rationals are ``fractions.Fraction``, which is always kept
-in lowest terms with a positive denominator.  ``Rational`` is exported as
-an alias so callers can spell that contract explicitly.  Nothing in this
-package touches floating point.
+in lowest terms with a positive denominator.  Nothing in this package
+touches floating point.
 
 Bernoulli numbers use the topologist's indexing: ``bernoulli(k)`` is the
 absolute value of the classical B_{2k}, so
@@ -41,9 +40,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-Rational = Fraction
-
-__all__ = ["Rational", "MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
+__all__ = ["MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
 
 # Largest index bernoulli and num_b_over_4k accept, so t_i needs i <= 3308.
 # It is the largest k for which t_{4k} has at most 4300 decimal digits,

@@ -201,14 +201,43 @@ def bp_from_table(m: int, table: GroupTable | None = None) -> KnownGroup:
 _FAMILIES = ("theta", "pi_go_torsion", "bp")
 
 
-def _decimal(text: str) -> int | None:
+class _LongInt:
+    """A JSON integer with more digits than int() converts, kept so that
+    the entry holding it can be named without echoing the digits."""
+
+    __slots__ = ("digits",)
+
+    def __init__(self, text: str) -> None:
+        self.digits = len(text.lstrip("-"))
+
+    def __repr__(self) -> str:
+        return f"<integer of {self.digits} digits>"
+
+
+def _json_int(text: str) -> int | _LongInt:
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        return _LongInt(text)
+
+
+def _too_long(what: str, digits: int) -> TableError:
+    return TableError(f"{what} has {digits} digits, more than int() converts")
+
+
+def _decimal(text: str, what: str) -> int | None:
     # Plain ASCII digits only: int() would also accept signs, surrounding
     # whitespace, underscores ("7_0" -> 70) and non-ASCII digits.
-    return int(text) if text.isascii() and text.isdigit() else None
+    if not (text.isascii() and text.isdigit()):
+        return None
+    try:
+        return int(text)
+    except ValueError:  # past sys.get_int_max_str_digits()
+        raise _too_long(what, len(text)) from None
 
 
 def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGroup]:
-    dim = _decimal(dim_key)
+    dim = _decimal(dim_key, f"{family}: a dimension key")
     if dim is None:
         raise TableError(
             f"{family}: dimension keys must be decimal strings, got {dim_key!r}"
@@ -230,9 +259,11 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
             )
         return dim, KnownGroup.finite(1)
     if isinstance(value, str):
-        order = _decimal(value)
+        order = _decimal(value, f"{family}[{dim_key}]: the order")
     elif isinstance(value, int) and not isinstance(value, bool):  # bool is an int
         order = value
+    elif isinstance(value, _LongInt):
+        raise _too_long(f"{family}[{dim_key}]: the order", value.digits)
     else:
         order = None
     if order is None:
@@ -292,7 +323,9 @@ def parse_table(text: str) -> GroupTable:
     if not text.strip():
         return _BUILTIN
     try:
-        raw = json.loads(text, object_pairs_hook=_object_without_duplicates)
+        raw = json.loads(
+            text, object_pairs_hook=_object_without_duplicates, parse_int=_json_int
+        )
     except json.JSONDecodeError as exc:
         raise TableError(
             f"table JSON is malformed at line {exc.lineno}, column {exc.colno}: "

@@ -10,12 +10,11 @@ from spherestruct import (
     KnownGroup,
     MAX_BERNOULLI_INDEX,
     bp_order,
-    image_f_is_subgroup,
     parse_table,
     residual_group,
     t,
 )
-from spherestruct.bp import _t_multiple_of_4, residual_of_checked_pair
+from spherestruct.bp import _t_multiple_of_4, image_f_residual, residual_of_checked_pair
 
 from helpers import brute_subgroup, t_oracle
 
@@ -148,15 +147,14 @@ def test_residual_order_formula():
             )
 
 
-def test_image_f_is_subgroup():
-    assert not image_f_is_subgroup(4, 4)
-    assert not image_f_is_subgroup(4, 8)
-    assert not image_f_is_subgroup(4, 12)
-    assert not image_f_is_subgroup(8, 8)
-    with pytest.raises(ValueError):
-        image_f_is_subgroup(3, 4)
-    with pytest.raises(ValueError):
-        image_f_is_subgroup(4, 6)
+def test_image_f_residual():
+    # The forgetful image is a subgroup exactly when the residual is trivial.
+    for p, q in ((4, 4), (4, 8), (4, 12), (8, 8)):
+        assert image_f_residual(p, q).order > 1, (p, q)
+    with pytest.raises(ValueError, match="expects dimensions"):
+        image_f_residual(3, 4)
+    with pytest.raises(ValueError, match="expects dimensions"):
+        image_f_residual(4, 6)
 
 
 def _residual_oracle(p: int, q: int) -> int:

@@ -10,6 +10,7 @@ from spherestruct import (
     S3S4Invariant,
     S4S4Manifold,
     WallTriple,
+    del_map,
     plumbing_boundary_class,
     s3s4_diffeomorphic,
     s3s4_inertia_group,
@@ -21,7 +22,7 @@ from spherestruct import (
     subgroup_generated,
     wall_triple_of_plumbing,
 )
-from helpers import check_s3s4_equivalence_laws
+from helpers import check_s3s4_equivalence_laws, wall_triple_boundary_oracle
 
 
 def test_invariant_coercion_and_validation():
@@ -98,8 +99,6 @@ def test_s3s4_equivalence_laws():
 def test_wall_triple_fields():
     triple = wall_triple_of_plumbing(2, -3)
     assert triple == WallTriple(48, -72)
-    assert triple.signature == 0
-    assert triple.s_alpha_squared == 2 * 48 * -72
 
 
 def test_plumbing_boundary_values():
@@ -111,18 +110,33 @@ def test_plumbing_boundary_values():
 
 
 def test_boundary_standard_iff_7_divides_uv():
-    for u in range(-50, 51):
-        for v in range(-50, 51):
+    # The boundary class is -del(u, v); the Wall triple checks it, and a
+    # closed manifold exists exactly when del(u, v) vanishes.
+    for u in range(-60, 61):
+        for v in range(-60, 61):
             expected = (u * v) % 7 == 0
             assert s4s4_boundary_is_standard(u, v) == expected, (u, v)
-            assert plumbing_boundary_class(u, v).value == (-4 * u * v) % 28
+            boundary = plumbing_boundary_class(u, v)
+            assert boundary.value == (-4 * u * v) % 28
+            assert boundary.value == wall_triple_boundary_oracle(u, v), (u, v)
+            assert boundary == -del_map(4, 4, u, v), (u, v)
+            try:
+                S4S4Manifold(u, v, 0)
+                built = True
+            except ValueError:
+                built = False
+            assert built == del_map(4, 4, u, v).is_zero, (u, v)
 
 
 def test_closed_manifold_requires_standard_boundary():
     S4S4Manifold(7, 1, 0)
     S4S4Manifold(0, 3, 1)
-    with pytest.raises(ValueError, match="exotic sphere"):
+    with pytest.raises(ValueError) as info:
         S4S4Manifold(1, 1, 0)
+    assert str(info.value) == (
+        "no closed manifold for (u, v) = (1, 1): the plumbing boundary is an "
+        "exotic sphere unless 7 divides u*v"
+    )
     with pytest.raises(ValueError, match="exotic sphere"):
         S4S4Manifold(2, 3, 1)
 

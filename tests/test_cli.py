@@ -307,6 +307,15 @@ def test_non_utf8_table_is_a_domain_error_naming_the_file(tmp_path, capsys):
     assert out == ""
 
 
+def test_table_number_too_long_to_convert_is_a_domain_error(tmp_path, capsys):
+    path = tmp_path / "long.json"
+    path.write_text('{"theta": {"7": %s}}' % ("9" * 5000))
+    code, out, err = run(capsys, ["t", "4", "--table", str(path)])
+    assert code == 1
+    assert err == "error: theta[7]: the order has 5000 digits, more than int() converts\n"
+    assert out == ""
+
+
 def test_inconsistent_table_is_rejected_at_load(tmp_path, capsys):
     path = tmp_path / "theta7.json"
     path.write_text('{"theta": {"7": "3"}}')

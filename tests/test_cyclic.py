@@ -5,7 +5,6 @@ import pytest
 from spherestruct import (
     CyclicGroup,
     in_subgroup,
-    quotient_order,
     subgroup_generated,
 )
 from spherestruct.cyclic import cyclic_group
@@ -40,14 +39,11 @@ def test_subgroup_equality_is_canonical():
 
 def test_negative_generators():
     assert subgroup_generated(28, -32).generator_value == 4
-    assert quotient_order(28, -32) == 4
 
 
 def test_rejects_bad_order():
     with pytest.raises(ValueError):
         subgroup_generated(0, 3)
-    with pytest.raises(ValueError):
-        quotient_order(-5, 3)
     with pytest.raises(ValueError):
         CyclicGroup(0)
 
@@ -65,13 +61,6 @@ def test_membership_examples():
 def test_membership_requires_matching_group():
     with pytest.raises(ValueError):
         in_subgroup(CyclicGroup(14).element(2), subgroup_generated(28, 4))
-
-
-def test_quotient_order_examples():
-    assert quotient_order(28, 32) == 4
-    assert quotient_order(992, 448) == 32
-    assert quotient_order(100, 1) == 1
-    assert quotient_order(9, 0) == 9
 
 
 def test_element_arithmetic():

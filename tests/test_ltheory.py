@@ -6,7 +6,6 @@ from spherestruct import (
     forgetful_f,
     l_group,
     pairing,
-    symmetric_l_group,
     theta_diff,
     theta_top,
 )
@@ -17,9 +16,6 @@ from helpers import check_theta_diff_box
 def test_l_group_periodicity():
     assert [l_group(i).symbol for i in range(8)] == [
         "Z", "0", "Z/2", "0", "Z", "0", "Z/2", "0",
-    ]
-    assert [symmetric_l_group(i).symbol for i in range(8)] == [
-        "Z", "Z/2", "0", "0", "Z", "Z/2", "0", "0",
     ]
 
 

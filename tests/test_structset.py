@@ -2,12 +2,13 @@ import dataclasses
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spherestruct import (
     GroupTable,
     KnownGroup,
+    NormalClassDiff,
     del_map,
     eta_fiber_size,
     forgetful_fiber,
@@ -18,6 +19,7 @@ from spherestruct import (
     stabilizer,
     subgroup_generated,
     t,
+    theta_diff,
     theta_order,
     top_structure_set,
 )
@@ -293,3 +295,28 @@ def test_present_is_symmetric_after_normalisation(p, q):
 def test_forgetful_fibre_is_the_eta_fibre_over_half_the_invariant(y):
     assert forgetful_fiber(3, 4, 2 * y) == eta_fiber_size(3, 4, y)
     assert forgetful_fiber(4, 3, 2 * y) == eta_fiber_size(3, 4, y)
+
+
+_J = st.integers(min_value=1, max_value=11)
+_PHI = st.integers(min_value=-10**6, max_value=10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_J, st.data(), _PHI, _PHI)
+def test_del_map_is_theta_diff_reduced_into_bp(j, data, phi_u, phi_v):
+    k = data.draw(st.integers(min_value=1, max_value=12 - j), label="k")
+    p, q = 4 * j, 4 * k
+    obstruction = theta_diff(
+        p, q, NormalClassDiff(p, phi_u), NormalClassDiff(q, phi_v),
+        NormalClassDiff(p + q, 0),
+    )
+    image = del_map(p, q, phi_u, phi_v)
+    assert image.group.order == t(p + q)
+    assert image.value == obstruction.value % t(p + q)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FACTOR, _FACTOR, _PHI, _PHI)
+def test_del_map_vanishes_off_the_4j_4k_shape(p, q, phi_u, phi_v):
+    assume(p + q >= 5 and (p % 4 != 0 or q % 4 != 0))
+    assert del_map(p, q, phi_u, phi_v).is_zero

@@ -206,6 +206,33 @@ def test_parse_rejects_duplicate_json_keys():
         parse_table('{"theta": {"7": "28"}, "theta": {"9": "8"}}')
 
 
+_LONG = "9" * 5000  # more digits than int() converts by default
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"theta": {"7": "%s"}}' % _LONG, "theta[7]: the order has 5000 digits"),
+        ('{"theta": {"7": %s}}' % _LONG, "theta[7]: the order has 5000 digits"),
+        ('{"theta": {"7": -%s}}' % _LONG, "theta[7]: the order has 5000 digits"),
+        ('{"bp": {"%s": "1"}}' % _LONG, "bp: a dimension key has 5000 digits"),
+        ('{"theta": {"7": [%s]}}' % _LONG, "got [<integer of 5000 digits>]"),
+    ],
+    ids=["order-string", "json-integer", "negative-json-integer", "dimension-key",
+         "integer-in-a-list"],
+)
+def test_parse_rejects_numbers_too_long_to_convert(text, message):
+    with pytest.raises(TableError) as info:
+        parse_table(text)
+    assert message in str(info.value)
+    assert len(str(info.value)) < 200  # the digits are not echoed
+
+
+def test_duplicate_key_error_survives_long_integers():
+    with pytest.raises(TableError, match="duplicate key '7'"):
+        parse_table('{"theta": {"7": %s, "7": "28"}}' % _LONG)
+
+
 def test_shared_known_group_constants_are_frozen():
     assert KnownGroup.unknown() is KnownGroup.unknown()
     assert KnownGroup.trivial() is KnownGroup.trivial()
