@@ -37,7 +37,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bp import residual_group, t
-from .cyclic import CyclicElement, CyclicSubgroup, cyclic_group, in_subgroup, subgroup_generated
+from .cyclic import (
+    CyclicElement,
+    CyclicSubgroup,
+    _slot_writers,
+    cyclic_group,
+    in_subgroup,
+    subgroup_generated,
+)
 from .structset import _stabilizer, del_map
 
 __all__ = [
@@ -59,9 +66,6 @@ BP8 = cyclic_group(t(8))
 # r: the boundary of W_{u,v} is standard exactly when r divides uv.
 _S4S4_RESIDUAL = residual_group(4, 4).order
 
-# Constructors write each field once, already canonical (see ``cyclic``).
-_set = object.__setattr__
-
 
 @dataclass(frozen=True, slots=True, init=False)
 class S3S4Invariant:
@@ -76,8 +80,12 @@ class S3S4Invariant:
             sigma = CyclicElement(BP8, sigma)
         elif sigma.group.order != BP8.order:
             raise ValueError(f"sigma must lie in {BP8}, got {sigma.group}")
-        _set(self, "sigma", sigma)
-        _set(self, "v", v)
+        _set_sigma(self, sigma)
+        _set_s3s4_v(self, v)
+
+
+# Constructors write each field once, already canonical (see ``cyclic``).
+_set_sigma, _set_s3s4_v = _slot_writers(S3S4Invariant)
 
 
 def s3s4_structure_equal(a: S3S4Invariant, b: S3S4Invariant) -> bool:
@@ -118,8 +126,9 @@ def wall_triple_of_plumbing(u: int, v: int) -> WallTriple:
 
 def plumbing_boundary_class(u: int, v: int) -> CyclicElement:
     """Class of the boundary sphere of W_{u,v} in bP_8 = Z_28: minus the
-    surgery obstruction del(u, v), which is -4uv mod 28."""
-    return -del_map(4, 4, u, v)
+    surgery obstruction del(u, v), which is -4uv mod 28.  del is bilinear,
+    so this is del(-u, v) = -del(u, v), built as one element."""
+    return del_map(4, 4, -u, v)
 
 
 def s4s4_boundary_is_standard(u: int, v: int) -> bool:
@@ -147,9 +156,12 @@ class S4S4Manifold:
                 f"no closed manifold for (u, v) = ({u}, {v}): the plumbing "
                 f"boundary is an exotic sphere unless {_S4S4_RESIDUAL} divides u*v"
             )
-        _set(self, "u", u)
-        _set(self, "v", v)
-        _set(self, "phi", phi % 2)
+        _set_u(self, u)
+        _set_s4s4_v(self, v)
+        _set_phi(self, phi % 2)
+
+
+_set_u, _set_s4s4_v, _set_phi = _slot_writers(S4S4Manifold)
 
 
 def s4s4_almost_diffeomorphic(a: S4S4Manifold, b: S4S4Manifold) -> bool:

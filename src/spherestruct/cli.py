@@ -16,7 +16,6 @@ cannot be read).
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -392,6 +391,8 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
     if args.json:
+        import json  # only the envelope needs it; keeps the import light
+
         query = {"command": args.command}
         for key, value in sorted(vars(args).items()):
             if key in ("command", "json", "table"):

@@ -10,7 +10,7 @@ subgroup is stored with generator n itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import gcd
 
@@ -23,9 +23,16 @@ __all__ = [
     "in_subgroup",
 ]
 
-# Frozen dataclasses refuse plain attribute assignment; constructors write
-# each field once, already canonical, through this.
-_set = object.__setattr__
+
+def _slot_writers(cls: type) -> tuple:
+    """The ``__set__`` of each field's slot descriptor, in field order.
+
+    Frozen dataclasses refuse plain attribute assignment, so hand-written
+    constructors write each field once, already canonical, through these;
+    a slot's own setter skips the name lookup through the class that
+    ``object.__setattr__`` repeats on every call.  Bind them right after
+    the class body."""
+    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
 @dataclass(frozen=True, slots=True, init=False)
@@ -40,13 +47,16 @@ class CyclicGroup:
     def __init__(self, order: int) -> None:
         if order < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {order}")
-        _set(self, "order", order)
+        _set_order(self, order)
 
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self, value)
 
     def __str__(self) -> str:
         return "0" if self.order == 1 else f"Z_{self.order}"
+
+
+(_set_order,) = _slot_writers(CyclicGroup)
 
 
 @lru_cache(maxsize=1024)
@@ -65,8 +75,8 @@ class CyclicElement:
     value: int
 
     def __init__(self, group: CyclicGroup, value: int) -> None:
-        _set(self, "group", group)
-        _set(self, "value", value % group.order)
+        _set_group(self, group)
+        _set_value(self, value % group.order)
 
     def _check_same_group(self, other: CyclicElement) -> None:
         if self.group.order != other.group.order:
@@ -93,6 +103,9 @@ class CyclicElement:
         return f"{self.value} in {self.group}"
 
 
+_set_group, _set_value = _slot_writers(CyclicElement)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class CyclicSubgroup:
     """A subgroup of Z_n, canonicalised to its generator gcd(g mod n, n)."""
@@ -102,8 +115,8 @@ class CyclicSubgroup:
 
     def __init__(self, ambient: CyclicGroup, generator_value: int) -> None:
         n = ambient.order
-        _set(self, "ambient", ambient)
-        _set(self, "generator_value", gcd(generator_value % n, n))
+        _set_ambient(self, ambient)
+        _set_generator_value(self, gcd(generator_value % n, n))
 
     @property
     def order(self) -> int:
@@ -123,6 +136,9 @@ class CyclicSubgroup:
     def __str__(self) -> str:
         shown = self.generator_value % self.ambient.order
         return f"<{shown}> in {self.ambient}"
+
+
+_set_ambient, _set_generator_value = _slot_writers(CyclicSubgroup)
 
 
 def subgroup_generated(n: int, g: int) -> CyclicSubgroup:

@@ -32,6 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bp import check_pair, pairing_coefficient, t
+from .cyclic import _slot_writers
 
 __all__ = [
     "LGroupKind",
@@ -45,9 +46,6 @@ __all__ = [
 ]
 
 _QUADRATIC = ("Z", "0", "Z/2", "0")
-
-# Constructors write each field once, already canonical (see ``cyclic``).
-_set = object.__setattr__
 
 
 @dataclass(frozen=True, slots=True)
@@ -84,8 +82,8 @@ class LClass:
             value = 0
         elif symbol == "Z/2":
             value %= 2
-        _set(self, "dim", dim)
-        _set(self, "value", value)
+        _set_lclass_dim(self, dim)
+        _set_lclass_value(self, value)
 
     @property
     def is_zero(self) -> bool:
@@ -102,6 +100,10 @@ class LClass:
         return f"{self.value}*z_{self.dim}"
 
 
+# Constructors write each field once, already canonical (see ``cyclic``).
+_set_lclass_dim, _set_lclass_value = _slot_writers(LClass)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class NormalClassDiff:
     """A smooth normal invariant of a sphere, reduced to its Z-coordinate.
@@ -114,8 +116,11 @@ class NormalClassDiff:
     phi: int = 0
 
     def __init__(self, dim: int, phi: int = 0) -> None:
-        _set(self, "dim", dim)
-        _set(self, "phi", phi if dim % 4 == 0 else 0)
+        _set_normal_dim(self, dim)
+        _set_normal_phi(self, phi if dim % 4 == 0 else 0)
+
+
+_set_normal_dim, _set_normal_phi = _slot_writers(NormalClassDiff)
 
 
 def pairing(p: int, q: int, x: LClass, y: LClass) -> LClass:

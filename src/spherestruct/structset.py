@@ -179,9 +179,10 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     bp.check_pair(p, q)
     n = p + q
     if n % 4 != 0:
-        return cyclic_group(1).element(0)
-    group = cyclic_group(bp.t(n))
-    return group.element(bp.pairing_coefficient(p, q) * phi_u * phi_v)
+        return CyclicElement(cyclic_group(1), 0)
+    return CyclicElement(
+        cyclic_group(bp.t(n)), bp.pairing_coefficient(p, q) * phi_u * phi_v
+    )
 
 
 def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:

@@ -27,7 +27,6 @@ Tables are immutable once constructed.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from functools import lru_cache
 
@@ -225,6 +224,30 @@ def _too_long(what: str, digits: int) -> TableError:
     return TableError(f"{what} has {digits} digits, more than int() converts")
 
 
+# Error messages show a number of up to this many digits, and name a longer
+# one by its digit count, so a bad entry cannot flood the message.
+_SHOWN_DIGITS = 100
+
+
+def _shown(number: int | str) -> str:
+    # ``number`` is an int or a string of ASCII digits.
+    text = str(number)
+    digits = len(text.lstrip("-"))
+    if digits <= _SHOWN_DIGITS:
+        return text
+    sign = "-" if text.startswith("-") else ""
+    return f"{sign}<integer of {digits} digits>"
+
+
+def _shown_repr(value: object) -> str:
+    # repr(value), or its type and length when that is longer than a number
+    # ``_shown`` would print.
+    text = repr(value)
+    if len(text) <= _SHOWN_DIGITS:
+        return text
+    return f"<{type(value).__name__} of {len(text)} characters>"
+
+
 def _decimal(text: str, what: str) -> int | None:
     # Plain ASCII digits only: int() would also accept signs, surrounding
     # whitespace, underscores ("7_0" -> 70) and non-ASCII digits.
@@ -240,13 +263,15 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
     dim = _decimal(dim_key, f"{family}: a dimension key")
     if dim is None:
         raise TableError(
-            f"{family}: dimension keys must be decimal strings, got {dim_key!r}"
+            f"{family}: dimension keys must be decimal strings, "
+            f"got {_shown_repr(dim_key)}"
         )
+    entry = f"{family}[{_shown(dim_key)}]"
     if dim < 1:
-        raise TableError(f"{family}[{dim_key}]: dimension must be >= 1")
+        raise TableError(f"{entry}: dimension must be >= 1")
     if family == "bp" and dim % 4 != 2:
         raise TableError(
-            f"bp[{dim_key}]: only dimensions = 2 mod 4 are table entries "
+            f"{entry}: only dimensions = 2 mod 4 are table entries "
             "(odd ones are trivial, multiples of 4 are computed)"
         )
     if value == "unknown":
@@ -254,27 +279,27 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
     if value == "Z":
         if family != "pi_go_torsion":
             raise TableError(
-                f"{family}[{dim_key}]: the marker 'Z' is only meaningful for "
+                f"{entry}: the marker 'Z' is only meaningful for "
                 "pi_go_torsion (it denotes a free group with trivial torsion)"
             )
         return dim, KnownGroup.finite(1)
     if isinstance(value, str):
-        order = _decimal(value, f"{family}[{dim_key}]: the order")
+        order = _decimal(value, f"{entry}: the order")
     elif isinstance(value, int) and not isinstance(value, bool):  # bool is an int
         order = value
     elif isinstance(value, _LongInt):
-        raise _too_long(f"{family}[{dim_key}]: the order", value.digits)
+        raise _too_long(f"{entry}: the order", value.digits)
     else:
         order = None
     if order is None:
         raise TableError(
-            f"{family}[{dim_key}]: expected a decimal order string, "
-            f"'Z', or 'unknown'; got {value!r}"
+            f"{entry}: expected a decimal order string, "
+            f"'Z', or 'unknown'; got {_shown_repr(value)}"
         )
     if order < 1:
-        raise TableError(f"{family}[{dim_key}]: orders must be >= 1, got {order}")
+        raise TableError(f"{entry}: orders must be >= 1, got {_shown(order)}")
     if family == "bp" and order > 2:
-        raise TableError(f"bp[{dim_key}]: |bP_{{4k+2}}| is 1 or 2, got {order}")
+        raise TableError(f"{entry}: |bP_{{4k+2}}| is 1 or 2, got {_shown(order)}")
     return dim, KnownGroup.finite(order)
 
 
@@ -291,10 +316,11 @@ def _check_consistency(table: GroupTable) -> None:
             continue
         bp_group = bp_order(m, table)
         if not bp_group.is_unknown and theta_group.order % bp_group.order != 0:
+            bp_name, theta_name = f"bP_{_shown(m)}", f"Theta_{_shown(n)}"
             raise TableError(
-                f"|bP_{m}| = {bp_group.order} does not divide |Theta_{n}| = "
-                f"{theta_group.order}; the table is inconsistent with bP_{m} "
-                f"being a subgroup of Theta_{n}"
+                f"|{bp_name}| = {_shown(bp_group.order)} does not divide "
+                f"|{theta_name}| = {_shown(theta_group.order)}; the table is "
+                f"inconsistent with {bp_name} being a subgroup of {theta_name}"
             )
 
 
@@ -303,7 +329,9 @@ def _object_without_duplicates(pairs: list[tuple[str, object]]) -> dict:
     result: dict = {}
     for key, value in pairs:
         if key in result:
-            raise TableError(f"table JSON has a duplicate key {key!r} in one object")
+            raise TableError(
+                f"table JSON has a duplicate key {_shown_repr(key)} in one object"
+            )
         result[key] = value
     return result
 
@@ -322,6 +350,8 @@ def parse_table(text: str) -> GroupTable:
     """
     if not text.strip():
         return _BUILTIN
+    import json  # only a table override needs it; keeps the import light
+
     try:
         raw = json.loads(
             text, object_pairs_hook=_object_without_duplicates, parse_int=_json_int
@@ -354,8 +384,8 @@ def parse_table(text: str) -> GroupTable:
             dim, group = _parse_entry(family, dim_key, value)
             if dim in seen:
                 raise TableError(
-                    f"{family}: keys {seen[dim]!r} and {dim_key!r} both name "
-                    f"dimension {dim}"
+                    f"{family}: keys {_shown(seen[dim])!r} and "
+                    f"{_shown(dim_key)!r} both name dimension {_shown(dim)}"
                 )
             seen[dim] = dim_key
             merged[family][dim] = group

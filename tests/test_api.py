@@ -1,7 +1,10 @@
 """The public surface: every name a module exports resolves."""
 
 import importlib
+import os
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -19,3 +22,15 @@ def test_every_exported_name_resolves(name):
     assert len(exported) == len(set(exported)), name
     missing = [n for n in exported if not hasattr(module, n)]
     assert missing == [], name
+
+
+def test_importing_the_package_does_not_load_json():
+    # Only a table override (parse_table) and the CLI's --json envelope
+    # need json, and each imports it where it is used.
+    src = os.path.dirname(os.path.dirname(spherestruct.__file__))
+    code = "import sys, spherestruct, spherestruct.cli; print('json' in sys.modules)"
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout == "False\n"

@@ -320,3 +320,20 @@ def test_del_map_is_theta_diff_reduced_into_bp(j, data, phi_u, phi_v):
 def test_del_map_vanishes_off_the_4j_4k_shape(p, q, phi_u, phi_v):
     assume(p + q >= 5 and (p % 4 != 0 or q % 4 != 0))
     assert del_map(p, q, phi_u, phi_v).is_zero
+
+
+@settings(max_examples=200, deadline=None)
+@given(_J, st.data(), _PHI, _PHI)
+def test_del_map_is_odd_in_the_first_invariant(j, data, phi_u, phi_v):
+    # Bilinearity: del(-u, v) = -del(u, v), which plumbing_boundary_class
+    # relies on to build the boundary class as one element.
+    k = data.draw(st.integers(min_value=1, max_value=12 - j), label="k")
+    p, q = 4 * j, 4 * k
+    assert del_map(p, q, -phi_u, phi_v) == -del_map(p, q, phi_u, phi_v)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_FACTOR, _FACTOR, _PHI, _PHI)
+def test_del_map_is_odd_off_the_4j_4k_shape(p, q, phi_u, phi_v):
+    assume(p + q >= 5 and (p % 4 != 0 or q % 4 != 0))
+    assert del_map(p, q, -phi_u, phi_v) == -del_map(p, q, phi_u, phi_v)

@@ -2,6 +2,8 @@ import dataclasses
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from spherestruct import (
     MAX_BERNOULLI_INDEX,
@@ -10,6 +12,7 @@ from spherestruct import (
     parse_table,
     load_table,
     pi_go,
+    t,
     theta_order,
 )
 from spherestruct.tables import TableError, bp_from_table
@@ -143,10 +146,12 @@ def test_parse_rejects_divisibility_violation():
 
 
 def test_chain_check_near_the_bernoulli_cap():
-    # |bP_n| at the cap still prints in the error; past the cap the link
-    # is not checked, so the entry loads instead of failing on str().
+    # |bP_n| at the cap is named in the error by its digit count; past the
+    # cap the link is not checked, so the entry loads instead of failing
+    # on str().
     top = 4 * MAX_BERNOULLI_INDEX
-    with pytest.raises(TableError, match=f"bP_{top}"):
+    digits = len(str(t(top)))
+    with pytest.raises(TableError, match=f"bP_{top}\\| = <integer of {digits} digits> "):
         parse_table(f'{{"theta": {{"{top - 1}": "5"}}}}')
     for n in (top + 3, 3999):
         assert theta_order(n, parse_table(f'{{"theta": {{"{n}": "5"}}}}')).order == 5
@@ -228,6 +233,61 @@ def test_parse_rejects_numbers_too_long_to_convert(text, message):
     assert len(str(info.value)) < 200  # the digits are not echoed
 
 
+_NEAR = "9" * 4000  # int() converts it, but a message should not echo it
+_NEAR_LABEL = "<integer of 4000 digits>"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ('{"bp": {"%s": "1"}}' % _NEAR,
+         f"bp[{_NEAR_LABEL}]: only dimensions = 2 mod 4 are table entries"),
+        ('{"theta": {"%s": "0"}}' % _NEAR,
+         f"theta[{_NEAR_LABEL}]: orders must be >= 1, got 0"),
+        ('{"theta": {"7": %s}}' % _NEAR,
+         f"|bP_8| = 28 does not divide |Theta_7| = {_NEAR_LABEL};"),
+        ('{"theta": {"7": "%s"}}' % _NEAR,
+         f"|bP_8| = 28 does not divide |Theta_7| = {_NEAR_LABEL};"),
+        ('{"theta": {"7": -%s}}' % _NEAR,
+         f"theta[7]: orders must be >= 1, got -{_NEAR_LABEL}"),
+        ('{"bp": {"10": %s}}' % _NEAR,
+         f"bp[10]: |bP_{{4k+2}}| is 1 or 2, got {_NEAR_LABEL}"),
+        ('{"theta": {"%s": "0"}}' % ("0" * 4000),
+         f"theta[{_NEAR_LABEL}]: dimension must be >= 1"),
+        ('{"theta": {"0%s": "3", "%s": "3"}}' % (_NEAR, _NEAR),
+         "theta: keys '<integer of 4001 digits>' and "
+         f"'{_NEAR_LABEL}' both name dimension {_NEAR_LABEL}"),
+        ('{"bp": {"%s8": "2"}, "theta": {"%s7": "3"}}' % (_NEAR[1:], _NEAR[1:]),
+         f"|bP_{_NEAR_LABEL}| = 2 does not divide |Theta_{_NEAR_LABEL}| = 3;"),
+        ('{"theta": {"-%s": "3"}}' % _NEAR,
+         "theta: dimension keys must be decimal strings, got <str of 4003 characters>"),
+        ('{"theta": {"%s": "3", "%s": "3"}}' % (_NEAR, _NEAR),
+         "table JSON has a duplicate key <str of 4002 characters> in one object"),
+        ('{"theta": {"7": [%s]}}' % _NEAR,
+         "theta[7]: expected a decimal order string, 'Z', or 'unknown'; "
+         "got <list of 4002 characters>"),
+    ],
+    ids=["bp-dimension-key", "theta-dimension-key", "chain-check-json-integer",
+         "chain-check-order-string", "negative-order", "bp-order", "zero-key",
+         "colliding-keys", "chain-check-dimensions", "signed-key",
+         "duplicate-key", "integer-in-a-list"],
+)
+def test_numbers_under_the_conversion_limit_are_not_echoed(text, message):
+    # Named by their digit count, as numbers past the limit already are.
+    with pytest.raises(TableError) as info:
+        parse_table(text)
+    assert message in str(info.value)
+    assert len(str(info.value)) < 300
+
+
+def test_numbers_of_up_to_100_digits_are_echoed():
+    shown = "9" * 100
+    with pytest.raises(TableError, match=f"\\|Theta_7\\| = {shown};"):
+        parse_table('{"theta": {"7": "%s"}}' % shown)
+    with pytest.raises(TableError, match=r"\|Theta_7\| = <integer of 101 digits>;"):
+        parse_table('{"theta": {"7": "%s"}}' % ("9" * 101))
+
+
 def test_duplicate_key_error_survives_long_integers():
     with pytest.raises(TableError, match="duplicate key '7'"):
         parse_table('{"theta": {"7": %s, "7": "28"}}' % _LONG)
@@ -243,3 +303,103 @@ def test_shared_known_group_constants_are_frozen():
     assert KnownGroup.trivial() == KnownGroup.finite(1)
     # a lookup that misses returns the shared unknown value
     assert builtin_table().theta_order(99) is KnownGroup.unknown()
+
+
+_ORDER = st.integers(min_value=1, max_value=10**30)
+
+
+def _chain_factor(n: int) -> int:
+    # A theta order that is a multiple of this keeps the chain
+    # |bP_{n+1}| divides |Theta_n| for any bp entry the strategy writes.
+    m = n + 1
+    if m % 4 == 0 and m >= 8:
+        return t(m)
+    return 2 if m % 4 == 2 else 1
+
+
+@st.composite
+def _overrides(draw):
+    """A valid override table: theta orders keep the Kervaire-Milnor chain
+    and bp entries avoid 6 and 14, which the built-in theta data forces
+    to be trivial."""
+    theta = draw(st.dictionaries(
+        st.integers(1, 60),
+        st.one_of(st.just("unknown"), st.integers(1, 50)),
+        max_size=6,
+    ))
+    pi_go_torsion = draw(st.dictionaries(
+        st.integers(1, 60),
+        st.one_of(st.sampled_from(["unknown", "Z"]), _ORDER.map(str), _ORDER),
+        max_size=6,
+    ))
+    bp = draw(st.dictionaries(
+        st.sampled_from([m for m in range(2, 61, 4) if m not in (6, 14)]),
+        st.sampled_from(["1", "2", 1, 2, "unknown"]),
+        max_size=4,
+    ))
+    theta = {n: v if v == "unknown" else str(v * _chain_factor(n)) for n, v in theta.items()}
+    families = {"theta": theta, "pi_go_torsion": pi_go_torsion, "bp": bp}
+    return {
+        family: {str(n): v for n, v in entries.items()}
+        for family, entries in families.items() if entries or draw(st.booleans())
+    }
+
+
+def _entry_text(group: KnownGroup) -> str:
+    # The table-file form of an entry, written from its JSON form.
+    data = group.as_json()
+    assert data["kind"] in ("finite", "unknown"), data
+    return str(data["order"]) if data["kind"] == "finite" else "unknown"
+
+
+def _table_text(table) -> str:
+    # Every entry of every family, the built-in ones included.
+    return json.dumps({
+        family: {str(n): _entry_text(g) for n, g in getattr(table, family).items()}
+        for family in ("theta", "pi_go_torsion", "bp")
+    })
+
+
+@settings(max_examples=150, deadline=None)
+@given(_overrides())
+def test_parse_table_round_trips_through_its_own_entries(override):
+    table = parse_table(json.dumps(override))
+    for n, value in override.get("theta", {}).items():
+        expected = KnownGroup.unknown() if value == "unknown" else KnownGroup.finite(int(value))
+        assert table.theta_order(int(n)) == expected
+    assert parse_table(_table_text(table)) == table
+
+
+def _known_group_from_json(data: dict) -> KnownGroup:
+    if data["kind"] == "finite":
+        return KnownGroup.finite(data["order"])
+    if data["kind"] == "z_times_finite":
+        return KnownGroup.z_times_finite(data["torsion_order"])
+    assert data == {"kind": "unknown"}
+    return KnownGroup.unknown()
+
+
+_KNOWN_GROUPS = st.one_of(
+    _ORDER.map(KnownGroup.finite),
+    _ORDER.map(KnownGroup.z_times_finite),
+    st.just(KnownGroup.unknown()),
+    st.just(KnownGroup.trivial()),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_KNOWN_GROUPS)
+def test_known_group_as_json_round_trips(group):
+    data = json.loads(json.dumps(group.as_json()))
+    assert data == group.as_json()
+    assert _known_group_from_json(data) == group
+
+
+def test_pi_go_as_json_round_trips_in_every_degree():
+    # pi_go yields all three kinds: Z x torsion in degrees 0 mod 4.
+    kinds = set()
+    for n in range(2, 41):
+        group = pi_go(n)
+        assert _known_group_from_json(group.as_json()) == group, n
+        kinds.add(group.kind)
+    assert kinds == {"finite", "z_times_finite", "unknown"}

@@ -33,7 +33,13 @@ from spherestruct.classify import (
     WallTriple,
     wall_triple_of_plumbing,
 )
-from spherestruct.cyclic import CyclicElement, CyclicGroup, CyclicSubgroup, cyclic_group
+from spherestruct.cyclic import (
+    CyclicElement,
+    CyclicGroup,
+    CyclicSubgroup,
+    _slot_writers,
+    cyclic_group,
+)
 from spherestruct.ltheory import LClass, LGroupKind, NormalClassDiff
 
 from helpers import brute_subgroup
@@ -77,6 +83,22 @@ def test_every_value_class_is_frozen_and_slotted():
         for f in dataclasses.fields(value):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(value, f.name, getattr(value, f.name))
+
+
+HAND_WRITTEN_INIT = (
+    CyclicGroup, CyclicElement, CyclicSubgroup, LClass, NormalClassDiff,
+    S3S4Invariant, S4S4Manifold,
+)
+
+
+def test_each_hand_written_constructor_has_one_slot_writer_per_field():
+    for cls in HAND_WRITTEN_INIT:
+        assert not cls.__dataclass_params__.init, cls
+        writers = _slot_writers(cls)
+        names = [f.name for f in dataclasses.fields(cls)]
+        assert len(writers) == len(names), cls
+        # Each writer is the setter of its own field's slot, in field order.
+        assert [w.__self__.__name__ for w in writers] == names, cls
 
 
 def test_values_survive_replace_pickle_and_hashing():
