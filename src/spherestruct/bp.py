@@ -98,7 +98,22 @@ def check_pair(p: int, q: int) -> None:
 
 def pairing_coefficient(a: int, b: int) -> int:
     """8 * t_a * t_b: the L-group pairing of the comparison images, which
-    generates the residual group and the stabilisers."""
+    generates the residual group and the stabilisers.
+
+    Zero when a or b is not a multiple of 4, answered without computing
+    the other factor, so that one is not held to the cap of ``t``; an
+    argument below 1 raises as in ``t``.  Other values are cached."""
+    if a % 4 or b % 4:
+        if min(a, b) < 1:
+            t(min(a, b))  # raises the ValueError of t
+        return 0
+    return _pairing_coefficient(a, b)
+
+
+# Bounded: its arguments are multiples of 4 up to the cap of t, and a
+# product at the cap has up to 4284 digits, about 1.8 kB.
+@lru_cache(maxsize=1024)
+def _pairing_coefficient(a: int, b: int) -> int:
     return 8 * t(a) * t(b)
 
 
@@ -118,9 +133,9 @@ def residual_group(p: int, q: int) -> CyclicGroup:
 def residual_of_checked_pair(p: int, q: int) -> CyclicGroup:
     """``residual_group`` for a pair the caller has already passed through
     ``check_pair``."""
-    generator = pairing_coefficient(p, q)
-    if (p + q) % 4 != 0 or generator == 0:
+    if p % 4 or q % 4:
         return cyclic_group(1)
+    generator = pairing_coefficient(p, q)
     ambient = t(p + q)
     return cyclic_group(ambient // gcd(ambient, generator))
 

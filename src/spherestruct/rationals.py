@@ -16,13 +16,15 @@ through
 
     |B_{2k}| = 2k T_k / (4^k (4^k - 1)).
 
-The tangent numbers are integers and come from the all-integer in-place
+The tangent numbers are integers and come from the all-integer
 recurrence of Brent and Harvey, "Fast computation of Bernoulli, tangent
-and secant numbers" (2011): filling T_1..T_n costs O(n^2) integer
-operations, for every index up to n at once.  The table is built on the
-first request, not at import, and is rebuilt to twice its length (at
-least the index asked for, at most the cap below) whenever a larger index
-is asked for, so a sweep up to n stays O(n^2).
+and secant numbers" (2011), grown one column at a time: column j of
+their triangle starts from j! and, after pass i, equals (j - i) times
+column j - 1 after pass i plus (j - i + 2) times itself after pass i - 1;
+after pass j it is T_{j+1}.  Keeping the last column after every pass is
+enough to add the next one, so a request for index k computes only the
+columns the table lacks, and any order of requests up to n costs one
+build of T_1..T_n, O(n^2) integer operations.
 
 Indices are capped at ``MAX_BERNOULLI_INDEX`` = 827, so t_i is computed
 for i <= 3308.  The cap is where the values stop being printable: Python
@@ -30,7 +32,7 @@ refuses to convert an int of more than 4300 decimal digits to a string
 (its default ``sys.get_int_max_str_digits()``), and t_3308 has 4281
 digits while t_3312 has 4308.  The cap also bounds the work, whose bit
 cost grows about eightfold per doubling of the index (on a 2-core Xeon a
-cold ``bernoulli(827)`` takes about 0.4 s).  A larger index raises
+cold ``bernoulli(827)`` takes about 0.6 s).  A larger index raises
 ``ValueError`` at once instead of failing after the work is done.
 """
 
@@ -49,31 +51,31 @@ __all__ = ["MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
 # structure set prints stay below the limit too (at most 4284 digits).
 MAX_BERNOULLI_INDEX = 827
 
-# _TANGENT[k - 1] is the tangent number T_k.  Only ever replaced whole, by
-# a single assignment, so a reader sees either the old table or the new.
-_TANGENT: list[int] = []
-
-
-def _tangent_numbers(n: int) -> list[int]:
-    # Brent-Harvey: start from T_k = (k - 1)!, then sweep the triangle in
-    # place; after pass k the entries up to index k hold final values.
-    table = [1] * n
-    for j in range(1, n):
-        table[j] = j * table[j - 1]
-    for k in range(1, n):
-        for j in range(k, n):
-            table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
-    return table
+# (T_1..T_n, the column of T_n after each pass 0..n-1 of the triangle).
+# Only ever replaced whole, by a single assignment, so a reader sees either
+# the old pair or the new.  It starts from T_1 = 1, whose column is 0! = 1.
+_TANGENT: tuple[list[int], list[int]] = ([1], [1])
 
 
 def _tangent(k: int) -> int:
     global _TANGENT
-    table = _TANGENT
-    if k > len(table):
-        # Never past the cap, or one doubling could cost eight capped builds.
-        table = _tangent_numbers(min(max(k, 2 * len(table)), MAX_BERNOULLI_INDEX))
-        _TANGENT = table
-    return table[k - 1]
+    values, column = _TANGENT
+    if k > len(values):
+        values = values.copy()
+        for j in range(len(values), k):
+            # Column j after pass 0 is j! = j * (j - 1)!; the last pass,
+            # i = j, adds nothing from column j - 1 and doubles the rest.
+            x = j * column[0]
+            new = [x]
+            for i in range(1, j):
+                x = (j - i) * column[i] + (j - i + 2) * x
+                new.append(x)
+            x *= 2
+            new.append(x)
+            values.append(x)
+            column = new
+        _TANGENT = values, column
+    return values[k - 1]
 
 
 def _check_index(name: str, k: int) -> None:

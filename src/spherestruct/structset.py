@@ -38,6 +38,7 @@ from .cyclic import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
+    _slot_writers,
     cyclic_group,
     subgroup_generated,
 )
@@ -78,7 +79,7 @@ def _is_stabilizer_shape(p: int, q: int) -> bool:
     return p % 4 == 3 and q % 4 == 0
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class StructureSetPresentation:
     """Everything the exact sequence above says about one product."""
 
@@ -92,6 +93,30 @@ class StructureSetPresentation:
     residual: CyclicGroup
     action_case: str
     stabilizer_coefficient: int | None  # 8 t_{p+1} t_q in the stabiliser case
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        input_p: int,
+        input_q: int,
+        theta_group: KnownGroup,
+        bp_next: KnownGroup,
+        normal_invariants: tuple[KnownGroup, KnownGroup],
+        residual: CyclicGroup,
+        action_case: str,
+        stabilizer_coefficient: int | None,
+    ) -> None:
+        _set_p(self, p)
+        _set_q(self, q)
+        _set_input_p(self, input_p)
+        _set_input_q(self, input_q)
+        _set_theta_group(self, theta_group)
+        _set_bp_next(self, bp_next)
+        _set_normal_invariants(self, normal_invariants)
+        _set_residual(self, residual)
+        _set_action_case(self, action_case)
+        _set_stabilizer_coefficient(self, stabilizer_coefficient)
 
     def sequence_text(self) -> str:
         n = self.p + self.q
@@ -131,6 +156,20 @@ class StructureSetPresentation:
         return payload
 
 
+(
+    _set_p,
+    _set_q,
+    _set_input_p,
+    _set_input_q,
+    _set_theta_group,
+    _set_bp_next,
+    _set_normal_invariants,
+    _set_residual,
+    _set_action_case,
+    _set_stabilizer_coefficient,
+) = _slot_writers(StructureSetPresentation)
+
+
 def _named_order(name: str, group: KnownGroup) -> str:
     if group.is_unknown:
         return f"{name}(order unknown)"
@@ -157,16 +196,7 @@ def present(
         case = ACTION_FREE
         coefficient = None
     return StructureSetPresentation(
-        p=np_,
-        q=nq,
-        input_p=p,
-        input_q=q,
-        theta_group=theta_group,
-        bp_next=bp_next,
-        normal_invariants=normal,
-        residual=residual,
-        action_case=case,
-        stabilizer_coefficient=coefficient,
+        np_, nq, p, q, theta_group, bp_next, normal, residual, case, coefficient
     )
 
 

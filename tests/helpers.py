@@ -2,7 +2,8 @@
 
 Each oracle recomputes a quantity through a route independent of the
 implementation under test: Bernoulli numbers through the defining
-convolution recurrence instead of the triangular one, subgroups by brute
+convolution recurrence instead of the triangular one, tangent numbers by
+sweeping the whole triangle in place, subgroups by brute
 enumeration, obstruction values by the closed formula and by the composed
 maps, and the plumbing boundary class from its Wall triple.
 """
@@ -41,6 +42,18 @@ def classical_bernoulli(n: int) -> Fraction:
 
 def bernoulli_oracle(k: int) -> Fraction:
     return abs(classical_bernoulli(2 * k))
+
+
+def tangent_numbers_in_place(n: int) -> list[int]:
+    """T_1..T_n by the Brent-Harvey triangle swept in place: start from
+    T_k = (k - 1)!, then after pass k the entries up to index k are final."""
+    table = [1] * n
+    for j in range(1, n):
+        table[j] = j * table[j - 1]
+    for k in range(1, n):
+        for j in range(k, n):
+            table[j] = (j - k) * table[j - 1] + (j - k + 2) * table[j]
+    return table
 
 
 def t_oracle(i: int) -> int:

@@ -11,10 +11,17 @@ from spherestruct import (
     MAX_BERNOULLI_INDEX,
     bp_order,
     parse_table,
+    present,
     residual_group,
     t,
 )
-from spherestruct.bp import _t_multiple_of_4, image_f_residual, residual_of_checked_pair
+from spherestruct.bp import (
+    _pairing_coefficient,
+    _t_multiple_of_4,
+    image_f_residual,
+    pairing_coefficient,
+    residual_of_checked_pair,
+)
 
 from helpers import brute_subgroup, t_oracle
 
@@ -147,6 +154,41 @@ def test_residual_order_formula():
             )
 
 
+def test_off_degree_pairs_never_need_t():
+    # 8 t_p t_q = 0 when p or q is not a multiple of 4, whatever the other
+    # factor is, so a factor past the cap of t is no error there.
+    cap = 4 * MAX_BERNOULLI_INDEX
+    for p, q in ((5, 4000), (4000, 5), (6, 3400), (3, cap + 4), (2, 100000)):
+        assert pairing_coefficient(p, q) == 0, (p, q)
+        assert residual_group(p, q).order == 1, (p, q)
+    payload = present(5, 4000).as_dict()
+    assert payload["residual_order"] == 1
+    assert payload["residual_generator_coefficient"] == 0
+
+
+def test_pairs_that_need_t_past_the_cap_still_raise():
+    cap = 4 * MAX_BERNOULLI_INDEX
+    for a, b in ((0, 5), (5, 0), (-3, 4), (6, -1), (0, 0), (4, -4)):
+        with pytest.raises(ValueError, match=r"^t\(i\) requires i >= 1"):
+            pairing_coefficient(a, b)
+    with pytest.raises(ValueError, match=f"i <= {cap} .*, got {cap + 4}$"):
+        pairing_coefficient(4, cap + 4)
+    with pytest.raises(ValueError, match=f"i <= {cap} .*, got 3400$"):
+        residual_group(4, 3400)
+    with pytest.raises(ValueError, match=f"i <= {cap} .*, got 4004$"):
+        present(3, 4000)
+
+
+def test_pairing_coefficient_caches_multiples_of_four_only():
+    _pairing_coefficient.cache_clear()
+    for a in range(1, 41):
+        for b in range(1, 41):
+            assert pairing_coefficient(a, b) == 8 * t_oracle(a) * t_oracle(b), (a, b)
+    assert _pairing_coefficient.cache_info().currsize == 100
+    assert pairing_coefficient(4, 4) == 32
+    assert _pairing_coefficient.cache_info().hits >= 1
+
+
 def test_image_f_residual():
     # The forgetful image is a subgroup exactly when the residual is trivial.
     for p, q in ((4, 4), (4, 8), (4, 12), (8, 8)):
@@ -181,6 +223,7 @@ def test_memoised_values_match_oracle_in_any_call_order(calls):
     # Start cold, as in a fresh process; every answer must match the
     # oracle whether it was computed now or shared from an earlier call.
     residual_of_checked_pair.cache_clear()
+    _pairing_coefficient.cache_clear()
     KnownGroup.finite.cache_clear()
     for call in calls * 2:
         if isinstance(call, tuple):

@@ -188,6 +188,35 @@ def test_indices_above_the_bernoulli_cap_exit_1_at_once(capsys):
         assert out == ""
 
 
+def test_off_degree_pairs_past_the_cap_answer(capsys):
+    # 8 t_p t_q = 0 when p or q is not a multiple of 4, so no t past the
+    # cap is needed.
+    for argv in (["residual", "5", "4000"], ["residual", "6", "3400"]):
+        code, out, err = run(capsys, [*argv, "--json"])
+        assert code == 0 and err == "", argv
+        result = json.loads(out)["result"]
+        assert result["order"] == 1, argv
+        assert result["generator_coefficient"] == 0, argv
+    code, out, err = run(capsys, ["structure-set", "5", "4000", "--json"])
+    assert code == 0 and err == ""
+    result = json.loads(out)["result"]
+    assert result["residual_order"] == 1
+    assert result["residual_generator_coefficient"] == 0
+
+
+def test_pairs_that_need_t_past_the_cap_exit_1(capsys):
+    cap = MAX_BERNOULLI_INDEX
+    for argv, index in ((["residual", "4", "3400"], 3400),
+                        (["structure-set", "3", "4000"], 4004)):
+        code, out, err = run(capsys, argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err == (
+            f"error: t(i) requires i <= {4 * cap} for multiples of 4 "
+            f"(the Bernoulli index cap is {cap}), got {index}\n"
+        ), argv
+
+
 def test_values_at_the_bernoulli_cap_print(capsys):
     # The cap keeps every printed value under Python's int-to-str limit.
     top = 4 * MAX_BERNOULLI_INDEX

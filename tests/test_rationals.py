@@ -7,7 +7,11 @@ from hypothesis import strategies as st
 
 from spherestruct import bernoulli, num_b_over_4k, rationals
 
-from helpers import bernoulli_oracle, von_staudt_clausen_denominator
+from helpers import (
+    bernoulli_oracle,
+    tangent_numbers_in_place,
+    von_staudt_clausen_denominator,
+)
 
 
 @pytest.mark.parametrize(
@@ -87,7 +91,7 @@ def test_bernoulli_agrees_with_sympy():
 
 def _cold() -> None:
     """Drop the tangent table and the Bernoulli cache, as in a fresh process."""
-    rationals._TANGENT = []
+    rationals._TANGENT = ([1], [1])
     bernoulli.cache_clear()
 
 
@@ -108,13 +112,35 @@ def test_results_do_not_depend_on_call_order():
 
 def test_results_on_each_side_of_a_table_rebuild():
     _cold()
-    # Each step names the index asked for and the table length after it:
-    # a larger index rebuilds the table to max(k, twice its length).
-    for k, length in ((10, 10), (11, 20), (20, 20), (21, 40), (40, 40), (41, 80),
-                      (9, 80), (200, 200)):
+    # The table grows to exactly the largest index asked for so far.
+    largest = 1
+    for k in (10, 11, 20, 21, 9, 40, 41, 80, 3, 200):
+        largest = max(largest, k)
         assert bernoulli(k) == bernoulli_oracle(k), k
-        assert len(rationals._TANGENT) == length, k
+        assert len(rationals._TANGENT[0]) == largest, k
         assert num_b_over_4k(k) == (bernoulli_oracle(k) / (4 * k)).numerator, k
+
+
+def test_tangent_numbers_match_the_in_place_triangle():
+    reference = tangent_numbers_in_place(300)
+    _cold()
+    assert rationals._tangent(300) == reference[-1]
+    assert rationals._TANGENT[0] == reference
+    _cold()
+    assert [rationals._tangent(k) for k in range(1, 301)] == reference
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.lists(st.integers(min_value=1, max_value=120), min_size=1, max_size=10))
+def test_any_request_order_builds_the_table_of_one_cold_request(indices):
+    _cold()
+    for k in indices:
+        num_b_over_4k(k)
+    grown = rationals._TANGENT
+    _cold()
+    num_b_over_4k(max(indices))
+    assert grown == rationals._TANGENT
+    assert len(grown[0]) == len(grown[1]) == max(indices)
 
 
 @settings(max_examples=30, deadline=None)
@@ -132,12 +158,15 @@ def test_indices_above_the_cap_are_rejected():
 
 
 def test_table_rebuild_never_grows_past_the_cap(monkeypatch):
-    # With a cap of 30, a rebuild from 20 entries stops at 30, not 40.
+    # With a cap of 30 the table stops at index 30.
     monkeypatch.setattr(rationals, "MAX_BERNOULLI_INDEX", 30)
     _cold()
-    for k, length in ((20, 20), (21, 30), (30, 30)):
+    for k in (20, 21, 30):
         assert bernoulli(k) == bernoulli_oracle(k), k
-        assert len(rationals._TANGENT) == length, k
+        assert len(rationals._TANGENT[0]) == k, k
     with pytest.raises(ValueError):
         bernoulli(31)
+    with pytest.raises(ValueError):
+        num_b_over_4k(31)
+    assert len(rationals._TANGENT[0]) == 30
     _cold()

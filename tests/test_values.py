@@ -41,6 +41,7 @@ from spherestruct.cyclic import (
     cyclic_group,
 )
 from spherestruct.ltheory import LClass, LGroupKind, NormalClassDiff
+from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER
 
 from helpers import brute_subgroup
 
@@ -87,7 +88,7 @@ def test_every_value_class_is_frozen_and_slotted():
 
 HAND_WRITTEN_INIT = (
     CyclicGroup, CyclicElement, CyclicSubgroup, LClass, NormalClassDiff,
-    S3S4Invariant, S4S4Manifold,
+    S3S4Invariant, S4S4Manifold, StructureSetPresentation,
 )
 
 
@@ -108,6 +109,29 @@ def test_values_survive_replace_pickle_and_hashing():
         assert clone == value and clone is not value
         assert repr(clone) == repr(value)
         assert hash(clone) == hash(value)
+
+
+def test_presentations_survive_replace_pickle_and_keyword_construction():
+    # A free action, varying stabilisers (input order swapped) and an
+    # unknown Theta_61.
+    cases = [present(4, 4), present(4, 3), present(31, 30)]
+    assert [(x.action_case, x.theta_group.is_unknown) for x in cases] == [
+        (ACTION_FREE, False), (ACTION_STABILIZER, False), (ACTION_FREE, True),
+    ]
+    for pres in cases:
+        values = {f.name: getattr(pres, f.name) for f in dataclasses.fields(pres)}
+        assert StructureSetPresentation(**values) == pres
+        assert StructureSetPresentation(*values.values()) == pres
+        assert dataclasses.replace(pres) == pres
+        swapped = dataclasses.replace(pres, input_p=pres.input_q, input_q=pres.input_p)
+        assert (swapped.input_p, swapped.input_q) == (pres.input_q, pres.input_p)
+        assert swapped.as_dict() == {
+            **pres.as_dict(), "input_p": pres.input_q, "input_q": pres.input_p,
+        }
+        clone = pickle.loads(pickle.dumps(pres))
+        assert clone == pres and clone is not pres
+        assert repr(clone) == repr(pres) and hash(clone) == hash(pres)
+        assert clone.as_dict() == pres.as_dict()
 
 
 def test_constructor_and_replace_put_fields_in_canonical_form():
