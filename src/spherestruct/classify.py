@@ -30,6 +30,17 @@ when {u0, v0} = {eps u1, eps v1} as unordered pairs for a sign eps (the
 twist is invisible up to connected sum with a homotopy sphere), and
 diffeomorphic exactly when additionally phi agrees: the inertia group is
 trivial because Salpha's image lies in 24Z, inside 4Z.
+
+Tables.  The S^3 x S^4 classifiers read three tuples built at import,
+each with |bP_8| entries: the shared elements of BP8 =
+``cyclic_group(t(8))``, the stabilisers ``structset._stabilizer(3, 4, v)``
+(the subgroup generated by v times the pairing coefficient 8 t_4 t_4)
+and the inertia groups ``subgroup_generated(|bP_8|, 2v)``.  Each is
+indexed by x mod |bP_8|, which is exact: d c mod n, and so the subgroup
+<d c> of Z_n, depends only on d mod n.  Only t_4 and t_8 are computed
+to build them.  The predicates test the coset, sigma_a = sigma_b modulo
+the subgroup's canonical generator g; g divides |bP_8|, so this is
+membership of the difference.
 """
 
 from __future__ import annotations
@@ -42,7 +53,6 @@ from .cyclic import (
     CyclicSubgroup,
     _slot_writers,
     cyclic_group,
-    in_subgroup,
     subgroup_generated,
 )
 from .structset import _stabilizer, del_map
@@ -63,6 +73,10 @@ __all__ = [
 ]
 
 BP8 = cyclic_group(t(8))
+# Indexed by x % BP8.order (see the module docstring).
+_BP8_ELEMENTS = tuple(CyclicElement(BP8, s) for s in range(BP8.order))
+_S3S4_STABILIZERS = tuple(_stabilizer(3, 4, v) for v in range(BP8.order))
+_S3S4_INERTIA = tuple(subgroup_generated(BP8.order, 2 * v) for v in range(BP8.order))
 # r: the boundary of W_{u,v} is standard exactly when r divides uv.
 _S4S4_RESIDUAL = residual_group(4, 4).order
 
@@ -77,9 +91,16 @@ class S3S4Invariant:
 
     def __init__(self, sigma: CyclicElement | int, v: int) -> None:
         if isinstance(sigma, int):
-            sigma = CyclicElement(BP8, sigma)
+            sigma = _BP8_ELEMENTS[sigma % BP8.order]
+        elif not isinstance(sigma, CyclicElement):
+            raise TypeError(
+                f"sigma must be an int or an element of {BP8}, "
+                f"got {type(sigma).__name__}"
+            )
         elif sigma.group.order != BP8.order:
             raise ValueError(f"sigma must lie in {BP8}, got {sigma.group}")
+        if not isinstance(v, int):
+            _reject_non_int("v", v)
         _set_sigma(self, sigma)
         _set_s3s4_v(self, v)
 
@@ -88,12 +109,17 @@ class S3S4Invariant:
 _set_sigma, _set_s3s4_v = _slot_writers(S3S4Invariant)
 
 
+def _reject_non_int(name: str, value: object) -> None:
+    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 def s3s4_structure_equal(a: S3S4Invariant, b: S3S4Invariant) -> bool:
     """Same point of the structure set: equal v and sigma difference in
     the stabiliser of the d = v structures, <8 t_4 t_4 v> = <32 v>."""
     if a.v != b.v:
         return False
-    return in_subgroup(a.sigma - b.sigma, _stabilizer(3, 4, a.v))
+    g = _S3S4_STABILIZERS[a.v % BP8.order].generator_value
+    return a.sigma.value % g == b.sigma.value % g
 
 
 def s3s4_diffeomorphic(a: S3S4Invariant, b: S3S4Invariant) -> bool:
@@ -101,13 +127,14 @@ def s3s4_diffeomorphic(a: S3S4Invariant, b: S3S4Invariant) -> bool:
     sigma difference lies in the inertia group <2v>."""
     if a.v != b.v and a.v != -b.v:
         return False
-    return in_subgroup(a.sigma - b.sigma, s3s4_inertia_group(a.v))
+    g = _S3S4_INERTIA[a.v % BP8.order].generator_value
+    return a.sigma.value % g == b.sigma.value % g
 
 
 def s3s4_inertia_group(v: int) -> CyclicSubgroup:
     """Inertia group of N_v: the subgroup <2v> of bP_8 = Z_28, whose
     order is 14 / gcd(14, v)."""
-    return subgroup_generated(BP8.order, 2 * v)
+    return _S3S4_INERTIA[v % BP8.order]
 
 
 @dataclass(frozen=True, slots=True)
@@ -151,6 +178,12 @@ class S4S4Manifold:
     phi: int
 
     def __init__(self, u: int, v: int, phi: int) -> None:
+        if not isinstance(u, int):
+            _reject_non_int("u", u)
+        if not isinstance(v, int):
+            _reject_non_int("v", v)
+        if not isinstance(phi, int):
+            _reject_non_int("phi", phi)
         if (u * v) % _S4S4_RESIDUAL != 0:
             raise ValueError(
                 f"no closed manifold for (u, v) = ({u}, {v}): the plumbing "
@@ -167,8 +200,13 @@ _set_u, _set_s4s4_v, _set_phi = _slot_writers(S4S4Manifold)
 def s4s4_almost_diffeomorphic(a: S4S4Manifold, b: S4S4Manifold) -> bool:
     """Almost diffeomorphic: (u, v) pairs agree as unordered pairs up to
     a common sign; the twist phi plays no role here."""
-    mine = {(a.u, a.v), (a.v, a.u)}
-    return (b.u, b.v) in mine or (-b.u, -b.v) in mine
+    au, av, bu, bv = a.u, a.v, b.u, b.v
+    return (
+        (bu == au and bv == av)
+        or (bu == av and bv == au)
+        or (bu == -au and bv == -av)
+        or (bu == -av and bv == -au)
+    )
 
 
 def s4s4_diffeomorphic(a: S4S4Manifold, b: S4S4Manifold) -> bool:

@@ -5,7 +5,8 @@ implementation under test: Bernoulli numbers through the defining
 convolution recurrence instead of the triangular one, tangent numbers by
 sweeping the whole triangle in place, subgroups by brute
 enumeration, obstruction values by the closed formula and by the composed
-maps, and the plumbing boundary class from its Wall triple.
+maps, the plumbing boundary class from its Wall triple, and the
+classifier relations from enumerated subgroups and unordered pairs.
 """
 
 from __future__ import annotations
@@ -172,3 +173,22 @@ def check_s3s4_equivalence_laws(v_span: int) -> None:
             assert s3s4_diffeomorphic(a, b) == (keys[i] == keys[j]), (
                 a.sigma.value, a.v, b.sigma.value, b.v,
             )
+
+
+def s3s4_relations_oracle(sigma0: int, v0: int, sigma1: int, v1: int) -> tuple[bool, bool]:
+    """(structure equal, diffeomorphic) for Sigma_0 # N_{v0} and
+    Sigma_1 # N_{v1}: the sigma difference is looked up among the
+    enumerated elements of the stabiliser <8 t_4 t_4 v> and of the
+    inertia group <2v> in Z_{t_8}."""
+    n = t_oracle(8)
+    difference = (sigma0 - sigma1) % n
+    same = v0 == v1 and difference in brute_subgroup(n, 8 * t_oracle(4) ** 2 * v0)
+    diffeomorphic = abs(v0) == abs(v1) and difference in brute_subgroup(n, 2 * v0)
+    return same, diffeomorphic
+
+
+def s4s4_almost_oracle(u0: int, v0: int, u1: int, v1: int) -> bool:
+    """Whether (u1, v1) equals (u0, v0) as an unordered pair up to a
+    common sign, by set membership."""
+    mine = {(u0, v0), (v0, u0)}
+    return (u1, v1) in mine or (-u1, -v1) in mine

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from spherestruct import (
     BP8,
+    CyclicElement,
     CyclicGroup,
     S3S4Invariant,
     S4S4Manifold,
@@ -20,9 +21,18 @@ from spherestruct import (
     s4s4_diffeomorphic,
     stabilizer,
     subgroup_generated,
+    t,
     wall_triple_of_plumbing,
 )
-from helpers import check_s3s4_equivalence_laws, wall_triple_boundary_oracle
+from spherestruct import classify
+from helpers import (
+    check_s3s4_equivalence_laws,
+    s3s4_relations_oracle,
+    s4s4_almost_oracle,
+    wall_triple_boundary_oracle,
+)
+
+HUGE = 10**40 + 3
 
 
 def test_invariant_coercion_and_validation():
@@ -32,6 +42,55 @@ def test_invariant_coercion_and_validation():
     assert a == b
     with pytest.raises(ValueError, match="sigma must lie"):
         S3S4Invariant(CyclicGroup(27).element(1), 1)
+
+
+def test_non_integer_fields_are_rejected_at_construction():
+    with pytest.raises(TypeError, match="^sigma must be an int or an element of Z_28, got float$"):
+        S3S4Invariant(1.5, 1)
+    with pytest.raises(TypeError, match="^sigma must be an int or an element of Z_28, got str$"):
+        S3S4Invariant("3", 1)
+    with pytest.raises(TypeError, match="^v must be an int, got float$"):
+        S3S4Invariant(3, 1.5)
+    with pytest.raises(TypeError, match="^v must be an int, got str$"):
+        S3S4Invariant(3, "1")
+    with pytest.raises(TypeError, match="^u must be an int, got float$"):
+        S4S4Manifold(7.0, 1, 0)
+    with pytest.raises(TypeError, match="^v must be an int, got float$"):
+        S4S4Manifold(7, 1.0, 0)
+    with pytest.raises(TypeError, match="^phi must be an int, got float$"):
+        S4S4Manifold(7, 1, 0.5)
+    with pytest.raises(TypeError, match="^u must be an int, got str$"):
+        S4S4Manifold("7", 1, 0)
+    # Booleans are ints and stay accepted.
+    assert S3S4Invariant(True, False).sigma == BP8.element(1)
+    assert S4S4Manifold(True, 0, True).phi == 1
+
+
+def test_s3s4_tables_match_the_library_rules():
+    vs = [*range(-3 * 28, 3 * 28 + 1), HUGE, -HUGE, 28 * HUGE, -(28 * HUGE) - 5]
+    for v in vs:
+        assert s3s4_inertia_group(v) == subgroup_generated(t(8), 2 * v), v
+        assert classify._S3S4_STABILIZERS[v % BP8.order] == stabilizer(3, 4, v), v
+
+
+def test_s3s4_sigma_is_the_shared_element():
+    for s in [*range(-60, 60), HUGE, -HUGE, 28 * HUGE]:
+        sigma = S3S4Invariant(s, 1).sigma
+        assert sigma == CyclicElement(BP8, s), s
+        assert hash(sigma) == hash(CyclicElement(BP8, s)), s
+
+
+_V = st.one_of(st.integers(-100, 100), st.integers())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(), _V, st.integers(), st.sampled_from(["same", "negated", "other"]), _V)
+def test_s3s4_predicates_match_enumerated_subgroups(sigma0, v0, sigma1, relation, other):
+    v1 = {"same": v0, "negated": -v0, "other": other}[relation]
+    a, b = S3S4Invariant(sigma0, v0), S3S4Invariant(sigma1, v1)
+    assert (s3s4_structure_equal(a, b), s3s4_diffeomorphic(a, b)) == s3s4_relations_oracle(
+        sigma0, v0, sigma1, v1
+    )
 
 
 def test_structure_equality_examples():
@@ -153,6 +212,33 @@ def test_s4s4_almost_diffeomorphic():
     assert s4s4_almost_diffeomorphic(a, S4S4Manifold(-2, -7, 1))
     assert not s4s4_almost_diffeomorphic(a, S4S4Manifold(7, -2, 0))
     assert not s4s4_almost_diffeomorphic(a, S4S4Manifold(14, 1, 0))
+
+
+_SEVENS = st.integers(-6, 6).map(lambda k: 7 * k)
+_FACTOR = st.one_of(_SEVENS, st.integers(-50, 50))
+
+
+@st.composite
+def _s4s4_pair(draw):
+    # u or v a multiple of 7, so that the closed manifold exists; the
+    # second manifold is a signed or swapped image of the first, or new.
+    u, v = draw(_SEVENS), draw(_FACTOR)
+    if draw(st.booleans()):
+        u, v = v, u
+    images = [(u, v), (v, u), (-u, -v), (-v, -u), (u, -v), (-u, v), (v, -u), (-v, u)]
+    fresh = (draw(_SEVENS), draw(_FACTOR))
+    u1, v1 = draw(st.sampled_from([*images, fresh]))
+    phi0, phi1 = draw(st.integers(-2, 2)), draw(st.integers(-2, 2))
+    return S4S4Manifold(u, v, phi0), S4S4Manifold(u1, v1, phi1)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_s4s4_pair())
+def test_s4s4_relations_match_the_unordered_pair_oracle(pair):
+    a, b = pair
+    expected = s4s4_almost_oracle(a.u, a.v, b.u, b.v)
+    assert s4s4_almost_diffeomorphic(a, b) == expected
+    assert s4s4_diffeomorphic(a, b) == (expected and a.phi == b.phi)
 
 
 def test_s4s4_diffeomorphic_needs_matching_twist():
