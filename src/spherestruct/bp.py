@@ -20,6 +20,13 @@ by 8 * t_p * t_q.  It is the cokernel of the smooth normal-invariant map
 of S^p x S^q, hence the obstruction to the image of the forgetful map to
 the topological structure set being a subgroup.  Its order is always odd:
 the 2-adic valuation of 8 * t_{4j} * t_{4k} is at least that of t_{4(j+k)}.
+
+For a pair (4j, 4k), with c = 8 * t_{4j} * t_{4k} and n = t_{4(j+k)}, the
+split (g, Z_r) has g = gcd(c, n) and r = n / g.  It is cached once per
+pair by ``residual_split``.  ``residual_group`` hands out its Z_r, and
+``structset`` reads g and r for every stabiliser of the (4j-1, 4k) shape:
+the subgroup <d * c> of Z_n has canonical generator g * gcd(d, r).  So a
+stabiliser call and a residual call of one pair warm each other.
 """
 
 from __future__ import annotations
@@ -38,6 +45,7 @@ __all__ = [
     "pairing_coefficient",
     "residual_group",
     "residual_of_checked_pair",
+    "residual_split",
     "image_f_residual",
 ]
 
@@ -128,16 +136,29 @@ def residual_group(p: int, q: int) -> CyclicGroup:
     return residual_of_checked_pair(p, q)
 
 
-# Bounded: a factor not divisible by 4 may be any integer.
-@lru_cache(maxsize=4096)
+_TRIVIAL = cyclic_group(1)
+
+
 def residual_of_checked_pair(p: int, q: int) -> CyclicGroup:
     """``residual_group`` for a pair the caller has already passed through
     ``check_pair``."""
     if p % 4 or q % 4:
-        return cyclic_group(1)
-    generator = pairing_coefficient(p, q)
+        return _TRIVIAL
+    return residual_split(p, q)[1]
+
+
+# Bounded: its arguments are multiples of 4 up to the cap of t, and an
+# entry at the cap holds two numbers of up to 4281 digits.
+@lru_cache(maxsize=4096)
+def residual_split(p: int, q: int) -> tuple[int, CyclicGroup]:
+    """The split (g, Z_r) of a pair (p, q) of positive multiples of 4:
+    g = gcd(8 t_p t_q, t_{p+q}) and r = t_{p+q} / g."""
+    # The product comes from the uncached formula and Z_r is built here,
+    # so a cold call fills this cache alone; Z_r is shared through it.
+    generator = _pairing_coefficient.__wrapped__(p, q)
     ambient = t(p + q)
-    return cyclic_group(ambient // gcd(ambient, generator))
+    g = gcd(generator, ambient)
+    return g, CyclicGroup(ambient // g)
 
 
 def image_f_residual(p: int, q: int) -> CyclicGroup:

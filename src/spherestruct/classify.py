@@ -51,6 +51,7 @@ from .bp import residual_group, t
 from .cyclic import (
     CyclicElement,
     CyclicSubgroup,
+    _reject_non_int,
     _slot_writers,
     cyclic_group,
     subgroup_generated,
@@ -109,10 +110,6 @@ class S3S4Invariant:
 _set_sigma, _set_s3s4_v = _slot_writers(S3S4Invariant)
 
 
-def _reject_non_int(name: str, value: object) -> None:
-    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-
-
 def s3s4_structure_equal(a: S3S4Invariant, b: S3S4Invariant) -> bool:
     """Same point of the structure set: equal v and sigma difference in
     the stabiliser of the d = v structures, <8 t_4 t_4 v> = <32 v>."""
@@ -134,6 +131,8 @@ def s3s4_diffeomorphic(a: S3S4Invariant, b: S3S4Invariant) -> bool:
 def s3s4_inertia_group(v: int) -> CyclicSubgroup:
     """Inertia group of N_v: the subgroup <2v> of bP_8 = Z_28, whose
     order is 14 / gcd(14, v)."""
+    if not isinstance(v, int):
+        _reject_non_int("v", v)
     return _S3S4_INERTIA[v % BP8.order]
 
 

@@ -35,6 +35,10 @@ def _slot_writers(cls: type) -> tuple:
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
+def _reject_non_int(name: str, value: object) -> None:
+    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class CyclicGroup:
     """The additive cyclic group Z_n; order 1 is the trivial group.
@@ -45,6 +49,8 @@ class CyclicGroup:
     order: int
 
     def __init__(self, order: int) -> None:
+        if not isinstance(order, int):
+            _reject_non_int("order", order)
         if order < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {order}")
         _set_order(self, order)
@@ -75,6 +81,8 @@ class CyclicElement:
     value: int
 
     def __init__(self, group: CyclicGroup, value: int) -> None:
+        if not isinstance(value, int):
+            _reject_non_int("value", value)
         _set_group(self, group)
         _set_value(self, value % group.order)
 
@@ -114,6 +122,8 @@ class CyclicSubgroup:
     generator_value: int
 
     def __init__(self, ambient: CyclicGroup, generator_value: int) -> None:
+        if not isinstance(generator_value, int):
+            _reject_non_int("generator_value", generator_value)
         n = ambient.order
         _set_ambient(self, ambient)
         _set_generator_value(self, gcd(generator_value % n, n))
@@ -143,6 +153,10 @@ _set_ambient, _set_generator_value = _slot_writers(CyclicSubgroup)
 
 def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
     """The subgroup of Z_n generated by g, i.e. (g mod n)Z_n."""
+    if not isinstance(n, int):
+        _reject_non_int("n", n)
+    if not isinstance(g, int):
+        _reject_non_int("g", g)
     if n < 1:
         raise ValueError(f"ambient order must be >= 1, got {n}")
     return _subgroup(n, gcd(g % n, n))
@@ -150,8 +164,12 @@ def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
 
 @lru_cache(maxsize=1024)
 def _subgroup(n: int, generator: int) -> CyclicSubgroup:
-    # One shared value per subgroup, keyed by its canonical generator.
-    return CyclicSubgroup(cyclic_group(n), generator)
+    # One shared value per subgroup, keyed by its canonical generator,
+    # which is written as given: the caller has already reduced it.
+    subgroup = object.__new__(CyclicSubgroup)
+    _set_ambient(subgroup, cyclic_group(n))
+    _set_generator_value(subgroup, generator)
+    return subgroup
 
 
 def in_subgroup(x: CyclicElement, subgroup: CyclicSubgroup) -> bool:

@@ -20,7 +20,12 @@ The Theta-action is free except when the normalised shape is
 (4j-1, 4k).  There the stabiliser of a structure whose even-factor
 invariant has integer coordinate d is the subgroup of bP_{4(j+k)}
 generated by 8 d t_{4j} t_{4k}, so fibre sizes vary with d:
-|fibre| = |Theta_{p+q}| / |stabiliser(d)|.
+|fibre| = |Theta_{p+q}| / |stabiliser(d)|.  With r the order of the
+residual group of (4j, 4k), the stabiliser has order r / gcd(d, r):
+trivial for d = 0 and of order r > 1 for d = 1.  This change with d is
+why the smooth set admits no group structure in this shape (below).
+Both orders come from the split of (4j, 4k) that ``bp`` caches, so a
+stabiliser costs one gcd of d and r.
 
 The topological structure set, by contrast, is a group isomorphic to
 L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
@@ -32,13 +37,16 @@ nontrivial, which holds in every shipped dimension).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from . import bp, tables
 from .cyclic import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
+    _reject_non_int,
     _slot_writers,
+    _subgroup,
     cyclic_group,
     subgroup_generated,
 )
@@ -185,9 +193,10 @@ def present(
     formulas and the reference table."""
     np_, nq = normalize_dims(p, q)
     n = np_ + nq
-    theta_group = tables.theta_order(n, table)
+    table = table or tables.builtin_table()
+    theta_group = table.theta_order(n)
     bp_next = bp.bp_order(n + 1, table)
-    normal = (tables.pi_go(np_, table), tables.pi_go(nq, table))
+    normal = (table.pi_go(np_), table.pi_go(nq))
     residual = bp.residual_of_checked_pair(np_, nq)
     if _is_stabilizer_shape(np_, nq):
         case = ACTION_STABILIZER
@@ -208,11 +217,8 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     """
     bp.check_pair(p, q)
     n = p + q
-    if n % 4 != 0:
-        return CyclicElement(cyclic_group(1), 0)
-    return CyclicElement(
-        cyclic_group(bp.t(n)), bp.pairing_coefficient(p, q) * phi_u * phi_v
-    )
+    group = cyclic_group(bp.t(n) if n % 4 == 0 else 1)
+    return CyclicElement(group, bp.pairing_coefficient(p, q) * phi_u * phi_v)
 
 
 def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
@@ -224,15 +230,21 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     trivial subgroup (with ambient bP_{p+q+1} when its order follows from
     the formulas, the trivial group otherwise).
     """
+    if not isinstance(d, int):
+        _reject_non_int("d", d)
     np_, nq = normalize_dims(p, q)
     return _stabilizer(np_, nq, d)
 
 
 def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
-    # ``stabilizer`` for dimensions already checked and normalised.
+    # ``stabilizer`` for dimensions already checked and normalised.  With
+    # (g, Z_r) the split of (p + 1, q), the generator 8 d t_{p+1} t_q
+    # reduces to g * gcd(d, r) in Z_{t_m}.
     m = p + q + 1
     if _is_stabilizer_shape(p, q):
-        return subgroup_generated(bp.t(m), d * bp.pairing_coefficient(p + 1, q))
+        n = bp.t(m)  # before the split, so that a cap error names m
+        g, residual = bp.residual_split(p + 1, q)
+        return _subgroup(n, g * gcd(d, residual.order))
     if m % 4 == 0:
         return subgroup_generated(bp.t(m), 0)
     return subgroup_generated(1, 0)
@@ -246,6 +258,8 @@ def eta_fiber_size(
 
     Unknown when the order of Theta_{p+q} is outside the table.
     """
+    if not isinstance(d, int):
+        _reject_non_int("d", d)
     np_, nq = normalize_dims(p, q)
     theta_group = tables.theta_order(np_ + nq, table)
     if theta_group.is_unknown:
@@ -314,6 +328,8 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
     rejected.  Over t_4 * y the fibre is the normal-invariant fibre over
     d = y, of size |Theta_7| / |stabiliser(y)|.
     """
+    if not isinstance(top_invariant, int):
+        _reject_non_int("top_invariant", top_invariant)
     np_, nq = normalize_dims(p, q)
     if (np_, nq) != (3, 4):
         raise ValueError(

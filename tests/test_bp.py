@@ -13,6 +13,7 @@ from spherestruct import (
     parse_table,
     present,
     residual_group,
+    stabilizer,
     t,
 )
 from spherestruct.bp import (
@@ -20,8 +21,9 @@ from spherestruct.bp import (
     _t_multiple_of_4,
     image_f_residual,
     pairing_coefficient,
-    residual_of_checked_pair,
+    residual_split,
 )
+from spherestruct.cyclic import _subgroup
 
 from helpers import brute_subgroup, t_oracle
 
@@ -177,6 +179,9 @@ def test_pairs_that_need_t_past_the_cap_still_raise():
         residual_group(4, 3400)
     with pytest.raises(ValueError, match=f"i <= {cap} .*, got 4004$"):
         present(3, 4000)
+    for p, q in ((3, 4000), (4000, 3)):  # t of the ambient 4004 is asked first
+        with pytest.raises(ValueError, match=f"i <= {cap} .*, got 4004$"):
+            stabilizer(p, q, 1)
 
 
 def test_pairing_coefficient_caches_multiples_of_four_only():
@@ -222,7 +227,7 @@ _DIMS = st.integers(min_value=2, max_value=48)
 def test_memoised_values_match_oracle_in_any_call_order(calls):
     # Start cold, as in a fresh process; every answer must match the
     # oracle whether it was computed now or shared from an earlier call.
-    residual_of_checked_pair.cache_clear()
+    residual_split.cache_clear()
     _pairing_coefficient.cache_clear()
     KnownGroup.finite.cache_clear()
     for call in calls * 2:
@@ -234,6 +239,34 @@ def test_memoised_values_match_oracle_in_any_call_order(calls):
         elif call % 4 != 2:  # 2 mod 4 is a table lookup, never cached
             expected = t_oracle(call) if call % 4 == 0 and call > 4 else 1
             assert bp_order(call) == KnownGroup.finite(expected), call
+
+
+_SMALL = st.integers(min_value=1, max_value=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.lists(
+        st.tuples(st.booleans(), _SMALL, _SMALL, st.integers(-50, 50)),
+        min_size=1,
+        max_size=20,
+    )
+)
+def test_residual_and_stabilizer_match_oracle_in_either_call_order(calls):
+    # Both read the cached split of (4j, 4k); from cold caches, whichever
+    # of them fills the split first, every answer must match the oracle.
+    residual_split.cache_clear()
+    _pairing_coefficient.cache_clear()
+    _subgroup.cache_clear()
+    for is_stabilizer, j, k, d in calls * 2:
+        p, q = 4 * j, 4 * k
+        if is_stabilizer:
+            ambient = t_oracle(p + q)
+            generator = gcd(d * 8 * t_oracle(p) * t_oracle(q) % ambient, ambient)
+            sub = stabilizer(p - 1, q, d)
+            assert (sub.ambient.order, sub.generator_value) == (ambient, generator)
+        else:
+            assert residual_group(p, q).order == _residual_oracle(p, q)
 
 
 def test_shared_results_are_frozen():

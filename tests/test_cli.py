@@ -207,7 +207,8 @@ def test_off_degree_pairs_past_the_cap_answer(capsys):
 def test_pairs_that_need_t_past_the_cap_exit_1(capsys):
     cap = MAX_BERNOULLI_INDEX
     for argv, index in ((["residual", "4", "3400"], 3400),
-                        (["structure-set", "3", "4000"], 4004)):
+                        (["structure-set", "3", "4000"], 4004),
+                        (["stabilizer", "3", "4000", "--d", "1"], 4004)):
         code, out, err = run(capsys, argv)
         assert code == 1, argv
         assert out == ""

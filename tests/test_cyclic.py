@@ -3,7 +3,9 @@ import dataclasses
 import pytest
 
 from spherestruct import (
+    CyclicElement,
     CyclicGroup,
+    CyclicSubgroup,
     in_subgroup,
     subgroup_generated,
 )
@@ -105,3 +107,22 @@ def test_shared_cyclic_values_are_frozen():
     with pytest.raises(ValueError):
         cyclic_group(0)
     assert cyclic_group(28).order == 28 and sub.order == 7
+
+
+def test_non_integer_values_are_rejected():
+    z28 = cyclic_group(28)
+    for call, message in (
+        (lambda: z28.element(2.5), "value must be an int, got float"),
+        (lambda: CyclicElement(z28, 1.5), "value must be an int, got float"),
+        (lambda: CyclicElement(z28, "3"), "value must be an int, got str"),
+        (lambda: CyclicGroup(2.5), "order must be an int, got float"),
+        (lambda: CyclicSubgroup(z28, 2.5), "generator_value must be an int, got float"),
+        (lambda: subgroup_generated(28, 2.0), "g must be an int, got float"),
+        (lambda: subgroup_generated(28.0, 2), "n must be an int, got float"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
+    # Booleans are ints and stay accepted.
+    assert z28.element(True) == z28.element(1)
+    assert CyclicGroup(True) == CyclicGroup(1)
+    assert subgroup_generated(28, True) == subgroup_generated(28, 1)

@@ -2,7 +2,7 @@ import dataclasses
 from math import gcd
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spherestruct import (
@@ -23,6 +23,7 @@ from spherestruct import (
     theta_order,
     top_structure_set,
 )
+from spherestruct.bp import pairing_coefficient
 from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, normalize_dims
 
 
@@ -130,6 +131,70 @@ def test_stabilizer_orders_divide_ambient():
                 # <8 d t t> always sits inside <8 t t>
                 coefficient = 8 * t(p + 1) * t(q)
                 assert (coefficient * d) % sub.generator_value == 0
+
+
+def test_stabilizer_order_is_r_over_gcd_d_r():
+    # The order of <d c> in bP_{4(j+k)} is r / gcd(d, r), r the residual
+    # order of (4j, 4k): it changes with d, which is why the structure set
+    # has no compatible group structure.
+    for j in range(1, 9):
+        for k in range(1, 9):
+            r = residual_group(4 * j, 4 * k).order
+            for d in (*range(-30, 31), r, -r, 3 * r + 1, 10**40, -(10**40) * r):
+                order = stabilizer(4 * j - 1, 4 * k, d).order
+                assert order == r // gcd(d, r), (j, k, d)
+            assert stabilizer(4 * j - 1, 4 * k, 0).is_trivial
+            assert stabilizer(4 * j - 1, 4 * k, 1).order == r > 1
+
+
+_SPLIT_PAIR = st.tuples(
+    st.integers(min_value=1, max_value=23), st.integers(min_value=1, max_value=23)
+).filter(lambda jk: sum(jk) <= 24)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_SPLIT_PAIR, st.integers(min_value=-(10**6), max_value=10**6))
+@example((1, 1), 0)
+@example((1, 1), -1)
+@example((12, 12), 0)
+@example((23, 1), -(10**6))
+@example((1, 23), 10**6)
+def test_stabilizer_matches_the_subgroup_of_d_times_the_pairing(jk, d):
+    j, k = jk
+    expected = subgroup_generated(
+        t(4 * (j + k)), d * pairing_coefficient(4 * j, 4 * k)
+    )
+    assert stabilizer(4 * j - 1, 4 * k, d) == expected
+    assert stabilizer(4 * k, 4 * j - 1, d) == expected
+
+
+def test_non_integer_inputs_are_rejected_with_their_name():
+    for call, message in (
+        (lambda: stabilizer(3, 4, 0.5), "d must be an int, got float"),
+        (lambda: stabilizer(4, 4, 2.0), "d must be an int, got float"),
+        (lambda: eta_fiber_size(3, 4, 0.5), "d must be an int, got float"),
+        (lambda: eta_fiber_size(4, 17, 0.5), "d must be an int, got float"),
+        (lambda: forgetful_fiber(3, 4, 0.5), "top_invariant must be an int, got float"),
+        (lambda: forgetful_fiber(3, 4, "2"), "top_invariant must be an int, got str"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
+    # Booleans are ints and stay accepted.
+    assert stabilizer(3, 4, True) == stabilizer(3, 4, 1)
+    assert eta_fiber_size(3, 4, False) == eta_fiber_size(3, 4, 0)
+    assert forgetful_fiber(3, 4, False) == forgetful_fiber(3, 4, 0)
+
+
+def test_floats_never_enter_an_element():
+    for call in (
+        lambda: del_map(4, 4, 1.5, 2),
+        lambda: del_map(4, 4, 2, 0.5),
+        lambda: del_map(3, 5, 1.5, 2),  # the zero map rejects them too
+        lambda: del_map(4, 4, 0.0, 0),
+    ):
+        with pytest.raises(TypeError, match="^value must be an int, got float$"):
+            call()
+    assert del_map(4, 4, True, 3) == del_map(4, 4, 1, 3)
 
 
 def test_eta_fiber_sizes_s3_s4():
