@@ -23,7 +23,6 @@ from .classify import (
     s3s4_inertia_group,
     s3s4_structure_equal,
     s4s4_almost_diffeomorphic,
-    s4s4_boundary_is_standard,
     s4s4_diffeomorphic,
     wall_triple_of_plumbing,
 )
@@ -31,18 +30,14 @@ from .cyclic import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
-    in_subgroup,
     subgroup_generated,
 )
 from .ltheory import (
     LClass,
     LGroupKind,
     NormalClassDiff,
-    forgetful_f,
     l_group,
-    pairing,
     theta_diff,
-    theta_top,
 )
 from .rationals import MAX_BERNOULLI_INDEX, bernoulli, num_b_over_4k
 from .structset import (
@@ -76,7 +71,6 @@ __all__ = [
     "CyclicElement",
     "CyclicSubgroup",
     "subgroup_generated",
-    "in_subgroup",
     "KnownGroup",
     "GroupTable",
     "builtin_table",
@@ -91,9 +85,6 @@ __all__ = [
     "LClass",
     "NormalClassDiff",
     "l_group",
-    "pairing",
-    "theta_top",
-    "forgetful_f",
     "theta_diff",
     "StructureSetPresentation",
     "TopStructureSet",
@@ -114,7 +105,6 @@ __all__ = [
     "s3s4_inertia_group",
     "wall_triple_of_plumbing",
     "plumbing_boundary_class",
-    "s4s4_boundary_is_standard",
     "s4s4_almost_diffeomorphic",
     "s4s4_diffeomorphic",
 ]

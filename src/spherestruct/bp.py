@@ -22,11 +22,13 @@ the topological structure set being a subgroup.  Its order is always odd:
 the 2-adic valuation of 8 * t_{4j} * t_{4k} is at least that of t_{4(j+k)}.
 
 For a pair (4j, 4k), with c = 8 * t_{4j} * t_{4k} and n = t_{4(j+k)}, the
-split (g, Z_r) has g = gcd(c, n) and r = n / g.  It is cached once per
-pair by ``residual_split``.  ``residual_group`` hands out its Z_r, and
-``structset`` reads g and r for every stabiliser of the (4j-1, 4k) shape:
-the subgroup <d * c> of Z_n has canonical generator g * gcd(d, r).  So a
-stabiliser call and a residual call of one pair warm each other.
+record (c, g, Z_r) has g = gcd(c, n) and r = n / g.  ``residual_split``
+caches it once per pair, and it is the only home of these numbers:
+``pairing_coefficient`` reads c, ``residual_group`` and
+``image_f_residual`` hand out Z_r, and ``structset`` reads g and r for
+every stabiliser of the (4j-1, 4k) shape (the subgroup <d * c> of Z_n has
+canonical generator g * gcd(d, r)) and Z_r for its presentations and
+group-structure verdicts.  So any first call of a pair warms the others.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .cyclic import CyclicGroup, cyclic_group
+from .cyclic import CyclicGroup, _reject_non_int, cyclic_group
 from .rationals import MAX_BERNOULLI_INDEX, num_b_over_4k
 from .tables import GroupTable, KnownGroup, bp_from_table
 
@@ -44,7 +46,6 @@ __all__ = [
     "check_pair",
     "pairing_coefficient",
     "residual_group",
-    "residual_of_checked_pair",
     "residual_split",
     "image_f_residual",
 ]
@@ -59,6 +60,8 @@ def t(i: int) -> int:
     are answered before the cache, which therefore holds at most
     MAX_BERNOULLI_INDEX entries.
     """
+    if not isinstance(i, int):
+        _reject_non_int("i", i)
     if i < 1:
         raise ValueError(f"t(i) requires i >= 1, got {i}")
     return _t_multiple_of_4(i) if i % 4 == 0 else 0
@@ -86,6 +89,8 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
     unknown unless forced or overridden).  Formula values are shared and
     cached; the table is consulted on every call.
     """
+    if not isinstance(m, int):
+        _reject_non_int("m", m)
     if m < 4:
         raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
     if m % 2 == 1 or m == 4:
@@ -98,6 +103,10 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
 def check_pair(p: int, q: int) -> None:
     """Reject dimensions (p, q) that do not describe S^p x S^q with
     p, q >= 2 and p + q >= 5, the range the surgery sequence covers."""
+    if not isinstance(p, int):
+        _reject_non_int("p", p)
+    if not isinstance(q, int):
+        _reject_non_int("q", q)
     if p < 2 or q < 2 or p + q < 5:
         raise ValueError(
             f"sphere factors need p, q >= 2 with p + q >= 5, got ({p}, {q})"
@@ -105,24 +114,21 @@ def check_pair(p: int, q: int) -> None:
 
 
 def pairing_coefficient(a: int, b: int) -> int:
-    """8 * t_a * t_b: the L-group pairing of the comparison images, which
+    """8 * t_a * t_b: the L-group product of the comparison images, which
     generates the residual group and the stabilisers.
 
     Zero when a or b is not a multiple of 4, answered without computing
     the other factor, so that one is not held to the cap of ``t``; an
-    argument below 1 raises as in ``t``.  Other values are cached."""
+    argument below 1 raises as in ``t``.  Otherwise it is read from the
+    record of the pair, which also needs t_{a+b}."""
     if a % 4 or b % 4:
         if min(a, b) < 1:
             t(min(a, b))  # raises the ValueError of t
         return 0
-    return _pairing_coefficient(a, b)
+    return residual_split(a, b)[0]
 
 
-# Bounded: its arguments are multiples of 4 up to the cap of t, and a
-# product at the cap has up to 4284 digits, about 1.8 kB.
-@lru_cache(maxsize=1024)
-def _pairing_coefficient(a: int, b: int) -> int:
-    return 8 * t(a) * t(b)
+_TRIVIAL = cyclic_group(1)
 
 
 def residual_group(p: int, q: int) -> CyclicGroup:
@@ -133,40 +139,31 @@ def residual_group(p: int, q: int) -> CyclicGroup:
     order formula applies.  The result is a shared, cached value.
     """
     check_pair(p, q)
-    return residual_of_checked_pair(p, q)
-
-
-_TRIVIAL = cyclic_group(1)
-
-
-def residual_of_checked_pair(p: int, q: int) -> CyclicGroup:
-    """``residual_group`` for a pair the caller has already passed through
-    ``check_pair``."""
     if p % 4 or q % 4:
         return _TRIVIAL
-    return residual_split(p, q)[1]
+    return residual_split(p, q)[2]
 
 
 # Bounded: its arguments are multiples of 4 up to the cap of t, and an
-# entry at the cap holds two numbers of up to 4281 digits.
+# entry at the cap holds three numbers of up to 4284 digits.
 @lru_cache(maxsize=4096)
-def residual_split(p: int, q: int) -> tuple[int, CyclicGroup]:
-    """The split (g, Z_r) of a pair (p, q) of positive multiples of 4:
-    g = gcd(8 t_p t_q, t_{p+q}) and r = t_{p+q} / g."""
-    # The product comes from the uncached formula and Z_r is built here,
-    # so a cold call fills this cache alone; Z_r is shared through it.
-    generator = _pairing_coefficient.__wrapped__(p, q)
+def residual_split(p: int, q: int) -> tuple[int, int, CyclicGroup]:
+    """The record (c, g, Z_r) of a pair (p, q) of positive multiples of 4:
+    c = 8 t_p t_q, g = gcd(c, t_{p+q}) and r = t_{p+q} / g."""
+    c = 8 * t(p) * t(q)
     ambient = t(p + q)
-    g = gcd(generator, ambient)
-    return g, CyclicGroup(ambient // g)
+    g = gcd(c, ambient)
+    return c, g, CyclicGroup(ambient // g)
 
 
 def image_f_residual(p: int, q: int) -> CyclicGroup:
     """The residual group of S^{4j} x S^{4k}; the forgetful image in the
     topological structure set is a subgroup exactly when this group is
     trivial.  Other shapes are rejected."""
+    if not isinstance(p, int) or not isinstance(q, int):
+        check_pair(p, q)  # raises the TypeError naming the argument
     if p % 4 != 0 or q % 4 != 0 or p < 4 or q < 4:
         raise ValueError(
             f"image_f_is_subgroup expects dimensions (4j, 4k), got ({p}, {q})"
         )
-    return residual_of_checked_pair(p, q)
+    return residual_split(p, q)[2]

@@ -34,7 +34,7 @@ trivial because Salpha's image lies in 24Z, inside 4Z.
 Tables.  The S^3 x S^4 classifiers read three tuples built at import,
 each with |bP_8| entries: the shared elements of BP8 =
 ``cyclic_group(t(8))``, the stabilisers ``structset._stabilizer(3, 4, v)``
-(the subgroup generated by v times the pairing coefficient 8 t_4 t_4)
+(the subgroup generated by v times the coefficient 8 t_4 t_4)
 and the inertia groups ``subgroup_generated(|bP_8|, 2v)``.  Each is
 indexed by x mod |bP_8|, which is exact: d c mod n, and so the subgroup
 <d c> of Z_n, depends only on d mod n.  Only t_4 and t_8 are computed
@@ -68,7 +68,6 @@ __all__ = [
     "s3s4_inertia_group",
     "wall_triple_of_plumbing",
     "plumbing_boundary_class",
-    "s4s4_boundary_is_standard",
     "s4s4_almost_diffeomorphic",
     "s4s4_diffeomorphic",
 ]
@@ -155,12 +154,6 @@ def plumbing_boundary_class(u: int, v: int) -> CyclicElement:
     surgery obstruction del(u, v), which is -4uv mod 28.  del is bilinear,
     so this is del(-u, v) = -del(u, v), built as one element."""
     return del_map(4, 4, -u, v)
-
-
-def s4s4_boundary_is_standard(u: int, v: int) -> bool:
-    """Whether the boundary of W_{u,v} is the standard 7-sphere
-    (equivalently r | uv, r = 7 the residual order)."""
-    return plumbing_boundary_class(u, v).is_zero
 
 
 @dataclass(frozen=True, slots=True, init=False)

@@ -276,10 +276,12 @@ def _cmd_classify_s4s4(args, table):
         }
         text = [
             f"plumbing W_({u},{v}): Salpha = ({triple.s_alpha_x}, {triple.s_alpha_y})",
-            f"boundary class in Z_28: {boundary.value}",
+            f"boundary class in {boundary.group}: {boundary.value}",
             f"boundary is the standard sphere: {_yesno(payload['standard'])}",
         ]
-        return payload, text, ["boundary class: (signature - Salpha^2)/8 mod 28"]
+        return payload, text, [
+            f"boundary class: (signature - Salpha^2)/8 mod {boundary.group.order}"
+        ]
     if len(args.data) != 6:
         raise UsageError(
             "classify-s4s4 needs U0 V0 PHI0 U1 V1 PHI1 (or --plumbing U V)"

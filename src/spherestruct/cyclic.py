@@ -20,7 +20,6 @@ __all__ = [
     "CyclicElement",
     "CyclicSubgroup",
     "subgroup_generated",
-    "in_subgroup",
 ]
 
 
@@ -170,8 +169,3 @@ def _subgroup(n: int, generator: int) -> CyclicSubgroup:
     _set_ambient(subgroup, cyclic_group(n))
     _set_generator_value(subgroup, generator)
     return subgroup
-
-
-def in_subgroup(x: CyclicElement, subgroup: CyclicSubgroup) -> bool:
-    """Whether x lies in the subgroup; groups must match."""
-    return subgroup.contains(x)

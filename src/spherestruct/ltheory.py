@@ -1,4 +1,4 @@
-"""Surgery obstruction groups of the trivial group and the product pairing.
+"""Surgery obstruction groups of the trivial group and their external product.
 
 The quadratic L-groups are 4-periodic: L_i = Z, 0, Z/2, 0 for i = 0, 1,
 2, 3 mod 4.  Classes are stored as an integer coefficient of a fixed
@@ -13,18 +13,17 @@ Smooth normal invariants of a sphere enter through their integer
 coordinate phi: the comparison map to topological normal invariants
 multiplies phi by t_{4k} in degree 4k and is treated as zero elsewhere
 (the Z/2-coordinate bookkeeping in degrees 2 mod 4 is outside this
-package's scope).  The surgery obstructions of a product of two spheres
-are then
+package's scope).  The surgery obstruction of a smooth normal invariant
+(u, v, w) of a product of two spheres is then
 
-    theta_top(x, y, z)  = x*y + z,
-    theta_diff(u, v, w) = 8 t_p t_q phi_u phi_v + t_{p+q} phi_w
+    theta_diff(u, v, w) = 8 t_p t_q phi_u phi_v + t_{p+q} phi_w.
 
-on topological and on smooth invariants respectively.  ``theta_diff``
-evaluates its formula directly, taking 8 t_p t_q from
+``theta_diff`` evaluates this formula directly, taking 8 t_p t_q from
 ``bp.pairing_coefficient``, the one home of the obstruction;
-``structset.del_map`` is its image in Z_{t_{p+q}}.  The composed route
-theta_top(F(u), F(v), F(w)) through the comparison map F gives the same
-class and is kept as the reference the tests compare against.
+``structset.del_map`` is its image in Z_{t_{p+q}}.  The composed route,
+the topological obstruction x*y + z applied to the comparison images,
+gives the same class; it lives in ``tests/helpers.py`` as the reference
+the tests compare against.
 """
 
 from __future__ import annotations
@@ -32,16 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bp import check_pair, pairing_coefficient, t
-from .cyclic import _slot_writers
+from .cyclic import _reject_non_int, _slot_writers
 
 __all__ = [
     "LGroupKind",
     "LClass",
     "NormalClassDiff",
     "l_group",
-    "pairing",
-    "theta_top",
-    "forgetful_f",
     "theta_diff",
 ]
 
@@ -77,6 +73,10 @@ class LClass:
     value: int
 
     def __init__(self, dim: int, value: int) -> None:
+        if not isinstance(dim, int):
+            _reject_non_int("dim", dim)
+        if not isinstance(value, int):
+            _reject_non_int("value", value)
         symbol = _QUADRATIC[dim % 4]
         if symbol == "0":
             value = 0
@@ -116,6 +116,10 @@ class NormalClassDiff:
     phi: int = 0
 
     def __init__(self, dim: int, phi: int = 0) -> None:
+        if not isinstance(dim, int):
+            _reject_non_int("dim", dim)
+        if not isinstance(phi, int):
+            _reject_non_int("phi", phi)
         _set_normal_dim(self, dim)
         _set_normal_phi(self, phi if dim % 4 == 0 else 0)
 
@@ -123,44 +127,11 @@ class NormalClassDiff:
 _set_normal_dim, _set_normal_phi = _slot_writers(NormalClassDiff)
 
 
-def pairing(p: int, q: int, x: LClass, y: LClass) -> LClass:
-    """External product L_p x L_q -> L_{p+q}: 8*x*y when 4 | p and 4 | q,
-    zero otherwise."""
-    if x.dim != p or y.dim != q:
-        raise ValueError(
-            f"pairing dimension mismatch: expected ({p}, {q}), "
-            f"got classes in ({x.dim}, {y.dim})"
-        )
-    if p % 4 == 0 and q % 4 == 0:
-        return LClass(p + q, 8 * x.value * y.value)
-    return LClass(p + q, 0)
-
-
-def theta_top(p: int, q: int, x: LClass, y: LClass, z: LClass) -> LClass:
-    """Surgery obstruction x*y + z of a topological normal invariant
-    (x, y, z) of S^p x S^q."""
-    check_pair(p, q)
-    if z.dim != p + q:
-        raise ValueError(
-            f"third coordinate must live in dimension {p + q}, got {z.dim}"
-        )
-    return pairing(p, q, x, y) + z
-
-
-def forgetful_f(u: NormalClassDiff) -> LClass:
-    """Comparison map on normal invariants: multiplication by t_dim on the
-    integer coordinate in dimensions divisible by 4, zero otherwise."""
-    if u.dim % 4 == 0:
-        return LClass(u.dim, t(u.dim) * u.phi)
-    return LClass(u.dim, 0)
-
-
 def theta_diff(
     p: int, q: int, u: NormalClassDiff, v: NormalClassDiff, w: NormalClassDiff
 ) -> LClass:
     """Surgery obstruction 8 t_p t_q phi_u phi_v + t_{p+q} phi_w of a
-    smooth normal invariant (u, v, w) of S^p x S^q; the same class as
-    theta_top applied to the comparison images."""
+    smooth normal invariant (u, v, w) of S^p x S^q."""
     check_pair(p, q)
     if u.dim != p or v.dim != q or w.dim != p + q:
         raise ValueError(

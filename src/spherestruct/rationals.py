@@ -42,6 +42,8 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
+from .cyclic import _reject_non_int
+
 __all__ = ["MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
 
 # Largest index bernoulli and num_b_over_4k accept, so t_i needs i <= 3308.
@@ -79,6 +81,8 @@ def _tangent(k: int) -> int:
 
 
 def _check_index(name: str, k: int) -> None:
+    if not isinstance(k, int):
+        _reject_non_int("k", k)
     if k < 1:
         raise ValueError(f"{name}(k) requires k >= 1, got {k}")
     if k > MAX_BERNOULLI_INDEX:

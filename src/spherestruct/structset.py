@@ -24,7 +24,7 @@ generated by 8 d t_{4j} t_{4k}, so fibre sizes vary with d:
 residual group of (4j, 4k), the stabiliser has order r / gcd(d, r):
 trivial for d = 0 and of order r > 1 for d = 1.  This change with d is
 why the smooth set admits no group structure in this shape (below).
-Both orders come from the split of (4j, 4k) that ``bp`` caches, so a
+Both orders come from the record of (4j, 4k) that ``bp`` caches, so a
 stabiliser costs one gcd of d and r.
 
 The topological structure set, by contrast, is a group isomorphic to
@@ -197,7 +197,7 @@ def present(
     theta_group = table.theta_order(n)
     bp_next = bp.bp_order(n + 1, table)
     normal = (table.pi_go(np_), table.pi_go(nq))
-    residual = bp.residual_of_checked_pair(np_, nq)
+    residual = bp.residual_group(np_, nq)
     if _is_stabilizer_shape(np_, nq):
         case = ACTION_STABILIZER
         coefficient = bp.pairing_coefficient(np_ + 1, nq)
@@ -238,12 +238,12 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
 
 def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     # ``stabilizer`` for dimensions already checked and normalised.  With
-    # (g, Z_r) the split of (p + 1, q), the generator 8 d t_{p+1} t_q
+    # (c, g, Z_r) the record of (p + 1, q), the generator 8 d t_{p+1} t_q
     # reduces to g * gcd(d, r) in Z_{t_m}.
     m = p + q + 1
     if _is_stabilizer_shape(p, q):
-        n = bp.t(m)  # before the split, so that a cap error names m
-        g, residual = bp.residual_split(p + 1, q)
+        n = bp.t(m)  # before the record, so that a cap error names m
+        _, g, residual = bp.residual_split(p + 1, q)
         return _subgroup(n, g * gcd(d, residual.order))
     if m % 4 == 0:
         return subgroup_generated(bp.t(m), 0)
@@ -314,7 +314,7 @@ def group_structure_possible(p: int, q: int) -> GroupStructureVerdict:
     np_, nq = normalize_dims(p, q)
     if _is_stabilizer_shape(np_, nq):
         return GroupStructureVerdict(False, "non-constant stabilizers")
-    if np_ % 4 == 0 and nq % 4 == 0 and bp.residual_of_checked_pair(np_, nq).order > 1:
+    if np_ % 4 == 0 and nq % 4 == 0 and bp.residual_split(np_, nq)[2].order > 1:
         return GroupStructureVerdict(False, "image not a subgroup")
     return GroupStructureVerdict(True, None)
 

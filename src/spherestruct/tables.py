@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
+from .cyclic import _reject_non_int
 from .rationals import MAX_BERNOULLI_INDEX
 
 __all__ = [
@@ -184,11 +185,15 @@ def builtin_table() -> GroupTable:
 
 def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order of the group of homotopy n-spheres, or unknown."""
+    if not isinstance(n, int):
+        _reject_non_int("n", n)
     return (table or _BUILTIN).theta_order(n)
 
 
 def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order data for pi_n(G/O), n >= 2."""
+    if not isinstance(n, int):
+        _reject_non_int("n", n)
     return (table or _BUILTIN).pi_go(n)
 
 

@@ -5,8 +5,10 @@ implementation under test: Bernoulli numbers through the defining
 convolution recurrence instead of the triangular one, tangent numbers by
 sweeping the whole triangle in place, subgroups by brute
 enumeration, obstruction values by the closed formula and by the composed
-maps, the plumbing boundary class from its Wall triple, and the
-classifier relations from enumerated subgroups and unordered pairs.
+maps (the L-group product ``pairing``, the topological obstruction
+``theta_top`` and the comparison map ``forgetful_f``), the plumbing
+boundary class from its Wall triple, and the classifier relations from
+enumerated subgroups and unordered pairs.
 """
 
 from __future__ import annotations
@@ -17,15 +19,13 @@ from math import comb, gcd
 from spherestruct import (
     NormalClassDiff,
     bernoulli,
-    in_subgroup,
     s3s4_diffeomorphic,
     subgroup_generated,
     t,
     theta_diff,
-    theta_top,
-    forgetful_f,
     wall_triple_of_plumbing,
 )
+from spherestruct.bp import check_pair
 from spherestruct.classify import S3S4Invariant
 from spherestruct.ltheory import LClass
 
@@ -110,7 +110,7 @@ def check_cyclic_against_bruteforce(n: int, g: int, exhaustive_membership: bool)
     else:
         candidates = {0, 1, g % n, (3 * g) % n, n - 1, n // 2}
     for x in candidates:
-        assert in_subgroup(sub.ambient.element(x), sub) == (x in elements), (n, g, x)
+        assert sub.contains(sub.ambient.element(x)) == (x in elements), (n, g, x)
 
 
 def theta_diff_closed_formula(p: int, q: int, pu: int, pv: int, pw: int) -> LClass:
@@ -120,6 +120,38 @@ def theta_diff_closed_formula(p: int, q: int, pu: int, pv: int, pw: int) -> LCla
     b = pv if q % 4 == 0 else 0
     c = pw if (p + q) % 4 == 0 else 0
     return LClass(p + q, 8 * t(p) * t(q) * a * b + t(p + q) * c)
+
+
+def pairing(p: int, q: int, x: LClass, y: LClass) -> LClass:
+    """External product L_p x L_q -> L_{p+q}: 8*x*y when 4 | p and 4 | q,
+    zero otherwise."""
+    if x.dim != p or y.dim != q:
+        raise ValueError(
+            f"pairing dimension mismatch: expected ({p}, {q}), "
+            f"got classes in ({x.dim}, {y.dim})"
+        )
+    if p % 4 == 0 and q % 4 == 0:
+        return LClass(p + q, 8 * x.value * y.value)
+    return LClass(p + q, 0)
+
+
+def theta_top(p: int, q: int, x: LClass, y: LClass, z: LClass) -> LClass:
+    """Surgery obstruction x*y + z of a topological normal invariant
+    (x, y, z) of S^p x S^q."""
+    check_pair(p, q)
+    if z.dim != p + q:
+        raise ValueError(
+            f"third coordinate must live in dimension {p + q}, got {z.dim}"
+        )
+    return pairing(p, q, x, y) + z
+
+
+def forgetful_f(u: NormalClassDiff) -> LClass:
+    """Comparison map on normal invariants: multiplication by t_dim on the
+    integer coordinate in dimensions divisible by 4, zero otherwise."""
+    if u.dim % 4 == 0:
+        return LClass(u.dim, t_oracle(u.dim) * u.phi)
+    return LClass(u.dim, 0)
 
 
 def check_theta_diff_box(pairs, span: int) -> None:

@@ -20,7 +20,6 @@ from spherestruct import (
     plumbing_boundary_class,
     residual_group,
     s3s4_inertia_group,
-    s4s4_boundary_is_standard,
     t,
 )
 
@@ -102,7 +101,7 @@ def test_acceptance_06_plumbing_boundary():
     def body():
         for u in range(-50, 51):
             for v in range(-50, 51):
-                assert s4s4_boundary_is_standard(u, v) == ((u * v) % 7 == 0), (u, v)
+                assert plumbing_boundary_class(u, v).is_zero == ((u * v) % 7 == 0), (u, v)
                 assert plumbing_boundary_class(u, v).value == (-4 * u * v) % 28, (u, v)
 
     _gate(6, "plumbing-boundary", body)

@@ -1,10 +1,12 @@
 """The public surface: every name a module exports resolves."""
 
+import ast
 import importlib
 import os
 import pkgutil
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -55,3 +57,19 @@ def test_import_builds_the_classifier_tables_from_t4_and_t8_only():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout == "2 0 [True, True, True]\n"
+
+
+def test_bench_library_names_resolve():
+    # The benchmark calls the library by the names in bench/ops.py; a
+    # removed or renamed public name must fail here, not in a bench run.
+    source = Path(__file__).resolve().parent.parent / "bench" / "ops.py"
+    tree = ast.parse(source.read_text(encoding="utf-8"))
+    names = next(
+        ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(getattr(target, "id", None) == "LIBRARY_NAMES" for target in node.targets)
+    )
+    assert names
+    missing = [name for name in names if not hasattr(spherestruct, name)]
+    assert missing == []

@@ -1,5 +1,7 @@
 import dataclasses
+import sys
 import time
+from itertools import permutations
 from math import gcd
 
 import pytest
@@ -9,16 +11,22 @@ from hypothesis import strategies as st
 from spherestruct import (
     KnownGroup,
     MAX_BERNOULLI_INDEX,
+    bernoulli,
     bp_order,
+    group_structure_possible,
+    num_b_over_4k,
     parse_table,
+    pi_go,
     present,
     residual_group,
     stabilizer,
     t,
+    theta_order,
+    top_structure_set,
 )
 from spherestruct.bp import (
-    _pairing_coefficient,
     _t_multiple_of_4,
+    check_pair,
     image_f_residual,
     pairing_coefficient,
     residual_split,
@@ -185,13 +193,94 @@ def test_pairs_that_need_t_past_the_cap_still_raise():
 
 
 def test_pairing_coefficient_caches_multiples_of_four_only():
-    _pairing_coefficient.cache_clear()
+    residual_split.cache_clear()
     for a in range(1, 41):
         for b in range(1, 41):
             assert pairing_coefficient(a, b) == 8 * t_oracle(a) * t_oracle(b), (a, b)
-    assert _pairing_coefficient.cache_info().currsize == 100
+    assert residual_split.cache_info().currsize == 100
     assert pairing_coefficient(4, 4) == 32
-    assert _pairing_coefficient.cache_info().hits >= 1
+    assert residual_split.cache_info().hits >= 1
+
+
+def test_one_record_per_pair_whichever_call_fills_it():
+    # The coefficient, the residual group and a stabiliser of the pair
+    # (8, 12) all read one record, so any order of cold calls fills it once.
+    calls = (
+        lambda: pairing_coefficient(8, 12),
+        lambda: residual_group(8, 12),
+        lambda: stabilizer(7, 12, 3),
+    )
+    for order in permutations(calls):
+        residual_split.cache_clear()
+        for call in order:
+            call()
+        info = residual_split.cache_info()
+        assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
+    c, g, residual = residual_split(8, 12)
+    assert c == pairing_coefficient(8, 12) == 8 * t_oracle(8) * t_oracle(12)
+    assert g == gcd(c, t_oracle(20))
+    assert residual is residual_group(8, 12)
+    assert residual.order == t_oracle(20) // g == 73
+
+
+def test_a_warm_residual_group_enters_two_python_functions():
+    residual_group(40, 44)
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code.co_name)
+
+    sys.setprofile(profile)
+    try:
+        residual_group(40, 44)
+    finally:
+        sys.setprofile(None)
+    assert entered == ["residual_group", "check_pair"]
+
+
+def test_pairing_coefficient_of_multiples_of_four_needs_t_of_the_sum():
+    # The record of (a, b) holds the gcd with t_{a+b}, so the coefficient
+    # of a pair whose sum is past the cap raises the cap error of the sum.
+    cap = 4 * MAX_BERNOULLI_INDEX
+    with pytest.raises(ValueError, match=f"i <= {cap} .*, got 3312$"):
+        pairing_coefficient(1656, 1656)
+
+
+_NON_INT_CALLS = {
+    "check_pair-p": (lambda: check_pair(4.0, 4), "p must be an int, got float"),
+    "check_pair-q": (lambda: check_pair(4, "4"), "q must be an int, got str"),
+    "residual_group-p": (lambda: residual_group(4.0, 4), "p must be an int, got float"),
+    "residual_group-q": (lambda: residual_group(4, 4.0), "q must be an int, got float"),
+    "image_f-p": (lambda: image_f_residual(4.0, 4), "p must be an int, got float"),
+    "image_f-q": (lambda: image_f_residual(4, 4.5), "q must be an int, got float"),
+    "t": (lambda: t(8.0), "i must be an int, got float"),
+    "bp_order": (lambda: bp_order(8.0), "m must be an int, got float"),
+    "bernoulli": (lambda: bernoulli(2.0), "k must be an int, got float"),
+    "num_b_over_4k": (lambda: num_b_over_4k(2.0), "k must be an int, got float"),
+    "theta_order": (lambda: theta_order(7.0), "n must be an int, got float"),
+    "pi_go": (lambda: pi_go(4.0), "n must be an int, got float"),
+    "group_structure": (
+        lambda: group_structure_possible(3.0, 4), "p must be an int, got float"
+    ),
+    "present-p": (lambda: present(3.0, 4), "p must be an int, got float"),
+    "present-q": (lambda: present(3, 4.0), "q must be an int, got float"),
+    "top_structure_set": (lambda: top_structure_set(4.0, 4), "p must be an int, got float"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_NON_INT_CALLS))
+def test_non_integer_dimensions_and_indices_are_rejected(case):
+    call, message = _NON_INT_CALLS[case]
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        call()
+
+
+def test_boolean_dimensions_and_indices_stay_accepted():
+    assert t(True) == t(1) == 0
+    assert residual_group(True + 3, 4) == residual_group(4, 4)
+    assert bernoulli(True) == bernoulli(1)
+    assert theta_order(True + 6) == theta_order(7)
 
 
 def test_image_f_residual():
@@ -228,7 +317,6 @@ def test_memoised_values_match_oracle_in_any_call_order(calls):
     # Start cold, as in a fresh process; every answer must match the
     # oracle whether it was computed now or shared from an earlier call.
     residual_split.cache_clear()
-    _pairing_coefficient.cache_clear()
     KnownGroup.finite.cache_clear()
     for call in calls * 2:
         if isinstance(call, tuple):
@@ -256,7 +344,6 @@ def test_residual_and_stabilizer_match_oracle_in_either_call_order(calls):
     # Both read the cached split of (4j, 4k); from cold caches, whichever
     # of them fills the split first, every answer must match the oracle.
     residual_split.cache_clear()
-    _pairing_coefficient.cache_clear()
     _subgroup.cache_clear()
     for is_stabilizer, j, k, d in calls * 2:
         p, q = 4 * j, 4 * k

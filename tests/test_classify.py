@@ -17,7 +17,6 @@ from spherestruct import (
     s3s4_inertia_group,
     s3s4_structure_equal,
     s4s4_almost_diffeomorphic,
-    s4s4_boundary_is_standard,
     s4s4_diffeomorphic,
     stabilizer,
     subgroup_generated,
@@ -179,7 +178,7 @@ def test_boundary_standard_iff_7_divides_uv():
     for u in range(-60, 61):
         for v in range(-60, 61):
             expected = (u * v) % 7 == 0
-            assert s4s4_boundary_is_standard(u, v) == expected, (u, v)
+            assert plumbing_boundary_class(u, v).is_zero == expected, (u, v)
             boundary = plumbing_boundary_class(u, v)
             assert boundary.value == (-4 * u * v) % 28
             assert boundary.value == wall_triple_boundary_oracle(u, v), (u, v)

@@ -6,7 +6,6 @@ from spherestruct import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
-    in_subgroup,
     subgroup_generated,
 )
 from spherestruct.cyclic import cyclic_group
@@ -53,16 +52,16 @@ def test_rejects_bad_order():
 def test_membership_examples():
     z28 = CyclicGroup(28)
     sub = subgroup_generated(28, 32)
-    assert in_subgroup(z28.element(4), sub)
-    assert in_subgroup(z28.element(24), sub)
-    assert not in_subgroup(z28.element(1), sub)
-    assert in_subgroup(z28.element(0), subgroup_generated(28, 0))
-    assert not in_subgroup(z28.element(14), subgroup_generated(28, 0))
+    assert sub.contains(z28.element(4))
+    assert sub.contains(z28.element(24))
+    assert not sub.contains(z28.element(1))
+    assert subgroup_generated(28, 0).contains(z28.element(0))
+    assert not subgroup_generated(28, 0).contains(z28.element(14))
 
 
 def test_membership_requires_matching_group():
     with pytest.raises(ValueError):
-        in_subgroup(CyclicGroup(14).element(2), subgroup_generated(28, 4))
+        subgroup_generated(28, 4).contains(CyclicGroup(14).element(2))
 
 
 def test_element_arithmetic():

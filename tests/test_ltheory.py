@@ -1,16 +1,8 @@
 import pytest
 
-from spherestruct import (
-    LClass,
-    NormalClassDiff,
-    forgetful_f,
-    l_group,
-    pairing,
-    theta_diff,
-    theta_top,
-)
+from spherestruct import LClass, NormalClassDiff, l_group, theta_diff
 
-from helpers import check_theta_diff_box
+from helpers import check_theta_diff_box, forgetful_f, pairing, theta_top
 
 
 def test_l_group_periodicity():

@@ -24,6 +24,7 @@ from spherestruct import (
     top_structure_set,
 )
 from spherestruct.bp import pairing_coefficient
+from spherestruct.ltheory import LClass
 from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, normalize_dims
 
 
@@ -195,6 +196,26 @@ def test_floats_never_enter_an_element():
         with pytest.raises(TypeError, match="^value must be an int, got float$"):
             call()
     assert del_map(4, 4, True, 3) == del_map(4, 4, 1, 3)
+
+
+def test_floats_never_enter_an_lclass():
+    one, zero = NormalClassDiff(4, 1), NormalClassDiff(8, 0)
+    for call, message in (
+        (lambda: NormalClassDiff(4, 1.5), "phi must be an int, got float"),
+        (lambda: NormalClassDiff(4.0, 1), "dim must be an int, got float"),
+        (lambda: LClass(8, 48.0), "value must be an int, got float"),
+        (lambda: LClass(8.0, 48), "dim must be an int, got float"),
+        (
+            lambda: theta_diff(4, 4, NormalClassDiff(4, 1.5), one, zero),
+            "phi must be an int, got float",
+        ),
+        (lambda: theta_diff(4.0, 4, one, one, zero), "p must be an int, got float"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
+    got = theta_diff(4, 4, NormalClassDiff(4, True), one, zero)
+    assert got == theta_diff(4, 4, one, one, zero) == LClass(8, 32)
+    assert type(got.value) is int
 
 
 def test_eta_fiber_sizes_s3_s4():

@@ -20,7 +20,6 @@ from spherestruct import (
     StructureSetPresentation,
     TopStructureSet,
     group_structure_possible,
-    in_subgroup,
     l_group,
     present,
     subgroup_generated,
@@ -214,7 +213,6 @@ def test_mixed_shared_and_fresh_groups_match_the_oracle(
     elements = brute_subgroup(n, g)
     for z in (x, y, x + y, x - y):
         assert sub.contains(z) == (z.value in elements)
-        assert in_subgroup(z, sub) == (z.value in elements)
 
 
 @settings(max_examples=200, deadline=None)
@@ -239,5 +237,3 @@ def test_mixing_groups_of_different_orders_still_raises(n, m, a, shared_x, share
     outside = re.escape(f"element of {x.group} tested against a subgroup of {sub.ambient}")
     with pytest.raises(ValueError, match=outside):
         sub.contains(x)
-    with pytest.raises(ValueError, match=outside):
-        in_subgroup(x, sub)
