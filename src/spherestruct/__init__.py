@@ -6,105 +6,33 @@ of the groups bP_{4k} through the Levine order formula, the residual
 obstruction groups 8 t_p t_q . bP_{p+q}, stabilisers and fibre sizes of
 the homotopy-sphere action, and full diffeomorphism classifications over
 S^3 x S^4 and S^4 x S^4.
+
+A library module's ``__all__`` is its public API, and the only list of
+it: the package re-exports each of them, and its own ``__all__`` is
+``__version__`` followed by theirs.  The command-line front end ``cli``
+is not re-exported.
 """
 
 from __future__ import annotations
 
 __version__ = "0.1.0"
 
-from .bp import bp_order, residual_group, t
-from .classify import (
-    BP8,
-    S3S4Invariant,
-    S4S4Manifold,
-    WallTriple,
-    plumbing_boundary_class,
-    s3s4_diffeomorphic,
-    s3s4_inertia_group,
-    s3s4_structure_equal,
-    s4s4_almost_diffeomorphic,
-    s4s4_diffeomorphic,
-    wall_triple_of_plumbing,
-)
-from .cyclic import (
-    CyclicElement,
-    CyclicGroup,
-    CyclicSubgroup,
-    subgroup_generated,
-)
-from .ltheory import (
-    LClass,
-    LGroupKind,
-    NormalClassDiff,
-    l_group,
-    theta_diff,
-)
-from .rationals import MAX_BERNOULLI_INDEX, bernoulli, num_b_over_4k
-from .structset import (
-    GroupStructureVerdict,
-    StructureSetPresentation,
-    TopStructureSet,
-    del_map,
-    eta_fiber_size,
-    forgetful_fiber,
-    group_structure_possible,
-    present,
-    stabilizer,
-    top_structure_set,
-)
-from .tables import (
-    GroupTable,
-    KnownGroup,
-    builtin_table,
-    load_table,
-    parse_table,
-    pi_go,
-    theta_order,
-)
+from .rationals import *
+from .cyclic import *
+from .tables import *
+from .bp import *
+from .ltheory import *
+from .structset import *
+from .classify import *
 
+# Importing a submodule binds its name here, as in asyncio/__init__.py.
 __all__ = [
     "__version__",
-    "MAX_BERNOULLI_INDEX",
-    "bernoulli",
-    "num_b_over_4k",
-    "CyclicGroup",
-    "CyclicElement",
-    "CyclicSubgroup",
-    "subgroup_generated",
-    "KnownGroup",
-    "GroupTable",
-    "builtin_table",
-    "theta_order",
-    "pi_go",
-    "parse_table",
-    "load_table",
-    "t",
-    "bp_order",
-    "residual_group",
-    "LGroupKind",
-    "LClass",
-    "NormalClassDiff",
-    "l_group",
-    "theta_diff",
-    "StructureSetPresentation",
-    "TopStructureSet",
-    "GroupStructureVerdict",
-    "present",
-    "del_map",
-    "stabilizer",
-    "eta_fiber_size",
-    "top_structure_set",
-    "group_structure_possible",
-    "forgetful_fiber",
-    "BP8",
-    "S3S4Invariant",
-    "WallTriple",
-    "S4S4Manifold",
-    "s3s4_structure_equal",
-    "s3s4_diffeomorphic",
-    "s3s4_inertia_group",
-    "wall_triple_of_plumbing",
-    "plumbing_boundary_class",
-    "s4s4_almost_diffeomorphic",
-    "s4s4_diffeomorphic",
+    *rationals.__all__,
+    *cyclic.__all__,
+    *tables.__all__,
+    *bp.__all__,
+    *ltheory.__all__,
+    *structset.__all__,
+    *classify.__all__,
 ]

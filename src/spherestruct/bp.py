@@ -22,13 +22,15 @@ the topological structure set being a subgroup.  Its order is always odd:
 the 2-adic valuation of 8 * t_{4j} * t_{4k} is at least that of t_{4(j+k)}.
 
 For a pair (4j, 4k), with c = 8 * t_{4j} * t_{4k} and n = t_{4(j+k)}, the
-record (c, g, Z_r) has g = gcd(c, n) and r = n / g.  ``residual_split``
+record (c, g, Z_r) has g = gcd(c, n) and r = n / g.  ``_residual_split``
 caches it once per pair, and it is the only home of these numbers:
 ``pairing_coefficient`` reads c, ``residual_group`` and
 ``image_f_residual`` hand out Z_r, and ``structset`` reads g and r for
 every stabiliser of the (4j-1, 4k) shape (the subgroup <d * c> of Z_n has
 canonical generator g * gcd(d, r)) and Z_r for its presentations and
 group-structure verdicts.  So any first call of a pair warms the others.
+The record is private, and each public route checks its arguments
+before reading it, because the cache keys (4.0, 4) and (4, 4) alike.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from math import gcd
 
 from .cyclic import CyclicGroup, _reject_non_int, cyclic_group
 from .rationals import MAX_BERNOULLI_INDEX, num_b_over_4k
-from .tables import GroupTable, KnownGroup, bp_from_table
+from .tables import GroupTable, KnownGroup, builtin_table
 
 __all__ = [
     "t",
@@ -46,7 +48,6 @@ __all__ = [
     "check_pair",
     "pairing_coefficient",
     "residual_group",
-    "residual_split",
     "image_f_residual",
 ]
 
@@ -97,7 +98,7 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
         return KnownGroup.trivial()
     if m % 4 == 0:
         return KnownGroup.finite(t(m))
-    return bp_from_table(m, table)
+    return (table or builtin_table()).bp_2mod4(m)
 
 
 def check_pair(p: int, q: int) -> None:
@@ -119,13 +120,18 @@ def pairing_coefficient(a: int, b: int) -> int:
 
     Zero when a or b is not a multiple of 4, answered without computing
     the other factor, so that one is not held to the cap of ``t``; an
-    argument below 1 raises as in ``t``.  Otherwise it is read from the
-    record of the pair, which also needs t_{a+b}."""
+    argument below 1 raises as in ``t``, and a non-int one raises
+    ``TypeError`` first.  Otherwise it is read from the record of the
+    pair, which also needs t_{a+b}."""
+    if not isinstance(a, int):
+        _reject_non_int("a", a)
+    if not isinstance(b, int):
+        _reject_non_int("b", b)
     if a % 4 or b % 4:
         if min(a, b) < 1:
             t(min(a, b))  # raises the ValueError of t
         return 0
-    return residual_split(a, b)[0]
+    return _residual_split(a, b)[0]
 
 
 _TRIVIAL = cyclic_group(1)
@@ -141,13 +147,13 @@ def residual_group(p: int, q: int) -> CyclicGroup:
     check_pair(p, q)
     if p % 4 or q % 4:
         return _TRIVIAL
-    return residual_split(p, q)[2]
+    return _residual_split(p, q)[2]
 
 
 # Bounded: its arguments are multiples of 4 up to the cap of t, and an
 # entry at the cap holds three numbers of up to 4284 digits.
 @lru_cache(maxsize=4096)
-def residual_split(p: int, q: int) -> tuple[int, int, CyclicGroup]:
+def _residual_split(p: int, q: int) -> tuple[int, int, CyclicGroup]:
     """The record (c, g, Z_r) of a pair (p, q) of positive multiples of 4:
     c = 8 t_p t_q, g = gcd(c, t_{p+q}) and r = t_{p+q} / g."""
     c = 8 * t(p) * t(q)
@@ -166,4 +172,4 @@ def image_f_residual(p: int, q: int) -> CyclicGroup:
         raise ValueError(
             f"image_f_is_subgroup expects dimensions (4j, 4k), got ({p}, {q})"
         )
-    return residual_split(p, q)[2]
+    return _residual_split(p, q)[2]

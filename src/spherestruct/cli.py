@@ -34,7 +34,6 @@ from .classify import (
 )
 from .rationals import bernoulli
 from .structset import (
-    ACTION_FREE,
     eta_fiber_size,
     group_structure_possible,
     present,
@@ -128,36 +127,9 @@ def _cmd_residual(args, table):
     return payload, text, [_NOTE_FORMULA]
 
 
-def _describe_pi(dim: int, group: KnownGroup) -> str:
-    return f"pi_{dim}(G/O): {group.describe()}"
-
-
 def _cmd_structure_set(args, table):
     pres = present(args.p, args.q, table)
-    payload = pres.as_dict()
-    n = pres.p + pres.q
-    text = [f"S^Diff(S^{pres.p} x S^{pres.q})"]
-    if (pres.input_p, pres.input_q) != (pres.p, pres.q):
-        text[0] += f"   [normalised from ({pres.input_p}, {pres.input_q})]"
-    text.append(f"sequence: {pres.sequence_text()}")
-    text.append(_describe_pi(pres.p, pres.normal_invariants[0]))
-    text.append(_describe_pi(pres.q, pres.normal_invariants[1]))
-    if pres.residual.order == 1:
-        text.append(f"residual 8*t_{pres.p}*t_{pres.q} . bP_{n}: trivial")
-    else:
-        text.append(
-            f"residual 8*t_{pres.p}*t_{pres.q} . bP_{n}: {pres.residual} "
-            "(image of the forgetful map is not a subgroup)"
-        )
-    if pres.action_case == ACTION_FREE:
-        text.append(f"Theta_{n} acts freely; every fibre has |Theta_{n}| elements")
-    else:
-        text.append(
-            f"Theta_{n} stabilisers vary: stab(d) = "
-            f"<{pres.stabilizer_coefficient}*d> in Z_{payload['stabilizer_ambient_order']}"
-        )
-    text.append(f"bP_{n + 1}: {pres.bp_next.describe()}")
-    return payload, text, [_NOTE_FORMULA, _NOTE_TABLE]
+    return pres.as_dict(), pres.lines(), [_NOTE_FORMULA, _NOTE_TABLE]
 
 
 def _cmd_fiber(args, table):

@@ -57,6 +57,10 @@ class LGroupKind:
 
 def l_group(i: int) -> LGroupKind:
     """The quadratic L-group in dimension i >= 0."""
+    if not isinstance(i, int):
+        _reject_non_int("i", i)
+    if i < 0:
+        raise ValueError(f"l_group(i) requires i >= 0, got {i}")
     return LGroupKind(i, _QUADRATIC[i % 4])
 
 

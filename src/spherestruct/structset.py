@@ -96,7 +96,7 @@ class StructureSetPresentation:
     input_p: int
     input_q: int
     theta_group: KnownGroup
-    bp_next: KnownGroup
+    bp_next: KnownGroup  # the stabilisers' ambient Z_{t_{p+q+1}} when they vary
     normal_invariants: tuple[KnownGroup, KnownGroup]
     residual: CyclicGroup
     action_case: str
@@ -160,8 +160,35 @@ class StructureSetPresentation:
         else:
             payload["fiber_group_order"] = "depends on d"
             payload["stabilizer_generator_coefficient"] = self.stabilizer_coefficient
-            payload["stabilizer_ambient_order"] = bp.t(n + 1)
+            payload["stabilizer_ambient_order"] = self.bp_next.order
         return payload
+
+    def lines(self) -> list[str]:
+        """The presentation as the text lines ``structure-set`` prints."""
+        n = self.p + self.q
+        head = f"S^Diff(S^{self.p} x S^{self.q})"
+        if (self.input_p, self.input_q) != (self.p, self.q):
+            head += f"   [normalised from ({self.input_p}, {self.input_q})]"
+        lines = [head, f"sequence: {self.sequence_text()}"]
+        for dim, group in zip((self.p, self.q), self.normal_invariants):
+            lines.append(f"pi_{dim}(G/O): {group.describe()}")
+        residual = f"residual 8*t_{self.p}*t_{self.q} . bP_{n}"
+        if self.residual.order == 1:
+            lines.append(f"{residual}: trivial")
+        else:
+            lines.append(
+                f"{residual}: {self.residual} "
+                "(image of the forgetful map is not a subgroup)"
+            )
+        if self.action_case == ACTION_FREE:
+            lines.append(f"Theta_{n} acts freely; every fibre has |Theta_{n}| elements")
+        else:
+            lines.append(
+                f"Theta_{n} stabilisers vary: stab(d) = "
+                f"<{self.stabilizer_coefficient}*d> in Z_{self.bp_next.order}"
+            )
+        lines.append(f"bP_{n + 1}: {self.bp_next.describe()}")
+        return lines
 
 
 (
@@ -243,7 +270,7 @@ def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     m = p + q + 1
     if _is_stabilizer_shape(p, q):
         n = bp.t(m)  # before the record, so that a cap error names m
-        _, g, residual = bp.residual_split(p + 1, q)
+        _, g, residual = bp._residual_split(p + 1, q)
         return _subgroup(n, g * gcd(d, residual.order))
     if m % 4 == 0:
         return subgroup_generated(bp.t(m), 0)
@@ -314,7 +341,7 @@ def group_structure_possible(p: int, q: int) -> GroupStructureVerdict:
     np_, nq = normalize_dims(p, q)
     if _is_stabilizer_shape(np_, nq):
         return GroupStructureVerdict(False, "non-constant stabilizers")
-    if np_ % 4 == 0 and nq % 4 == 0 and bp.residual_split(np_, nq)[2].order > 1:
+    if bp.residual_group(np_, nq).order > 1:
         return GroupStructureVerdict(False, "image not a subgroup")
     return GroupStructureVerdict(True, None)
 

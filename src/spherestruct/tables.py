@@ -41,7 +41,6 @@ __all__ = [
     "builtin_table",
     "theta_order",
     "pi_go",
-    "bp_from_table",
     "parse_table",
     "load_table",
 ]
@@ -195,11 +194,6 @@ def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
     if not isinstance(n, int):
         _reject_non_int("n", n)
     return (table or _BUILTIN).pi_go(n)
-
-
-def bp_from_table(m: int, table: GroupTable | None = None) -> KnownGroup:
-    """Table lookup for |bP_m| in the residue m = 2 mod 4."""
-    return (table or _BUILTIN).bp_2mod4(m)
 
 
 _FAMILIES = ("theta", "pi_go_torsion", "bp")

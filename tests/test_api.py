@@ -26,6 +26,25 @@ def test_every_exported_name_resolves(name):
     assert missing == [], name
 
 
+LIBRARY_MODULES = ("rationals", "cyclic", "tables", "bp", "ltheory", "structset", "classify")
+
+
+def test_the_package_re_exports_each_library_module_all():
+    expected = ["__version__"]
+    for name in LIBRARY_MODULES:
+        expected += importlib.import_module(f"spherestruct.{name}").__all__
+    assert len(expected) == len(set(expected))
+    assert sorted(spherestruct.__all__) == sorted(expected)
+    from spherestruct import TableError, image_f_residual, pairing_coefficient
+
+    assert issubclass(TableError, ValueError)
+    assert image_f_residual(4, 4).order == 7
+    assert pairing_coefficient(4, 4) == 32
+    for name in MODULES:
+        exported = getattr(importlib.import_module(name), "__all__", [])
+        assert not {"residual_split", "bp_from_table"} & set(exported), name
+
+
 def test_importing_the_package_does_not_load_json():
     # Only a table override (parse_table) and the CLI's --json envelope
     # need json, and each imports it where it is used.

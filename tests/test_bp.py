@@ -25,11 +25,11 @@ from spherestruct import (
     top_structure_set,
 )
 from spherestruct.bp import (
+    _residual_split,
     _t_multiple_of_4,
     check_pair,
     image_f_residual,
     pairing_coefficient,
-    residual_split,
 )
 from spherestruct.cyclic import _subgroup
 
@@ -193,13 +193,13 @@ def test_pairs_that_need_t_past_the_cap_still_raise():
 
 
 def test_pairing_coefficient_caches_multiples_of_four_only():
-    residual_split.cache_clear()
+    _residual_split.cache_clear()
     for a in range(1, 41):
         for b in range(1, 41):
             assert pairing_coefficient(a, b) == 8 * t_oracle(a) * t_oracle(b), (a, b)
-    assert residual_split.cache_info().currsize == 100
+    assert _residual_split.cache_info().currsize == 100
     assert pairing_coefficient(4, 4) == 32
-    assert residual_split.cache_info().hits >= 1
+    assert _residual_split.cache_info().hits >= 1
 
 
 def test_one_record_per_pair_whichever_call_fills_it():
@@ -211,12 +211,12 @@ def test_one_record_per_pair_whichever_call_fills_it():
         lambda: stabilizer(7, 12, 3),
     )
     for order in permutations(calls):
-        residual_split.cache_clear()
+        _residual_split.cache_clear()
         for call in order:
             call()
-        info = residual_split.cache_info()
+        info = _residual_split.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
-    c, g, residual = residual_split(8, 12)
+    c, g, residual = _residual_split(8, 12)
     assert c == pairing_coefficient(8, 12) == 8 * t_oracle(8) * t_oracle(12)
     assert g == gcd(c, t_oracle(20))
     assert residual is residual_group(8, 12)
@@ -276,8 +276,21 @@ def test_non_integer_dimensions_and_indices_are_rejected(case):
         call()
 
 
+def test_pairing_coefficient_rejects_non_integers_before_its_cache():
+    # The record of (4, 4) is cached; a float or string key must not hit it.
+    assert pairing_coefficient(4, 4) == 32
+    for a, b, message in (
+        (4.0, 4, "a must be an int, got float"),
+        ("4", 4, "a must be an int, got str"),
+        (4, 4.0, "b must be an int, got float"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            pairing_coefficient(a, b)
+
+
 def test_boolean_dimensions_and_indices_stay_accepted():
     assert t(True) == t(1) == 0
+    assert pairing_coefficient(True, 4) == 0
     assert residual_group(True + 3, 4) == residual_group(4, 4)
     assert bernoulli(True) == bernoulli(1)
     assert theta_order(True + 6) == theta_order(7)
@@ -316,7 +329,7 @@ _DIMS = st.integers(min_value=2, max_value=48)
 def test_memoised_values_match_oracle_in_any_call_order(calls):
     # Start cold, as in a fresh process; every answer must match the
     # oracle whether it was computed now or shared from an earlier call.
-    residual_split.cache_clear()
+    _residual_split.cache_clear()
     KnownGroup.finite.cache_clear()
     for call in calls * 2:
         if isinstance(call, tuple):
@@ -343,7 +356,7 @@ _SMALL = st.integers(min_value=1, max_value=12)
 def test_residual_and_stabilizer_match_oracle_in_either_call_order(calls):
     # Both read the cached split of (4j, 4k); from cold caches, whichever
     # of them fills the split first, every answer must match the oracle.
-    residual_split.cache_clear()
+    _residual_split.cache_clear()
     _subgroup.cache_clear()
     for is_stabilizer, j, k, d in calls * 2:
         p, q = 4 * j, 4 * k

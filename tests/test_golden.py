@@ -12,9 +12,11 @@ the outputs again after an intended output change:
 from __future__ import annotations
 
 import json
+import os
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
@@ -27,8 +29,14 @@ CASES = json.loads(GOLDEN.read_text(encoding="utf-8"))
 
 
 def _run(argv: list[str]) -> dict:
+    # argparse wraps help text to the terminal width, which it reads from
+    # COLUMNS; fix it so that the ``--help`` cases do not depend on it.
     out, err = StringIO(), StringIO()
-    with redirect_stdout(out), redirect_stderr(err):
+    with (
+        mock.patch.dict(os.environ, COLUMNS="80"),
+        redirect_stdout(out),
+        redirect_stderr(err),
+    ):
         code = main([str(TABLE) if arg == "@table" else arg for arg in argv])
     return {"argv": argv, "code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 

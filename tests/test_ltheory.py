@@ -11,6 +11,13 @@ def test_l_group_periodicity():
     ]
 
 
+def test_l_group_rejects_a_non_integer_or_negative_dimension():
+    with pytest.raises(TypeError, match="^i must be an int, got float$"):
+        l_group(4.0)
+    with pytest.raises(ValueError, match=r"^l_group\(i\) requires i >= 0, got -1$"):
+        l_group(-1)
+
+
 def test_lclass_normalisation():
     assert LClass(3, 17).value == 0
     assert LClass(10, 3).value == 1

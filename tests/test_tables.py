@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from spherestruct import (
     MAX_BERNOULLI_INDEX,
     KnownGroup,
+    bp_order,
     builtin_table,
     parse_table,
     load_table,
@@ -15,7 +16,7 @@ from spherestruct import (
     t,
     theta_order,
 )
-from spherestruct.tables import TableError, bp_from_table
+from spherestruct.tables import TableError
 
 
 def test_theta_builtin_values():
@@ -70,10 +71,10 @@ def test_pi_go_torsion_matches_sphere_surgery_derivation():
 
 
 def test_bp_family_builtin_forced_entries():
-    assert bp_from_table(6) == KnownGroup.trivial()
-    assert bp_from_table(14) == KnownGroup.trivial()
-    assert bp_from_table(10).is_unknown
-    assert bp_from_table(18).is_unknown
+    assert bp_order(6) == KnownGroup.trivial()
+    assert bp_order(14) == KnownGroup.trivial()
+    assert bp_order(10).is_unknown
+    assert bp_order(18).is_unknown
 
 
 def test_known_group_validation_and_describe():
@@ -141,7 +142,7 @@ def test_parse_rejects_divisibility_violation():
     with pytest.raises(TableError, match=r"\|bP_12\| = 992 does not divide"):
         parse_table('{"theta": {"11": "496"}}')
     table = parse_table('{"bp": {"10": "2"}}')  # 2 divides |Theta_9| = 8: fine
-    assert bp_from_table(10, table) == KnownGroup.finite(2)
+    assert bp_order(10, table) == KnownGroup.finite(2)
     assert parse_table('{"theta": {"7": "56"}}').theta_order(7) == KnownGroup.finite(56)
 
 
