@@ -29,8 +29,14 @@ caches it once per pair, and it is the only home of these numbers:
 every stabiliser of the (4j-1, 4k) shape (the subgroup <d * c> of Z_n has
 canonical generator g * gcd(d, r)) and Z_r for its presentations and
 group-structure verdicts.  So any first call of a pair warms the others.
-The record is private, and each public route checks its arguments
-before reading it, because the cache keys (4.0, 4) and (4, 4) alike.
+
+Each argument is checked once, where it enters.  Public functions check
+their arguments and keep their messages; the ``_``-prefixed cores
+(``_t_multiple_of_4``, ``_bp_order``, ``_residual_group``,
+``_pairing_coefficient`` and the record ``_residual_split``) assume
+checked ones, and the package's own callers that have already checked a
+pair call the cores.  A core's cache must never see an unchecked
+argument, because it keys (4.0, 4) and (4, 4) alike.
 """
 
 from __future__ import annotations
@@ -40,7 +46,8 @@ from math import gcd
 
 from .cyclic import CyclicGroup, _reject_non_int, cyclic_group
 from .rationals import MAX_BERNOULLI_INDEX, num_b_over_4k
-from .tables import GroupTable, KnownGroup, builtin_table
+from .tables import GroupTable, KnownGroup, _finite, builtin_table
+from .tables import _TRIVIAL as _TRIVIAL_ORDER
 
 __all__ = [
     "t",
@@ -70,6 +77,7 @@ def t(i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _t_multiple_of_4(i: int) -> int:
+    # t for a positive multiple of 4; the cap is checked here.
     k = i // 4
     if k > MAX_BERNOULLI_INDEX:
         raise ValueError(
@@ -94,10 +102,15 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
         _reject_non_int("m", m)
     if m < 4:
         raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
+    return _bp_order(m, table)
+
+
+def _bp_order(m: int, table: GroupTable | None) -> KnownGroup:
+    # bp_order for an int m >= 4.
     if m % 2 == 1 or m == 4:
-        return KnownGroup.trivial()
+        return _TRIVIAL_ORDER  # KnownGroup.trivial(), without its frame
     if m % 4 == 0:
-        return KnownGroup.finite(t(m))
+        return _finite(_t_multiple_of_4(m))
     return (table or builtin_table()).bp_2mod4(m)
 
 
@@ -127,11 +140,19 @@ def pairing_coefficient(a: int, b: int) -> int:
         _reject_non_int("a", a)
     if not isinstance(b, int):
         _reject_non_int("b", b)
-    if a % 4 or b % 4:
-        if min(a, b) < 1:
-            t(min(a, b))  # raises the ValueError of t
-        return 0
-    return _residual_split(a, b)[0]
+    if min(a, b) < 1:
+        # The ValueError of t: of the argument below 1 off multiples of 4,
+        # else of the first argument the record would ask t of.
+        if a % 4 or b % 4:
+            t(min(a, b))
+        t(a)
+        t(b)
+    return _pairing_coefficient(a, b)
+
+
+def _pairing_coefficient(a: int, b: int) -> int:
+    # pairing_coefficient for ints a, b >= 1.
+    return 0 if a % 4 or b % 4 else _residual_split(a, b)[0]
 
 
 _TRIVIAL = cyclic_group(1)
@@ -145,6 +166,14 @@ def residual_group(p: int, q: int) -> CyclicGroup:
     order formula applies.  The result is a shared, cached value.
     """
     check_pair(p, q)
+    # The body of _residual_group, inlined: a warm call enters two frames.
+    if p % 4 or q % 4:
+        return _TRIVIAL
+    return _residual_split(p, q)[2]
+
+
+def _residual_group(p: int, q: int) -> CyclicGroup:
+    # residual_group for a checked pair.
     if p % 4 or q % 4:
         return _TRIVIAL
     return _residual_split(p, q)[2]
@@ -156,8 +185,8 @@ def residual_group(p: int, q: int) -> CyclicGroup:
 def _residual_split(p: int, q: int) -> tuple[int, int, CyclicGroup]:
     """The record (c, g, Z_r) of a pair (p, q) of positive multiples of 4:
     c = 8 t_p t_q, g = gcd(c, t_{p+q}) and r = t_{p+q} / g."""
-    c = 8 * t(p) * t(q)
-    ambient = t(p + q)
+    c = 8 * _t_multiple_of_4(p) * _t_multiple_of_4(q)
+    ambient = _t_multiple_of_4(p + q)
     g = gcd(c, ambient)
     return c, g, CyclicGroup(ambient // g)
 
@@ -170,6 +199,6 @@ def image_f_residual(p: int, q: int) -> CyclicGroup:
         check_pair(p, q)  # raises the TypeError naming the argument
     if p % 4 != 0 or q % 4 != 0 or p < 4 or q < 4:
         raise ValueError(
-            f"image_f_is_subgroup expects dimensions (4j, 4k), got ({p}, {q})"
+            f"image_f_residual expects dimensions (4j, 4k), got ({p}, {q})"
         )
     return _residual_split(p, q)[2]

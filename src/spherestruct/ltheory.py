@@ -18,8 +18,9 @@ package's scope).  The surgery obstruction of a smooth normal invariant
 
     theta_diff(u, v, w) = 8 t_p t_q phi_u phi_v + t_{p+q} phi_w.
 
-``theta_diff`` evaluates this formula directly, taking 8 t_p t_q from
-``bp.pairing_coefficient``, the one home of the obstruction;
+``theta_diff`` evaluates this formula directly, after its own checks,
+taking 8 t_p t_q from ``bp``'s core of ``pairing_coefficient``, the one
+home of the obstruction;
 ``structset.del_map`` is its image in Z_{t_{p+q}}.  The composed route,
 the topological obstruction x*y + z applied to the comparison images,
 gives the same class; it lives in ``tests/helpers.py`` as the reference
@@ -30,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bp import check_pair, pairing_coefficient, t
+from .bp import _pairing_coefficient, _t_multiple_of_4, check_pair
 from .cyclic import _reject_non_int, _slot_writers
 
 __all__ = [
@@ -142,4 +143,7 @@ def theta_diff(
             f"coordinate dimensions must be ({p}, {q}, {p + q}), "
             f"got ({u.dim}, {v.dim}, {w.dim})"
         )
-    return LClass(p + q, pairing_coefficient(p, q) * u.phi * v.phi + t(p + q) * w.phi)
+    n = p + q
+    c = _pairing_coefficient(p, q)  # before t_n: a cap error names p or q first
+    t_n = _t_multiple_of_4(n) if n % 4 == 0 else 0
+    return LClass(n, c * u.phi * v.phi + t_n * w.phi)

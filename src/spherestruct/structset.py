@@ -32,6 +32,12 @@ L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
 (stabilisers vary) or (4j, 4k) (the image of the forgetful map to the
 topological set is not a subgroup whenever the residual group is
 nontrivial, which holds in every shipped dimension).
+
+As in ``bp``, public functions check their arguments once, through
+``normalize_dims`` for the dimensions, and ``_``-prefixed cores such as
+``_stabilizer`` and ``_eta_fiber_size`` assume normalised, checked ones.
+They read ``bp``'s cores and the record of a pair, never the public
+``t``, ``bp_order``, ``residual_group`` or ``pairing_coefficient``.
 """
 
 from __future__ import annotations
@@ -48,10 +54,9 @@ from .cyclic import (
     _slot_writers,
     _subgroup,
     cyclic_group,
-    subgroup_generated,
 )
 from .ltheory import LGroupKind, l_group
-from .tables import GroupTable, KnownGroup
+from .tables import GroupTable, KnownGroup, _finite
 
 __all__ = [
     "StructureSetPresentation",
@@ -148,7 +153,7 @@ class StructureSetPresentation:
             "bp_next": self.bp_next.as_json(),
             "normal_invariants": [g.as_json() for g in self.normal_invariants],
             "residual_order": self.residual.order,
-            "residual_generator_coefficient": bp.pairing_coefficient(self.p, self.q),
+            "residual_generator_coefficient": bp._pairing_coefficient(self.p, self.q),
             "bp_dim": n,
             "action": self.action_case,
             "sequence": self.sequence_text(),
@@ -222,12 +227,12 @@ def present(
     n = np_ + nq
     table = table or tables.builtin_table()
     theta_group = table.theta_order(n)
-    bp_next = bp.bp_order(n + 1, table)
+    bp_next = bp._bp_order(n + 1, table)
     normal = (table.pi_go(np_), table.pi_go(nq))
-    residual = bp.residual_group(np_, nq)
+    residual = bp._residual_group(np_, nq)
     if _is_stabilizer_shape(np_, nq):
         case = ACTION_STABILIZER
-        coefficient = bp.pairing_coefficient(np_ + 1, nq)
+        coefficient = bp._residual_split(np_ + 1, nq)[0]
     else:
         case = ACTION_FREE
         coefficient = None
@@ -244,8 +249,8 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     """
     bp.check_pair(p, q)
     n = p + q
-    group = cyclic_group(bp.t(n) if n % 4 == 0 else 1)
-    return CyclicElement(group, bp.pairing_coefficient(p, q) * phi_u * phi_v)
+    group = cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1)
+    return CyclicElement(group, bp._pairing_coefficient(p, q) * phi_u * phi_v)
 
 
 def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
@@ -269,12 +274,11 @@ def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     # reduces to g * gcd(d, r) in Z_{t_m}.
     m = p + q + 1
     if _is_stabilizer_shape(p, q):
-        n = bp.t(m)  # before the record, so that a cap error names m
+        n = bp._t_multiple_of_4(m)  # before the record, so that a cap error names m
         _, g, residual = bp._residual_split(p + 1, q)
         return _subgroup(n, g * gcd(d, residual.order))
-    if m % 4 == 0:
-        return subgroup_generated(bp.t(m), 0)
-    return subgroup_generated(1, 0)
+    n = bp._t_multiple_of_4(m) if m % 4 == 0 else 1
+    return _subgroup(n, n)  # the trivial subgroup <0> = <n> of Z_n
 
 
 def eta_fiber_size(
@@ -288,17 +292,22 @@ def eta_fiber_size(
     if not isinstance(d, int):
         _reject_non_int("d", d)
     np_, nq = normalize_dims(p, q)
-    theta_group = tables.theta_order(np_ + nq, table)
+    return _eta_fiber_size(np_, nq, d, table or tables.builtin_table())
+
+
+def _eta_fiber_size(p: int, q: int, d: int, table: GroupTable) -> KnownGroup:
+    # ``eta_fiber_size`` for dimensions already checked and normalised.
+    theta_group = table.theta_order(p + q)
     if theta_group.is_unknown:
         return KnownGroup.unknown()
-    stab = _stabilizer(np_, nq, d)
+    stab = _stabilizer(p, q, d)
     if theta_group.order % stab.order != 0:
         raise ValueError(
-            f"table gives |Theta_{np_ + nq}| = {theta_group.order}, which the "
+            f"table gives |Theta_{p + q}| = {theta_group.order}, which the "
             f"stabiliser order {stab.order} does not divide; the table "
             "contradicts the subgroup chain stabiliser <= bP <= Theta"
         )
-    return KnownGroup.finite(theta_group.order // stab.order)
+    return _finite(theta_group.order // stab.order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -341,7 +350,7 @@ def group_structure_possible(p: int, q: int) -> GroupStructureVerdict:
     np_, nq = normalize_dims(p, q)
     if _is_stabilizer_shape(np_, nq):
         return GroupStructureVerdict(False, "non-constant stabilizers")
-    if bp.residual_group(np_, nq).order > 1:
+    if bp._residual_group(np_, nq).order > 1:
         return GroupStructureVerdict(False, "image not a subgroup")
     return GroupStructureVerdict(True, None)
 
@@ -362,10 +371,10 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
         raise ValueError(
             f"forgetful_fiber currently handles only S^3 x S^4, got ({p}, {q})"
         )
-    t_q = bp.t(nq)
+    t_q = bp._t_multiple_of_4(nq)
     if top_invariant % t_q != 0:
         raise ValueError(
             f"topological normal invariant {top_invariant} is odd, hence not "
             "in the image of the smooth structure set (even invariants only)"
         )
-    return eta_fiber_size(np_, nq, top_invariant // t_q)
+    return _eta_fiber_size(np_, nq, top_invariant // t_q, tables.builtin_table())

@@ -67,26 +67,25 @@ class KnownGroup:
     kind: str  # "finite" | "z_times_finite" | "unknown"
     order: int | None = None  # group order, or torsion order for z_times_finite
 
-    # finite and z_times_finite return one shared value per order.  The
-    # caches are bounded because orders are arbitrary integers.
+    # finite and z_times_finite return one shared value per order.  They
+    # reject a non-int before the cache (``_finite``, ``_z_times_finite``),
+    # so that no float is stored and no cached bool answers for a float.
 
     @staticmethod
-    @lru_cache(maxsize=1024)
     def finite(order: int) -> KnownGroup:
-        if order < 1:
-            raise ValueError(f"finite group order must be >= 1, got {order}")
-        return KnownGroup("finite", order)
+        if not isinstance(order, int):
+            _reject_non_int("order", order)
+        return _finite(order)
 
     @staticmethod
     def trivial() -> KnownGroup:
         return _TRIVIAL
 
     @staticmethod
-    @lru_cache(maxsize=256)
     def z_times_finite(torsion_order: int) -> KnownGroup:
-        if torsion_order < 1:
-            raise ValueError(f"torsion order must be >= 1, got {torsion_order}")
-        return KnownGroup("z_times_finite", torsion_order)
+        if not isinstance(torsion_order, int):
+            _reject_non_int("torsion_order", torsion_order)
+        return _z_times_finite(torsion_order)
 
     @staticmethod
     def unknown() -> KnownGroup:
@@ -124,6 +123,23 @@ class KnownGroup:
 _TRIVIAL = KnownGroup("finite", 1)
 _UNKNOWN = KnownGroup("unknown", None)
 
+
+# The cores of KnownGroup.finite and z_times_finite, for int orders.  The
+# caches are bounded because orders are arbitrary integers.
+@lru_cache(maxsize=1024)
+def _finite(order: int) -> KnownGroup:
+    if order < 1:
+        raise ValueError(f"finite group order must be >= 1, got {order}")
+    return KnownGroup("finite", order)
+
+
+@lru_cache(maxsize=256)
+def _z_times_finite(torsion_order: int) -> KnownGroup:
+    if torsion_order < 1:
+        raise ValueError(f"torsion order must be >= 1, got {torsion_order}")
+    return KnownGroup("z_times_finite", torsion_order)
+
+
 # Orders of the homotopy-sphere groups Theta_n, n <= 20 (reference data).
 _THETA_ORDERS: dict[int, int] = {
     1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 28, 8: 2, 9: 8, 10: 6,
@@ -159,7 +175,7 @@ class GroupTable:
             torsion = override if override is not None else self.theta_order(n)
             if torsion.is_unknown:
                 return _UNKNOWN
-            return KnownGroup.z_times_finite(torsion.order)
+            return _z_times_finite(torsion.order)
         return self.pi_go_torsion.get(n, _UNKNOWN)
 
     def bp_2mod4(self, m: int) -> KnownGroup:
@@ -167,7 +183,7 @@ class GroupTable:
 
 
 def _finite_map(orders: dict[int, int]) -> dict[int, KnownGroup]:
-    return {n: KnownGroup.finite(k) for n, k in orders.items()}
+    return {n: _finite(k) for n, k in orders.items()}
 
 
 _BUILTIN = GroupTable(
@@ -281,7 +297,7 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
                 f"{entry}: the marker 'Z' is only meaningful for "
                 "pi_go_torsion (it denotes a free group with trivial torsion)"
             )
-        return dim, KnownGroup.finite(1)
+        return dim, _finite(1)
     if isinstance(value, str):
         order = _decimal(value, f"{entry}: the order")
     elif isinstance(value, int) and not isinstance(value, bool):  # bool is an int
@@ -299,21 +315,21 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
         raise TableError(f"{entry}: orders must be >= 1, got {_shown(order)}")
     if family == "bp" and order > 2:
         raise TableError(f"{entry}: |bP_{{4k+2}}| is 1 or 2, got {_shown(order)}")
-    return dim, KnownGroup.finite(order)
+    return dim, _finite(order)
 
 
 def _check_consistency(table: GroupTable) -> None:
     # Kervaire-Milnor: bP_{n+1} is a subgroup of Theta_n, so its order,
     # whether a table entry or formula output, divides every known
     # |Theta_n|.
-    from .bp import bp_order  # bp imports this module
+    from .bp import _bp_order  # bp imports this module
 
     for n, theta_group in sorted(table.theta.items()):
         m = n + 1
         past_cap = m % 4 == 0 and m > 4 * MAX_BERNOULLI_INDEX  # t_m not computable
         if theta_group.is_unknown or m < 4 or past_cap:
             continue
-        bp_group = bp_order(m, table)
+        bp_group = _bp_order(m, table)
         if not bp_group.is_unknown and theta_group.order % bp_group.order != 0:
             bp_name, theta_name = f"bP_{_shown(m)}", f"Theta_{_shown(n)}"
             raise TableError(

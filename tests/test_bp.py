@@ -11,8 +11,12 @@ from hypothesis import strategies as st
 from spherestruct import (
     KnownGroup,
     MAX_BERNOULLI_INDEX,
+    NormalClassDiff,
     bernoulli,
     bp_order,
+    del_map,
+    eta_fiber_size,
+    forgetful_fiber,
     group_structure_possible,
     num_b_over_4k,
     parse_table,
@@ -21,6 +25,7 @@ from spherestruct import (
     residual_group,
     stabilizer,
     t,
+    theta_diff,
     theta_order,
     top_structure_set,
 )
@@ -32,6 +37,7 @@ from spherestruct.bp import (
     pairing_coefficient,
 )
 from spherestruct.cyclic import _subgroup
+from spherestruct.tables import _finite
 
 from helpers import brute_subgroup, t_oracle
 
@@ -190,6 +196,19 @@ def test_pairs_that_need_t_past_the_cap_still_raise():
     for p, q in ((3, 4000), (4000, 3)):  # t of the ambient 4004 is asked first
         with pytest.raises(ValueError, match=f"i <= {cap} .*, got 4004$"):
             stabilizer(p, q, 1)
+    # Theta_4003 is not tabulated, so the fibre is unknown before any t;
+    # a table that knows it reaches the stabiliser and its cap error.
+    assert eta_fiber_size(3, 4000, 1).is_unknown
+    with pytest.raises(ValueError, match=f"i <= {cap} .*, got 4004$"):
+        eta_fiber_size(3, 4000, 1, parse_table('{"theta": {"4003": "5"}}'))
+    with pytest.raises(ValueError, match=f"i <= {cap} .*, got 3404$"):
+        del_map(4, 3400, 1, 1)  # the target Z_{t_3404} is asked first
+    with pytest.raises(ValueError, match=f"i <= {cap} .*, got 3400$"):
+        group_structure_possible(4, 3400)
+    for p, q, message in ((4, 3400, "got 3400"), (3, 3401, "got 3404")):
+        u, v, w = (NormalClassDiff(dim, 1) for dim in (p, q, p + q))
+        with pytest.raises(ValueError, match=f"i <= {cap} .*, {message}$"):
+            theta_diff(p, q, u, v, w)
 
 
 def test_pairing_coefficient_caches_multiples_of_four_only():
@@ -239,6 +258,34 @@ def test_a_warm_residual_group_enters_two_python_functions():
     assert entered == ["residual_group", "check_pair"]
 
 
+@pytest.mark.parametrize(
+    "call",
+    [lambda: present(19, 27), lambda: present(23, 24), lambda: stabilizer(23, 24, 5)],
+    ids=["present(19, 27)", "present(23, 24)", "stabilizer(23, 24, 5)"],
+)
+def test_a_warm_call_checks_its_pair_once_and_enters_no_other_door(call):
+    # The public door checks the pair; the cores behind it trust it, so
+    # neither check_pair again nor a public function of bp is entered.
+    call()
+    doors = {
+        f.__code__: f.__name__
+        for f in (t, bp_order, residual_group, pairing_coefficient)
+    }
+    entered = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            entered.append(frame.f_code)
+
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+    assert entered.count(check_pair.__code__) == 1
+    assert [doors[code] for code in entered if code in doors] == []
+
+
 def test_pairing_coefficient_of_multiples_of_four_needs_t_of_the_sum():
     # The record of (a, b) holds the gcd with t_{a+b}, so the coefficient
     # of a pair whose sum is past the cap raises the cap error of the sum.
@@ -266,6 +313,23 @@ _NON_INT_CALLS = {
     "present-p": (lambda: present(3.0, 4), "p must be an int, got float"),
     "present-q": (lambda: present(3, 4.0), "q must be an int, got float"),
     "top_structure_set": (lambda: top_structure_set(4.0, 4), "p must be an int, got float"),
+    # d is checked before the pair, whose t would be past the cap
+    "stabilizer-d": (lambda: stabilizer(3, 4000, 1.5), "d must be an int, got float"),
+    # checked before the cache, so no float order is stored beside the
+    # cached int order 28 of bP_8
+    "KnownGroup.finite": (
+        lambda: KnownGroup.finite(2.5), "order must be an int, got float"
+    ),
+    "KnownGroup.finite-cached": (
+        lambda: KnownGroup.finite(28.0), "order must be an int, got float"
+    ),
+    "KnownGroup.z_times_finite": (
+        lambda: KnownGroup.z_times_finite(3.0),
+        "torsion_order must be an int, got float",
+    ),
+    "forgetful_fiber": (
+        lambda: forgetful_fiber(3, 4, 1.0), "top_invariant must be an int, got float"
+    ),
 }
 
 
@@ -294,16 +358,17 @@ def test_boolean_dimensions_and_indices_stay_accepted():
     assert residual_group(True + 3, 4) == residual_group(4, 4)
     assert bernoulli(True) == bernoulli(1)
     assert theta_order(True + 6) == theta_order(7)
+    assert KnownGroup.finite(True) == KnownGroup.finite(1)
+    assert KnownGroup.z_times_finite(True) == KnownGroup.z_times_finite(1)
 
 
 def test_image_f_residual():
     # The forgetful image is a subgroup exactly when the residual is trivial.
     for p, q in ((4, 4), (4, 8), (4, 12), (8, 8)):
         assert image_f_residual(p, q).order > 1, (p, q)
-    with pytest.raises(ValueError, match="expects dimensions"):
-        image_f_residual(3, 4)
-    with pytest.raises(ValueError, match="expects dimensions"):
-        image_f_residual(4, 6)
+    for p, q in ((3, 4), (4, 6)):  # the message names this function
+        with pytest.raises(ValueError, match=r"^image_f_residual expects dimensions"):
+            image_f_residual(p, q)
 
 
 def _residual_oracle(p: int, q: int) -> int:
@@ -330,7 +395,7 @@ def test_memoised_values_match_oracle_in_any_call_order(calls):
     # Start cold, as in a fresh process; every answer must match the
     # oracle whether it was computed now or shared from an earlier call.
     _residual_split.cache_clear()
-    KnownGroup.finite.cache_clear()
+    _finite.cache_clear()
     for call in calls * 2:
         if isinstance(call, tuple):
             p, q = call

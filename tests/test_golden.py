@@ -7,6 +7,9 @@ refactor must reproduce every one of them exactly.  The argument
 the outputs again after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py
+
+It rewrites the file and prints the argv of each case whose output
+changed, one per line.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ def test_cli_output_matches_golden(case):
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(
-        json.dumps([_run(case["argv"]) for case in CASES], indent=1) + "\n",
-        encoding="utf-8",
-    )
+    recorded = [_run(case["argv"]) for case in CASES]
+    for old, new in zip(CASES, recorded):
+        if new != old:
+            print(" ".join(old["argv"]))
+    GOLDEN.write_text(json.dumps(recorded, indent=1) + "\n", encoding="utf-8")
