@@ -46,7 +46,7 @@ from math import gcd
 
 from .cyclic import CyclicGroup, _reject_non_int, cyclic_group
 from .rationals import MAX_BERNOULLI_INDEX, num_b_over_4k
-from .tables import GroupTable, KnownGroup, _finite, builtin_table
+from .tables import _BUILTIN, GroupTable, KnownGroup, _finite
 from .tables import _TRIVIAL as _TRIVIAL_ORDER
 
 __all__ = [
@@ -111,7 +111,7 @@ def _bp_order(m: int, table: GroupTable | None) -> KnownGroup:
         return _TRIVIAL_ORDER  # KnownGroup.trivial(), without its frame
     if m % 4 == 0:
         return _finite(_t_multiple_of_4(m))
-    return (table or builtin_table()).bp_2mod4(m)
+    return (table or _BUILTIN).bp_2mod4(m)
 
 
 def check_pair(p: int, q: int) -> None:

@@ -24,8 +24,9 @@ generated by 8 d t_{4j} t_{4k}, so fibre sizes vary with d:
 residual group of (4j, 4k), the stabiliser has order r / gcd(d, r):
 trivial for d = 0 and of order r > 1 for d = 1.  This change with d is
 why the smooth set admits no group structure in this shape (below).
-Both orders come from the record of (4j, 4k) that ``bp`` caches, so a
-stabiliser costs one gcd of d and r.
+Both orders come from the record (c, g, Z_r) of (4j, 4k) that ``bp``
+caches, which also gives |bP_{4(j+k)}| = g * r, so a warm stabiliser
+costs one gcd of d and r and no other cache.
 
 The topological structure set, by contrast, is a group isomorphic to
 L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
@@ -33,11 +34,17 @@ L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
 topological set is not a subgroup whenever the residual group is
 nontrivial, which holds in every shipped dimension).
 
-As in ``bp``, public functions check their arguments once, through
-``normalize_dims`` for the dimensions, and ``_``-prefixed cores such as
+As in ``bp``, public functions check their arguments once, with one
+``bp.check_pair`` for the dimensions, and ``_``-prefixed cores such as
 ``_stabilizer`` and ``_eta_fiber_size`` assume normalised, checked ones.
 They read ``bp``'s cores and the record of a pair, never the public
 ``t``, ``bp_order``, ``residual_group`` or ``pairing_coefficient``.
+``normalize_dims`` is the home of the order rule, ``_is_stabilizer_shape``
+of the shape test and ``_stabilizer`` of the stabiliser formula.
+``present``, ``stabilizer`` and ``eta_fiber_size`` repeat the rule's swap
+inline, ``present`` and ``stabilizer`` the shape test, and ``stabilizer``
+the formula, so that a warm ``stabilizer`` enters only itself and
+``check_pair``.  Tests pin each copy to its home.
 """
 
 from __future__ import annotations
@@ -56,6 +63,7 @@ from .cyclic import (
     cyclic_group,
 )
 from .ltheory import LGroupKind, l_group
+from .rationals import MAX_BERNOULLI_INDEX
 from .tables import GroupTable, KnownGroup, _finite
 
 __all__ = [
@@ -77,12 +85,14 @@ __all__ = [
 ACTION_FREE = "free_everywhere"
 ACTION_STABILIZER = "stabilizers_vary_with_d"
 
+_T_CAP = 4 * MAX_BERNOULLI_INDEX  # t_m past this raises its cap error
+
 
 def normalize_dims(p: int, q: int) -> tuple[int, int]:
     """Validate (p, q) and apply the convention that the even factor is
     listed second when p + q is odd."""
     bp.check_pair(p, q)
-    if (p + q) % 2 == 1 and q % 2 == 1:
+    if p % 2 == 0 and q % 2 == 1:  # p + q odd, and the odd factor second
         return q, p
     return p, q
 
@@ -223,14 +233,20 @@ def present(
 ) -> StructureSetPresentation:
     """Populate the presentation of S^Diff(S^p x S^q) from the order
     formulas and the reference table."""
-    np_, nq = normalize_dims(p, q)
+    bp.check_pair(p, q)
+    # The swap of normalize_dims and the test of _is_stabilizer_shape,
+    # inlined.
+    if p % 2 == 0 and q % 2 == 1:
+        np_, nq = q, p
+    else:
+        np_, nq = p, q
     n = np_ + nq
-    table = table or tables.builtin_table()
+    table = table or tables._BUILTIN
     theta_group = table.theta_order(n)
     bp_next = bp._bp_order(n + 1, table)
     normal = (table.pi_go(np_), table.pi_go(nq))
     residual = bp._residual_group(np_, nq)
-    if _is_stabilizer_shape(np_, nq):
+    if np_ % 4 == 3 and nq % 4 == 0:
         case = ACTION_STABILIZER
         coefficient = bp._residual_split(np_ + 1, nq)[0]
     else:
@@ -264,19 +280,37 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     """
     if not isinstance(d, int):
         _reject_non_int("d", d)
-    np_, nq = normalize_dims(p, q)
-    return _stabilizer(np_, nq, d)
+    bp.check_pair(p, q)
+    # The swap of normalize_dims and the body of _stabilizer, inlined: a
+    # warm call enters two frames.
+    if p % 2 == 0 and q % 2 == 1:
+        p, q = q, p
+    m = p + q + 1
+    if p % 4 == 3 and q % 4 == 0:
+        if m > _T_CAP:
+            bp._t_multiple_of_4(m)  # raises the cap error naming m
+        _, g, residual = bp._residual_split(p + 1, q)
+        r = residual.order
+        return _subgroup(g * r, g * gcd(d, r))
+    n = bp._t_multiple_of_4(m) if m % 4 == 0 else 1
+    return _subgroup(n, n)
 
 
 def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     # ``stabilizer`` for dimensions already checked and normalised.  With
-    # (c, g, Z_r) the record of (p + 1, q), the generator 8 d t_{p+1} t_q
-    # reduces to g * gcd(d, r) in Z_{t_m}.
+    # (c, g, Z_r) the record of (p + 1, q), so that c = 8 t_{p+1} t_q,
+    # g = gcd(c, t_m) and t_m = g * r, the generator d * c of Z_{t_m}
+    # reduces to g * gcd(d, r), and the record gives t_m without a second
+    # cache.  The record would ask t of p + 1 and q before t_m, so m is
+    # compared with the cap first: past it, t_m raises the cap error that
+    # names m, as the public ``t(m)`` would.
     m = p + q + 1
     if _is_stabilizer_shape(p, q):
-        n = bp._t_multiple_of_4(m)  # before the record, so that a cap error names m
+        if m > _T_CAP:
+            bp._t_multiple_of_4(m)  # raises the cap error naming m
         _, g, residual = bp._residual_split(p + 1, q)
-        return _subgroup(n, g * gcd(d, residual.order))
+        r = residual.order
+        return _subgroup(g * r, g * gcd(d, r))
     n = bp._t_multiple_of_4(m) if m % 4 == 0 else 1
     return _subgroup(n, n)  # the trivial subgroup <0> = <n> of Z_n
 
@@ -291,8 +325,10 @@ def eta_fiber_size(
     """
     if not isinstance(d, int):
         _reject_non_int("d", d)
-    np_, nq = normalize_dims(p, q)
-    return _eta_fiber_size(np_, nq, d, table or tables.builtin_table())
+    bp.check_pair(p, q)
+    if p % 2 == 0 and q % 2 == 1:  # the swap of normalize_dims, inlined
+        p, q = q, p
+    return _eta_fiber_size(p, q, d, table or tables._BUILTIN)
 
 
 def _eta_fiber_size(p: int, q: int, d: int, table: GroupTable) -> KnownGroup:

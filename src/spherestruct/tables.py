@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cyclic import _reject_non_int
+from .cyclic import _reject_non_int, _slot_writers
 from .rationals import MAX_BERNOULLI_INDEX
 
 __all__ = [
@@ -54,18 +54,40 @@ class TableReadError(TableError):
     """Raised when a table file cannot be opened or read at all."""
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class KnownGroup:
     """Order data for a group: finite of known order, Z x finite, or unknown.
 
     Only orders are recorded, not isomorphism types; a ``finite`` entry of
     order 8 says nothing about whether the group is cyclic.  ``unknown``
     is a legal state that propagates through every computation consuming
-    it, never silently becoming 0 or 1.
+    it, never silently becoming 0 or 1.  The constructor rejects any
+    other kind, an order that is not an int >= 1 for the two known kinds,
+    and an order for ``unknown``.
     """
 
     kind: str  # "finite" | "z_times_finite" | "unknown"
     order: int | None = None  # group order, or torsion order for z_times_finite
+
+    def __init__(self, kind: str, order: int | None = None) -> None:
+        if kind == "unknown":
+            if order is not None:
+                raise ValueError(
+                    f"an unknown group has no order, got {_shown_repr(order)}"
+                )
+        elif kind == "finite" or kind == "z_times_finite":
+            if not isinstance(order, int):
+                _reject_non_int("order", order)
+            if order < 1:
+                what = "finite group order" if kind == "finite" else "torsion order"
+                raise ValueError(f"{what} must be >= 1, got {order}")
+        else:
+            raise ValueError(
+                "group kind must be 'finite', 'z_times_finite' or 'unknown', "
+                f"got {_shown_repr(kind)}"
+            )
+        _set_kind(self, kind)
+        _set_order(self, order)
 
     # finite and z_times_finite return one shared value per order.  They
     # reject a non-int before the cache (``_finite``, ``_z_times_finite``),
@@ -118,25 +140,24 @@ class KnownGroup:
         return {"kind": "unknown"}
 
 
+_set_kind, _set_order = _slot_writers(KnownGroup)
+
 # Shared values behind KnownGroup.trivial() and KnownGroup.unknown(); safe
 # to hand to every caller because KnownGroup is frozen.
 _TRIVIAL = KnownGroup("finite", 1)
 _UNKNOWN = KnownGroup("unknown", None)
 
 
-# The cores of KnownGroup.finite and z_times_finite, for int orders.  The
-# caches are bounded because orders are arbitrary integers.
+# The cores of KnownGroup.finite and z_times_finite, for int orders; the
+# constructor rejects an order below 1.  The caches are bounded because
+# orders are arbitrary integers.
 @lru_cache(maxsize=1024)
 def _finite(order: int) -> KnownGroup:
-    if order < 1:
-        raise ValueError(f"finite group order must be >= 1, got {order}")
     return KnownGroup("finite", order)
 
 
 @lru_cache(maxsize=256)
 def _z_times_finite(torsion_order: int) -> KnownGroup:
-    if torsion_order < 1:
-        raise ValueError(f"torsion order must be >= 1, got {torsion_order}")
     return KnownGroup("z_times_finite", torsion_order)
 
 

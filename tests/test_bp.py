@@ -242,8 +242,11 @@ def test_one_record_per_pair_whichever_call_fills_it():
     assert residual.order == t_oracle(20) // g == 73
 
 
-def test_a_warm_residual_group_enters_two_python_functions():
-    residual_group(40, 44)
+
+
+def _entered(call):
+    # Names of the Python functions a warm call enters, in order.
+    call()
     entered = []
 
     def profile(frame, event, arg):
@@ -252,10 +255,26 @@ def test_a_warm_residual_group_enters_two_python_functions():
 
     sys.setprofile(profile)
     try:
-        residual_group(40, 44)
+        call()
     finally:
         sys.setprofile(None)
-    assert entered == ["residual_group", "check_pair"]
+    return entered[1:]  # without the lambda
+
+
+def test_a_warm_residual_group_enters_two_python_functions():
+    assert _entered(lambda: residual_group(40, 44)) == ["residual_group", "check_pair"]
+
+
+@pytest.mark.parametrize("p, q", [(23, 24), (24, 23), (22, 24)])
+def test_a_warm_stabilizer_enters_two_python_functions(p, q):
+    # The stabiliser shape, the same pair swapped, and a free shape: the
+    # door inlines normalize_dims and _stabilizer, and reads t_m off the
+    # record of the pair.
+    assert _entered(lambda: stabilizer(p, q, 5)) == ["stabilizer", "check_pair"]
+
+
+def test_a_warm_bp_order_of_2_mod_4_reads_the_builtin_table_directly():
+    assert _entered(lambda: bp_order(10)) == ["bp_order", "_bp_order", "bp_2mod4"]
 
 
 @pytest.mark.parametrize(

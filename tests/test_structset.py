@@ -25,7 +25,17 @@ from spherestruct import (
 )
 from spherestruct.bp import pairing_coefficient
 from spherestruct.ltheory import LClass
-from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, normalize_dims
+from spherestruct import bp
+from spherestruct.structset import (
+    ACTION_FREE,
+    ACTION_STABILIZER,
+    StructureSetPresentation,
+    _eta_fiber_size,
+    _is_stabilizer_shape,
+    _stabilizer,
+    normalize_dims,
+)
+from spherestruct.tables import builtin_table
 
 
 def test_normalize_dims():
@@ -423,3 +433,35 @@ def test_del_map_is_odd_in_the_first_invariant(j, data, phi_u, phi_v):
 def test_del_map_is_odd_off_the_4j_4k_shape(p, q, phi_u, phi_v):
     assume(p + q >= 5 and (p % 4 != 0 or q % 4 != 0))
     assert del_map(p, q, -phi_u, phi_v) == -del_map(p, q, phi_u, phi_v)
+
+
+def _presentation_from_cores(p, q):
+    # What present(p, q) says, assembled from normalize_dims, the shape
+    # test and the cores, without the inlined copies in present.
+    np_, nq = normalize_dims(p, q)
+    n, table = np_ + nq, builtin_table()
+    varies = _is_stabilizer_shape(np_, nq)
+    return StructureSetPresentation(
+        np_, nq, p, q, table.theta_order(n), bp._bp_order(n + 1, table),
+        (table.pi_go(np_), table.pi_go(nq)), bp._residual_group(np_, nq),
+        ACTION_STABILIZER if varies else ACTION_FREE,
+        bp._pairing_coefficient(np_ + 1, nq) if varies else None,
+    )
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.integers(2, 60), st.integers(2, 60), st.integers(-200, 200), st.booleans())
+@example(3, 4, 1, False)
+@example(4, 3, 0, False)
+@example(22, 24, 5, True)
+def test_the_doors_agree_with_normalize_dims_and_the_cores(p, q, d, swap):
+    # present, stabilizer and eta_fiber_size repeat the swap of
+    # normalize_dims (and stabilizer the body of _stabilizer) inline;
+    # each must answer as the cores do on the normalised pair.
+    assume(p + q >= 5)
+    if swap:
+        p, q = q, p
+    np_, nq = normalize_dims(p, q)
+    assert stabilizer(p, q, d) == _stabilizer(np_, nq, d)
+    assert eta_fiber_size(p, q, d) == _eta_fiber_size(np_, nq, d, builtin_table())
+    assert present(p, q) == _presentation_from_cores(p, q)

@@ -86,8 +86,8 @@ def test_every_value_class_is_frozen_and_slotted():
 
 
 HAND_WRITTEN_INIT = (
-    CyclicGroup, CyclicElement, CyclicSubgroup, LClass, NormalClassDiff,
-    S3S4Invariant, S4S4Manifold, StructureSetPresentation,
+    CyclicGroup, CyclicElement, CyclicSubgroup, KnownGroup, LClass,
+    NormalClassDiff, S3S4Invariant, S4S4Manifold, StructureSetPresentation,
 )
 
 
@@ -182,6 +182,42 @@ def test_error_messages_are_unchanged():
         ValueError, match=r"^element of Z_14 tested against a subgroup of Z_28$"
     ):
         subgroup_generated(28, 4).contains(CyclicGroup(14).element(2))
+
+
+_BAD_KNOWN_GROUPS = [
+    (("finite", 2.5), TypeError, r"^order must be an int, got float$"),
+    (("finite", None), TypeError, r"^order must be an int, got NoneType$"),
+    (("finite", -3), ValueError, r"^finite group order must be >= 1, got -3$"),
+    (("z_times_finite", 0), ValueError, r"^torsion order must be >= 1, got 0$"),
+    (("unknown", 5), ValueError, r"^an unknown group has no order, got 5$"),
+    (("bogus", 1), ValueError, r"^group kind must be 'finite', 'z_times_finite' "
+     r"or 'unknown', got 'bogus'$"),
+]
+
+
+@pytest.mark.parametrize(
+    "args, error, message",
+    _BAD_KNOWN_GROUPS,
+    ids=["float", "none", "negative", "zero-torsion", "unknown-with-order", "bogus"],
+)
+def test_known_group_rejects_a_bad_kind_or_order(args, error, message):
+    with pytest.raises(error, match=message):
+        KnownGroup(*args)
+    kind, order = args
+    with pytest.raises(error, match=message):
+        dataclasses.replace(KnownGroup.finite(3), kind=kind, order=order)
+
+
+def test_known_group_accepts_its_three_kinds_and_bool_orders():
+    assert KnownGroup("finite", 28) == KnownGroup.finite(28)
+    assert KnownGroup("z_times_finite", 1) == KnownGroup.z_times_finite(1)
+    assert KnownGroup("unknown") == KnownGroup("unknown", None) == KnownGroup.unknown()
+    assert KnownGroup("finite", True) == KnownGroup.finite(1)
+    assert dataclasses.replace(KnownGroup.finite(3), order=5) == KnownGroup.finite(5)
+    with pytest.raises(ValueError, match=r"^finite group order must be >= 1, got 0$"):
+        KnownGroup.finite(0)
+    with pytest.raises(ValueError, match=r"^torsion order must be >= 1, got -1$"):
+        KnownGroup.z_times_finite(-1)
 
 
 def _group(n, shared):
