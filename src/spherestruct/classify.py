@@ -33,7 +33,7 @@ trivial because Salpha's image lies in 24Z, inside 4Z.
 
 Tables.  The S^3 x S^4 classifiers read three tuples built at import,
 each with |bP_8| entries: the shared elements of BP8 =
-``cyclic_group(t(8))``, the stabilisers ``structset._stabilizer(3, 4, v)``
+``cyclic_group(t(8))``, the stabilisers ``structset.stabilizer(3, 4, v)``
 (the subgroup generated by v times the coefficient 8 t_4 t_4)
 and the inertia groups ``subgroup_generated(|bP_8|, 2v)``.  Each is
 indexed by x mod |bP_8|, which is exact: d c mod n, and so the subgroup
@@ -51,12 +51,13 @@ from .bp import residual_group, t
 from .cyclic import (
     CyclicElement,
     CyclicSubgroup,
+    _exact_int,
     _reject_non_int,
     _slot_writers,
     cyclic_group,
     subgroup_generated,
 )
-from .structset import _stabilizer, del_map
+from .structset import del_map, stabilizer
 
 __all__ = [
     "BP8",
@@ -75,7 +76,7 @@ __all__ = [
 BP8 = cyclic_group(t(8))
 # Indexed by x % BP8.order (see the module docstring).
 _BP8_ELEMENTS = tuple(CyclicElement(BP8, s) for s in range(BP8.order))
-_S3S4_STABILIZERS = tuple(_stabilizer(3, 4, v) for v in range(BP8.order))
+_S3S4_STABILIZERS = tuple(stabilizer(3, 4, v) for v in range(BP8.order))
 _S3S4_INERTIA = tuple(subgroup_generated(BP8.order, 2 * v) for v in range(BP8.order))
 # r: the boundary of W_{u,v} is standard exactly when r divides uv.
 _S4S4_RESIDUAL = residual_group(4, 4).order
@@ -99,8 +100,8 @@ class S3S4Invariant:
             )
         elif sigma.group.order != BP8.order:
             raise ValueError(f"sigma must lie in {BP8}, got {sigma.group}")
-        if not isinstance(v, int):
-            _reject_non_int("v", v)
+        if type(v) is not int:
+            v = _exact_int("v", v)
         _set_sigma(self, sigma)
         _set_s3s4_v(self, v)
 
@@ -146,6 +147,10 @@ class WallTriple:
 
 def wall_triple_of_plumbing(u: int, v: int) -> WallTriple:
     """Wall triple of W_{u,v}: Salpha is (24u, 24v) on the basis."""
+    if not isinstance(u, int):
+        _reject_non_int("u", u)
+    if not isinstance(v, int):
+        _reject_non_int("v", v)
     return WallTriple(24 * u, 24 * v)
 
 
@@ -170,12 +175,12 @@ class S4S4Manifold:
     phi: int
 
     def __init__(self, u: int, v: int, phi: int) -> None:
-        if not isinstance(u, int):
-            _reject_non_int("u", u)
-        if not isinstance(v, int):
-            _reject_non_int("v", v)
-        if not isinstance(phi, int):
-            _reject_non_int("phi", phi)
+        if type(u) is not int:
+            u = _exact_int("u", u)
+        if type(v) is not int:
+            v = _exact_int("v", v)
+        if type(phi) is not int:
+            phi = _exact_int("phi", phi)
         if (u * v) % _S4S4_RESIDUAL != 0:
             raise ValueError(
                 f"no closed manifold for (u, v) = ({u}, {v}): the plumbing "

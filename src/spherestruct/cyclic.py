@@ -38,6 +38,14 @@ def _reject_non_int(name: str, value: object) -> None:
     raise TypeError(f"{name} must be an int, got {type(value).__name__}")
 
 
+def _exact_int(name: str, value: object) -> int:
+    # The slow branch behind ``type(value) is not int``: a bool is stored
+    # as the int it equals, so that it prints, serialises and caches as one.
+    if not isinstance(value, int):
+        _reject_non_int(name, value)
+    return int(value)
+
+
 @dataclass(frozen=True, slots=True, init=False)
 class CyclicGroup:
     """The additive cyclic group Z_n; order 1 is the trivial group.
@@ -48,8 +56,8 @@ class CyclicGroup:
     order: int
 
     def __init__(self, order: int) -> None:
-        if not isinstance(order, int):
-            _reject_non_int("order", order)
+        if type(order) is not int:
+            order = _exact_int("order", order)
         if order < 1:
             raise ValueError(f"cyclic group order must be >= 1, got {order}")
         _set_order(self, order)

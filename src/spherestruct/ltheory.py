@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .bp import _pairing_coefficient, _t_multiple_of_4, check_pair
-from .cyclic import _reject_non_int, _slot_writers
+from .cyclic import _exact_int, _slot_writers
 
 __all__ = [
     "LGroupKind",
@@ -58,8 +58,8 @@ class LGroupKind:
 
 def l_group(i: int) -> LGroupKind:
     """The quadratic L-group in dimension i >= 0."""
-    if not isinstance(i, int):
-        _reject_non_int("i", i)
+    if type(i) is not int:
+        i = _exact_int("i", i)
     if i < 0:
         raise ValueError(f"l_group(i) requires i >= 0, got {i}")
     return LGroupKind(i, _QUADRATIC[i % 4])
@@ -78,10 +78,10 @@ class LClass:
     value: int
 
     def __init__(self, dim: int, value: int) -> None:
-        if not isinstance(dim, int):
-            _reject_non_int("dim", dim)
-        if not isinstance(value, int):
-            _reject_non_int("value", value)
+        if type(dim) is not int:
+            dim = _exact_int("dim", dim)
+        if type(value) is not int:
+            value = _exact_int("value", value)
         symbol = _QUADRATIC[dim % 4]
         if symbol == "0":
             value = 0
@@ -121,10 +121,10 @@ class NormalClassDiff:
     phi: int = 0
 
     def __init__(self, dim: int, phi: int = 0) -> None:
-        if not isinstance(dim, int):
-            _reject_non_int("dim", dim)
-        if not isinstance(phi, int):
-            _reject_non_int("phi", phi)
+        if type(dim) is not int:
+            dim = _exact_int("dim", dim)
+        if type(phi) is not int:
+            phi = _exact_int("phi", phi)
         _set_normal_dim(self, dim)
         _set_normal_phi(self, phi if dim % 4 == 0 else 0)
 

@@ -34,17 +34,18 @@ L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
 topological set is not a subgroup whenever the residual group is
 nontrivial, which holds in every shipped dimension).
 
-As in ``bp``, public functions check their arguments once, with one
-``bp.check_pair`` for the dimensions, and ``_``-prefixed cores such as
-``_stabilizer`` and ``_eta_fiber_size`` assume normalised, checked ones.
-They read ``bp``'s cores and the record of a pair, never the public
-``t``, ``bp_order``, ``residual_group`` or ``pairing_coefficient``.
+As in ``bp``, public functions check their arguments, with one
+``bp.check_pair`` for the dimensions, and ``_``-prefixed helpers such as
+``_is_stabilizer_shape`` assume normalised, checked ones.  They read
+``bp``'s cores and the record of a pair, never the public ``t``,
+``bp_order``, ``residual_group`` or ``pairing_coefficient``.
 ``normalize_dims`` is the home of the order rule, ``_is_stabilizer_shape``
-of the shape test and ``_stabilizer`` of the stabiliser formula.
-``present``, ``stabilizer`` and ``eta_fiber_size`` repeat the rule's swap
-inline, ``present`` and ``stabilizer`` the shape test, and ``stabilizer``
-the formula, so that a warm ``stabilizer`` enters only itself and
-``check_pair``.  Tests pin each copy to its home.
+of the shape test and ``stabilizer`` of the stabiliser formula, which
+``eta_fiber_size`` and ``forgetful_fiber`` read through its public door
+(so ``eta_fiber_size`` checks its pair twice).  ``present`` and
+``stabilizer`` repeat the rule's swap and the shape test inline, so that
+a warm ``stabilizer`` enters only itself and ``check_pair``.  Tests pin
+each copy to its home.
 """
 
 from __future__ import annotations
@@ -281,31 +282,18 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     if not isinstance(d, int):
         _reject_non_int("d", d)
     bp.check_pair(p, q)
-    # The swap of normalize_dims and the body of _stabilizer, inlined: a
-    # warm call enters two frames.
+    # The swap of normalize_dims and the test of _is_stabilizer_shape,
+    # inlined: a warm call enters two frames.  With (c, g, Z_r) the record
+    # of (p + 1, q), so that c = 8 t_{p+1} t_q, g = gcd(c, t_m) and
+    # t_m = g * r, the generator d * c of Z_{t_m} reduces to g * gcd(d, r),
+    # and the record gives t_m without a second cache.  The record would
+    # ask t of p + 1 and q before t_m, so m is compared with the cap
+    # first: past it, t_m raises the cap error that names m, as the public
+    # ``t(m)`` would.
     if p % 2 == 0 and q % 2 == 1:
         p, q = q, p
     m = p + q + 1
     if p % 4 == 3 and q % 4 == 0:
-        if m > _T_CAP:
-            bp._t_multiple_of_4(m)  # raises the cap error naming m
-        _, g, residual = bp._residual_split(p + 1, q)
-        r = residual.order
-        return _subgroup(g * r, g * gcd(d, r))
-    n = bp._t_multiple_of_4(m) if m % 4 == 0 else 1
-    return _subgroup(n, n)
-
-
-def _stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
-    # ``stabilizer`` for dimensions already checked and normalised.  With
-    # (c, g, Z_r) the record of (p + 1, q), so that c = 8 t_{p+1} t_q,
-    # g = gcd(c, t_m) and t_m = g * r, the generator d * c of Z_{t_m}
-    # reduces to g * gcd(d, r), and the record gives t_m without a second
-    # cache.  The record would ask t of p + 1 and q before t_m, so m is
-    # compared with the cap first: past it, t_m raises the cap error that
-    # names m, as the public ``t(m)`` would.
-    m = p + q + 1
-    if _is_stabilizer_shape(p, q):
         if m > _T_CAP:
             bp._t_multiple_of_4(m)  # raises the cap error naming m
         _, g, residual = bp._residual_split(p + 1, q)
@@ -326,24 +314,17 @@ def eta_fiber_size(
     if not isinstance(d, int):
         _reject_non_int("d", d)
     bp.check_pair(p, q)
-    if p % 2 == 0 and q % 2 == 1:  # the swap of normalize_dims, inlined
-        p, q = q, p
-    return _eta_fiber_size(p, q, d, table or tables._BUILTIN)
-
-
-def _eta_fiber_size(p: int, q: int, d: int, table: GroupTable) -> KnownGroup:
-    # ``eta_fiber_size`` for dimensions already checked and normalised.
-    theta_group = table.theta_order(p + q)
+    theta_group = (table or tables._BUILTIN).theta_order(p + q)
     if theta_group.is_unknown:
         return KnownGroup.unknown()
-    stab = _stabilizer(p, q, d)
-    if theta_group.order % stab.order != 0:
+    stab_order = stabilizer(p, q, d).order
+    if theta_group.order % stab_order != 0:
         raise ValueError(
             f"table gives |Theta_{p + q}| = {theta_group.order}, which the "
-            f"stabiliser order {stab.order} does not divide; the table "
+            f"stabiliser order {stab_order} does not divide; the table "
             "contradicts the subgroup chain stabiliser <= bP <= Theta"
         )
-    return _finite(theta_group.order // stab.order)
+    return _finite(theta_group.order // stab_order)
 
 
 @dataclass(frozen=True, slots=True)
@@ -413,4 +394,4 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
             f"topological normal invariant {top_invariant} is odd, hence not "
             "in the image of the smooth structure set (even invariants only)"
         )
-    return _eta_fiber_size(np_, nq, top_invariant // t_q, tables.builtin_table())
+    return eta_fiber_size(np_, nq, top_invariant // t_q)

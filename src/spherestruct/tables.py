@@ -30,7 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cyclic import _reject_non_int, _slot_writers
+from .cyclic import _exact_int, _reject_non_int, _slot_writers
 from .rationals import MAX_BERNOULLI_INDEX
 
 __all__ = [
@@ -76,8 +76,8 @@ class KnownGroup:
                     f"an unknown group has no order, got {_shown_repr(order)}"
                 )
         elif kind == "finite" or kind == "z_times_finite":
-            if not isinstance(order, int):
-                _reject_non_int("order", order)
+            if type(order) is not int:
+                order = _exact_int("order", order)
             if order < 1:
                 what = "finite group order" if kind == "finite" else "torsion order"
                 raise ValueError(f"{what} must be >= 1, got {order}")
@@ -90,13 +90,14 @@ class KnownGroup:
         _set_order(self, order)
 
     # finite and z_times_finite return one shared value per order.  They
-    # reject a non-int before the cache (``_finite``, ``_z_times_finite``),
-    # so that no float is stored and no cached bool answers for a float.
+    # reject a non-int and turn a bool into its int before the cache
+    # (``_finite``, ``_z_times_finite``), so that no float is stored and
+    # finite(True) is finite(1).
 
     @staticmethod
     def finite(order: int) -> KnownGroup:
-        if not isinstance(order, int):
-            _reject_non_int("order", order)
+        if type(order) is not int:
+            order = _exact_int("order", order)
         return _finite(order)
 
     @staticmethod
@@ -105,8 +106,8 @@ class KnownGroup:
 
     @staticmethod
     def z_times_finite(torsion_order: int) -> KnownGroup:
-        if not isinstance(torsion_order, int):
-            _reject_non_int("torsion_order", torsion_order)
+        if type(torsion_order) is not int:
+            torsion_order = _exact_int("torsion_order", torsion_order)
         return _z_times_finite(torsion_order)
 
     @staticmethod

@@ -1,9 +1,11 @@
 """The public surface: every name a module exports resolves."""
 
 import ast
+import doctest
 import importlib
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -92,3 +94,18 @@ def test_bench_library_names_resolve():
     assert names
     missing = [name for name in names if not hasattr(spherestruct, name)]
     assert missing == []
+
+
+def test_the_readme_library_example_runs():
+    # The fenced ``>>>`` block under "Library use", run as a doctest
+    # without its closing fence, which doctest would read as output.
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(
+        r"^## Library use\n\n```python\n(>>> .*?)^```$",
+        readme.read_text(encoding="utf-8"),
+        re.M | re.S,
+    )
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    result = doctest.DocTestRunner().run(test)
+    assert result.attempted == block.count(">>> ") > 0
+    assert result.failed == 0

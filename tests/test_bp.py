@@ -268,9 +268,19 @@ def test_a_warm_residual_group_enters_two_python_functions():
 @pytest.mark.parametrize("p, q", [(23, 24), (24, 23), (22, 24)])
 def test_a_warm_stabilizer_enters_two_python_functions(p, q):
     # The stabiliser shape, the same pair swapped, and a free shape: the
-    # door inlines normalize_dims and _stabilizer, and reads t_m off the
-    # record of the pair.
+    # door inlines normalize_dims and the shape test, and reads t_m off
+    # the record of the pair.
     assert _entered(lambda: stabilizer(p, q, 5)) == ["stabilizer", "check_pair"]
+
+
+def test_a_warm_eta_fiber_size_reads_the_public_stabilizer():
+    # The formula has one home, so the fibre reads it through the public
+    # door, which checks the pair a second time.  The property getters
+    # KnownGroup.is_unknown and CyclicSubgroup.order are frames too.
+    assert _entered(lambda: eta_fiber_size(3, 4, 5)) == [
+        "eta_fiber_size", "check_pair", "theta_order", "is_unknown",
+        "stabilizer", "check_pair", "order",
+    ]
 
 
 def test_a_warm_bp_order_of_2_mod_4_reads_the_builtin_table_directly():

@@ -220,6 +220,37 @@ def test_known_group_accepts_its_three_kinds_and_bool_orders():
         KnownGroup.z_times_finite(-1)
 
 
+_BOOL_ARGUMENTS = {
+    "KnownGroup": (lambda: KnownGroup("finite", True), "order"),
+    "KnownGroup.finite": (lambda: KnownGroup.finite(True), "order"),
+    "KnownGroup.z_times_finite": (lambda: KnownGroup.z_times_finite(True), "order"),
+    "CyclicGroup": (lambda: CyclicGroup(True), "order"),
+    "l_group": (lambda: l_group(True), "dim"),
+    "LClass.dim": (lambda: LClass(True, 0), "dim"),
+    "LClass.value": (lambda: LClass(4, True), "value"),
+    "NormalClassDiff.dim": (lambda: NormalClassDiff(True), "dim"),
+    "NormalClassDiff.phi": (lambda: NormalClassDiff(4, True), "phi"),
+    "S3S4Invariant": (lambda: S3S4Invariant(0, True), "v"),
+    "S4S4Manifold.u": (lambda: S4S4Manifold(True, 7, 0), "u"),
+    "S4S4Manifold.v": (lambda: S4S4Manifold(7, True, 0), "v"),
+}
+
+
+@pytest.mark.parametrize(
+    "build, field", _BOOL_ARGUMENTS.values(), ids=_BOOL_ARGUMENTS.keys()
+)
+def test_a_bool_argument_is_stored_as_the_int_it_equals(build, field):
+    value = build()
+    assert type(getattr(value, field)) is int
+    assert "True" not in repr(value)
+
+
+def test_a_bool_order_shares_the_cached_value_of_its_int():
+    assert KnownGroup.finite(True) is KnownGroup.finite(1)
+    assert KnownGroup.z_times_finite(True) is KnownGroup.z_times_finite(1)
+    assert repr(KnownGroup.finite(True).as_json()) == "{'kind': 'finite', 'order': 1}"
+
+
 def _group(n, shared):
     return cyclic_group(n) if shared else CyclicGroup(n)
 
