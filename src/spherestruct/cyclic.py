@@ -76,7 +76,11 @@ class CyclicGroup:
 def cyclic_group(n: int) -> CyclicGroup:
     """The shared Z_n value: equal to ``CyclicGroup(n)``, built once per
     order and then reused (safe because the value is frozen).  The cache
-    is bounded because orders are arbitrary integers."""
+    is bounded because orders are arbitrary integers.  The cache keys a
+    bool apart from the int it equals, so a bool's miss returns the int's
+    value."""
+    if type(n) is not int:
+        return cyclic_group(_exact_int("order", n))
     return CyclicGroup(n)
 
 

@@ -25,8 +25,9 @@ residual group of (4j, 4k), the stabiliser has order r / gcd(d, r):
 trivial for d = 0 and of order r > 1 for d = 1.  This change with d is
 why the smooth set admits no group structure in this shape (below).
 Both orders come from the record (c, g, Z_r) of (4j, 4k) that ``bp``
-caches, which also gives |bP_{4(j+k)}| = g * r, so a warm stabiliser
-costs one gcd of d and r and no other cache.
+caches, one per unordered pair (so (4k, 4j) reads the same record),
+which also gives |bP_{4(j+k)}| = g * r, so a warm stabiliser costs one
+gcd of d and r and no other cache.
 
 The topological structure set, by contrast, is a group isomorphic to
 L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)

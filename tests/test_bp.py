@@ -29,6 +29,7 @@ from spherestruct import (
     theta_order,
     top_structure_set,
 )
+from spherestruct import bp
 from spherestruct.bp import (
     _residual_split,
     _t_multiple_of_4,
@@ -211,6 +212,46 @@ def test_pairs_that_need_t_past_the_cap_still_raise():
             theta_diff(p, q, u, v, w)
 
 
+# (p, q) past the cap in both orders: both factors, one factor, only the
+# sum.  The readers of the record of (p, q) name the first number it asks
+# t of; del_map and the stabiliser shape (p - 1, q) name t_{p+q}.
+_PAST_THE_CAP = (
+    ((4000, 3400), 4000, 7400),
+    ((3400, 4000), 3400, 7400),
+    ((3400, 4), 3400, 3404),
+    ((4, 3400), 3400, 3404),
+    ((3300, 12), 3312, 3312),
+    ((12, 3300), 3312, 3312),
+)
+
+
+@pytest.mark.parametrize("pair, first, ambient", _PAST_THE_CAP)
+def test_a_pair_past_the_cap_names_the_same_number_in_either_order(
+    pair, first, ambient
+):
+    p, q = pair
+    cap = 4 * MAX_BERNOULLI_INDEX
+    readers = (
+        residual_group,
+        pairing_coefficient,
+        image_f_residual,
+        group_structure_possible,
+        present,
+    )
+    for reader in readers:
+        with pytest.raises(ValueError, match=f"i <= {cap} .*, got {first}$"):
+            reader(p, q)
+    shapes = (
+        lambda: del_map(p, q, 1, 1),
+        lambda: stabilizer(p - 1, q, 1),
+        lambda: stabilizer(q, p - 1, 1),
+        lambda: present(p - 1, q),
+    )
+    for call in shapes:
+        with pytest.raises(ValueError, match=f"i <= {cap} .*, got {ambient}$"):
+            call()
+
+
 def test_pairing_coefficient_caches_multiples_of_four_only():
     _residual_split.cache_clear()
     for a in range(1, 41):
@@ -240,6 +281,44 @@ def test_one_record_per_pair_whichever_call_fills_it():
     assert g == gcd(c, t_oracle(20))
     assert residual is residual_group(8, 12)
     assert residual.order == t_oracle(20) // g == 73
+
+
+@pytest.mark.parametrize("first, second", [((16, 24), (24, 16)), ((24, 16), (16, 24))])
+def test_a_pair_and_its_mirror_share_one_record_and_one_gcd(
+    monkeypatch, first, second
+):
+    calls = []
+
+    def counting_gcd(*args):
+        calls.append(args)
+        return gcd(*args)
+
+    monkeypatch.setattr(bp, "gcd", counting_gcd)
+    _residual_split.cache_clear()
+    record = _residual_split(*first)
+    assert len(calls) == 1
+    misses = _t_multiple_of_4.cache_info().misses
+    assert _residual_split(*second) is record
+    assert len(calls) == 1
+    assert _t_multiple_of_4.cache_info().misses == misses
+    assert _residual_split.cache_info().misses == 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 40), st.integers(1, 40), st.booleans())
+def test_either_order_of_a_pair_reads_the_same_values(j, k, mirrored_first):
+    # From a cold record cache, whichever order of (4j, 4k) comes first.
+    _residual_split.cache_clear()
+    pairs = [(4 * j, 4 * k), (4 * k, 4 * j)]
+    if mirrored_first:
+        pairs.reverse()
+    (p, q), (q2, p2) = pairs
+    group = residual_group(p, q)
+    coefficient = pairing_coefficient(p, q)
+    assert residual_group(q2, p2) is group
+    assert pairing_coefficient(q2, p2) == coefficient
+    assert group.order == _residual_oracle(p, q)
+    assert coefficient == 8 * t_oracle(p) * t_oracle(q)
 
 
 

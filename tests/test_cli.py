@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import spherestruct
 from spherestruct import MAX_BERNOULLI_INDEX, KnownGroup, eta_fiber_size, t
 from spherestruct.cli import main
 
@@ -246,6 +250,22 @@ def test_usage_errors_exit_2(capsys):
     ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, status", [(["t", "8"], 0), (["bp-order", "3"], 1)], ids=["t", "bp-order"]
+)
+def test_python_dash_m_runs_main(capsys, argv, status):
+    src = os.path.dirname(os.path.dirname(spherestruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-m", "spherestruct", *argv],
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+    assert (result.returncode, result.stdout, result.stderr) == run(capsys, argv)
+    assert result.returncode == status
 
 
 def test_version_exits_zero(capsys):

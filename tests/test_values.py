@@ -37,6 +37,7 @@ from spherestruct.cyclic import (
     CyclicGroup,
     CyclicSubgroup,
     _slot_writers,
+    _subgroup,
     cyclic_group,
 )
 from spherestruct.ltheory import LClass, LGroupKind, NormalClassDiff
@@ -249,6 +250,21 @@ def test_a_bool_order_shares_the_cached_value_of_its_int():
     assert KnownGroup.finite(True) is KnownGroup.finite(1)
     assert KnownGroup.z_times_finite(True) is KnownGroup.z_times_finite(1)
     assert repr(KnownGroup.finite(True).as_json()) == "{'kind': 'finite', 'order': 1}"
+
+
+@pytest.mark.parametrize("first", [True, 1], ids=["bool-first", "int-first"])
+def test_a_bool_order_shares_the_cached_group_of_its_int(first):
+    # From cold caches, whichever of True and 1 is asked first, both keys
+    # hold one Z_1, and a subgroup of it reaches the same value.
+    cyclic_group.cache_clear()
+    _subgroup.cache_clear()
+    shared = cyclic_group(first)
+    assert cyclic_group(True) is shared is cyclic_group(1)
+    assert type(shared.order) is int
+    sub = subgroup_generated(True, 5)
+    assert sub.ambient is shared and sub is subgroup_generated(1, 5)
+    with pytest.raises(TypeError, match="^order must be an int, got float$"):
+        cyclic_group(2.0)
 
 
 def _group(n, shared):
