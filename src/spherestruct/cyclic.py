@@ -30,7 +30,9 @@ def _slot_writers(cls: type) -> tuple:
     constructors write each field once, already canonical, through these;
     a slot's own setter skips the name lookup through the class that
     ``object.__setattr__`` repeats on every call.  Bind them right after
-    the class body."""
+    the class body.  Each call costs about 70 ns, so a factory of a wide
+    class may instead fill an unfrozen twin with the same ``__slots__``
+    by plain stores and retype it once (``structset.present`` does)."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 
@@ -72,13 +74,14 @@ class CyclicGroup:
 (_set_order,) = _slot_writers(CyclicGroup)
 
 
-@lru_cache(maxsize=1024)
+@lru_cache(maxsize=1024, typed=True)
 def cyclic_group(n: int) -> CyclicGroup:
     """The shared Z_n value: equal to ``CyclicGroup(n)``, built once per
     order and then reused (safe because the value is frozen).  The cache
-    is bounded because orders are arbitrary integers.  The cache keys a
-    bool apart from the int it equals, so a bool's miss returns the int's
-    value."""
+    is bounded because orders are arbitrary integers.  It is typed, so it
+    keys a bool and a float apart from the int they equal: a bool's miss
+    returns the int's value, and a float always misses and is rejected,
+    whatever was cached before."""
     if type(n) is not int:
         return cyclic_group(_exact_int("order", n))
     return CyclicGroup(n)

@@ -92,13 +92,15 @@ def _check_index(name: str, k: int) -> None:
         )
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def bernoulli(k: int) -> Fraction:
     """k-th Bernoulli number in the topologist's indexing, i.e. |B_{2k}|.
 
     Exact for 1 <= k <= MAX_BERNOULLI_INDEX, computed as
     2k T_k / (4^k (4^k - 1)) from the tangent numbers; all indices up to k
-    together cost O(k^2) integer operations.  Results are cached.
+    together cost O(k^2) integer operations.  Results are cached in a
+    typed cache, so a float index never hits the entry of a bool or int
+    it equals and is always rejected.
     """
     _check_index("bernoulli", k)
     return Fraction(2 * k * _tangent(k), 4**k * (4**k - 1))

@@ -12,8 +12,10 @@ from spherestruct import (
     KnownGroup,
     MAX_BERNOULLI_INDEX,
     NormalClassDiff,
+    StructureSetPresentation,
     bernoulli,
     bp_order,
+    cyclic_group,
     del_map,
     eta_fiber_size,
     forgetful_fiber,
@@ -392,6 +394,8 @@ def test_a_warm_call_checks_its_pair_once_and_enters_no_other_door(call):
         sys.setprofile(None)
     assert entered.count(check_pair.__code__) == 1
     assert [doors[code] for code in entered if code in doors] == []
+    # present fills a draft and retypes it, so no slot writer is called.
+    assert StructureSetPresentation.__init__.__code__ not in entered
 
 
 def test_pairing_coefficient_of_multiples_of_four_needs_t_of_the_sum():
@@ -437,6 +441,15 @@ _NON_INT_CALLS = {
     ),
     "forgetful_fiber": (
         lambda: forgetful_fiber(3, 4, 1.0), "top_invariant must be an int, got float"
+    ),
+    # The public caches are typed: a float equal to a cached bool misses
+    # and is rejected, as in a fresh process.
+    "bernoulli-after-bool": (
+        lambda: (bernoulli(True), bernoulli(1.0)), "k must be an int, got float"
+    ),
+    "cyclic_group-after-bool": (
+        lambda: (cyclic_group(True), cyclic_group(1.0)),
+        "order must be an int, got float",
     ),
 }
 

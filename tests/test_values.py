@@ -11,7 +11,7 @@ import pickle
 import re
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from spherestruct import (
@@ -21,6 +21,7 @@ from spherestruct import (
     TopStructureSet,
     group_structure_possible,
     l_group,
+    parse_table,
     present,
     subgroup_generated,
     top_structure_set,
@@ -41,7 +42,7 @@ from spherestruct.cyclic import (
     cyclic_group,
 )
 from spherestruct.ltheory import LClass, LGroupKind, NormalClassDiff
-from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER
+from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, _Draft
 
 from helpers import brute_subgroup
 
@@ -132,6 +133,39 @@ def test_presentations_survive_replace_pickle_and_keyword_construction():
         assert clone == pres and clone is not pres
         assert repr(clone) == repr(pres) and hash(clone) == hash(pres)
         assert clone.as_dict() == pres.as_dict()
+
+
+_OVERRIDE = parse_table(
+    '{"theta": {"21": "4"}, "bp": {"22": "2"}, "pi_go_torsion": {"4": "3"}}'
+)
+
+
+def test_the_draft_of_a_presentation_has_its_slots_in_field_order():
+    names = tuple(f.name for f in dataclasses.fields(StructureSetPresentation))
+    assert _Draft.__slots__ == names
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    p=st.integers(2, 127),
+    q=st.integers(2, 127),
+    table=st.sampled_from([None, _OVERRIDE]),
+)
+def test_a_drafted_presentation_is_the_value_its_constructor_builds(p, q, table):
+    # present retypes a filled draft instead of calling __init__; in both
+    # argument orders the result must be the frozen value __init__ builds.
+    assume(5 <= p + q < 130)
+    for pres in (present(p, q, table), present(q, p, table)):
+        assert type(pres) is StructureSetPresentation
+        values = {f.name: getattr(pres, f.name) for f in dataclasses.fields(pres)}
+        assert StructureSetPresentation(**values) == pres
+        assert dataclasses.replace(pres) == pres
+        clone = pickle.loads(pickle.dumps(pres))
+        assert clone == pres
+        assert hash(clone) == hash(pres) and repr(clone) == repr(pres)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            pres.p = pres.p
+        assert not hasattr(pres, "__dict__")
 
 
 def test_constructor_and_replace_put_fields_in_canonical_form():

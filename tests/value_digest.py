@@ -1,0 +1,99 @@
+"""One SHA-256 per family of library values, to show that a change leaves
+every value (and every error) as it was.
+
+    PYTHONPATH=src python tests/value_digest.py [--max-sum N] [--max-d D] [--json]
+
+It covers every pair (p, q) with p, q >= 0 and p + q < N (default 130),
+in both orders, and every integer coordinate d with |d| <= D (default
+70).  Each family hashes one line per call: its arguments and either the
+``repr`` of the value (``present`` hashes ``as_dict()`` as JSON) or the
+type and message of the error it raised, so a pair that ``check_pair``
+rejects is pinned too.  It prints ``family digest`` lines, or with
+``--json`` the grid and its digests as ``tests/golden_values.json``
+stores them.  To record that file again after an intended value change:
+
+    PYTHONPATH=src python tests/value_digest.py --max-sum 40 --max-d 20 --json > tests/golden_values.json
+
+The file is not a test module: ``test_value_digest.py`` runs it.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+from collections.abc import Callable
+
+from spherestruct.bp import residual_group
+from spherestruct.structset import (
+    del_map,
+    eta_fiber_size,
+    group_structure_possible,
+    present,
+    stabilizer,
+)
+
+FAMILIES = (
+    "present",
+    "stabilizer",
+    "eta_fiber_size",
+    "residual_group",
+    "del_map",
+    "group_structure_possible",
+)
+
+
+def _outcome(call: Callable[[], object], show: Callable[[object], str] = repr) -> str:
+    try:
+        return show(call())
+    except (TypeError, ValueError) as error:
+        return f"{type(error).__name__}: {error}"
+
+
+def _as_json(value: object) -> str:
+    return json.dumps(value.as_dict(), sort_keys=True)
+
+
+def digests(max_sum: int, max_d: int) -> dict[str, str]:
+    """The digest of each family over the grid p + q < max_sum, |d| <= max_d."""
+    hashes = {family: hashlib.sha256() for family in FAMILIES}
+
+    def feed(family: str, args: tuple, outcome: str) -> None:
+        hashes[family].update(f"{args} {outcome}\n".encode())
+
+    ds = range(-max_d, max_d + 1)
+    for p in range(max_sum):
+        for q in range(max_sum - p):
+            feed("present", (p, q), _outcome(lambda: present(p, q), _as_json))
+            feed("residual_group", (p, q), _outcome(lambda: residual_group(p, q)))
+            feed(
+                "group_structure_possible",
+                (p, q),
+                _outcome(lambda: group_structure_possible(p, q)),
+            )
+            for d in ds:
+                args = (p, q, d)
+                feed("stabilizer", args, _outcome(lambda: stabilizer(p, q, d)))
+                feed("eta_fiber_size", args, _outcome(lambda: eta_fiber_size(p, q, d)))
+                feed("del_map", args, _outcome(lambda: del_map(p, q, d, 1)))
+                feed("del_map", args, _outcome(lambda: del_map(p, q, 1, d)))
+    return {family: h.hexdigest() for family, h in hashes.items()}
+
+
+def main(argv: list[str] | None = None) -> None:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--max-sum", type=int, default=130, help="cover p + q < N")
+    parser.add_argument("--max-d", type=int, default=70, help="cover |d| <= D")
+    parser.add_argument("--json", action="store_true", help="print the golden JSON")
+    args = parser.parse_args(argv)
+    result = digests(args.max_sum, args.max_d)
+    if args.json:
+        grid = {"max_sum": args.max_sum, "max_d": args.max_d, "digests": result}
+        print(json.dumps(grid, indent=1))
+    else:
+        for family, digest in result.items():
+            print(family, digest)
+
+
+if __name__ == "__main__":
+    main()
