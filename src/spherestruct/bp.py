@@ -34,10 +34,11 @@ call of a pair warms the others, in either order.
 
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores
-(``_t_multiple_of_4``, ``_bp_order``, ``_residual_group``,
-``_pairing_coefficient`` and the record ``_residual_split``) assume
-checked ones, and the package's own callers that have already checked a
-pair call the cores.  A core's cache must never see an unchecked
+(``_t_multiple_of_4``, ``_bp_order``, ``_pairing_coefficient`` and the
+record ``_residual_split``) assume checked ones, and the package's own
+callers that have already checked a pair call the cores: the residual
+group is Z_r off the record for a pair (4j, 4k) and ``_TRIVIAL`` for
+every other shape.  A core's cache must never see an unchecked
 argument, because it keys (4.0, 4) and (4, 4) alike.
 """
 
@@ -168,14 +169,6 @@ def residual_group(p: int, q: int) -> CyclicGroup:
     order formula applies.  The result is a shared, cached value.
     """
     check_pair(p, q)
-    # The body of _residual_group, inlined: a warm call enters two frames.
-    if p % 4 or q % 4:
-        return _TRIVIAL
-    return _residual_split(p, q)[2]
-
-
-def _residual_group(p: int, q: int) -> CyclicGroup:
-    # residual_group for a checked pair.
     if p % 4 or q % 4:
         return _TRIVIAL
     return _residual_split(p, q)[2]

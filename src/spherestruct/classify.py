@@ -158,6 +158,10 @@ def plumbing_boundary_class(u: int, v: int) -> CyclicElement:
     """Class of the boundary sphere of W_{u,v} in bP_8 = Z_28: minus the
     surgery obstruction del(u, v), which is -4uv mod 28.  del is bilinear,
     so this is del(-u, v) = -del(u, v), built as one element."""
+    if type(u) is not int:
+        u = _exact_int("u", u)
+    if type(v) is not int:
+        v = _exact_int("v", v)
     return del_map(4, 4, -u, v)
 
 

@@ -30,9 +30,10 @@ def _slot_writers(cls: type) -> tuple:
     constructors write each field once, already canonical, through these;
     a slot's own setter skips the name lookup through the class that
     ``object.__setattr__`` repeats on every call.  Bind them right after
-    the class body.  Each call costs about 70 ns, so a factory of a wide
-    class may instead fill an unfrozen twin with the same ``__slots__``
-    by plain stores and retype it once (``structset.present`` does)."""
+    the class body.  Each call costs about 70 ns, so a wide class that
+    one factory builds keeps the generated ``__init__`` and its factory
+    fills an unfrozen twin with the same ``__slots__`` by plain stores
+    and retypes it once (``structset.present`` does)."""
     return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
 
 

@@ -36,26 +36,28 @@ topological set is not a subgroup whenever the residual group is
 nontrivial, which holds in every shipped dimension).
 
 As in ``bp``, public functions check their arguments, with one
-``bp.check_pair`` for the dimensions, and ``_``-prefixed helpers such as
-``_is_stabilizer_shape`` assume normalised, checked ones.  They read
-``bp``'s cores and the record of a pair, never the public ``t``,
-``bp_order``, ``residual_group`` or ``pairing_coefficient``.
-``normalize_dims`` is the home of the order rule, ``_is_stabilizer_shape``
-of the shape test and ``stabilizer`` of the stabiliser formula, which
-``eta_fiber_size`` and ``forgetful_fiber`` read through its public door
-(so ``eta_fiber_size`` checks its pair twice).  ``present`` and
-``stabilizer`` repeat the rule's swap and the shape test inline, so that
-a warm ``stabilizer`` enters only itself and ``check_pair``.  Tests pin
-each copy to its home.
+``bp.check_pair`` for the dimensions, and then read ``bp``'s cores and
+the record of a pair, never the public ``t``, ``bp_order``,
+``residual_group`` or ``pairing_coefficient``.  The order rule lives in
+``normalize_dims``; only ``present``, whose result shows the order, and
+``stabilizer`` repeat its swap inline, so that a warm ``stabilizer``
+enters only itself and ``check_pair``.  The verdicts of
+``group_structure_possible`` and ``forgetful_fiber`` are symmetric in
+p and q (the record is one per unordered pair), so they test the shape
+on the pair as given: {4j-1, 4k} is p + q = 3 mod 4 with a factor
+divisible by 4.  ``stabilizer`` is the home of the stabiliser formula,
+which ``eta_fiber_size`` and ``forgetful_fiber`` read through its public
+door (so ``eta_fiber_size`` checks its pair twice).  Tests pin each
+inline copy to its home.
 
 ``present`` builds its result as a draft: it stores the ten fields into
 a ``_Draft``, a method-less class with the same ``__slots__``, and then
 retypes it once to ``StructureSetPresentation``.  Ten plain slot stores
-and one retype cost about half of the ten slot-writer calls of the
-hand-written ``__init__``, and the building is half of a warm
-``present``.  The retyped value is an ordinary frozen instance, and
-keyword construction and ``dataclasses.replace`` still go through
-``__init__``; a test pins that both routes build the same value.
+and one retype cost about a sixth of a call of the generated
+``__init__``.  The retyped value is an ordinary frozen instance;
+keyword construction and ``dataclasses.replace`` go through the
+generated ``__init__``, and a test pins that both routes build the same
+value.
 """
 
 from __future__ import annotations
@@ -68,8 +70,8 @@ from .cyclic import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
+    _exact_int,
     _reject_non_int,
-    _slot_writers,
     _subgroup,
     cyclic_group,
 )
@@ -108,12 +110,7 @@ def normalize_dims(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
-def _is_stabilizer_shape(p: int, q: int) -> bool:
-    # Normalised shape (4j-1, 4k); only possible when p + q = 3 mod 4.
-    return p % 4 == 3 and q % 4 == 0
-
-
-@dataclass(frozen=True, slots=True, init=False)
+@dataclass(frozen=True, slots=True)
 class StructureSetPresentation:
     """Everything the exact sequence above says about one product."""
 
@@ -127,30 +124,6 @@ class StructureSetPresentation:
     residual: CyclicGroup
     action_case: str
     stabilizer_coefficient: int | None  # 8 t_{p+1} t_q in the stabiliser case
-
-    def __init__(
-        self,
-        p: int,
-        q: int,
-        input_p: int,
-        input_q: int,
-        theta_group: KnownGroup,
-        bp_next: KnownGroup,
-        normal_invariants: tuple[KnownGroup, KnownGroup],
-        residual: CyclicGroup,
-        action_case: str,
-        stabilizer_coefficient: int | None,
-    ) -> None:
-        _set_p(self, p)
-        _set_q(self, q)
-        _set_input_p(self, input_p)
-        _set_input_q(self, input_q)
-        _set_theta_group(self, theta_group)
-        _set_bp_next(self, bp_next)
-        _set_normal_invariants(self, normal_invariants)
-        _set_residual(self, residual)
-        _set_action_case(self, action_case)
-        _set_stabilizer_coefficient(self, stabilizer_coefficient)
 
     def sequence_text(self) -> str:
         n = self.p + self.q
@@ -217,20 +190,6 @@ class StructureSetPresentation:
         return lines
 
 
-(
-    _set_p,
-    _set_q,
-    _set_input_p,
-    _set_input_q,
-    _set_theta_group,
-    _set_bp_next,
-    _set_normal_invariants,
-    _set_residual,
-    _set_action_case,
-    _set_stabilizer_coefficient,
-) = _slot_writers(StructureSetPresentation)
-
-
 class _Draft:
     # The unfrozen twin that ``present`` fills: the same slots in the same
     # order, so CPython lets the finished draft be retyped to the frozen
@@ -252,37 +211,31 @@ def present(
     """Populate the presentation of S^Diff(S^p x S^q) from the order
     formulas and the reference table."""
     bp.check_pair(p, q)
-    # The swap of normalize_dims and the test of _is_stabilizer_shape,
-    # inlined.
+    # The swap of normalize_dims, inlined.
     if p % 2 == 0 and q % 2 == 1:
         np_, nq = q, p
     else:
         np_, nq = p, q
     n = np_ + nq
     table = table or tables._BUILTIN
-    theta_group = table.theta_order(n)
-    bp_next = bp._bp_order(n + 1, table)
-    normal = (table.pi_go(np_), table.pi_go(nq))
-    residual = bp._residual_group(np_, nq)
-    if np_ % 4 == 3 and nq % 4 == 0:
-        case = ACTION_STABILIZER
-        coefficient = bp._residual_split(np_ + 1, nq)[0]
-    else:
-        case = ACTION_FREE
-        coefficient = None
     # Built as a draft and retyped once: ten plain slot stores and the
-    # retype cost about half of the slot-writer calls of __init__.
+    # retype cost about a sixth of a call of the dataclass __init__.
     x = _Draft()
     x.p = np_
     x.q = nq
     x.input_p = p
     x.input_q = q
-    x.theta_group = theta_group
-    x.bp_next = bp_next
-    x.normal_invariants = normal
-    x.residual = residual
-    x.action_case = case
-    x.stabilizer_coefficient = coefficient
+    x.theta_group = table.theta_order(n)
+    x.bp_next = bp._bp_order(n + 1, table)
+    x.normal_invariants = (table.pi_go(np_), table.pi_go(nq))
+    x.residual = bp._TRIVIAL
+    x.action_case = ACTION_FREE
+    x.stabilizer_coefficient = None
+    if np_ % 4 == 3 and nq % 4 == 0:  # (4j-1, 4k)
+        x.action_case = ACTION_STABILIZER
+        x.stabilizer_coefficient = bp._residual_split(np_ + 1, nq)[0]
+    elif np_ % 4 == 0 and nq % 4 == 0:  # (4j, 4k)
+        x.residual = bp._residual_split(np_, nq)[2]
     x.__class__ = StructureSetPresentation
     return x
 
@@ -296,6 +249,10 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     bp.check_pair(p, q)
     n = p + q
     group = cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1)
+    if type(phi_u) is not int:
+        phi_u = _exact_int("phi_u", phi_u)
+    if type(phi_v) is not int:
+        phi_v = _exact_int("phi_v", phi_v)
     return CyclicElement(group, bp._pairing_coefficient(p, q) * phi_u * phi_v)
 
 
@@ -311,14 +268,13 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     if not isinstance(d, int):
         _reject_non_int("d", d)
     bp.check_pair(p, q)
-    # The swap of normalize_dims and the test of _is_stabilizer_shape,
-    # inlined: a warm call enters two frames.  With (c, g, Z_r) the record
-    # of (p + 1, q), so that c = 8 t_{p+1} t_q, g = gcd(c, t_m) and
-    # t_m = g * r, the generator d * c of Z_{t_m} reduces to g * gcd(d, r),
-    # and the record gives t_m without a second cache.  The record would
-    # ask t of p + 1 and q before t_m, so m is compared with the cap
-    # first: past it, t_m raises the cap error that names m, as the public
-    # ``t(m)`` would.
+    # The swap of normalize_dims, inlined: a warm call enters two frames.
+    # With (c, g, Z_r) the record of (p + 1, q), so that c = 8 t_{p+1} t_q,
+    # g = gcd(c, t_m) and t_m = g * r, the generator d * c of Z_{t_m}
+    # reduces to g * gcd(d, r), and the record gives t_m without a second
+    # cache.  The record would ask t of p + 1 and q before t_m, so m is
+    # compared with the cap first: past it, t_m raises the cap error that
+    # names m, as the public ``t(m)`` would.
     if p % 2 == 0 and q % 2 == 1:
         p, q = q, p
     m = p + q + 1
@@ -389,21 +345,27 @@ class GroupStructureVerdict:
         return self.possible
 
 
+# The three verdicts, shared like every other result.
+_VARYING_STABILIZERS = GroupStructureVerdict(False, "non-constant stabilizers")
+_NOT_A_SUBGROUP = GroupStructureVerdict(False, "image not a subgroup")
+_POSSIBLE = GroupStructureVerdict(True, None)
+
+
 def group_structure_possible(p: int, q: int) -> GroupStructureVerdict:
-    """Group-structure verdict by normalised shape: (4j-1, 4k) fails with
-    varying stabilisers, (4j, 4k) fails when the residual group is
+    """Group-structure verdict by shape, in either order: {4j-1, 4k} fails
+    with varying stabilisers, {4j, 4k} fails when the residual group is
     nontrivial, everything else succeeds."""
-    np_, nq = normalize_dims(p, q)
-    if _is_stabilizer_shape(np_, nq):
-        return GroupStructureVerdict(False, "non-constant stabilizers")
-    if bp._residual_group(np_, nq).order > 1:
-        return GroupStructureVerdict(False, "image not a subgroup")
-    return GroupStructureVerdict(True, None)
+    bp.check_pair(p, q)
+    if (p + q) % 4 == 3 and (p % 4 == 0 or q % 4 == 0):  # {4j-1, 4k}
+        return _VARYING_STABILIZERS
+    if p % 4 == 0 and q % 4 == 0 and bp._residual_split(p, q)[2].order > 1:
+        return _NOT_A_SUBGROUP
+    return _POSSIBLE
 
 
 def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
     """Size of the forgetful-map fibre over a topological structure of
-    S^3 x S^4 with normal invariant ``top_invariant`` in Z.
+    S^3 x S^4 (or S^4 x S^3) with normal invariant ``top_invariant`` in Z.
 
     The comparison map multiplies the degree-4 coordinate by t_4 = 2, so
     smooth structures hit exactly the even invariants and odd inputs are
@@ -412,15 +374,14 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
     """
     if not isinstance(top_invariant, int):
         _reject_non_int("top_invariant", top_invariant)
-    np_, nq = normalize_dims(p, q)
-    if (np_, nq) != (3, 4):
+    bp.check_pair(p, q)
+    if (p, q) not in ((3, 4), (4, 3)):
         raise ValueError(
             f"forgetful_fiber currently handles only S^3 x S^4, got ({p}, {q})"
         )
-    t_q = bp._t_multiple_of_4(nq)
-    if top_invariant % t_q != 0:
+    if top_invariant % 2 != 0:  # t_4 = 2
         raise ValueError(
             f"topological normal invariant {top_invariant} is odd, hence not "
             "in the image of the smooth structure set (even invariants only)"
         )
-    return eta_fiber_size(np_, nq, top_invariant // t_q)
+    return eta_fiber_size(p, q, top_invariant // 2)

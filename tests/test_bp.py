@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 import sys
 import time
 from itertools import permutations
@@ -40,6 +41,7 @@ from spherestruct.bp import (
     pairing_coefficient,
 )
 from spherestruct.cyclic import _subgroup
+from spherestruct.structset import normalize_dims
 from spherestruct.tables import _finite
 
 from helpers import brute_subgroup, t_oracle
@@ -325,21 +327,32 @@ def test_either_order_of_a_pair_reads_the_same_values(j, k, mirrored_first):
 
 
 
-def _entered(call):
-    # Names of the Python functions a warm call enters, in order.
+def _entered_codes(call):
+    # Code objects of the Python functions a warm call enters, in order,
+    # the call's own lambda first.  The collector is paused, so that a
+    # collection in the window cannot add a finalised generator's frame.
     call()
     entered = []
 
     def profile(frame, event, arg):
         if event == "call":
-            entered.append(frame.f_code.co_name)
+            entered.append(frame.f_code)
 
+    collecting = gc.isenabled()
+    gc.disable()
     sys.setprofile(profile)
     try:
         call()
     finally:
         sys.setprofile(None)
-    return entered[1:]  # without the lambda
+        if collecting:
+            gc.enable()
+    return entered
+
+
+def _entered(call):
+    # Names of the Python functions a warm call enters, in order.
+    return [code.co_name for code in _entered_codes(call)[1:]]  # without the lambda
 
 
 def test_a_warm_residual_group_enters_two_python_functions():
@@ -349,8 +362,8 @@ def test_a_warm_residual_group_enters_two_python_functions():
 @pytest.mark.parametrize("p, q", [(23, 24), (24, 23), (22, 24)])
 def test_a_warm_stabilizer_enters_two_python_functions(p, q):
     # The stabiliser shape, the same pair swapped, and a free shape: the
-    # door inlines normalize_dims and the shape test, and reads t_m off
-    # the record of the pair.
+    # door inlines the swap of normalize_dims, and reads t_m off the
+    # record of the pair.
     assert _entered(lambda: stabilizer(p, q, 5)) == ["stabilizer", "check_pair"]
 
 
@@ -362,6 +375,38 @@ def test_a_warm_eta_fiber_size_reads_the_public_stabilizer():
         "eta_fiber_size", "check_pair", "theta_order", "is_unknown",
         "stabilizer", "check_pair", "order",
     ]
+
+
+def test_a_warm_group_structure_possible_enters_two_python_functions():
+    # It tests the shape of the pair as given, reads Z_r off the record,
+    # and hands out a shared verdict.
+    assert _entered(lambda: group_structure_possible(40, 44)) == [
+        "group_structure_possible", "check_pair",
+    ]
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: group_structure_possible(23, 24),
+        lambda: group_structure_possible(24, 23),
+        lambda: group_structure_possible(22, 25),
+        lambda: forgetful_fiber(3, 4, 2),
+        lambda: forgetful_fiber(4, 3, 2),
+        lambda: eta_fiber_size(24, 23, 5),
+        lambda: stabilizer(24, 23, 5),
+    ],
+    ids=[
+        "group_structure_possible(23, 24)", "group_structure_possible(24, 23)",
+        "group_structure_possible(22, 25)", "forgetful_fiber(3, 4, 2)",
+        "forgetful_fiber(4, 3, 2)", "eta_fiber_size(24, 23, 5)",
+        "stabilizer(24, 23, 5)",
+    ],
+)
+def test_a_symmetric_answer_never_enters_normalize_dims(call):
+    # The order rule lives in normalize_dims; answers that do not depend
+    # on the order read the pair as given.
+    assert normalize_dims.__code__ not in _entered_codes(call)
 
 
 def test_a_warm_bp_order_of_2_mod_4_reads_the_builtin_table_directly():
@@ -376,25 +421,14 @@ def test_a_warm_bp_order_of_2_mod_4_reads_the_builtin_table_directly():
 def test_a_warm_call_checks_its_pair_once_and_enters_no_other_door(call):
     # The public door checks the pair; the cores behind it trust it, so
     # neither check_pair again nor a public function of bp is entered.
-    call()
     doors = {
         f.__code__: f.__name__
         for f in (t, bp_order, residual_group, pairing_coefficient)
     }
-    entered = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.append(frame.f_code)
-
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
+    entered = _entered_codes(call)
     assert entered.count(check_pair.__code__) == 1
     assert [doors[code] for code in entered if code in doors] == []
-    # present fills a draft and retypes it, so no slot writer is called.
+    # present fills a draft and retypes it, so __init__ is not called.
     assert StructureSetPresentation.__init__.__code__ not in entered
 
 

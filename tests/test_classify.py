@@ -62,14 +62,17 @@ def test_non_integer_fields_are_rejected_at_construction():
         S4S4Manifold("7", 1, 0)
     with pytest.raises(TypeError, match="^v must be an int, got float$"):
         s3s4_inertia_group(0.5)
-    with pytest.raises(TypeError, match="^value must be an int, got float$"):
+    with pytest.raises(TypeError, match="^u must be an int, got float$"):
         plumbing_boundary_class(0.5, 2)
+    with pytest.raises(TypeError, match="^v must be an int, got str$"):
+        plumbing_boundary_class(1, "2")
     with pytest.raises(TypeError, match="^u must be an int, got float$"):
         wall_triple_of_plumbing(0.5, 2)
     with pytest.raises(TypeError, match="^v must be an int, got str$"):
         wall_triple_of_plumbing(1, "2")
     # Booleans are ints and stay accepted.
     assert wall_triple_of_plumbing(True, False) == wall_triple_of_plumbing(1, 0)
+    assert plumbing_boundary_class(True, False) == plumbing_boundary_class(1, 0)
     assert s3s4_inertia_group(True) == s3s4_inertia_group(1)
     assert S3S4Invariant(True, False).sigma == BP8.element(1)
     assert S4S4Manifold(True, 0, True).phi == 1

@@ -30,7 +30,6 @@ from spherestruct.structset import (
     ACTION_FREE,
     ACTION_STABILIZER,
     StructureSetPresentation,
-    _is_stabilizer_shape,
     normalize_dims,
 )
 from spherestruct.tables import builtin_table
@@ -195,13 +194,16 @@ def test_non_integer_inputs_are_rejected_with_their_name():
 
 
 def test_floats_never_enter_an_element():
-    for call in (
-        lambda: del_map(4, 4, 1.5, 2),
-        lambda: del_map(4, 4, 2, 0.5),
-        lambda: del_map(3, 5, 1.5, 2),  # the zero map rejects them too
-        lambda: del_map(4, 4, 0.0, 0),
+    for call, message in (
+        (lambda: del_map(4, 4, 1.5, 2), "phi_u must be an int, got float"),
+        (lambda: del_map(4, 4, 2, 0.5), "phi_v must be an int, got float"),
+        # the zero map rejects them too
+        (lambda: del_map(3, 5, 1.5, 2), "phi_u must be an int, got float"),
+        (lambda: del_map(4, 4, 0.0, 0), "phi_u must be an int, got float"),
+        # checked before the product, which would repeat the string
+        (lambda: del_map(4, 4, 10**5, "ab"), "phi_v must be an int, got str"),
     ):
-        with pytest.raises(TypeError, match="^value must be an int, got float$"):
+        with pytest.raises(TypeError, match=f"^{message}$"):
             call()
     assert del_map(4, 4, True, 3) == del_map(4, 4, 1, 3)
 
@@ -273,6 +275,10 @@ def test_group_structure_verdicts():
     assert group_structure_possible(2, 5).reason is None
     assert group_structure_possible(3, 5).possible
     assert not group_structure_possible(4, 3).possible  # normalised (3, 4)
+    # The verdict is the same in both orders of every pair.
+    for p in range(2, 60):
+        for q in range(max(2, 5 - p), 60):
+            assert group_structure_possible(p, q) == group_structure_possible(q, p), (p, q)
 
 
 def test_group_structure_cross_check_against_component_tests():
@@ -304,6 +310,15 @@ def test_forgetful_fiber_split_matches_divisibility():
     for y in range(-60, 61):
         expected = 28 if y % 7 == 0 else 4
         assert forgetful_fiber(3, 4, 2 * y) == KnownGroup.finite(expected), y
+        assert forgetful_fiber(4, 3, 2 * y) == KnownGroup.finite(expected), y
+    # Both orders reject the same inputs with the same error.
+    for x in (-3, 1, 7):
+        for pair in ((3, 4), (4, 3)):
+            with pytest.raises(ValueError, match=f"^topological normal invariant {x} is odd"):
+                forgetful_fiber(*pair, x)
+    for p, q in ((4, 4), (3, 5), (5, 3), (2, 5), (3, 8)):
+        with pytest.raises(ValueError, match=rf"S\^3 x S\^4, got \({p}, {q}\)$"):
+            forgetful_fiber(p, q, 2)
 
 
 def test_exactness_bookkeeping_over_boxes():
@@ -434,14 +449,15 @@ def test_del_map_is_odd_off_the_4j_4k_shape(p, q, phi_u, phi_v):
 
 
 def _presentation_from_cores(p, q):
-    # What present(p, q) says, assembled from normalize_dims, the shape
-    # test and the cores, without the inlined copies in present.
+    # What present(p, q) says, assembled from normalize_dims, a shape test
+    # on the normalised pair, the public residual_group and the cores,
+    # without the inlined swap and the shape branches of present.
     np_, nq = normalize_dims(p, q)
     n, table = np_ + nq, builtin_table()
-    varies = _is_stabilizer_shape(np_, nq)
+    varies = np_ % 4 == 3 and nq % 4 == 0
     return StructureSetPresentation(
         np_, nq, p, q, table.theta_order(n), bp._bp_order(n + 1, table),
-        (table.pi_go(np_), table.pi_go(nq)), bp._residual_group(np_, nq),
+        (table.pi_go(np_), table.pi_go(nq)), residual_group(np_, nq),
         ACTION_STABILIZER if varies else ACTION_FREE,
         bp._pairing_coefficient(np_ + 1, nq) if varies else None,
     )

@@ -42,6 +42,7 @@ from spherestruct.cyclic import (
     cyclic_group,
 )
 from spherestruct.ltheory import LClass, LGroupKind, NormalClassDiff
+from spherestruct import structset
 from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, _Draft
 
 from helpers import brute_subgroup
@@ -89,7 +90,7 @@ def test_every_value_class_is_frozen_and_slotted():
 
 HAND_WRITTEN_INIT = (
     CyclicGroup, CyclicElement, CyclicSubgroup, KnownGroup, LClass,
-    NormalClassDiff, S3S4Invariant, S4S4Manifold, StructureSetPresentation,
+    NormalClassDiff, S3S4Invariant, S4S4Manifold,
 )
 
 
@@ -143,6 +144,13 @@ _OVERRIDE = parse_table(
 def test_the_draft_of_a_presentation_has_its_slots_in_field_order():
     names = tuple(f.name for f in dataclasses.fields(StructureSetPresentation))
     assert _Draft.__slots__ == names
+
+
+def test_a_presentation_is_built_by_its_draft_or_the_generated_constructor():
+    # present retypes a draft, so the class keeps the generated __init__
+    # for keyword construction and has no slot writers of its own.
+    assert StructureSetPresentation.__dataclass_params__.init
+    assert not [name for name in vars(structset) if name.startswith("_set_")]
 
 
 @settings(max_examples=150, deadline=None)

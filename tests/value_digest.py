@@ -5,7 +5,8 @@ every value (and every error) as it was.
 
 It covers every pair (p, q) with p, q >= 0 and p + q < N (default 130),
 in both orders, and every integer coordinate d with |d| <= D (default
-70).  Each family hashes one line per call: its arguments and either the
+70), which ``forgetful_fiber`` also takes as its ``top_invariant``.
+Each family hashes one line per call: its arguments and either the
 ``repr`` of the value (``present`` hashes ``as_dict()`` as JSON) or the
 type and message of the error it raised, so a pair that ``check_pair``
 rejects is pinned too.  It prints ``family digest`` lines, or with
@@ -28,6 +29,7 @@ from spherestruct.bp import residual_group
 from spherestruct.structset import (
     del_map,
     eta_fiber_size,
+    forgetful_fiber,
     group_structure_possible,
     present,
     stabilizer,
@@ -40,6 +42,7 @@ FAMILIES = (
     "residual_group",
     "del_map",
     "group_structure_possible",
+    "forgetful_fiber",
 )
 
 
@@ -77,6 +80,7 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
                 feed("eta_fiber_size", args, _outcome(lambda: eta_fiber_size(p, q, d)))
                 feed("del_map", args, _outcome(lambda: del_map(p, q, d, 1)))
                 feed("del_map", args, _outcome(lambda: del_map(p, q, 1, d)))
+                feed("forgetful_fiber", args, _outcome(lambda: forgetful_fiber(p, q, d)))
     return {family: h.hexdigest() for family, h in hashes.items()}
 
 
