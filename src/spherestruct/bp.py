@@ -34,12 +34,13 @@ call of a pair warms the others, in either order.
 
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores
-(``_t_multiple_of_4``, ``_bp_order``, ``_pairing_coefficient`` and the
-record ``_residual_split``) assume checked ones, and the package's own
+(``_t_multiple_of_4``, ``_pairing_coefficient`` and the record
+``_residual_split``) assume checked ones, and the package's own
 callers that have already checked a pair call the cores: the residual
 group is Z_r off the record for a pair (4j, 4k) and ``_TRIVIAL`` for
-every other shape.  A core's cache must never see an unchecked
-argument, because it keys (4.0, 4) and (4, 4) alike.
+every other shape.  ``bp_order`` has no core; ``structset.present``
+calls the door.  A core's cache must never see an unchecked argument,
+because it keys (4.0, 4) and (4, 4) alike.
 """
 
 from __future__ import annotations
@@ -49,7 +50,7 @@ from math import gcd
 
 from .cyclic import CyclicGroup, _reject_non_int, cyclic_group
 from .rationals import MAX_BERNOULLI_INDEX, num_b_over_4k
-from .tables import _BUILTIN, GroupTable, KnownGroup, _finite
+from .tables import _BUILTIN, GroupTable, KnownGroup, _finite, _reject_non_table
 from .tables import _TRIVIAL as _TRIVIAL_ORDER
 
 __all__ = [
@@ -105,11 +106,8 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
         _reject_non_int("m", m)
     if m < 4:
         raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
-    return _bp_order(m, table)
-
-
-def _bp_order(m: int, table: GroupTable | None) -> KnownGroup:
-    # bp_order for an int m >= 4.
+    if table is not None and not isinstance(table, GroupTable):
+        _reject_non_table(table)
     if m % 2 == 1 or m == 4:
         return _TRIVIAL_ORDER  # KnownGroup.trivial(), without its frame
     if m % 4 == 0:

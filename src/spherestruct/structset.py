@@ -24,10 +24,9 @@ generated by 8 d t_{4j} t_{4k}, so fibre sizes vary with d:
 residual group of (4j, 4k), the stabiliser has order r / gcd(d, r):
 trivial for d = 0 and of order r > 1 for d = 1.  This change with d is
 why the smooth set admits no group structure in this shape (below).
-Both orders come from the record (c, g, Z_r) of (4j, 4k) that ``bp``
-caches, one per unordered pair (so (4k, 4j) reads the same record),
-which also gives |bP_{4(j+k)}| = g * r, so a warm stabiliser costs one
-gcd of d and r and no other cache.
+The ambient order t_{4(j+k)} comes from t's cache, as in ``del_map``,
+and the generator from the record (c, g, Z_r) of (4j, 4k) that ``bp``
+caches once per unordered pair, so (4k, 4j) reads the same record.
 
 The topological structure set, by contrast, is a group isomorphic to
 L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
@@ -35,10 +34,11 @@ L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
 topological set is not a subgroup whenever the residual group is
 nontrivial, which holds in every shipped dimension).
 
-As in ``bp``, public functions check their arguments, with one
-``bp.check_pair`` for the dimensions, and then read ``bp``'s cores and
-the record of a pair, never the public ``t``, ``bp_order``,
-``residual_group`` or ``pairing_coefficient``.  The order rule lives in
+As in ``bp``, public functions check their arguments (one
+``bp.check_pair`` for the dimensions; a ``table`` is None or a
+``GroupTable``) and then read ``bp``'s cores, the record of a pair and
+``bp_order``, never the public ``t``, ``residual_group`` or
+``pairing_coefficient``.  The order rule lives in
 ``normalize_dims``; only ``present``, whose result shows the order, and
 ``stabilizer`` repeat its swap inline, so that a warm ``stabilizer``
 enters only itself and ``check_pair``.  The verdicts of
@@ -76,8 +76,7 @@ from .cyclic import (
     cyclic_group,
 )
 from .ltheory import LGroupKind, l_group
-from .rationals import MAX_BERNOULLI_INDEX
-from .tables import GroupTable, KnownGroup, _finite
+from .tables import GroupTable, KnownGroup, _finite, _reject_non_table
 
 __all__ = [
     "StructureSetPresentation",
@@ -97,8 +96,6 @@ __all__ = [
 
 ACTION_FREE = "free_everywhere"
 ACTION_STABILIZER = "stabilizers_vary_with_d"
-
-_T_CAP = 4 * MAX_BERNOULLI_INDEX  # t_m past this raises its cap error
 
 
 def normalize_dims(p: int, q: int) -> tuple[int, int]:
@@ -217,6 +214,8 @@ def present(
     else:
         np_, nq = p, q
     n = np_ + nq
+    if table is not None and not isinstance(table, GroupTable):
+        _reject_non_table(table)
     table = table or tables._BUILTIN
     # Built as a draft and retyped once: ten plain slot stores and the
     # retype cost about a sixth of a call of the dataclass __init__.
@@ -226,7 +225,7 @@ def present(
     x.input_p = p
     x.input_q = q
     x.theta_group = table.theta_order(n)
-    x.bp_next = bp._bp_order(n + 1, table)
+    x.bp_next = bp.bp_order(n + 1, table)
     x.normal_invariants = (table.pi_go(np_), table.pi_go(nq))
     x.residual = bp._TRIVIAL
     x.action_case = ACTION_FREE
@@ -269,22 +268,17 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
         _reject_non_int("d", d)
     bp.check_pair(p, q)
     # The swap of normalize_dims, inlined: a warm call enters two frames.
-    # With (c, g, Z_r) the record of (p + 1, q), so that c = 8 t_{p+1} t_q,
-    # g = gcd(c, t_m) and t_m = g * r, the generator d * c of Z_{t_m}
-    # reduces to g * gcd(d, r), and the record gives t_m without a second
-    # cache.  The record would ask t of p + 1 and q before t_m, so m is
-    # compared with the cap first: past it, t_m raises the cap error that
-    # names m, as the public ``t(m)`` would.
+    # The ambient Z_n, n = t_m, is read from t's cache before the record,
+    # so past the cap it raises the error naming m, as ``t(m)`` would.
+    # With (c, g, Z_r) the record of (p + 1, q), c = 8 t_{p+1} t_q and
+    # g = gcd(c, n), the generator d * c of Z_n reduces to g * gcd(d, r).
     if p % 2 == 0 and q % 2 == 1:
         p, q = q, p
     m = p + q + 1
-    if p % 4 == 3 and q % 4 == 0:
-        if m > _T_CAP:
-            bp._t_multiple_of_4(m)  # raises the cap error naming m
-        _, g, residual = bp._residual_split(p + 1, q)
-        r = residual.order
-        return _subgroup(g * r, g * gcd(d, r))
     n = bp._t_multiple_of_4(m) if m % 4 == 0 else 1
+    if p % 4 == 3 and q % 4 == 0:
+        _, g, residual = bp._residual_split(p + 1, q)
+        return _subgroup(n, g * gcd(d, residual.order))
     return _subgroup(n, n)  # the trivial subgroup <0> = <n> of Z_n
 
 
@@ -299,6 +293,8 @@ def eta_fiber_size(
     if not isinstance(d, int):
         _reject_non_int("d", d)
     bp.check_pair(p, q)
+    if table is not None and not isinstance(table, GroupTable):
+        _reject_non_table(table)
     theta_group = (table or tables._BUILTIN).theta_order(p + q)
     if theta_group.is_unknown:
         return KnownGroup.unknown()

@@ -220,10 +220,17 @@ def builtin_table() -> GroupTable:
     return _BUILTIN
 
 
+def _reject_non_table(table: object) -> None:
+    # A door's ``table`` is None (the built-in table) or a GroupTable.
+    raise TypeError(f"table must be a GroupTable, got {type(table).__name__}")
+
+
 def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order of the group of homotopy n-spheres, or unknown."""
     if not isinstance(n, int):
         _reject_non_int("n", n)
+    if table is not None and not isinstance(table, GroupTable):
+        _reject_non_table(table)
     return (table or _BUILTIN).theta_order(n)
 
 
@@ -231,6 +238,8 @@ def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order data for pi_n(G/O), n >= 2."""
     if not isinstance(n, int):
         _reject_non_int("n", n)
+    if table is not None and not isinstance(table, GroupTable):
+        _reject_non_table(table)
     return (table or _BUILTIN).pi_go(n)
 
 
@@ -344,14 +353,14 @@ def _check_consistency(table: GroupTable) -> None:
     # Kervaire-Milnor: bP_{n+1} is a subgroup of Theta_n, so its order,
     # whether a table entry or formula output, divides every known
     # |Theta_n|.
-    from .bp import _bp_order  # bp imports this module
+    from .bp import bp_order  # bp imports this module
 
     for n, theta_group in sorted(table.theta.items()):
         m = n + 1
         past_cap = m % 4 == 0 and m > 4 * MAX_BERNOULLI_INDEX  # t_m not computable
         if theta_group.is_unknown or m < 4 or past_cap:
             continue
-        bp_group = _bp_order(m, table)
+        bp_group = bp_order(m, table)
         if not bp_group.is_unknown and theta_group.order % bp_group.order != 0:
             bp_name, theta_name = f"bP_{_shown(m)}", f"Theta_{_shown(n)}"
             raise TableError(
@@ -405,11 +414,7 @@ def parse_table(text: str) -> GroupTable:
         raise TableError(
             f"unrecognised table keys {stray}; expected any of {list(_FAMILIES)}"
         )
-    merged = {
-        "theta": dict(_BUILTIN.theta),
-        "pi_go_torsion": dict(_BUILTIN.pi_go_torsion),
-        "bp": dict(_BUILTIN.bp),
-    }
+    merged = {family: dict(getattr(_BUILTIN, family)) for family in _FAMILIES}
     for family in _FAMILIES:
         entries = raw.get(family)
         if entries is None:

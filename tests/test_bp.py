@@ -16,6 +16,7 @@ from spherestruct import (
     StructureSetPresentation,
     bernoulli,
     bp_order,
+    builtin_table,
     cyclic_group,
     del_map,
     eta_fiber_size,
@@ -409,25 +410,42 @@ def test_a_symmetric_answer_never_enters_normalize_dims(call):
     assert normalize_dims.__code__ not in _entered_codes(call)
 
 
-def test_a_warm_bp_order_of_2_mod_4_reads_the_builtin_table_directly():
-    assert _entered(lambda: bp_order(10)) == ["bp_order", "_bp_order", "bp_2mod4"]
+@pytest.mark.parametrize(
+    "m, path",
+    [(10, ["bp_order", "bp_2mod4"]), (12, ["bp_order"])],
+    ids=["bp_order(10)", "bp_order(12)"],
+)
+def test_a_warm_bp_order_enters_no_core(m, path):
+    # bp_order is the one home of |bP_m|: it reads the built-in table
+    # directly for m = 2 mod 4, and t's cache, a builtin, for m = 4k.
+    assert _entered(lambda: bp_order(m)) == path
+
+
+_PRESENT_PATH = ["present", "check_pair", "theta_order", "bp_order", "pi_go", "pi_go"]
 
 
 @pytest.mark.parametrize(
-    "call",
-    [lambda: present(19, 27), lambda: present(23, 24), lambda: stabilizer(23, 24, 5)],
+    "call, path",
+    [
+        (lambda: present(19, 27), _PRESENT_PATH),
+        # pi_go(24) reads |Theta_24| for its torsion
+        (lambda: present(23, 24), _PRESENT_PATH + ["theta_order", "is_unknown"]),
+        (lambda: stabilizer(23, 24, 5), ["stabilizer", "check_pair"]),
+    ],
     ids=["present(19, 27)", "present(23, 24)", "stabilizer(23, 24, 5)"],
 )
-def test_a_warm_call_checks_its_pair_once_and_enters_no_other_door(call):
+def test_a_warm_call_checks_its_pair_once_and_enters_no_other_door(call, path):
     # The public door checks the pair; the cores behind it trust it, so
-    # neither check_pair again nor a public function of bp is entered.
+    # neither check_pair again nor a public function of bp taking a pair
+    # is entered.  present reads |bP_{p+q+1}| from bp_order, which checks
+    # m, not the pair.
     doors = {
-        f.__code__: f.__name__
-        for f in (t, bp_order, residual_group, pairing_coefficient)
+        f.__code__: f.__name__ for f in (t, residual_group, pairing_coefficient)
     }
     entered = _entered_codes(call)
     assert entered.count(check_pair.__code__) == 1
     assert [doors[code] for code in entered if code in doors] == []
+    assert [code.co_name for code in entered[1:]] == path
     # present fills a draft and retypes it, so __init__ is not called.
     assert StructureSetPresentation.__init__.__code__ not in entered
 
@@ -493,6 +511,52 @@ def test_non_integer_dimensions_and_indices_are_rejected(case):
     call, message = _NON_INT_CALLS[case]
     with pytest.raises(TypeError, match=f"^{message}$"):
         call()
+
+
+# Each door that takes a table, with valid arguments and with a bad first
+# argument, whose message the table check must not overtake.
+_TABLE_DOORS = {
+    "present": (
+        lambda table: present(3, 4, table=table),
+        lambda table: present(3.0, 4, table=table),
+        "p must be an int, got float",
+    ),
+    "bp_order": (
+        lambda table: bp_order(10, table=table),
+        lambda table: bp_order(3, table=table),
+        r"bp_order\(m\) requires m >= 4, got 3",
+    ),
+    "eta_fiber_size": (
+        lambda table: eta_fiber_size(3, 4, 1, table=table),
+        lambda table: eta_fiber_size(3, 4, 1.0, table=table),
+        "d must be an int, got float",
+    ),
+    "theta_order": (
+        lambda table: theta_order(7, table=table),
+        lambda table: theta_order(7.0, table=table),
+        "n must be an int, got float",
+    ),
+    "pi_go": (
+        lambda table: pi_go(4, table=table),
+        lambda table: pi_go(4.0, table=table),
+        "n must be an int, got float",
+    ),
+}
+
+
+@pytest.mark.parametrize("door", sorted(_TABLE_DOORS))
+def test_a_table_is_none_or_a_group_table(door):
+    call, bad_call, first_message = _TABLE_DOORS[door]
+    assert call(None) == call(builtin_table())
+    call(parse_table('{"bp": {"10": "2"}}'))
+    # A falsy non-table does not stand for the built-in table, and a truthy
+    # one is named before any use could fail with an AttributeError.
+    for bad, name in ((0, "int"), ({}, "dict"), ("x", "str"), ([], "list")):
+        message = f"^table must be a GroupTable, got {name}$"
+        with pytest.raises(TypeError, match=message):
+            call(bad)
+        with pytest.raises((TypeError, ValueError), match=f"^{first_message}$"):
+            bad_call(bad)
 
 
 def test_pairing_coefficient_rejects_non_integers_before_its_cache():

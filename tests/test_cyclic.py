@@ -72,6 +72,7 @@ def test_element_arithmetic():
     assert (a - z28.element(4)).value == 26
     assert (-a).value == 26
     assert z28.element(0).is_zero
+    assert str(CyclicElement(CyclicGroup(28), 5)) == "5 in Z_28"
     with pytest.raises(ValueError):
         a + CyclicGroup(5).element(1)
 

@@ -24,6 +24,7 @@ def test_lclass_normalisation():
     assert LClass(10, -4).value == 0
     assert LClass(8, -3).value == -3
     assert LClass(7, 1).is_zero
+    assert str(LClass(4, 3)) == "3*z_4"
 
 
 def test_lclass_addition():

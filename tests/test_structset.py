@@ -82,6 +82,10 @@ def test_present_low_dimensional_free_case():
     assert pres.residual.order == 1
     assert pres.theta_group == KnownGroup.finite(1)
     assert pres.bp_next == KnownGroup.trivial()  # forced table entry
+    # A trivial Theta_5 is written 0, not by name.
+    assert pres.sequence_text() == (
+        "0 -> 0 -> S^Diff(S^3 x S^2) -> pi_3(G/O) x pi_2(G/O) -> 0 -> 0"
+    )
 
 
 def test_present_unknown_dimensions_render_symbolically():
@@ -450,13 +454,14 @@ def test_del_map_is_odd_off_the_4j_4k_shape(p, q, phi_u, phi_v):
 
 def _presentation_from_cores(p, q):
     # What present(p, q) says, assembled from normalize_dims, a shape test
-    # on the normalised pair, the public residual_group and the cores,
+    # on the normalised pair, the public residual_group and bp_order and
+    # the cores,
     # without the inlined swap and the shape branches of present.
     np_, nq = normalize_dims(p, q)
     n, table = np_ + nq, builtin_table()
     varies = np_ % 4 == 3 and nq % 4 == 0
     return StructureSetPresentation(
-        np_, nq, p, q, table.theta_order(n), bp._bp_order(n + 1, table),
+        np_, nq, p, q, table.theta_order(n), bp.bp_order(n + 1, table),
         (table.pi_go(np_), table.pi_go(nq)), residual_group(np_, nq),
         ACTION_STABILIZER if varies else ACTION_FREE,
         bp._pairing_coefficient(np_ + 1, nq) if varies else None,

@@ -120,6 +120,10 @@ def test_parse_rejects_bad_structure():
         parse_table("[1, 2]")
     with pytest.raises(TableError, match="unrecognised"):
         parse_table('{"thetas": {}}')
+    with pytest.raises(
+        TableError, match="^theta: expected an object of dimension entries$"
+    ):
+        parse_table('{"theta": 5}')
     with pytest.raises(TableError, match="dimension keys"):
         parse_table('{"theta": {"seven": "28"}}')
     with pytest.raises(TableError, match="decimal order"):

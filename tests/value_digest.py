@@ -6,6 +6,8 @@ every value (and every error) as it was.
 It covers every pair (p, q) with p, q >= 0 and p + q < N (default 130),
 in both orders, and every integer coordinate d with |d| <= D (default
 70), which ``forgetful_fiber`` also takes as its ``top_invariant``.
+``bp_order`` covers every m from 1 to 4 * D (below 4 an error), with
+the built-in table and with an override table that sets bP_10 and bP_18.
 Each family hashes one line per call: its arguments and either the
 ``repr`` of the value (``present`` hashes ``as_dict()`` as JSON) or the
 type and message of the error it raised, so a pair that ``check_pair``
@@ -25,7 +27,7 @@ import hashlib
 import json
 from collections.abc import Callable
 
-from spherestruct.bp import residual_group
+from spherestruct.bp import bp_order, residual_group
 from spherestruct.structset import (
     del_map,
     eta_fiber_size,
@@ -34,6 +36,7 @@ from spherestruct.structset import (
     present,
     stabilizer,
 )
+from spherestruct.tables import parse_table
 
 FAMILIES = (
     "present",
@@ -43,7 +46,12 @@ FAMILIES = (
     "del_map",
     "group_structure_possible",
     "forgetful_fiber",
+    "bp_order",
 )
+
+# bP_10 and bP_18 are the orders m = 2 mod 4 below 21 that the built-in
+# table leaves unknown; the override gives bp_order a table answer there.
+_OVERRIDE = '{"bp": {"10": "2", "18": "1"}}'
 
 
 def _outcome(call: Callable[[], object], show: Callable[[object], str] = repr) -> str:
@@ -81,6 +89,10 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
                 feed("del_map", args, _outcome(lambda: del_map(p, q, d, 1)))
                 feed("del_map", args, _outcome(lambda: del_map(p, q, 1, d)))
                 feed("forgetful_fiber", args, _outcome(lambda: forgetful_fiber(p, q, d)))
+    override = parse_table(_OVERRIDE)
+    for m in range(1, 4 * max_d + 1):
+        feed("bp_order", (m,), _outcome(lambda: bp_order(m)))
+        feed("bp_order", (m, "override"), _outcome(lambda: bp_order(m, override)))
     return {family: h.hexdigest() for family, h in hashes.items()}
 
 
