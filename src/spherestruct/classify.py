@@ -45,8 +45,6 @@ membership of the difference.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bp import residual_group, t
 from .cyclic import (
     CyclicElement,
@@ -54,6 +52,7 @@ from .cyclic import (
     _exact_int,
     _reject_non_int,
     _slot_writers,
+    _value,
     cyclic_group,
     subgroup_generated,
 )
@@ -82,11 +81,12 @@ _S3S4_INERTIA = tuple(subgroup_generated(BP8.order, 2 * v) for v in range(BP8.or
 _S4S4_RESIDUAL = residual_group(4, 4).order
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value
 class S3S4Invariant:
     """A manifold Sigma # N_v: the class sigma of Sigma in Z_28 and the
     bundle parameter v.  ``sigma`` may be given as a plain integer."""
 
+    __slots__ = ("sigma", "v")
     sigma: CyclicElement
     v: int
 
@@ -136,13 +136,21 @@ def s3s4_inertia_group(v: int) -> CyclicSubgroup:
     return _S3S4_INERTIA[v % BP8.order]
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class WallTriple:
     """Wall classification data of a plumbing: hyperbolic intersection
     form, the tangential invariant on the standard basis, signature 0."""
 
+    __slots__ = ("s_alpha_x", "s_alpha_y")
     s_alpha_x: int
     s_alpha_y: int
+
+    def __init__(self, s_alpha_x: int, s_alpha_y: int) -> None:
+        _set_s_alpha_x(self, s_alpha_x)
+        _set_s_alpha_y(self, s_alpha_y)
+
+
+_set_s_alpha_x, _set_s_alpha_y = _slot_writers(WallTriple)
 
 
 def wall_triple_of_plumbing(u: int, v: int) -> WallTriple:
@@ -165,7 +173,7 @@ def plumbing_boundary_class(u: int, v: int) -> CyclicElement:
     return del_map(4, 4, -u, v)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value
 class S4S4Manifold:
     """A closed manifold N_{u,v,phi} obtained by capping off W_{u,v}.
 
@@ -174,6 +182,7 @@ class S4S4Manifold:
     twist phi is reduced mod 2.
     """
 
+    __slots__ = ("u", "v", "phi")
     u: int
     v: int
     phi: int

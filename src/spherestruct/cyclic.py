@@ -10,9 +10,9 @@ subgroup is stored with generator n itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import gcd
+from operator import attrgetter
 
 __all__ = [
     "CyclicGroup",
@@ -23,18 +23,70 @@ __all__ = [
 ]
 
 
+def _value(cls: type) -> type:
+    """Make a slotted class a frozen value whose fields are its
+    ``__slots__``, in order.
+
+    It adds equality and hashing by the field tuple, a ``repr`` naming
+    each field, ``__match_args__``, and pickling by a list of the fields
+    (the state a frozen slotted dataclass pickles, so the bytes are the
+    same), and it refuses to assign or delete any attribute.  The class
+    writes its own ``__init__``, through ``_slot_writers``.  It gets no
+    base class: ``structset.present`` retypes a plain class with the
+    same slots to a value, which CPython allows only with equal bases."""
+    names = cls.__slots__
+    get = attrgetter(*names)  # of one name, the bare value
+    key = get if len(names) > 1 else lambda self: (get(self),)
+    writers = _slot_writers(cls)
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return key(self) == key(other)
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(key(self))
+
+    def __repr__(self):
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(names, key(self)))
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __getstate__(self):
+        return list(key(self))
+
+    def __setstate__(self, state):
+        if type(state) is dict:  # a GroupTable pickled before it had slots
+            state = [state[name] for name in names]
+        for write, value in zip(writers, state):
+            write(self, value)
+
+    for method in (__eq__, __hash__, __repr__, __getstate__, __setstate__):
+        setattr(cls, method.__name__, method)
+    cls.__setattr__ = _refuse_assignment
+    cls.__delattr__ = _refuse_deletion
+    cls.__match_args__ = names
+    return cls
+
+
+def _refuse_assignment(self, name: str, value: object) -> None:
+    raise AttributeError(f"cannot assign to field {name!r}")
+
+
+def _refuse_deletion(self, name: str) -> None:
+    raise AttributeError(f"cannot delete field {name!r}")
+
+
 def _slot_writers(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
-    Frozen dataclasses refuse plain attribute assignment, so hand-written
-    constructors write each field once, already canonical, through these;
-    a slot's own setter skips the name lookup through the class that
-    ``object.__setattr__`` repeats on every call.  Bind them right after
-    the class body.  Each call costs about 70 ns, so a wide class that
-    one factory builds keeps the generated ``__init__`` and its factory
+    Values refuse plain attribute assignment, so constructors write each
+    field once, already canonical, through these; a slot's own setter
+    skips the name lookup through the class that ``object.__setattr__``
+    repeats on every call.  Bind them right after the class body.  Each
+    call costs about 70 ns, so a wide class that one factory builds
     fills an unfrozen twin with the same ``__slots__`` by plain stores
     and retypes it once (``structset.present`` does)."""
-    return tuple(getattr(cls, f.name).__set__ for f in fields(cls))
+    return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
 def _reject_non_int(name: str, value: object) -> None:
@@ -49,13 +101,14 @@ def _exact_int(name: str, value: object) -> int:
     return int(value)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value
 class CyclicGroup:
     """The additive cyclic group Z_n; order 1 is the trivial group.
 
     Z_n is determined by n, so code that only needs to know whether two
     groups are the same compares their orders."""
 
+    __slots__ = ("order",)
     order: int
 
     def __init__(self, order: int) -> None:
@@ -75,6 +128,12 @@ class CyclicGroup:
 (_set_order,) = _slot_writers(CyclicGroup)
 
 
+def _check_group(name: str, group: object) -> None:
+    # The slow branch behind ``type(group) is not CyclicGroup``.
+    if not isinstance(group, CyclicGroup):
+        raise TypeError(f"{name} must be a CyclicGroup, got {type(group).__name__}")
+
+
 @lru_cache(maxsize=1024, typed=True)
 def cyclic_group(n: int) -> CyclicGroup:
     """The shared Z_n value: equal to ``CyclicGroup(n)``, built once per
@@ -88,16 +147,19 @@ def cyclic_group(n: int) -> CyclicGroup:
     return CyclicGroup(n)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value
 class CyclicElement:
     """An element of Z_n, stored by its representative in 0..n-1."""
 
+    __slots__ = ("group", "value")
     group: CyclicGroup
     value: int
 
     def __init__(self, group: CyclicGroup, value: int) -> None:
         if not isinstance(value, int):
             _reject_non_int("value", value)
+        if type(group) is not CyclicGroup:
+            _check_group("group", group)
         _set_group(self, group)
         _set_value(self, value % group.order)
 
@@ -129,16 +191,19 @@ class CyclicElement:
 _set_group, _set_value = _slot_writers(CyclicElement)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value
 class CyclicSubgroup:
     """A subgroup of Z_n, canonicalised to its generator gcd(g mod n, n)."""
 
+    __slots__ = ("ambient", "generator_value")
     ambient: CyclicGroup
     generator_value: int
 
     def __init__(self, ambient: CyclicGroup, generator_value: int) -> None:
         if not isinstance(generator_value, int):
             _reject_non_int("generator_value", generator_value)
+        if type(ambient) is not CyclicGroup:
+            _check_group("ambient", ambient)
         n = ambient.order
         _set_ambient(self, ambient)
         _set_generator_value(self, gcd(generator_value % n, n))

@@ -29,10 +29,8 @@ the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .bp import _pairing_coefficient, _t_multiple_of_4, check_pair
-from .cyclic import _exact_int, _slot_writers
+from .cyclic import _exact_int, _slot_writers, _value
 
 __all__ = [
     "LGroupKind",
@@ -45,15 +43,23 @@ __all__ = [
 _QUADRATIC = ("Z", "0", "Z/2", "0")
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class LGroupKind:
     """An L-group in a fixed dimension, identified by its symbol."""
 
+    __slots__ = ("dim", "symbol")
     dim: int
     symbol: str  # "Z" | "0" | "Z/2"
 
+    def __init__(self, dim: int, symbol: str) -> None:
+        _set_lgroup_dim(self, dim)
+        _set_symbol(self, symbol)
+
     def __str__(self) -> str:
         return self.symbol
+
+
+_set_lgroup_dim, _set_symbol = _slot_writers(LGroupKind)
 
 
 def l_group(i: int) -> LGroupKind:
@@ -65,7 +71,7 @@ def l_group(i: int) -> LGroupKind:
     return LGroupKind(i, _QUADRATIC[i % 4])
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value
 class LClass:
     """An element of the quadratic L-group in its dimension.
 
@@ -74,6 +80,7 @@ class LClass:
     are reduced mod 2).
     """
 
+    __slots__ = ("dim", "value")
     dim: int
     value: int
 
@@ -109,7 +116,7 @@ class LClass:
 _set_lclass_dim, _set_lclass_value = _slot_writers(LClass)
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value
 class NormalClassDiff:
     """A smooth normal invariant of a sphere, reduced to its Z-coordinate.
 
@@ -117,8 +124,9 @@ class NormalClassDiff:
     divisible by 4 and normalised to 0 elsewhere.
     """
 
+    __slots__ = ("dim", "phi")
     dim: int
-    phi: int = 0
+    phi: int
 
     def __init__(self, dim: int, phi: int = 0) -> None:
         if type(dim) is not int:

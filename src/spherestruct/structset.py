@@ -53,16 +53,16 @@ inline copy to its home.
 ``present`` builds its result as a draft: it stores the ten fields into
 a ``_Draft``, a method-less class with the same ``__slots__``, and then
 retypes it once to ``StructureSetPresentation``.  Ten plain slot stores
-and one retype cost about a sixth of a call of the generated
-``__init__``.  The retyped value is an ordinary frozen instance;
-keyword construction and ``dataclasses.replace`` go through the
-generated ``__init__``, and a test pins that both routes build the same
-value.
+and one retype cost about a fifth of a call of ``__init__``, which
+writes each field through its slot's setter.  The retyped value is an ordinary
+frozen instance.  Keyword construction, which takes the place of
+``dataclasses.replace`` (values are not dataclasses), goes through the
+hand-written ``__init__``, and a test pins that both routes build the
+same value.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from . import bp, tables
@@ -72,7 +72,9 @@ from .cyclic import (
     CyclicSubgroup,
     _exact_int,
     _reject_non_int,
+    _slot_writers,
     _subgroup,
+    _value,
     cyclic_group,
 )
 from .ltheory import LGroupKind, l_group
@@ -107,10 +109,14 @@ def normalize_dims(p: int, q: int) -> tuple[int, int]:
     return p, q
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class StructureSetPresentation:
     """Everything the exact sequence above says about one product."""
 
+    __slots__ = (
+        "p", "q", "input_p", "input_q", "theta_group", "bp_next",
+        "normal_invariants", "residual", "action_case", "stabilizer_coefficient",
+    )
     p: int
     q: int
     input_p: int
@@ -121,6 +127,26 @@ class StructureSetPresentation:
     residual: CyclicGroup
     action_case: str
     stabilizer_coefficient: int | None  # 8 t_{p+1} t_q in the stabiliser case
+
+    def __init__(
+        self,
+        p: int,
+        q: int,
+        input_p: int,
+        input_q: int,
+        theta_group: KnownGroup,
+        bp_next: KnownGroup,
+        normal_invariants: tuple[KnownGroup, KnownGroup],
+        residual: CyclicGroup,
+        action_case: str,
+        stabilizer_coefficient: int | None,
+    ) -> None:
+        fields = (
+            p, q, input_p, input_q, theta_group, bp_next,
+            normal_invariants, residual, action_case, stabilizer_coefficient,
+        )
+        for write, value in zip(_presentation_writers, fields):
+            write(self, value)
 
     def sequence_text(self) -> str:
         n = self.p + self.q
@@ -187,6 +213,11 @@ class StructureSetPresentation:
         return lines
 
 
+# Keyword construction stores the ten fields through these; ``present``
+# fills a draft instead.
+_presentation_writers = _slot_writers(StructureSetPresentation)
+
+
 class _Draft:
     # The unfrozen twin that ``present`` fills: the same slots in the same
     # order, so CPython lets the finished draft be retyped to the frozen
@@ -218,7 +249,7 @@ def present(
         _reject_non_table(table)
     table = table or tables._BUILTIN
     # Built as a draft and retyped once: ten plain slot stores and the
-    # retype cost about a sixth of a call of the dataclass __init__.
+    # retype cost about a fifth of a call of __init__.
     x = _Draft()
     x.p = np_
     x.q = nq
@@ -308,12 +339,17 @@ def eta_fiber_size(
     return _finite(theta_group.order // stab_order)
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class TopStructureSet:
     """The topological structure set: a group, isomorphic to L_p x L_q."""
 
+    __slots__ = ("p_factor", "q_factor")
     p_factor: LGroupKind
     q_factor: LGroupKind
+
+    def __init__(self, p_factor: LGroupKind, q_factor: LGroupKind) -> None:
+        _set_p_factor(self, p_factor)
+        _set_q_factor(self, q_factor)
 
     @property
     def is_singleton(self) -> bool:
@@ -323,22 +359,33 @@ class TopStructureSet:
         return f"{self.p_factor} x {self.q_factor}"
 
 
+_set_p_factor, _set_q_factor = _slot_writers(TopStructureSet)
+
+
 def top_structure_set(p: int, q: int) -> TopStructureSet:
     """S^Top(S^p x S^q) as the group L_p x L_q (factor order as given)."""
     bp.check_pair(p, q)
     return TopStructureSet(l_group(p), l_group(q))
 
 
-@dataclass(frozen=True, slots=True)
+@_value
 class GroupStructureVerdict:
     """Whether the smooth structure set can carry a compatible group
     structure; ``reason`` names the obstruction when it cannot."""
 
+    __slots__ = ("possible", "reason")
     possible: bool
-    reason: str | None = None
+    reason: str | None
+
+    def __init__(self, possible: bool, reason: str | None = None) -> None:
+        _set_possible(self, possible)
+        _set_reason(self, reason)
 
     def __bool__(self) -> bool:
         return self.possible
+
+
+_set_possible, _set_reason = _slot_writers(GroupStructureVerdict)
 
 
 # The three verdicts, shared like every other result.

@@ -27,10 +27,9 @@ Tables are immutable once constructed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .cyclic import _exact_int, _reject_non_int, _slot_writers
+from .cyclic import _exact_int, _reject_non_int, _slot_writers, _value
 from .rationals import MAX_BERNOULLI_INDEX
 
 __all__ = [
@@ -54,7 +53,7 @@ class TableReadError(TableError):
     """Raised when a table file cannot be opened or read at all."""
 
 
-@dataclass(frozen=True, slots=True, init=False)
+@_value
 class KnownGroup:
     """Order data for a group: finite of known order, Z x finite, or unknown.
 
@@ -66,8 +65,9 @@ class KnownGroup:
     and an order for ``unknown``.
     """
 
+    __slots__ = ("kind", "order")
     kind: str  # "finite" | "z_times_finite" | "unknown"
-    order: int | None = None  # group order, or torsion order for z_times_finite
+    order: int | None  # group order, or torsion order for z_times_finite
 
     def __init__(self, kind: str, order: int | None = None) -> None:
         if kind == "unknown":
@@ -179,13 +179,25 @@ _PI_GO_TORSION: dict[int, int] = {
 }
 
 
-@dataclass(frozen=True)
+@_value
 class GroupTable:
-    """Immutable bundle of the three order families."""
+    """Immutable bundle of the three order families; each defaults to a
+    new empty dict."""
 
-    theta: dict[int, KnownGroup] = field(default_factory=dict)
-    pi_go_torsion: dict[int, KnownGroup] = field(default_factory=dict)
-    bp: dict[int, KnownGroup] = field(default_factory=dict)
+    __slots__ = ("theta", "pi_go_torsion", "bp")
+    theta: dict[int, KnownGroup]
+    pi_go_torsion: dict[int, KnownGroup]
+    bp: dict[int, KnownGroup]
+
+    def __init__(
+        self,
+        theta: dict[int, KnownGroup] | None = None,
+        pi_go_torsion: dict[int, KnownGroup] | None = None,
+        bp: dict[int, KnownGroup] | None = None,
+    ) -> None:
+        _set_theta(self, {} if theta is None else theta)
+        _set_pi_go_torsion(self, {} if pi_go_torsion is None else pi_go_torsion)
+        _set_bp(self, {} if bp is None else bp)
 
     def theta_order(self, n: int) -> KnownGroup:
         return self.theta.get(n, _UNKNOWN)
@@ -202,6 +214,9 @@ class GroupTable:
 
     def bp_2mod4(self, m: int) -> KnownGroup:
         return self.bp.get(m, _UNKNOWN)
+
+
+_set_theta, _set_pi_go_torsion, _set_bp = _slot_writers(GroupTable)
 
 
 def _finite_map(orders: dict[int, int]) -> dict[int, KnownGroup]:
@@ -226,9 +241,11 @@ def _reject_non_table(table: object) -> None:
 
 
 def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:
-    """Order of the group of homotopy n-spheres, or unknown."""
+    """Order of the group of homotopy n-spheres, n >= 1, or unknown."""
     if not isinstance(n, int):
         _reject_non_int("n", n)
+    if n < 1:
+        raise ValueError(f"theta_order(n) requires n >= 1, got {n}")
     if table is not None and not isinstance(table, GroupTable):
         _reject_non_table(table)
     return (table or _BUILTIN).theta_order(n)
@@ -238,6 +255,8 @@ def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order data for pi_n(G/O), n >= 2."""
     if not isinstance(n, int):
         _reject_non_int("n", n)
+    if n < 2:
+        raise ValueError(f"pi_go(n) requires n >= 2, got {n}")
     if table is not None and not isinstance(table, GroupTable):
         _reject_non_table(table)
     return (table or _BUILTIN).pi_go(n)

@@ -47,11 +47,14 @@ def test_the_package_re_exports_each_library_module_all():
         assert not {"residual_split", "bp_from_table"} & set(exported), name
 
 
-def test_importing_the_package_does_not_load_json():
+@pytest.mark.parametrize("module", ["json", "dataclasses", "inspect"])
+def test_importing_the_package_does_not_load(module):
     # Only a table override (parse_table) and the CLI's --json envelope
-    # need json, and each imports it where it is used.
+    # need json, and each imports it where it is used.  The value classes
+    # get their methods from cyclic._value, not from dataclasses, whose
+    # import alone pulls in inspect, ast, dis and tokenize.
     src = os.path.dirname(os.path.dirname(spherestruct.__file__))
-    code = "import sys, spherestruct, spherestruct.cli; print('json' in sys.modules)"
+    code = f"import sys, spherestruct, spherestruct.cli; print({module!r} in sys.modules)"
     env = dict(os.environ, PYTHONPATH=src)
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True

@@ -1,4 +1,3 @@
-import dataclasses
 
 import pytest
 
@@ -100,13 +99,29 @@ def test_shared_cyclic_values_are_frozen():
     sub = subgroup_generated(28, 32)
     assert sub is subgroup_generated(28, 4)  # same subgroup, same shared value
     assert sub.ambient is z28
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'order'$"):
         z28.order = 7
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'generator_value'$"):
         sub.generator_value = 1
     with pytest.raises(ValueError):
         cyclic_group(0)
     assert cyclic_group(28).order == 28 and sub.order == 7
+
+
+def test_a_non_group_first_argument_is_rejected():
+    z28 = cyclic_group(28)
+    for call, message in (
+        (lambda: CyclicElement(28, 5), "group must be a CyclicGroup, got int"),
+        (lambda: CyclicElement(None, 5), "group must be a CyclicGroup, got NoneType"),
+        (lambda: CyclicSubgroup(28, 4), "ambient must be a CyclicGroup, got int"),
+        (lambda: CyclicSubgroup(z28.element(1), 4),
+         "ambient must be a CyclicGroup, got CyclicElement"),
+        # The value is checked first, as before.
+        (lambda: CyclicElement(28, 1.5), "value must be an int, got float"),
+        (lambda: CyclicSubgroup(28, 1.5), "generator_value must be an int, got float"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
 
 
 def test_non_integer_values_are_rejected():

@@ -1,5 +1,5 @@
-import dataclasses
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from spherestruct import (
     MAX_BERNOULLI_INDEX,
+    GroupTable,
     KnownGroup,
     bp_order,
     builtin_table,
@@ -293,6 +294,30 @@ def test_numbers_of_up_to_100_digits_are_echoed():
         parse_table('{"theta": {"7": "%s"}}' % ("9" * 101))
 
 
+def test_a_group_table_is_a_frozen_slotted_value():
+    empty = GroupTable()
+    assert empty.theta == empty.pi_go_torsion == empty.bp == {}
+    assert GroupTable().theta is not empty.theta  # a new dict per table
+    assert empty == GroupTable()
+    assert repr(empty) == "GroupTable(theta={}, pi_go_torsion={}, bp={})"
+    assert not hasattr(empty, "__dict__")
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'theta'$"):
+        empty.theta = {}
+    table = builtin_table()
+    fields = {name: getattr(table, name) for name in GroupTable.__slots__}
+    assert GroupTable(**fields) == table
+    assert pickle.loads(pickle.dumps(table)) == table
+    # A table pickled while GroupTable had a __dict__ stored its fields
+    # by name; it loads as the same table.
+    old = (
+        b"\x80\x04\x95x\x00\x00\x00\x00\x00\x00\x00\x8c\x13spherestruct.tables"
+        b"\x94\x8c\nGroupTable\x94\x93\x94)\x81\x94}\x94(\x8c\x05theta\x94}\x94K"
+        b"\x07h\x00\x8c\nKnownGroup\x94\x93\x94)\x81\x94]\x94(\x8c\x06finite\x94K"
+        b"\x1cebs\x8c\rpi_go_torsion\x94}\x94\x8c\x02bp\x94}\x94ub."
+    )
+    assert pickle.loads(old) == GroupTable(theta={7: KnownGroup.finite(28)})
+
+
 def test_duplicate_key_error_survives_long_integers():
     with pytest.raises(TableError, match="duplicate key '7'"):
         parse_table('{"theta": {"7": %s, "7": "28"}}' % _LONG)
@@ -302,7 +327,7 @@ def test_shared_known_group_constants_are_frozen():
     assert KnownGroup.unknown() is KnownGroup.unknown()
     assert KnownGroup.trivial() is KnownGroup.trivial()
     for group in (KnownGroup.unknown(), KnownGroup.trivial()):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError, match=r"^cannot assign to field 'order'$"):
             group.order = 5
     assert KnownGroup.unknown().as_json() == {"kind": "unknown"}
     assert KnownGroup.trivial() == KnownGroup.finite(1)
