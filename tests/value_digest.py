@@ -6,8 +6,12 @@ every value (and every error) as it was.
 It covers every pair (p, q) with p, q >= 0 and p + q < N (default 130),
 in both orders, and every integer coordinate d with |d| <= D (default
 70), which ``forgetful_fiber`` also takes as its ``top_invariant``.
-``bp_order`` covers every m from 1 to 4 * D (below 4 an error), with
-the built-in table and with an override table that sets bP_10 and bP_18.
+``bp_order`` covers every m from 1 to 4 * D (below 4 an error), and
+``theta_order`` and ``pi_go`` every n from 0 to 4 * D, so that both
+range errors are pinned; each with the built-in table and with an
+override table that sets bP_10 and bP_18.  ``t`` covers every i from -1
+to 4 * D and the first multiple of 4 past its cap, whose error is raised
+before any work.
 Each family hashes one line per call: its arguments and either the
 ``repr`` of the value (``present`` hashes ``as_dict()`` as JSON) or the
 type and message of the error it raised, so a pair that ``check_pair``
@@ -27,7 +31,8 @@ import hashlib
 import json
 from collections.abc import Callable
 
-from spherestruct.bp import bp_order, residual_group
+from spherestruct.bp import bp_order, residual_group, t
+from spherestruct.rationals import MAX_BERNOULLI_INDEX
 from spherestruct.structset import (
     del_map,
     eta_fiber_size,
@@ -36,7 +41,7 @@ from spherestruct.structset import (
     present,
     stabilizer,
 )
-from spherestruct.tables import parse_table
+from spherestruct.tables import parse_table, pi_go, theta_order
 
 FAMILIES = (
     "present",
@@ -47,6 +52,9 @@ FAMILIES = (
     "group_structure_possible",
     "forgetful_fiber",
     "bp_order",
+    "theta_order",
+    "pi_go",
+    "t",
 )
 
 # bP_10 and bP_18 are the orders m = 2 mod 4 below 21 that the built-in
@@ -93,6 +101,12 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
     for m in range(1, 4 * max_d + 1):
         feed("bp_order", (m,), _outcome(lambda: bp_order(m)))
         feed("bp_order", (m, "override"), _outcome(lambda: bp_order(m, override)))
+    for n in range(4 * max_d + 1):
+        for name, order in (("theta_order", theta_order), ("pi_go", pi_go)):
+            feed(name, (n,), _outcome(lambda: order(n)))
+            feed(name, (n, "override"), _outcome(lambda: order(n, override)))
+    for i in [*range(-1, 4 * max_d + 1), 4 * MAX_BERNOULLI_INDEX + 4]:
+        feed("t", (i,), _outcome(lambda: t(i)))
     return {family: h.hexdigest() for family, h in hashes.items()}
 
 
