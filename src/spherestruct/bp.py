@@ -34,13 +34,13 @@ call of a pair warms the others, in either order.
 
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores
-(``_t_multiple_of_4``, ``_pairing_coefficient`` and the record
-``_residual_split``) assume checked ones, and the package's own
-callers that have already checked a pair call the cores: the residual
-group is Z_r off the record for a pair (4j, 4k) and ``_TRIVIAL`` for
-every other shape.  ``bp_order`` has no core; ``structset.present``
-calls the door.  A core's cache must never see an unchecked argument,
-because it keys (4.0, 4) and (4, 4) alike.
+(``_t_multiple_of_4`` from ``rationals``, ``_pairing_coefficient`` and
+the record ``_residual_split``) assume checked ones, and the package's
+own callers that have already checked a pair call the cores: the
+residual group is Z_r off the record for a pair (4j, 4k) and
+``_TRIVIAL`` for every other shape.  ``bp_order`` is the checked door
+to ``GroupTable.bp_order``.  A core's cache must never see an unchecked
+argument, because it keys (4.0, 4) and (4, 4) alike.
 """
 
 from __future__ import annotations
@@ -49,9 +49,8 @@ from functools import lru_cache
 from math import gcd
 
 from .cyclic import CyclicGroup, _reject_non_int, cyclic_group
-from .rationals import MAX_BERNOULLI_INDEX, num_b_over_4k
-from .tables import _BUILTIN, GroupTable, KnownGroup, _finite, _reject_non_table
-from .tables import _TRIVIAL as _TRIVIAL_ORDER
+from .rationals import _t_multiple_of_4
+from .tables import _BUILTIN, GroupTable, KnownGroup, _reject_non_table
 
 __all__ = [
     "t",
@@ -79,21 +78,6 @@ def t(i: int) -> int:
     return _t_multiple_of_4(i) if i % 4 == 0 else 0
 
 
-@lru_cache(maxsize=None)
-def _t_multiple_of_4(i: int) -> int:
-    # t for a positive multiple of 4; the cap is checked here.
-    k = i // 4
-    if k > MAX_BERNOULLI_INDEX:
-        raise ValueError(
-            f"t(i) requires i <= {4 * MAX_BERNOULLI_INDEX} for multiples of 4 "
-            f"(the Bernoulli index cap is {MAX_BERNOULLI_INDEX}), got {i}"
-        )
-    if k == 1:
-        return 2
-    a_k = 2 if k % 2 == 1 else 1
-    return a_k * 2 ** (2 * k - 2) * (2 ** (2 * k - 1) - 1) * num_b_over_4k(k)
-
-
 def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
     """Order of bP_m as a KnownGroup.
 
@@ -108,11 +92,7 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
         raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
     if table is not None and not isinstance(table, GroupTable):
         _reject_non_table(table)
-    if m % 2 == 1 or m == 4:
-        return _TRIVIAL_ORDER  # KnownGroup.trivial(), without its frame
-    if m % 4 == 0:
-        return _finite(_t_multiple_of_4(m))
-    return (table or _BUILTIN).bp_2mod4(m)
+    return (table or _BUILTIN).bp_order(m)
 
 
 def check_pair(p: int, q: int) -> None:

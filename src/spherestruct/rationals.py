@@ -34,6 +34,8 @@ digits while t_3312 has 4308.  The cap also bounds the work, whose bit
 cost grows about eightfold per doubling of the index (on a 2-core Xeon a
 cold ``bernoulli(827)`` takes about 0.6 s).  A larger index raises
 ``ValueError`` at once instead of failing after the work is done.
+``_t_multiple_of_4``, the cached Levine order t_{4k} of ``bp``, sits by
+its one input ``num_b_over_4k``, so ``tables`` needs nothing above it.
 """
 
 from __future__ import annotations
@@ -114,3 +116,18 @@ def num_b_over_4k(k: int) -> int:
     _check_index("num_b_over_4k", k)
     tangent = _tangent(k)
     return tangent // gcd(tangent, 2 * 4**k * (4**k - 1))
+
+
+@lru_cache(maxsize=None)
+def _t_multiple_of_4(i: int) -> int:
+    # t for a positive multiple of 4; the cap is checked here.
+    k = i // 4
+    if k > MAX_BERNOULLI_INDEX:
+        raise ValueError(
+            f"t(i) requires i <= {4 * MAX_BERNOULLI_INDEX} for multiples of 4 "
+            f"(the Bernoulli index cap is {MAX_BERNOULLI_INDEX}), got {i}"
+        )
+    if k == 1:
+        return 2
+    a_k = 2 if k % 2 == 1 else 1
+    return a_k * 2 ** (2 * k - 2) * (2 ** (2 * k - 1) - 1) * num_b_over_4k(k)

@@ -36,9 +36,9 @@ nontrivial, which holds in every shipped dimension).
 
 As in ``bp``, public functions check their arguments (one
 ``bp.check_pair`` for the dimensions; a ``table`` is None or a
-``GroupTable``) and then read ``bp``'s cores, the record of a pair and
-``bp_order``, never the public ``t``, ``residual_group`` or
-``pairing_coefficient``.  The order rule lives in
+``GroupTable``) and then read ``bp``'s cores and the record of a pair,
+never ``t``, ``residual_group``, ``pairing_coefficient`` or ``bp_order``;
+``present`` reads its three orders off its table.  The order rule lives in
 ``normalize_dims``; only ``present``, whose result shows the order, and
 ``stabilizer`` repeat its swap inline, so that a warm ``stabilizer``
 enters only itself and ``check_pair``.  The verdicts of
@@ -256,7 +256,7 @@ def present(
     x.input_p = p
     x.input_q = q
     x.theta_group = table.theta_order(n)
-    x.bp_next = bp.bp_order(n + 1, table)
+    x.bp_next = table.bp_order(n + 1)
     x.normal_invariants = (table.pi_go(np_), table.pi_go(nq))
     x.residual = bp._TRIVIAL
     x.action_case = ACTION_FREE

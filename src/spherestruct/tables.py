@@ -5,10 +5,10 @@ Three families are tabulated:
 * ``theta``          -- orders of the group of homotopy n-spheres,
 * ``pi_go_torsion``  -- torsion of the n-th homotopy group of G/O,
 * ``bp``             -- orders of the boundary-sphere groups bP_m for
-                        m = 2 mod 4, the only residue with no closed
-                        formula used here (odd m is trivial and m = 4k
-                        follows from the Levine order formula in ``bp``);
-                        each is 1 or 2.
+                        m = 2 mod 4, each 1 or 2.  ``GroupTable.bp_order``
+                        reads them for that residue, the only one with no
+                        closed formula here: odd m and m = 4 are trivial,
+                        and m = 4k is the Levine order t_m (``rationals``).
 
 The shipped entries cover dimensions up to 20 and come from the standard
 Kervaire-Milnor era tables; they are reference data, not computed by this
@@ -30,7 +30,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .cyclic import _exact_int, _reject_non_int, _slot_writers, _value
-from .rationals import MAX_BERNOULLI_INDEX
+from .rationals import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
 __all__ = [
     "KnownGroup",
@@ -212,7 +212,12 @@ class GroupTable:
             return _z_times_finite(torsion.order)
         return self.pi_go_torsion.get(n, _UNKNOWN)
 
-    def bp_2mod4(self, m: int) -> KnownGroup:
+    def bp_order(self, m: int) -> KnownGroup:
+        """Order data for bP_m, m >= 4 (see the module docstring)."""
+        if m % 2 == 1 or m == 4:
+            return _TRIVIAL
+        if m % 4 == 0:
+            return _finite(_t_multiple_of_4(m))
         return self.bp.get(m, _UNKNOWN)
 
 
@@ -372,14 +377,12 @@ def _check_consistency(table: GroupTable) -> None:
     # Kervaire-Milnor: bP_{n+1} is a subgroup of Theta_n, so its order,
     # whether a table entry or formula output, divides every known
     # |Theta_n|.
-    from .bp import bp_order  # bp imports this module
-
     for n, theta_group in sorted(table.theta.items()):
         m = n + 1
         past_cap = m % 4 == 0 and m > 4 * MAX_BERNOULLI_INDEX  # t_m not computable
         if theta_group.is_unknown or m < 4 or past_cap:
             continue
-        bp_group = bp_order(m, table)
+        bp_group = table.bp_order(m)
         if not bp_group.is_unknown and theta_group.order % bp_group.order != 0:
             bp_name, theta_name = f"bP_{_shown(m)}", f"Theta_{_shown(n)}"
             raise TableError(
@@ -426,6 +429,8 @@ def parse_table(text: str) -> GroupTable:
             f"table JSON is malformed at line {exc.lineno}, column {exc.colno}: "
             f"{exc.msg}"
         ) from exc
+    except RecursionError:  # json.loads recurses once per nesting level
+        raise TableError("table JSON is nested too deeply to parse") from None
     if not isinstance(raw, dict):
         raise TableError("table file must contain a JSON object at top level")
     stray = sorted(set(raw) - set(_FAMILIES))

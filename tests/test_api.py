@@ -47,6 +47,51 @@ def test_the_package_re_exports_each_library_module_all():
         assert not {"residual_split", "bp_from_table"} & set(exported), name
 
 
+# The package's layers, lowest first.  __init__ and __main__ are not ranked.
+LAYERS = (
+    "cyclic", "rationals", "tables", "bp", "ltheory", "structset", "classify", "cli",
+)
+
+
+def _package_imports(tree):
+    # (line, name) for each package name a module's code imports, at any
+    # depth: a submodule, or a name read from the package root.
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level:
+                module = node.module or ""
+            elif (node.module or "").partition(".")[0] == "spherestruct":
+                module = node.module.partition(".")[2]
+            else:
+                continue
+            if module:
+                yield node.lineno, module.partition(".")[0]
+            else:
+                yield from ((node.lineno, alias.name) for alias in node.names)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                head, _, rest = alias.name.partition(".")
+                if head == "spherestruct":
+                    yield node.lineno, rest.partition(".")[0] or "__init__"
+
+
+def test_each_module_imports_only_the_layers_below_it():
+    # Imports run one way, so the package has no import cycle.  A name
+    # read from the package root other than __version__ would import the
+    # root, which imports every library module.
+    package = Path(spherestruct.__file__).resolve().parent
+    modules = sorted(path.stem for path in package.glob("*.py"))
+    assert modules == sorted(LAYERS + ("__init__", "__main__"))
+    wrong = []
+    for rank, name in enumerate(LAYERS):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        for line, target in _package_imports(tree):
+            below = target in LAYERS[:rank] or target == "__version__"
+            if not below:
+                wrong.append(f"{name}.py:{line} imports {target}")
+    assert wrong == []
+
+
 @pytest.mark.parametrize("module", ["json", "dataclasses", "inspect"])
 def test_importing_the_package_does_not_load(module):
     # Only a table override (parse_table) and the CLI's --json envelope

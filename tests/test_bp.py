@@ -409,15 +409,12 @@ def test_a_symmetric_answer_never_enters_normalize_dims(call):
     assert normalize_dims.__code__ not in _entered_codes(call)
 
 
-@pytest.mark.parametrize(
-    "m, path",
-    [(10, ["bp_order", "bp_2mod4"]), (12, ["bp_order"])],
-    ids=["bp_order(10)", "bp_order(12)"],
-)
-def test_a_warm_bp_order_enters_no_core(m, path):
-    # bp_order is the one home of |bP_m|: it reads the built-in table
-    # directly for m = 2 mod 4, and t's cache, a builtin, for m = 4k.
-    assert _entered(lambda: bp_order(m)) == path
+@pytest.mark.parametrize("m", [10, 12], ids=["bp_order(10)", "bp_order(12)"])
+def test_a_warm_bp_order_enters_no_core(m):
+    # The door checks m and the table's bp_order, the one home of |bP_m|,
+    # reads the table's bp family for m = 2 mod 4 and t's cache, a
+    # builtin, for m = 4k.
+    assert _entered(lambda: bp_order(m)) == ["bp_order", "bp_order"]
 
 
 _PRESENT_PATH = ["present", "check_pair", "theta_order", "bp_order", "pi_go", "pi_go"]
@@ -447,6 +444,15 @@ def test_a_warm_call_checks_its_pair_once_and_enters_no_other_door(call, path):
     assert [code.co_name for code in entered[1:]] == path
     # present fills a draft and retypes it, so __init__ is not called.
     assert StructureSetPresentation.__init__.__code__ not in entered
+
+
+def test_a_warm_present_checks_its_table_once():
+    # present reads |bP_{p+q+1}| from the table it has checked, not through
+    # the bp_order door, which would check the table again.  The table's
+    # method shares the door's name, so the two are told apart by code.
+    entered = _entered_codes(lambda: present(19, 27))
+    assert entered.count(check_pair.__code__) == 1
+    assert bp_order.__code__ not in entered
 
 
 def test_pairing_coefficient_of_multiples_of_four_needs_t_of_the_sum():

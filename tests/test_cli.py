@@ -348,6 +348,16 @@ def test_malformed_table_reports_position(tmp_path, capsys):
     assert "line" in err
 
 
+def test_deeply_nested_table_is_a_one_line_domain_error(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000)
+    code, out, err = run(capsys, ["bp-order", "10", "--table", str(path)])
+    assert code == 1
+    assert err == "error: table JSON is nested too deeply to parse\n"
+    assert "Traceback" not in err
+    assert out == ""
+
+
 def test_non_utf8_table_is_a_domain_error_naming_the_file(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{}")

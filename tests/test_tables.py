@@ -1,5 +1,6 @@
 import json
 import pickle
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -49,14 +50,7 @@ def test_pi_go_torsion_matches_sphere_surgery_derivation():
     table = builtin_table()
 
     def bp_int(m):
-        if m % 2 == 1:
-            return 1
-        if m % 4 == 0:
-            from spherestruct import t
-
-            return 1 if m == 4 else t(m)
-        entry = table.bp_2mod4(m)
-        return entry.order if not entry.is_unknown else None
+        return table.bp_order(m).order
 
     for n, entry in table.pi_go_torsion.items():
         if n == 2:
@@ -114,6 +108,17 @@ def test_parse_unknown_and_z_markers():
 def test_parse_rejects_malformed_json_with_position():
     with pytest.raises(TableError, match=r"line 1"):
         parse_table("{not json")
+
+
+def test_parse_rejects_json_nested_past_the_recursion_limit():
+    # json.loads raises RecursionError, not JSONDecodeError, for deep
+    # nesting; parse_table reports it without raising the process-wide limit.
+    limit = sys.getrecursionlimit()
+    with pytest.raises(TableError) as caught:
+        parse_table("[" * 100000)
+    assert str(caught.value) == "table JSON is nested too deeply to parse"
+    assert caught.value.__cause__ is None and caught.value.__suppress_context__
+    assert sys.getrecursionlimit() == limit
 
 
 def test_parse_rejects_bad_structure():
