@@ -31,7 +31,9 @@ def _value(cls: type) -> type:
     each field, ``__match_args__``, and pickling by a list of the fields
     (the state a frozen slotted dataclass pickles, so the bytes are the
     same), and it refuses to assign or delete any attribute.  The class
-    writes its own ``__init__``, through ``_slot_writers``.  It gets no
+    writes its own ``__init__``, through ``_slot_writers``, and keeps any
+    of those methods it defines itself (``tables.GroupTable`` does, so
+    that a copy or a pickle passes its constructor).  It gets no
     base class: ``structset.present`` retypes a plain class with the
     same slots to a value, which CPython allows only with equal bases."""
     names = cls.__slots__
@@ -55,13 +57,12 @@ def _value(cls: type) -> type:
         return list(key(self))
 
     def __setstate__(self, state):
-        if type(state) is dict:  # a GroupTable pickled before it had slots
-            state = [state[name] for name in names]
         for write, value in zip(writers, state):
             write(self, value)
 
     for method in (__eq__, __hash__, __repr__, __getstate__, __setstate__):
-        setattr(cls, method.__name__, method)
+        if method.__name__ not in vars(cls):
+            setattr(cls, method.__name__, method)
     cls.__setattr__ = _refuse_assignment
     cls.__delattr__ = _refuse_deletion
     cls.__match_args__ = names
@@ -134,16 +135,22 @@ def _check_group(name: str, group: object) -> None:
         raise TypeError(f"{name} must be a CyclicGroup, got {type(group).__name__}")
 
 
-@lru_cache(maxsize=1024, typed=True)
 def cyclic_group(n: int) -> CyclicGroup:
     """The shared Z_n value: equal to ``CyclicGroup(n)``, built once per
-    order and then reused (safe because the value is frozen).  The cache
-    is bounded because orders are arbitrary integers.  It is typed, so it
-    keys a bool and a float apart from the int they equal: a bool's miss
-    returns the int's value, and a float always misses and is rejected,
-    whatever was cached before."""
+    order and then reused (safe because the value is frozen).  A bool is
+    turned into the int it equals and any other non-int is rejected
+    before the cache, so that cyclic_group(True) is cyclic_group(1) and
+    a float never reaches a key it equals."""
     if type(n) is not int:
-        return cyclic_group(_exact_int("order", n))
+        n = _exact_int("order", n)
+    return _cyclic_group(n)
+
+
+# The core of cyclic_group, for int orders; the package's own callers,
+# which hold an int, call it directly.  Bounded because orders are
+# arbitrary integers.
+@lru_cache(maxsize=1024)
+def _cyclic_group(n: int) -> CyclicGroup:
     return CyclicGroup(n)
 
 
@@ -233,8 +240,8 @@ _set_ambient, _set_generator_value = _slot_writers(CyclicSubgroup)
 
 def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
     """The subgroup of Z_n generated by g, i.e. (g mod n)Z_n."""
-    if not isinstance(n, int):
-        _reject_non_int("n", n)
+    if type(n) is not int:
+        n = _exact_int("n", n)  # a bool n reaches the shared Z_n of its int
     if not isinstance(g, int):
         _reject_non_int("g", g)
     if n < 1:
@@ -247,6 +254,6 @@ def _subgroup(n: int, generator: int) -> CyclicSubgroup:
     # One shared value per subgroup, keyed by its canonical generator,
     # which is written as given: the caller has already reduced it.
     subgroup = object.__new__(CyclicSubgroup)
-    _set_ambient(subgroup, cyclic_group(n))
+    _set_ambient(subgroup, _cyclic_group(n))
     _set_generator_value(subgroup, generator)
     return subgroup

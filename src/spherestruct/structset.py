@@ -70,12 +70,12 @@ from .cyclic import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
+    _cyclic_group,
     _exact_int,
     _reject_non_int,
     _slot_writers,
     _subgroup,
     _value,
-    cyclic_group,
 )
 from .ltheory import LGroupKind, l_group
 from .tables import GroupTable, KnownGroup, _finite, _reject_non_table
@@ -278,7 +278,7 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     """
     bp.check_pair(p, q)
     n = p + q
-    group = cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1)
+    group = _cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1)
     if type(phi_u) is not int:
         phi_u = _exact_int("phi_u", phi_u)
     if type(phi_v) is not int:
@@ -319,7 +319,10 @@ def eta_fiber_size(
     """Size of the normal-invariant-map fibre through a structure with
     even-factor coordinate d: |Theta_{p+q}| / |stabiliser(d)|.
 
-    Unknown when the order of Theta_{p+q} is outside the table.
+    Unknown when the order of Theta_{p+q} is outside the table.  The
+    stabiliser is a subgroup of bP_{p+q+1}, whose order divides every
+    known |Theta_{p+q}| (``GroupTable`` checks that chain when it is
+    built), so the quotient is exact.
     """
     if not isinstance(d, int):
         _reject_non_int("d", d)
@@ -329,14 +332,7 @@ def eta_fiber_size(
     theta_group = (table or tables._BUILTIN).theta_order(p + q)
     if theta_group.is_unknown:
         return KnownGroup.unknown()
-    stab_order = stabilizer(p, q, d).order
-    if theta_group.order % stab_order != 0:
-        raise ValueError(
-            f"table gives |Theta_{p + q}| = {theta_group.order}, which the "
-            f"stabiliser order {stab_order} does not divide; the table "
-            "contradicts the subgroup chain stabiliser <= bP <= Theta"
-        )
-    return _finite(theta_group.order // stab_order)
+    return _finite(theta_group.order // stabilizer(p, q, d).order)
 
 
 @_value

@@ -22,12 +22,21 @@ Z x Theta_n, so the torsion is read off the theta family at lookup time.
 
 Any dimension outside the shipped data is reported as unknown rather than
 guessed.  A JSON file can override individual entries; see ``load_table``.
-Tables are immutable once constructed.
+
+``GroupTable.__init__`` is the one gate into a table: the constructor,
+keyword construction, ``parse_table``, ``copy``, ``deepcopy`` and
+``pickle.loads`` all pass it.  It rejects a key that is not an int (a
+bool too) or an entry that is not a ``KnownGroup`` (``TypeError``), then
+applies the entry rules that ``parse_table`` applies to each JSON entry
+and the Kervaire-Milnor chain check (``TableError``), and it stores
+read-only views of its own copies, so tables are immutable once built.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from functools import lru_cache
+from types import MappingProxyType
 
 from .cyclic import _exact_int, _reject_non_int, _slot_writers, _value
 from .rationals import MAX_BERNOULLI_INDEX, _t_multiple_of_4
@@ -46,7 +55,8 @@ __all__ = [
 
 
 class TableError(ValueError):
-    """Raised when a table file cannot be parsed or fails validation."""
+    """Raised when a table file cannot be parsed, or when table data
+    (parsed or hand-built) fails validation."""
 
 
 class TableReadError(TableError):
@@ -179,65 +189,105 @@ _PI_GO_TORSION: dict[int, int] = {
 }
 
 
+_FAMILIES = ("theta", "pi_go_torsion", "bp")
+
+
 @_value
 class GroupTable:
-    """Immutable bundle of the three order families; each defaults to a
-    new empty dict."""
+    """Immutable bundle of the three order families, each a read-only view
+    of the table's own copy, from a dimension to a ``KnownGroup`` (empty
+    by default); the constructor is the gate of the module docstring.
+    Lookups test ``n in family`` before ``family[n]``, which on a view
+    costs what ``dict.get`` does on a miss, where ``.get`` costs more."""
 
-    __slots__ = ("theta", "pi_go_torsion", "bp")
-    theta: dict[int, KnownGroup]
-    pi_go_torsion: dict[int, KnownGroup]
-    bp: dict[int, KnownGroup]
+    __slots__ = _FAMILIES
+    theta: Mapping[int, KnownGroup]
+    pi_go_torsion: Mapping[int, KnownGroup]
+    bp: Mapping[int, KnownGroup]
 
     def __init__(
         self,
-        theta: dict[int, KnownGroup] | None = None,
-        pi_go_torsion: dict[int, KnownGroup] | None = None,
-        bp: dict[int, KnownGroup] | None = None,
+        theta: Mapping[int, KnownGroup] | None = None,
+        pi_go_torsion: Mapping[int, KnownGroup] | None = None,
+        bp: Mapping[int, KnownGroup] | None = None,
     ) -> None:
-        _set_theta(self, {} if theta is None else theta)
-        _set_pi_go_torsion(self, {} if pi_go_torsion is None else pi_go_torsion)
-        _set_bp(self, {} if bp is None else bp)
+        families = (theta, pi_go_torsion, bp)
+        for write, family, entries in zip(_table_writers, _FAMILIES, families):
+            write(self, MappingProxyType(_checked_family(family, entries)))
+        _check_consistency(self)
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={dict(getattr(self, name))!r}" for name in _FAMILIES)
+        return f"GroupTable({shown})"
+
+    # Pickled as plain dicts, the bytes of a table before its families were
+    # read-only; a copy or an unpickled table passes the gate.
+
+    def __getstate__(self) -> list[dict[int, KnownGroup]]:
+        return [dict(getattr(self, name)) for name in _FAMILIES]
+
+    def __setstate__(self, state: list | dict) -> None:
+        if type(state) is dict:  # pickled while GroupTable had a __dict__
+            state = [state[name] for name in _FAMILIES]
+        GroupTable.__init__(self, *state)
 
     def theta_order(self, n: int) -> KnownGroup:
-        return self.theta.get(n, _UNKNOWN)
+        """Order of Theta_n, or unknown: a plain lookup that checks
+        nothing (the module's ``theta_order`` checks n)."""
+        theta = self.theta
+        return theta[n] if n in theta else _UNKNOWN
 
     def pi_go(self, n: int) -> KnownGroup:
-        """Order data for pi_n(G/O); Z x torsion in the 4-periodic degrees."""
+        """Order data for pi_n(G/O); Z x torsion in the 4-periodic degrees.
+        A plain lookup that checks nothing (the module's ``pi_go`` checks
+        n)."""
+        torsions = self.pi_go_torsion
         if n % 4 == 0 and n >= 4:
-            override = self.pi_go_torsion.get(n)
-            torsion = override if override is not None else self.theta_order(n)
+            torsion = torsions[n] if n in torsions else self.theta_order(n)
             if torsion.is_unknown:
                 return _UNKNOWN
             return _z_times_finite(torsion.order)
-        return self.pi_go_torsion.get(n, _UNKNOWN)
+        return torsions[n] if n in torsions else _UNKNOWN
 
     def bp_order(self, m: int) -> KnownGroup:
-        """Order data for bP_m, m >= 4 (see the module docstring)."""
+        """Order data for bP_m, m >= 4 (see the module docstring).  It
+        rejects a non-int m before the cache of t_m, which would key 12.0
+        as 12."""
+        if type(m) is not int:
+            m = _exact_int("m", m)
         if m % 2 == 1 or m == 4:
             return _TRIVIAL
         if m % 4 == 0:
             return _finite(_t_multiple_of_4(m))
-        return self.bp.get(m, _UNKNOWN)
+        bp = self.bp
+        return bp[m] if m in bp else _UNKNOWN
 
 
-_set_theta, _set_pi_go_torsion, _set_bp = _slot_writers(GroupTable)
+_table_writers = _slot_writers(GroupTable)
 
 
-def _finite_map(orders: dict[int, int]) -> dict[int, KnownGroup]:
-    return {n: _finite(k) for n, k in orders.items()}
-
-
-_BUILTIN = GroupTable(
-    theta=_finite_map(_THETA_ORDERS),
-    pi_go_torsion=_finite_map(_PI_GO_TORSION),
-    bp=_finite_map(_BP_2MOD4_ORDERS),
-)
-
-
-def builtin_table() -> GroupTable:
-    """The table shipped with the package (dimensions <= 20)."""
-    return _BUILTIN
+def _checked_family(family: str, entries: object) -> dict[int, KnownGroup]:
+    # The gate's copy of one family, each entry checked.
+    if entries is None:
+        return {}
+    if not isinstance(entries, Mapping):
+        raise TypeError(f"{family} must be a mapping, got {type(entries).__name__}")
+    checked = {}
+    for dim, group in entries.items():
+        if type(dim) is not int:  # a bool is an int, but not a dimension
+            raise TypeError(
+                f"{family}: dimension keys must be ints, got {_shown_repr(dim)}"
+            )
+        if type(group) is not KnownGroup:
+            raise TypeError(
+                f"{_entry(family, dim)}: expected a KnownGroup, "
+                f"got {type(group).__name__}"
+            )
+        _check_dimension(family, dim, dim)
+        if not group.is_unknown:
+            _check_order(family, group.order, dim)
+        checked[dim] = group
+    return checked
 
 
 def _reject_non_table(table: object) -> None:
@@ -265,9 +315,6 @@ def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
     if table is not None and not isinstance(table, GroupTable):
         _reject_non_table(table)
     return (table or _BUILTIN).pi_go(n)
-
-
-_FAMILIES = ("theta", "pi_go_torsion", "bp")
 
 
 class _LongInt:
@@ -329,6 +376,33 @@ def _decimal(text: str, what: str) -> int | None:
         raise _too_long(what, len(text)) from None
 
 
+def _entry(family: str, key: int | str) -> str:
+    # An entry as errors name it; ``key`` is a dimension or its JSON key.
+    return f"{family}[{_shown(key)}]"
+
+
+# The entry rules: one home for the JSON entries of parse_table and for
+# the gate of GroupTable.  ``key`` names the entry in an error.
+
+
+def _check_dimension(family: str, dim: int, key: int | str) -> None:
+    if dim < 1:
+        raise TableError(f"{_entry(family, key)}: dimension must be >= 1")
+    if family == "bp" and dim % 4 != 2:
+        raise TableError(
+            f"{_entry(family, key)}: only dimensions = 2 mod 4 are table entries "
+            "(odd ones are trivial, multiples of 4 are computed)"
+        )
+
+
+def _check_order(family: str, order: int, key: int | str) -> None:
+    # ``order`` is a known order, >= 1.
+    if family == "bp" and order > 2:
+        raise TableError(
+            f"{_entry(family, key)}: |bP_{{4k+2}}| is 1 or 2, got {_shown(order)}"
+        )
+
+
 def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGroup]:
     dim = _decimal(dim_key, f"{family}: a dimension key")
     if dim is None:
@@ -336,14 +410,8 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
             f"{family}: dimension keys must be decimal strings, "
             f"got {_shown_repr(dim_key)}"
         )
-    entry = f"{family}[{_shown(dim_key)}]"
-    if dim < 1:
-        raise TableError(f"{entry}: dimension must be >= 1")
-    if family == "bp" and dim % 4 != 2:
-        raise TableError(
-            f"{entry}: only dimensions = 2 mod 4 are table entries "
-            "(odd ones are trivial, multiples of 4 are computed)"
-        )
+    _check_dimension(family, dim, dim_key)
+    entry = _entry(family, dim_key)
     if value == "unknown":
         return dim, KnownGroup.unknown()
     if value == "Z":
@@ -368,15 +436,14 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
         )
     if order < 1:
         raise TableError(f"{entry}: orders must be >= 1, got {_shown(order)}")
-    if family == "bp" and order > 2:
-        raise TableError(f"{entry}: |bP_{{4k+2}}| is 1 or 2, got {_shown(order)}")
+    _check_order(family, order, dim_key)
     return dim, _finite(order)
 
 
 def _check_consistency(table: GroupTable) -> None:
-    # Kervaire-Milnor: bP_{n+1} is a subgroup of Theta_n, so its order,
-    # whether a table entry or formula output, divides every known
-    # |Theta_n|.
+    # The gate's chain check.  Kervaire-Milnor: bP_{n+1} is a subgroup of
+    # Theta_n, so its order, whether a table entry or formula output,
+    # divides every known |Theta_n|.
     for n, theta_group in sorted(table.theta.items()):
         m = n + 1
         past_cap = m % 4 == 0 and m > 4 * MAX_BERNOULLI_INDEX  # t_m not computable
@@ -390,6 +457,23 @@ def _check_consistency(table: GroupTable) -> None:
                 f"|{theta_name}| = {_shown(theta_group.order)}; the table is "
                 f"inconsistent with {bp_name} being a subgroup of {theta_name}"
             )
+
+
+def _finite_map(orders: dict[int, int]) -> dict[int, KnownGroup]:
+    return {n: _finite(k) for n, k in orders.items()}
+
+
+# Built once the gate's checks exist; its chain check asks t of 8 to 20.
+_BUILTIN = GroupTable(
+    theta=_finite_map(_THETA_ORDERS),
+    pi_go_torsion=_finite_map(_PI_GO_TORSION),
+    bp=_finite_map(_BP_2MOD4_ORDERS),
+)
+
+
+def builtin_table() -> GroupTable:
+    """The table shipped with the package (dimensions <= 20)."""
+    return _BUILTIN
 
 
 def _object_without_duplicates(pairs: list[tuple[str, object]]) -> dict:
@@ -414,7 +498,8 @@ def parse_table(text: str) -> GroupTable:
     or two keys naming the same dimension (``"07"`` and ``"7"``), is an
     error, and so is an order that breaks the Kervaire-Milnor chain
     |bP_{n+1}| divides |Theta_n|, where bP_{n+1} comes from a table entry
-    or from the order formula.
+    or from the order formula.  The merged table is built by the
+    ``GroupTable`` constructor, which runs that chain check.
     """
     if not text.strip():
         return _BUILTIN
@@ -455,9 +540,7 @@ def parse_table(text: str) -> GroupTable:
                 )
             seen[dim] = dim_key
             merged[family][dim] = group
-    table = GroupTable(**merged)
-    _check_consistency(table)
-    return table
+    return GroupTable(**merged)
 
 
 def load_table(path: str) -> GroupTable:

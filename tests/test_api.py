@@ -109,13 +109,15 @@ def test_importing_the_package_does_not_load(module):
 
 def test_import_builds_the_classifier_tables_from_t4_and_t8_only():
     # The S^3 x S^4 tables are built at import; they may compute t_4 and
-    # t_8 (bP_8 and the pairing 8 t_4 t_4) and no other t.
+    # t_8 (bP_8 and the pairing 8 t_4 t_4).  The chain check of the
+    # built-in table asks t of 8, 12, 16 and 20 (bP_{n+1} for its theta
+    # entries), and import computes no other t.
     src = os.path.dirname(os.path.dirname(spherestruct.__file__))
     code = (
         "import spherestruct\n"
         "from spherestruct import bp, classify\n"
         "before = bp._t_multiple_of_4.cache_info()\n"
-        "bp.t(4), bp.t(8)\n"
+        "bp.t(4), bp.t(8), bp.t(12), bp.t(16), bp.t(20)\n"
         "after = bp._t_multiple_of_4.cache_info()\n"
         "tables = (classify._BP8_ELEMENTS, classify._S3S4_STABILIZERS, classify._S3S4_INERTIA)\n"
         "print(before.currsize, after.misses - before.misses,"
@@ -125,7 +127,7 @@ def test_import_builds_the_classifier_tables_from_t4_and_t8_only():
     result = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
     )
-    assert result.stdout == "2 0 [True, True, True]\n"
+    assert result.stdout == "5 0 [True, True, True]\n"
 
 
 def test_bench_library_names_resolve():

@@ -472,6 +472,14 @@ _NON_INT_CALLS = {
     "image_f-q": (lambda: image_f_residual(4, 4.5), "q must be an int, got float"),
     "t": (lambda: t(8.0), "i must be an int, got float"),
     "bp_order": (lambda: bp_order(8.0), "m must be an int, got float"),
+    # The table's method checks m before the cache of t_m, and before the
+    # odd branch, which 7.0 % 2 == 1 would take.
+    "GroupTable.bp_order": (
+        lambda: builtin_table().bp_order(12.0), "m must be an int, got float"
+    ),
+    "GroupTable.bp_order-odd": (
+        lambda: builtin_table().bp_order(7.0), "m must be an int, got float"
+    ),
     "bernoulli": (lambda: bernoulli(2.0), "k must be an int, got float"),
     "num_b_over_4k": (lambda: num_b_over_4k(2.0), "k must be an int, got float"),
     "theta_order": (lambda: theta_order(7.0), "n must be an int, got float"),
@@ -499,8 +507,8 @@ _NON_INT_CALLS = {
     "forgetful_fiber": (
         lambda: forgetful_fiber(3, 4, 1.0), "top_invariant must be an int, got float"
     ),
-    # The public caches are typed: a float equal to a cached bool misses
-    # and is rejected, as in a fresh process.
+    # A float equal to a cached bool is rejected, as in a fresh process:
+    # bernoulli's cache is typed, and cyclic_group checks before its cache.
     "bernoulli-after-bool": (
         lambda: (bernoulli(True), bernoulli(1.0)), "k must be an int, got float"
     ),

@@ -1,3 +1,4 @@
+import json
 from math import gcd
 
 import pytest
@@ -8,6 +9,7 @@ from spherestruct import (
     GroupTable,
     KnownGroup,
     NormalClassDiff,
+    TableError,
     del_map,
     eta_fiber_size,
     forgetful_fiber,
@@ -32,6 +34,8 @@ from spherestruct.structset import (
     normalize_dims,
 )
 from spherestruct.tables import builtin_table
+
+from test_tables import _overrides
 
 
 def test_normalize_dims():
@@ -252,10 +256,29 @@ def test_eta_fiber_unknown_theta():
 
 
 def test_eta_fiber_rejects_inconsistent_table():
-    # parse_table rejects this table, so it is built directly.
-    table = GroupTable(theta={7: KnownGroup.finite(5)})
-    with pytest.raises(ValueError, match="does not divide"):
-        eta_fiber_size(3, 4, 1, table)
+    # The table that would give eta_fiber_size(3, 4, 1) an inexact
+    # quotient is rejected when it is built, by hand as by parse_table.
+    with pytest.raises(TableError, match=r"^\|bP_8\| = 28 does not divide \|Theta_7\| = 5;"):
+        GroupTable(theta={7: KnownGroup.finite(5)})
+
+
+@settings(max_examples=150, deadline=None)
+@given(_overrides(), st.data())
+def test_eta_fiber_size_is_a_known_group_for_every_valid_table(override, data):
+    # The chain check of every table makes the quotient |Theta_n| / |stab(d)|
+    # exact, so eta_fiber_size has no error branch to reach.
+    table = parse_table(json.dumps(override))
+    dims = [int(n) for n in override.get("theta", {}) if int(n) >= 5]
+    n = data.draw(st.sampled_from(sorted(dims) or list(range(5, 21))))
+    p = data.draw(st.integers(2, n - 2))
+    d = data.draw(st.integers(-60, 60))
+    fiber = eta_fiber_size(p, n - p, d, table)
+    assert type(fiber) is KnownGroup
+    theta = theta_order(n, table)
+    if theta.is_unknown:
+        assert fiber.is_unknown
+    else:
+        assert fiber.order * stabilizer(p, n - p, d).order == theta.order
 
 
 def test_top_structure_set():

@@ -43,6 +43,7 @@ from spherestruct.cyclic import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
+    _cyclic_group,
     _slot_writers,
     _subgroup,
     cyclic_group,
@@ -379,7 +380,7 @@ def test_a_bool_order_shares_the_cached_value_of_its_int():
 def test_a_bool_order_shares_the_cached_group_of_its_int(first):
     # From cold caches, whichever of True and 1 is asked first, both keys
     # hold one Z_1, and a subgroup of it reaches the same value.
-    cyclic_group.cache_clear()
+    _cyclic_group.cache_clear()
     _subgroup.cache_clear()
     shared = cyclic_group(first)
     assert cyclic_group(True) is shared is cyclic_group(1)

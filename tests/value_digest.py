@@ -11,7 +11,10 @@ in both orders, and every integer coordinate d with |d| <= D (default
 range errors are pinned; each with the built-in table and with an
 override table that sets bP_10 and bP_18.  ``t`` covers every i from -1
 to 4 * D and the first multiple of 4 past its cap, whose error is raised
-before any work.
+before any work.  ``group_table`` does not depend on the grid: it builds
+a fixed list of tables (by hand, from ``golden_table.json``, from the
+README's example override, and by keyword from the built-in table's
+fields), so a change to any rule of the table gate shows here.
 Each family hashes one line per call: its arguments and either the
 ``repr`` of the value (``present`` hashes ``as_dict()`` as JSON) or the
 type and message of the error it raised, so a pair that ``check_pair``
@@ -30,6 +33,7 @@ import argparse
 import hashlib
 import json
 from collections.abc import Callable
+from pathlib import Path
 
 from spherestruct.bp import bp_order, residual_group, t
 from spherestruct.rationals import MAX_BERNOULLI_INDEX
@@ -41,7 +45,14 @@ from spherestruct.structset import (
     present,
     stabilizer,
 )
-from spherestruct.tables import parse_table, pi_go, theta_order
+from spherestruct.tables import (
+    GroupTable,
+    KnownGroup,
+    builtin_table,
+    parse_table,
+    pi_go,
+    theta_order,
+)
 
 FAMILIES = (
     "present",
@@ -55,11 +66,42 @@ FAMILIES = (
     "theta_order",
     "pi_go",
     "t",
+    "group_table",
 )
 
 # bP_10 and bP_18 are the orders m = 2 mod 4 below 21 that the built-in
 # table leaves unknown; the override gives bp_order a table answer there.
 _OVERRIDE = '{"bp": {"10": "2", "18": "1"}}'
+
+
+# The example override of README's "Reference table overrides" section.
+_README_OVERRIDE = """{
+  "theta":        {"21": "16256", "22": "unknown"},
+  "pi_go_torsion": {"9": "8", "4": "Z"},
+  "bp":           {"18": "2"}
+}"""
+
+
+def _tables() -> dict[str, Callable[[], GroupTable]]:
+    # The fixed list that ``group_table`` hashes, by name.
+    finite, trivial = KnownGroup.finite, KnownGroup.trivial()
+    golden = Path(__file__).with_name("golden_table.json").read_text(encoding="utf-8")
+    builtin = builtin_table()
+    return {
+        "theta-chain": lambda: GroupTable(theta={7: finite(5)}),
+        "theta-int-value": lambda: GroupTable(theta={7: 28}),
+        "bp-order-7": lambda: GroupTable(bp={10: finite(7)}),
+        "theta-str-key": lambda: GroupTable(theta={"7": finite(28)}),
+        "theta-bool-key": lambda: GroupTable(theta={True: trivial}),
+        "theta-zero-key": lambda: GroupTable(theta={0: trivial}),
+        "bp-key-8": lambda: GroupTable(bp={8: finite(28)}),
+        "bp-key-7": lambda: GroupTable(bp={7: trivial}),
+        "golden_table.json": lambda: parse_table(golden),
+        "readme-override": lambda: parse_table(_README_OVERRIDE),
+        "builtin-by-keyword": lambda: GroupTable(
+            **{name: getattr(builtin, name) for name in GroupTable.__slots__}
+        ),
+    }
 
 
 def _outcome(call: Callable[[], object], show: Callable[[object], str] = repr) -> str:
@@ -107,6 +149,8 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
             feed(name, (n, "override"), _outcome(lambda: order(n, override)))
     for i in [*range(-1, 4 * max_d + 1), 4 * MAX_BERNOULLI_INDEX + 4]:
         feed("t", (i,), _outcome(lambda: t(i)))
+    for name, build in _tables().items():
+        feed("group_table", (name,), _outcome(build))
     return {family: h.hexdigest() for family, h in hashes.items()}
 
 
