@@ -22,15 +22,18 @@ the topological structure set being a subgroup.  Its order is always odd:
 the 2-adic valuation of 8 * t_{4j} * t_{4k} is at least that of t_{4(j+k)}.
 
 For a pair (4j, 4k), with c = 8 * t_{4j} * t_{4k} and n = t_{4(j+k)}, the
-record (c, g, Z_r) has g = gcd(c, n) and r = n / g.  ``_residual_split``
-caches one record per unordered pair, because c, g and r are symmetric
-in p and q: (4k, 4j) reuses the record of (4j, 4k), with no second gcd.
-It is the only home of these numbers: ``pairing_coefficient`` reads c,
-``residual_group`` and ``image_f_residual`` hand out Z_r, and
-``structset`` reads g and r for every stabiliser of the (4j-1, 4k) shape
-(the subgroup <d * c> of Z_n has canonical generator g * gcd(d, r)) and
-Z_r for its presentations and group-structure verdicts.  So any first
-call of a pair warms the others, in either order.
+record (c, g, Z_r, <c>) has g = gcd(c, n), r = n / g, and the residual
+subgroup <c> = <g> of Z_n, of order r, as the shared
+``cyclic._subgroup(n, g)`` value.  ``_residual_split`` caches one record
+per unordered pair, because all four are symmetric in p and q: (4k, 4j)
+reuses the record of (4j, 4k), with no second gcd.  It is the only home
+of these numbers: ``pairing_coefficient`` reads c, ``residual_group`` and
+``image_f_residual`` hand out Z_r, and ``structset`` reads the record for
+every stabiliser of the (4j-1, 4k) shape (the subgroup <d * c> of Z_n has
+canonical generator g * gcd(d, r), so it is <c> itself for every d
+coprime to r) and Z_r for its presentations and group-structure
+verdicts.  So any first call of a pair warms the others, in either
+order.
 
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores
@@ -48,7 +51,13 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from .cyclic import CyclicGroup, _reject_non_int, cyclic_group
+from .cyclic import (
+    CyclicGroup,
+    CyclicSubgroup,
+    _reject_non_int,
+    _subgroup,
+    cyclic_group,
+)
 from .rationals import _t_multiple_of_4
 from .tables import _BUILTIN, GroupTable, KnownGroup, _reject_non_table
 
@@ -153,15 +162,19 @@ def residual_group(p: int, q: int) -> CyclicGroup:
 
 
 # Bounded: its arguments are multiples of 4 up to the cap of t, and a
-# record at the cap holds three numbers of up to 4284 digits.  A mirrored
+# record at the cap holds four numbers of up to 4284 digits.  A mirrored
 # key (p > q) shares the record of (q, p), so the bound of 8192 keys still
 # holds 4096 records when every pair is asked in both orders.
 @lru_cache(maxsize=8192)
-def _residual_split(p: int, q: int) -> tuple[int, int, CyclicGroup]:
-    """The record (c, g, Z_r) of a pair (p, q) of positive multiples of 4:
-    c = 8 t_p t_q, g = gcd(c, t_{p+q}) and r = t_{p+q} / g.
+def _residual_split(
+    p: int, q: int
+) -> tuple[int, int, CyclicGroup, CyclicSubgroup]:
+    """The record (c, g, Z_r, <c>) of a pair (p, q) of positive multiples
+    of 4: c = 8 t_p t_q, g = gcd(c, t_{p+q}), r = t_{p+q} / g, and <c>
+    the subgroup of Z_{t_{p+q}} that c generates, stored by its canonical
+    generator g.
 
-    One record per unordered pair: c, g and r are symmetric in p and q,
+    One record per unordered pair: all four are symmetric in p and q,
     so a miss with p > q returns the record of (q, p), the same tuple.
     It asks t of p first, so in either order a cap error names the first
     of p, q and p + q past the cap."""
@@ -171,7 +184,7 @@ def _residual_split(p: int, q: int) -> tuple[int, int, CyclicGroup]:
     c = 8 * _t_multiple_of_4(p) * _t_multiple_of_4(q)
     ambient = _t_multiple_of_4(p + q)
     g = gcd(c, ambient)
-    return c, g, CyclicGroup(ambient // g)
+    return c, g, CyclicGroup(ambient // g), _subgroup(ambient, g)
 
 
 def image_f_residual(p: int, q: int) -> CyclicGroup:

@@ -21,12 +21,16 @@ The Theta-action is free except when the normalised shape is
 invariant has integer coordinate d is the subgroup of bP_{4(j+k)}
 generated by 8 d t_{4j} t_{4k}, so fibre sizes vary with d:
 |fibre| = |Theta_{p+q}| / |stabiliser(d)|.  With r the order of the
-residual group of (4j, 4k), the stabiliser has order r / gcd(d, r):
-trivial for d = 0 and of order r > 1 for d = 1.  This change with d is
-why the smooth set admits no group structure in this shape (below).
-The ambient order t_{4(j+k)} comes from t's cache, as in ``del_map``,
-and the generator from the record (c, g, Z_r) of (4j, 4k) that ``bp``
-caches once per unordered pair, so (4k, 4j) reads the same record.
+residual group of (4j, 4k), the stabiliser has canonical generator
+g * gcd(d, r) and order r / gcd(d, r), so it depends on d only through
+gcd(d, r): trivial for d = 0, and for every d coprime to r (d = 1
+among them) the whole residual subgroup <8 t_{4j} t_{4k}> of order r.
+This change with d is why the smooth set admits no group structure in
+this shape (below).  The ambient order t_{4(j+k)} comes from t's cache,
+as in ``del_map``, and the rest from the record (c, g, Z_r, <c>) of
+(4j, 4k) that ``bp`` caches once per unordered pair, so (4k, 4j) reads
+the same record.  The generic stabiliser is the record's <c> itself, so
+a warm call for d coprime to r reads the record and nothing else.
 
 The topological structure set, by contrast, is a group isomorphic to
 L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
@@ -301,15 +305,17 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     # The swap of normalize_dims, inlined: a warm call enters two frames.
     # The ambient Z_n, n = t_m, is read from t's cache before the record,
     # so past the cap it raises the error naming m, as ``t(m)`` would.
-    # With (c, g, Z_r) the record of (p + 1, q), c = 8 t_{p+1} t_q and
-    # g = gcd(c, n), the generator d * c of Z_n reduces to g * gcd(d, r).
+    # With (c, g, Z_r, <c>) the record of (p + 1, q), c = 8 t_{p+1} t_q and
+    # g = gcd(c, n), the generator d * c of Z_n reduces to g * h with
+    # h = gcd(d, r): for h = 1, the generic d, it is the record's <c>.
     if p % 2 == 0 and q % 2 == 1:
         p, q = q, p
     m = p + q + 1
     n = bp._t_multiple_of_4(m) if m % 4 == 0 else 1
     if p % 4 == 3 and q % 4 == 0:
-        _, g, residual = bp._residual_split(p + 1, q)
-        return _subgroup(n, g * gcd(d, residual.order))
+        _, g, residual, generic = bp._residual_split(p + 1, q)
+        h = gcd(d, residual.order)
+        return generic if h == 1 else _subgroup(n, g * h)
     return _subgroup(n, n)  # the trivial subgroup <0> = <n> of Z_n
 
 
@@ -406,10 +412,10 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
     """Size of the forgetful-map fibre over a topological structure of
     S^3 x S^4 (or S^4 x S^3) with normal invariant ``top_invariant`` in Z.
 
-    The comparison map multiplies the degree-4 coordinate by t_4 = 2, so
-    smooth structures hit exactly the even invariants and odd inputs are
-    rejected.  Over t_4 * y the fibre is the normal-invariant fibre over
-    d = y, of size |Theta_7| / |stabiliser(y)|.
+    The comparison map multiplies the degree-4 coordinate by t_4 = 2 (read
+    from t's cache), so smooth structures hit exactly the even invariants
+    and odd inputs are rejected.  Over t_4 * y the fibre is the
+    normal-invariant fibre over d = y, of size |Theta_7| / |stabiliser(y)|.
     """
     if not isinstance(top_invariant, int):
         _reject_non_int("top_invariant", top_invariant)
@@ -418,9 +424,10 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
         raise ValueError(
             f"forgetful_fiber currently handles only S^3 x S^4, got ({p}, {q})"
         )
-    if top_invariant % 2 != 0:  # t_4 = 2
+    t_4 = bp._t_multiple_of_4(4)
+    if top_invariant % t_4 != 0:
         raise ValueError(
             f"topological normal invariant {top_invariant} is odd, hence not "
             "in the image of the smooth structure set (even invariants only)"
         )
-    return eta_fiber_size(p, q, top_invariant // 2)
+    return eta_fiber_size(p, q, top_invariant // t_4)

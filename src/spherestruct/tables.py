@@ -30,6 +30,13 @@ bool too) or an entry that is not a ``KnownGroup`` (``TypeError``), then
 applies the entry rules that ``parse_table`` applies to each JSON entry
 and the Kervaire-Milnor chain check (``TableError``), and it stores
 read-only views of its own copies, so tables are immutable once built.
+The kind rule: every entry is ``finite`` or ``unknown``, because Theta_n
+and bP_m are finite groups and a ``pi_go_torsion`` entry is a torsion
+order, so a ``z_times_finite`` entry raises a ``TableError`` naming it.
+A built table refuses ``__init__`` before it writes anything
+(``AttributeError``, as a frozen dataclass does); ``copy``, ``deepcopy``
+and ``pickle.loads`` start from a blank instance, so they still pass the
+gate.
 """
 
 from __future__ import annotations
@@ -211,6 +218,8 @@ class GroupTable:
         pi_go_torsion: Mapping[int, KnownGroup] | None = None,
         bp: Mapping[int, KnownGroup] | None = None,
     ) -> None:
+        if hasattr(self, "theta"):  # built: refused before any write
+            raise AttributeError("cannot assign to field 'theta'")
         families = (theta, pi_go_torsion, bp)
         for write, family, entries in zip(_table_writers, _FAMILIES, families):
             write(self, MappingProxyType(_checked_family(family, entries)))
@@ -284,6 +293,11 @@ def _checked_family(family: str, entries: object) -> dict[int, KnownGroup]:
                 f"got {type(group).__name__}"
             )
         _check_dimension(family, dim, dim)
+        if group.kind == "z_times_finite":
+            raise TableError(
+                f"{_entry(family, dim)}: entries must be finite or unknown, "
+                "got z_times_finite"
+            )
         if not group.is_unknown:
             _check_order(family, group.order, dim)
         checked[dim] = group

@@ -280,11 +280,13 @@ def test_one_record_per_pair_whichever_call_fills_it():
             call()
         info = _residual_split.cache_info()
         assert (info.currsize, info.misses, info.hits) == (1, 1, 2)
-    c, g, residual = _residual_split(8, 12)
+    c, g, residual, generic = _residual_split(8, 12)
     assert c == pairing_coefficient(8, 12) == 8 * t_oracle(8) * t_oracle(12)
     assert g == gcd(c, t_oracle(20))
     assert residual is residual_group(8, 12)
     assert residual.order == t_oracle(20) // g == 73
+    assert generic is stabilizer(7, 12, 1)
+    assert (generic.ambient.order, generic.generator_value) == (t_oracle(20), g)
 
 
 @pytest.mark.parametrize("first, second", [((16, 24), (24, 16)), ((24, 16), (16, 24))])
@@ -678,8 +680,31 @@ def test_residual_and_stabilizer_match_oracle_in_either_call_order(calls):
             generator = gcd(d * 8 * t_oracle(p) * t_oracle(q) % ambient, ambient)
             sub = stabilizer(p - 1, q, d)
             assert (sub.ambient.order, sub.generator_value) == (ambient, generator)
+            r = _residual_oracle(p, q)
+            assert sub.order == r // gcd(d, r)
+            assert (sub is _residual_split(p, q)[3]) == (gcd(d, r) == 1)
         else:
             assert residual_group(p, q).order == _residual_oracle(p, q)
+
+
+def test_a_warm_generic_stabilizer_is_the_records_subgroup_with_no_cache_probe():
+    # For d coprime to r = 73 the stabiliser of (7, 12) is the residual
+    # subgroup the record holds, so a warm call asks _subgroup nothing.
+    stabilizer(7, 12, 1)
+    before = _subgroup.cache_info()
+    for d in (1, -1, 2, 72, 74, 10**30 + 1):
+        assert stabilizer(7, 12, d) is _residual_split(8, 12)[3]
+    assert _subgroup.cache_info() == before
+
+
+def test_stabilizers_of_d_0_and_d_1_are_trivial_and_the_residual_subgroup():
+    # The paper's reason for no group structure on S^{4j-1} x S^{4k}:
+    # stab(0) is trivial, while stab(1) has the order of the residual group.
+    for j in range(1, 11):
+        for k in range(1, 11):
+            assert stabilizer(4 * j - 1, 4 * k, 0).is_trivial, (j, k)
+            residual = residual_group(4 * j, 4 * k)
+            assert stabilizer(4 * j - 1, 4 * k, 1).order == residual.order, (j, k)
 
 
 def test_shared_results_are_frozen():

@@ -257,3 +257,43 @@ def test_the_table_method_bp_order_takes_a_bool_as_its_int():
     assert table.bp_order(True) is KnownGroup.trivial()
     assert table.bp_order(12) == KnownGroup.finite(992)
 
+
+@pytest.mark.parametrize(
+    "family, dim", [("theta", 7), ("pi_go_torsion", 2), ("bp", 10)]
+)
+def test_a_z_times_finite_entry_is_refused_in_every_family(family, dim):
+    # Theta_n and bP_m are finite groups and a pi_go_torsion entry is a
+    # torsion order, so every entry is finite or unknown, as in a table file;
+    # Theta_7 as Z x (torsion 28) used to be built and presented as order 28.
+    with pytest.raises(
+        TableError,
+        match=f"^{re.escape(family)}\\[{dim}\\]: entries must be finite or "
+        "unknown, got z_times_finite$",
+    ):
+        GroupTable(**{family: {dim: KnownGroup.z_times_finite(28)}})
+
+
+@pytest.mark.parametrize(
+    "reinit",
+    [
+        lambda table: table.__init__(theta={7: KnownGroup.finite(5)}),
+        lambda table: table.__init__(),
+        lambda table: GroupTable.__init__(table, theta={7: _28}),
+        lambda table: table.__setstate__([{}, {}, {}]),
+    ],
+    ids=["broken-chain", "empty", "valid", "setstate"],
+)
+@pytest.mark.parametrize("source", ["builtin", "parsed"])
+def test_a_built_table_refuses_init_before_it_writes(reinit, source):
+    table = builtin_table() if source == "builtin" else parse_table(
+        '{"theta": {"21": "4"}, "bp": {"22": "2"}}'
+    )
+    before = {name: dict(getattr(table, name)) for name in _FAMILIES}
+    answer = present(3, 4, table).as_dict()
+    with pytest.raises(AttributeError, match=r"^cannot assign to field 'theta'$"):
+        reinit(table)
+    assert {name: dict(getattr(table, name)) for name in _FAMILIES} == before
+    assert present(3, 4, table).as_dict() == answer
+    assert theta_order(7) is _28
+    assert present(3, 4).theta_group is _28
+    assert len(builtin_table().pi_go_torsion) == 10
