@@ -146,11 +146,7 @@ class WallTriple:
     s_alpha_y: int
 
     def __init__(self, s_alpha_x: int, s_alpha_y: int) -> None:
-        _set_s_alpha_x(self, s_alpha_x)
-        _set_s_alpha_y(self, s_alpha_y)
-
-
-_set_s_alpha_x, _set_s_alpha_y = _slot_writers(WallTriple)
+        self.__setstate__((s_alpha_x, s_alpha_y))
 
 
 def wall_triple_of_plumbing(u: int, v: int) -> WallTriple:

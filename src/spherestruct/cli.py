@@ -74,10 +74,19 @@ def _cyclic_name(group: KnownGroup, name: str) -> str:
     return f"{name} = Z_{group.order}"
 
 
+def _operands(args) -> dict:
+    # The subcommand's own arguments, by name: the envelope echoes them,
+    # and most payloads repeat them.
+    return {
+        key: value for key, value in vars(args).items()
+        if key not in ("command", "json", "table")
+    }
+
+
 def _cmd_bernoulli(args, table):
     value = bernoulli(args.k)
     payload = {
-        "k": args.k,
+        **_operands(args),
         "value": str(value),
         "numerator": value.numerator,
         "denominator": value.denominator,
@@ -92,13 +101,13 @@ def _cmd_t(args, table):
     if args.i == 16:
         text.append(_NOTE_T16)
         notes.append(_NOTE_T16)
-    return {"i": args.i, "value": value}, text, notes
+    return {**_operands(args), "value": value}, text, notes
 
 
 def _cmd_bp_order(args, table):
     group = bp_order(args.m, table)
     payload = {
-        "m": args.m,
+        **_operands(args),
         "group": group.as_json(),
         "order": _order_or_unknown(group),
     }
@@ -112,8 +121,7 @@ def _cmd_residual(args, table):
     group = residual_group(args.p, args.q)
     n = args.p + args.q
     payload = {
-        "p": args.p,
-        "q": args.q,
+        **_operands(args),
         "order": group.order,
         "generator_coefficient": pairing_coefficient(args.p, args.q),
         "ambient_bp_dim": n,
@@ -134,12 +142,7 @@ def _cmd_structure_set(args, table):
 
 def _cmd_fiber(args, table):
     group = eta_fiber_size(args.p, args.q, args.d, table)
-    payload = {
-        "p": args.p,
-        "q": args.q,
-        "d": args.d,
-        "fiber_order": _order_or_unknown(group),
-    }
+    payload = {**_operands(args), "fiber_order": _order_or_unknown(group)}
     if group.is_unknown:
         text = [f"fibre over d = {args.d}: unknown size"]
     else:
@@ -150,9 +153,7 @@ def _cmd_fiber(args, table):
 def _cmd_stabilizer(args, table):
     sub = stabilizer(args.p, args.q, args.d)
     payload = {
-        "p": args.p,
-        "q": args.q,
-        "d": args.d,
+        **_operands(args),
         "ambient_order": sub.ambient.order,
         "generator": sub.generator_value % sub.ambient.order,
         "order": sub.order,
@@ -162,12 +163,7 @@ def _cmd_stabilizer(args, table):
 
 def _cmd_group_structure(args, table):
     verdict = group_structure_possible(args.p, args.q)
-    payload = {
-        "p": args.p,
-        "q": args.q,
-        "possible": verdict.possible,
-        "reason": verdict.reason,
-    }
+    payload = {**_operands(args), "possible": verdict.possible, "reason": verdict.reason}
     if verdict.possible:
         text = ["group structure possible: yes"]
     else:
@@ -179,8 +175,7 @@ def _cmd_image_f(args, table):
     residual = image_f_residual(args.p, args.q)
     is_subgroup = residual.order == 1
     payload = {
-        "p": args.p,
-        "q": args.q,
+        **_operands(args),
         "is_subgroup": is_subgroup,
         "residual_order": residual.order,
     }
@@ -197,8 +192,7 @@ def _cmd_image_f(args, table):
 def _cmd_top_set(args, table):
     top = top_structure_set(args.p, args.q)
     payload = {
-        "p": args.p,
-        "q": args.q,
+        **_operands(args),
         "factors": [top.p_factor.symbol, top.q_factor.symbol],
         "is_group": True,
         "singleton": top.is_singleton,
@@ -367,11 +361,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.json:
         import json  # only the envelope needs it; keeps the import light
 
-        query = {"command": args.command}
-        for key, value in sorted(vars(args).items()):
-            if key in ("command", "json", "table"):
-                continue
-            query[key] = value
+        query = {"command": args.command, **_operands(args)}
         envelope = {"query": query, "result": payload, "provenance": provenance}
         print(json.dumps(envelope, sort_keys=True, indent=2))
     else:

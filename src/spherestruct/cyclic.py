@@ -30,13 +30,20 @@ def _value(cls: type) -> type:
     It adds equality and hashing by the field tuple, a ``repr`` naming
     each field, ``__match_args__``, and pickling by a list of the fields
     (the state a frozen slotted dataclass pickles, so the bytes are the
-    same), and it refuses to assign or delete any attribute.  The class
-    writes its own ``__init__``, through ``_slot_writers``, and keeps any
-    of those methods it defines itself (``tables.GroupTable`` does, so
-    that a copy or a pickle passes its constructor).  It gets no
+    same), and it refuses to assign or delete any attribute.
+    ``__setstate__`` is the one writer of a blank instance (pickle, copy
+    and deepcopy call it) and refuses a built value with the text an
+    assignment gets.  The class writes its own ``__init__``, which checks
+    its arguments and passes the canonical fields to ``__setstate__``,
+    so that ``__init__`` on a built value is refused too; a class that
+    library calls build afresh writes through ``_slot_writers`` instead
+    (see there).  A class
+    keeps any of these methods it defines itself (``tables.GroupTable``
+    does, so that a copy or a pickle passes its constructor).  It gets no
     base class: ``structset.present`` retypes a plain class with the
     same slots to a value, which CPython allows only with equal bases."""
     names = cls.__slots__
+    first = names[0]
     get = attrgetter(*names)  # of one name, the bare value
     key = get if len(names) > 1 else lambda self: (get(self),)
     writers = _slot_writers(cls)
@@ -57,6 +64,8 @@ def _value(cls: type) -> type:
         return list(key(self))
 
     def __setstate__(self, state):
+        if hasattr(self, first):  # built: refused before any write
+            raise AttributeError(f"cannot assign to field {first!r}")
         for write, value in zip(writers, state):
             write(self, value)
 
@@ -80,13 +89,20 @@ def _refuse_deletion(self, name: str) -> None:
 def _slot_writers(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
-    Values refuse plain attribute assignment, so constructors write each
-    field once, already canonical, through these; a slot's own setter
+    ``__setstate__`` writes through these after its guard, which reads
+    the first slot; on a fresh build that slot is unset and the read
+    raises, about 0.6-1.1 us more than two direct writes on a 2-field
+    class.  So the six classes that library calls build afresh, each
+    hundreds to thousands of times per benchmark round (``CyclicGroup``,
+    ``CyclicElement``, ``ltheory.LClass`` and ``NormalClassDiff``,
+    ``classify.S3S4Invariant`` and ``S4S4Manifold``), write each field
+    once, already canonical, through these, bound right after the class
+    body, and their ``__init__`` is not guarded.  A slot's own setter
     skips the name lookup through the class that ``object.__setattr__``
-    repeats on every call.  Bind them right after the class body.  Each
-    call costs about 70 ns, so a wide class that one factory builds
-    fills an unfrozen twin with the same ``__slots__`` by plain stores
-    and retypes it once (``structset.present`` does)."""
+    repeats on every call.  Each call costs about 70 ns, so a wide class
+    that one factory builds fills an unfrozen twin with the same
+    ``__slots__`` by plain stores and retypes it once
+    (``structset.present`` does)."""
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
@@ -212,8 +228,7 @@ class CyclicSubgroup:
         if type(ambient) is not CyclicGroup:
             _check_group("ambient", ambient)
         n = ambient.order
-        _set_ambient(self, ambient)
-        _set_generator_value(self, gcd(generator_value % n, n))
+        self.__setstate__((ambient, gcd(generator_value % n, n)))
 
     @property
     def order(self) -> int:
@@ -235,6 +250,7 @@ class CyclicSubgroup:
         return f"<{shown}> in {self.ambient}"
 
 
+# Only ``_subgroup`` writes through these: its value is fresh and canonical.
 _set_ambient, _set_generator_value = _slot_writers(CyclicSubgroup)
 
 

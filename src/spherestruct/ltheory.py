@@ -52,14 +52,10 @@ class LGroupKind:
     symbol: str  # "Z" | "0" | "Z/2"
 
     def __init__(self, dim: int, symbol: str) -> None:
-        _set_lgroup_dim(self, dim)
-        _set_symbol(self, symbol)
+        self.__setstate__((dim, symbol))
 
     def __str__(self) -> str:
         return self.symbol
-
-
-_set_lgroup_dim, _set_symbol = _slot_writers(LGroupKind)
 
 
 def l_group(i: int) -> LGroupKind:

@@ -57,12 +57,12 @@ inline copy to its home.
 ``present`` builds its result as a draft: it stores the ten fields into
 a ``_Draft``, a method-less class with the same ``__slots__``, and then
 retypes it once to ``StructureSetPresentation``.  Ten plain slot stores
-and one retype cost about a fifth of a call of ``__init__``, which
-writes each field through its slot's setter.  The retyped value is an ordinary
-frozen instance.  Keyword construction, which takes the place of
-``dataclasses.replace`` (values are not dataclasses), goes through the
-hand-written ``__init__``, and a test pins that both routes build the
-same value.
+and one retype cost a fifth or less of a call of ``__init__``, which
+passes the fields to the guarded ``__setstate__``.  The retyped value is
+an ordinary frozen instance.  Keyword construction, which takes the
+place of ``dataclasses.replace`` (values are not dataclasses), goes
+through the hand-written ``__init__``, and a test pins that both routes
+build the same value.
 """
 
 from __future__ import annotations
@@ -77,7 +77,6 @@ from .cyclic import (
     _cyclic_group,
     _exact_int,
     _reject_non_int,
-    _slot_writers,
     _subgroup,
     _value,
 )
@@ -145,12 +144,10 @@ class StructureSetPresentation:
         action_case: str,
         stabilizer_coefficient: int | None,
     ) -> None:
-        fields = (
+        self.__setstate__((
             p, q, input_p, input_q, theta_group, bp_next,
             normal_invariants, residual, action_case, stabilizer_coefficient,
-        )
-        for write, value in zip(_presentation_writers, fields):
-            write(self, value)
+        ))
 
     def sequence_text(self) -> str:
         n = self.p + self.q
@@ -215,11 +212,6 @@ class StructureSetPresentation:
             )
         lines.append(f"bP_{n + 1}: {self.bp_next.describe()}")
         return lines
-
-
-# Keyword construction stores the ten fields through these; ``present``
-# fills a draft instead.
-_presentation_writers = _slot_writers(StructureSetPresentation)
 
 
 class _Draft:
@@ -350,8 +342,7 @@ class TopStructureSet:
     q_factor: LGroupKind
 
     def __init__(self, p_factor: LGroupKind, q_factor: LGroupKind) -> None:
-        _set_p_factor(self, p_factor)
-        _set_q_factor(self, q_factor)
+        self.__setstate__((p_factor, q_factor))
 
     @property
     def is_singleton(self) -> bool:
@@ -359,9 +350,6 @@ class TopStructureSet:
 
     def __str__(self) -> str:
         return f"{self.p_factor} x {self.q_factor}"
-
-
-_set_p_factor, _set_q_factor = _slot_writers(TopStructureSet)
 
 
 def top_structure_set(p: int, q: int) -> TopStructureSet:
@@ -380,14 +368,10 @@ class GroupStructureVerdict:
     reason: str | None
 
     def __init__(self, possible: bool, reason: str | None = None) -> None:
-        _set_possible(self, possible)
-        _set_reason(self, reason)
+        self.__setstate__((possible, reason))
 
     def __bool__(self) -> bool:
         return self.possible
-
-
-_set_possible, _set_reason = _slot_writers(GroupStructureVerdict)
 
 
 # The three verdicts, shared like every other result.

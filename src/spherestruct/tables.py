@@ -103,8 +103,7 @@ class KnownGroup:
                 "group kind must be 'finite', 'z_times_finite' or 'unknown', "
                 f"got {_shown_repr(kind)}"
             )
-        _set_kind(self, kind)
-        _set_order(self, order)
+        self.__setstate__((kind, order))
 
     # finite and z_times_finite return one shared value per order.  They
     # reject a non-int and turn a bool into its int before the cache
@@ -157,8 +156,6 @@ class KnownGroup:
             return {"kind": "z_times_finite", "torsion_order": self.order}
         return {"kind": "unknown"}
 
-
-_set_kind, _set_order = _slot_writers(KnownGroup)
 
 # Shared values behind KnownGroup.trivial() and KnownGroup.unknown(); safe
 # to hand to every caller because KnownGroup is frozen.

@@ -25,11 +25,14 @@ from spherestruct import (
     KnownGroup,
     StructureSetPresentation,
     TopStructureSet,
+    eta_fiber_size,
     group_structure_possible,
     l_group,
     parse_table,
     present,
+    stabilizer,
     subgroup_generated,
+    theta_order,
     top_structure_set,
 )
 from spherestruct.classify import (
@@ -78,6 +81,13 @@ VALUE_CLASSES = (
     CyclicGroup, CyclicElement, CyclicSubgroup, KnownGroup, LGroupKind, LClass,
     NormalClassDiff, StructureSetPresentation, TopStructureSet,
     GroupStructureVerdict, S3S4Invariant, WallTriple, S4S4Manifold,
+)
+
+# The classes no workload builds per op, whose __init__ passes its fields
+# to the guarded __setstate__, so that it refuses a built value too.
+GUARDED_INIT = (
+    CyclicSubgroup, KnownGroup, LGroupKind, StructureSetPresentation,
+    TopStructureSet, GroupStructureVerdict, WallTriple,
 )
 
 
@@ -159,6 +169,43 @@ def test_every_value_class_is_frozen_and_slotted():
                 setattr(value, name, getattr(value, name, 1))
             with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
                 delattr(value, name)
+        # Writing a built value again is refused before any write, by
+        # __setstate__ on every class and by __init__ on the guarded ones.
+        shown, fields = repr(value), _fields(value)
+        refused = f"^cannot assign to field '{cls.__slots__[0]}'$"
+        with pytest.raises(AttributeError, match=refused):
+            value.__setstate__(list(fields.values()))
+        if cls in GUARDED_INIT:
+            with pytest.raises(AttributeError, match=refused):
+                value.__init__(**fields)
+        assert repr(value) == shown and value == type(value)(**fields), cls
+
+
+def test_a_shared_value_refuses_a_rewrite_and_every_answer_stays():
+    # Each call rewrote a value that the caches hand to every caller, and
+    # the answers below then changed with it.
+    with pytest.raises(AttributeError, match="^cannot assign to field 'kind'$"):
+        KnownGroup.finite(28).__init__("finite", 5)
+    assert theta_order(7).order == present(3, 4).bp_next.order == 28
+    with pytest.raises(AttributeError, match="^cannot assign to field 'kind'$"):
+        KnownGroup.finite(992).__setstate__(["finite", 3])
+    assert theta_order(11).order == 992
+    with pytest.raises(AttributeError, match="^cannot assign to field 'ambient'$"):
+        stabilizer(3, 4, 1).__setstate__([cyclic_group(28), 1])
+    with pytest.raises(AttributeError, match="^cannot assign to field 'ambient'$"):
+        stabilizer(3, 4, 1).__init__(cyclic_group(28), 1)
+    assert eta_fiber_size(3, 4, 1).order == 4
+    with pytest.raises(AttributeError, match="^cannot assign to field 'order'$"):
+        cyclic_group(28).__setstate__([5])
+    assert str(cyclic_group(28)) == "Z_28"
+
+
+def test_a_value_equals_only_a_value_of_its_own_class():
+    # The same field tuple in another class, or a bare field, is unequal.
+    assert CyclicGroup(28) != 28 and 28 != CyclicGroup(28)
+    assert CyclicGroup(28).__eq__(28) is NotImplemented
+    assert LClass(4, 3) != NormalClassDiff(4, 3)
+    assert LClass(4, 3).__eq__(NormalClassDiff(4, 3)) is NotImplemented
 
 
 def test_each_hand_written_constructor_has_one_slot_writer_per_field():
@@ -222,8 +269,8 @@ def test_a_presentation_is_built_by_its_draft_or_its_constructor():
     # present retypes a draft, which CPython allows only between classes
     # with the same base and the same slots, so neither may gain a base
     # class.  Keyword construction goes through the hand-written __init__,
-    # which stores its fields through one tuple of slot writers, not ten
-    # named ones.
+    # which passes its fields to __setstate__, not to ten named slot
+    # writers.
     assert _Draft.__bases__ == StructureSetPresentation.__bases__ == (object,)
     assert "__init__" in StructureSetPresentation.__dict__
     named = [
