@@ -54,6 +54,7 @@ from math import gcd
 from .cyclic import (
     CyclicGroup,
     CyclicSubgroup,
+    _group,
     _reject_non_int,
     _subgroup,
     cyclic_group,
@@ -184,7 +185,7 @@ def _residual_split(
     c = 8 * _t_multiple_of_4(p) * _t_multiple_of_4(q)
     ambient = _t_multiple_of_4(p + q)
     g = gcd(c, ambient)
-    return c, g, CyclicGroup(ambient // g), _subgroup(ambient, g)
+    return c, g, _group(ambient // g), _subgroup(ambient, g)
 
 
 def image_f_residual(p: int, q: int) -> CyclicGroup:

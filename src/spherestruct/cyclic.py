@@ -35,9 +35,13 @@ def _value(cls: type) -> type:
     and deepcopy call it) and refuses a built value with the text an
     assignment gets.  The class writes its own ``__init__``, which checks
     its arguments and passes the canonical fields to ``__setstate__``,
-    so that ``__init__`` on a built value is refused too; a class that
-    library calls build afresh writes through ``_slot_writers`` instead
-    (see there).  A class
+    so that ``__init__`` on a built value is refused too.  A shared
+    value is built raw in its cache core instead, behind a door that
+    has checked it (``_group``, ``_subgroup``, ``tables._finite``), so
+    no library call runs the guarded constructor of a class a cache
+    hands out.  Only the five classes rebuilt per op and never shared
+    write through ``_slot_writers`` from an unguarded ``__init__`` (see
+    there).  A class
     keeps any of these methods it defines itself (``tables.GroupTable``
     does, so that a copy or a pickle passes its constructor).  It gets no
     base class: ``structset.present`` retypes a plain class with the
@@ -92,12 +96,15 @@ def _slot_writers(cls: type) -> tuple:
     ``__setstate__`` writes through these after its guard, which reads
     the first slot; on a fresh build that slot is unset and the read
     raises, about 0.6-1.1 us more than two direct writes on a 2-field
-    class.  So the six classes that library calls build afresh, each
-    hundreds to thousands of times per benchmark round (``CyclicGroup``,
-    ``CyclicElement``, ``ltheory.LClass`` and ``NormalClassDiff``,
-    ``classify.S3S4Invariant`` and ``S4S4Manifold``), write each field
-    once, already canonical, through these, bound right after the class
-    body, and their ``__init__`` is not guarded.  A slot's own setter
+    class.  So the cache cores of shared values (``_group``,
+    ``_subgroup``, ``tables._finite`` and ``_z_times_finite``) build a
+    blank instance and write each field once, already checked and
+    canonical, through these.  The five classes that library calls
+    rebuild per op and no cache hands out (``CyclicElement``,
+    ``ltheory.LClass`` and ``NormalClassDiff``,
+    ``classify.S3S4Invariant`` and ``S4S4Manifold``) write through them
+    from an ``__init__`` that is not guarded, so a rewrite there changes
+    only the caller's own value.  A slot's own setter
     skips the name lookup through the class that ``object.__setattr__``
     repeats on every call.  Each call costs about 70 ns, so a wide class
     that one factory builds fills an unfrozen twin with the same
@@ -132,8 +139,8 @@ class CyclicGroup:
         if type(order) is not int:
             order = _exact_int("order", order)
         if order < 1:
-            raise ValueError(f"cyclic group order must be >= 1, got {order}")
-        _set_order(self, order)
+            _reject_order(order)
+        self.__setstate__((order,))
 
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self, value)
@@ -142,7 +149,19 @@ class CyclicGroup:
         return "0" if self.order == 1 else f"Z_{self.order}"
 
 
+def _reject_order(n: int) -> None:
+    raise ValueError(f"cyclic group order must be >= 1, got {n}")
+
+
+# Only ``_group`` writes through this: its order is an int >= 1.
 (_set_order,) = _slot_writers(CyclicGroup)
+
+
+def _group(n: int) -> CyclicGroup:
+    # Z_n built raw, for an int n >= 1 that the caller has checked.
+    group = object.__new__(CyclicGroup)
+    _set_order(group, n)
+    return group
 
 
 def _check_group(name: str, group: object) -> None:
@@ -154,20 +173,21 @@ def _check_group(name: str, group: object) -> None:
 def cyclic_group(n: int) -> CyclicGroup:
     """The shared Z_n value: equal to ``CyclicGroup(n)``, built once per
     order and then reused (safe because the value is frozen).  A bool is
-    turned into the int it equals and any other non-int is rejected
-    before the cache, so that cyclic_group(True) is cyclic_group(1) and
-    a float never reaches a key it equals."""
+    turned into the int it equals, and any other non-int or an order
+    below 1 is rejected before the cache, whose core builds Z_n raw; so
+    cyclic_group(True) is cyclic_group(1) and a float never reaches a
+    key it equals."""
     if type(n) is not int:
         n = _exact_int("order", n)
+    if n < 1:
+        _reject_order(n)
     return _cyclic_group(n)
 
 
-# The core of cyclic_group, for int orders; the package's own callers,
-# which hold an int, call it directly.  Bounded because orders are
+# The core of cyclic_group, for int orders >= 1; the package's own
+# callers, which hold one, call it directly.  Bounded because orders are
 # arbitrary integers.
-@lru_cache(maxsize=1024)
-def _cyclic_group(n: int) -> CyclicGroup:
-    return CyclicGroup(n)
+_cyclic_group = lru_cache(maxsize=1024)(_group)
 
 
 @_value

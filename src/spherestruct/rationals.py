@@ -35,7 +35,8 @@ cost grows about eightfold per doubling of the index (on a 2-core Xeon a
 cold ``bernoulli(827)`` takes about 0.6 s).  A larger index raises
 ``ValueError`` at once instead of failing after the work is done.
 ``_t_multiple_of_4``, the cached Levine order t_{4k} of ``bp``, sits by
-its one input ``num_b_over_4k``, so ``tables`` needs nothing above it.
+its one input, the unchecked core of ``num_b_over_4k`` (it checks its own
+cap, so k is checked once), and ``tables`` needs nothing above it.
 """
 
 from __future__ import annotations
@@ -114,8 +115,14 @@ def num_b_over_4k(k: int) -> int:
     bernoulli(k)/4k = T_k / (2 * 4^k (4^k - 1)), so no rational is formed.
     """
     _check_index("num_b_over_4k", k)
+    return _num_b_over_4k(k)
+
+
+def _num_b_over_4k(k: int) -> int:
+    # num_b_over_4k for a checked k.
     tangent = _tangent(k)
-    return tangent // gcd(tangent, 2 * 4**k * (4**k - 1))
+    power = 4**k
+    return tangent // gcd(tangent, 2 * power * (power - 1))
 
 
 @lru_cache(maxsize=None)
@@ -130,4 +137,4 @@ def _t_multiple_of_4(i: int) -> int:
     if k == 1:
         return 2
     a_k = 2 if k % 2 == 1 else 1
-    return a_k * 2 ** (2 * k - 2) * (2 ** (2 * k - 1) - 1) * num_b_over_4k(k)
+    return a_k * 2 ** (2 * k - 2) * (2 ** (2 * k - 1) - 1) * _num_b_over_4k(k)

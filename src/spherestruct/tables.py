@@ -96,8 +96,7 @@ class KnownGroup:
             if type(order) is not int:
                 order = _exact_int("order", order)
             if order < 1:
-                what = "finite group order" if kind == "finite" else "torsion order"
-                raise ValueError(f"{what} must be >= 1, got {order}")
+                _reject_order(kind, order)
         else:
             raise ValueError(
                 "group kind must be 'finite', 'z_times_finite' or 'unknown', "
@@ -106,14 +105,16 @@ class KnownGroup:
         self.__setstate__((kind, order))
 
     # finite and z_times_finite return one shared value per order.  They
-    # reject a non-int and turn a bool into its int before the cache
-    # (``_finite``, ``_z_times_finite``), so that no float is stored and
-    # finite(True) is finite(1).
+    # reject a non-int and an order below 1 and turn a bool into its int
+    # before the cache (``_finite``, ``_z_times_finite``), so that no
+    # float or bad order is stored and finite(True) is finite(1).
 
     @staticmethod
     def finite(order: int) -> KnownGroup:
         if type(order) is not int:
             order = _exact_int("order", order)
+        if order < 1:
+            _reject_order("finite", order)
         return _finite(order)
 
     @staticmethod
@@ -124,6 +125,8 @@ class KnownGroup:
     def z_times_finite(torsion_order: int) -> KnownGroup:
         if type(torsion_order) is not int:
             torsion_order = _exact_int("torsion_order", torsion_order)
+        if torsion_order < 1:
+            _reject_order("z_times_finite", torsion_order)
         return _z_times_finite(torsion_order)
 
     @staticmethod
@@ -157,23 +160,40 @@ class KnownGroup:
         return {"kind": "unknown"}
 
 
+def _reject_order(kind: str, order: int) -> None:
+    what = "finite group order" if kind == "finite" else "torsion order"
+    raise ValueError(f"{what} must be >= 1, got {order}")
+
+
 # Shared values behind KnownGroup.trivial() and KnownGroup.unknown(); safe
 # to hand to every caller because KnownGroup is frozen.
 _TRIVIAL = KnownGroup("finite", 1)
 _UNKNOWN = KnownGroup("unknown", None)
 
+# Only the two cores below write through these.
+_set_kind, _set_order = _slot_writers(KnownGroup)
 
-# The cores of KnownGroup.finite and z_times_finite, for int orders; the
-# constructor rejects an order below 1.  The caches are bounded because
-# orders are arbitrary integers.
+
+# The cores of KnownGroup.finite and z_times_finite, for int orders >= 1,
+# which their doors and the package's own callers have checked.  Each
+# builds its shared value raw, writing the canonical fields into a blank
+# instance, so that a pair's first call runs no constructor and no guard
+# (``cyclic._value``).  The caches are bounded because orders are
+# arbitrary integers.
 @lru_cache(maxsize=1024)
 def _finite(order: int) -> KnownGroup:
-    return KnownGroup("finite", order)
+    group = object.__new__(KnownGroup)
+    _set_kind(group, "finite")
+    _set_order(group, order)
+    return group
 
 
 @lru_cache(maxsize=256)
 def _z_times_finite(torsion_order: int) -> KnownGroup:
-    return KnownGroup("z_times_finite", torsion_order)
+    group = object.__new__(KnownGroup)
+    _set_kind(group, "z_times_finite")
+    _set_order(group, torsion_order)
+    return group
 
 
 # Orders of the homotopy-sphere groups Theta_n, n <= 20 (reference data).

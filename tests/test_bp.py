@@ -40,9 +40,9 @@ from spherestruct.bp import (
     image_f_residual,
     pairing_coefficient,
 )
-from spherestruct.cyclic import _subgroup
+from spherestruct.cyclic import CyclicGroup, CyclicSubgroup, _cyclic_group, _subgroup
 from spherestruct.structset import normalize_dims
-from spherestruct.tables import _finite
+from spherestruct.tables import _finite, _z_times_finite
 
 from helpers import brute_subgroup, t_oracle
 
@@ -329,11 +329,13 @@ def test_either_order_of_a_pair_reads_the_same_values(j, k, mirrored_first):
 
 
 
-def _entered_codes(call):
-    # Code objects of the Python functions a warm call enters, in order,
-    # the call's own lambda first.  The collector is paused, so that a
-    # collection in the window cannot add a finalised generator's frame.
-    call()
+def _entered_codes(call, warm=True):
+    # Code objects of the Python functions a call enters, in order, the
+    # call's own lambda first; warm unless told otherwise.  The collector
+    # is paused, so that a collection in the window cannot add a
+    # finalised generator's frame.
+    if warm:
+        call()
     entered = []
 
     def profile(frame, event, arg):
@@ -355,6 +357,34 @@ def _entered_codes(call):
 def _entered(call):
     # Names of the Python functions a warm call enters, in order.
     return [code.co_name for code in _entered_codes(call)[1:]]  # without the lambda
+
+
+def test_a_cold_shared_value_is_built_raw_in_its_cache_core():
+    # A pair's first call builds its Z_r, <c>, Z_n and KnownGroups in the
+    # cache cores, which write the slots directly: no constructor and no
+    # guarded writer runs.
+    calls = [
+        lambda: _residual_split(8, 12),
+        lambda: bp_order(24),
+        lambda: pi_go(8),
+        lambda: cyclic_group(10**40 + 1),
+    ]
+    writers = {
+        method.__code__
+        for cls in (KnownGroup, CyclicGroup)
+        for method in (cls.__init__, cls.__setstate__)
+    }
+    for cache in (_residual_split, _subgroup, _cyclic_group, _finite, _z_times_finite):
+        cache.cache_clear()
+    for call in calls:
+        assert writers.isdisjoint(_entered_codes(call, warm=False))
+    # The raw values equal the ones the constructors build.
+    assert [call() for call in calls] == [
+        (222208, 3584, CyclicGroup(73), CyclicSubgroup(CyclicGroup(t(20)), 3584)),
+        KnownGroup.finite(t(24)),
+        KnownGroup.z_times_finite(2),
+        CyclicGroup(10**40 + 1),
+    ]
 
 
 def test_a_warm_residual_group_enters_two_python_functions():

@@ -54,6 +54,7 @@ from spherestruct.cyclic import (
 from spherestruct.ltheory import LClass, LGroupKind, NormalClassDiff
 from spherestruct import structset
 from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, _Draft
+from spherestruct.tables import _finite, _z_times_finite
 
 from helpers import brute_subgroup
 
@@ -83,10 +84,12 @@ VALUE_CLASSES = (
     GroupStructureVerdict, S3S4Invariant, WallTriple, S4S4Manifold,
 )
 
-# The classes no workload builds per op, whose __init__ passes its fields
-# to the guarded __setstate__, so that it refuses a built value too.
+# The classes whose __init__ passes its fields to the guarded
+# __setstate__, so that it refuses a built value too: every class that a
+# cache hands out (their cache cores build them raw), and the ones no
+# workload builds per op.
 GUARDED_INIT = (
-    CyclicSubgroup, KnownGroup, LGroupKind, StructureSetPresentation,
+    CyclicGroup, CyclicSubgroup, KnownGroup, LGroupKind, StructureSetPresentation,
     TopStructureSet, GroupStructureVerdict, WallTriple,
 )
 
@@ -198,6 +201,41 @@ def test_a_shared_value_refuses_a_rewrite_and_every_answer_stays():
     with pytest.raises(AttributeError, match="^cannot assign to field 'order'$"):
         cyclic_group(28).__setstate__([5])
     assert str(cyclic_group(28)) == "Z_28"
+
+
+def test_a_shared_cyclic_group_refuses_init_and_every_answer_stays():
+    # Before Z_n was built raw in its cache, this rewrote the shared Z_28
+    # to Z_5 for every caller.
+    with pytest.raises(AttributeError, match="^cannot assign to field 'order'$"):
+        cyclic_group(28).__init__(5)
+    assert str(cyclic_group(28)) == "Z_28"
+    assert eta_fiber_size(3, 4, 1).order == 4
+
+
+_CACHES = (_finite, _z_times_finite, _cyclic_group)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: KnownGroup.finite(0), "finite group order must be >= 1, got 0"),
+        (lambda: KnownGroup.finite(-3), "finite group order must be >= 1, got -3"),
+        (lambda: KnownGroup.finite(False), "finite group order must be >= 1, got 0"),
+        (lambda: KnownGroup.z_times_finite(0), "torsion order must be >= 1, got 0"),
+        (lambda: cyclic_group(0), "cyclic group order must be >= 1, got 0"),
+        (lambda: cyclic_group(-1), "cyclic group order must be >= 1, got -1"),
+    ],
+    ids=["finite(0)", "finite(-3)", "finite(False)", "z_times_finite(0)",
+         "cyclic_group(0)", "cyclic_group(-1)"],
+)
+def test_a_door_rejects_a_bad_order_before_its_cache(call, message):
+    # The cores build raw and check nothing, so each door checks first,
+    # with the constructor's text, and no cache is touched.
+    before = [cache.cache_info() for cache in _CACHES]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+    assert [cache.cache_info() for cache in _CACHES] == before
+    assert KnownGroup.finite(True) is KnownGroup.finite(1)
 
 
 def test_a_value_equals_only_a_value_of_its_own_class():
