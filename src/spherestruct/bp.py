@@ -27,13 +27,13 @@ subgroup <c> = <g> of Z_n, of order r, as the shared
 ``cyclic._subgroup(n, g)`` value.  ``_residual_split`` caches one record
 per unordered pair, because all four are symmetric in p and q: (4k, 4j)
 reuses the record of (4j, 4k), with no second gcd.  It is the only home
-of these numbers: ``pairing_coefficient`` reads c, ``residual_group`` and
-``image_f_residual`` hand out Z_r, and ``structset`` reads the record for
-every stabiliser of the (4j-1, 4k) shape (the subgroup <d * c> of Z_n has
-canonical generator g * gcd(d, r), so it is <c> itself for every d
-coprime to r) and Z_r for its presentations and group-structure
-verdicts.  So any first call of a pair warms the others, in either
-order.
+of these numbers: ``pairing_coefficient`` and ``ltheory.theta_diff``
+read c, ``residual_group`` and ``image_f_residual`` hand out Z_r, and
+``structset`` reads the record for every stabiliser of the (4j-1, 4k)
+shape (the subgroup <d * c> of Z_n has canonical generator
+g * gcd(d, r), so it is <c> itself for every d coprime to r) and Z_r
+for its presentations and group-structure verdicts.  So any first call
+of a pair warms the others, in either order.
 
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores

@@ -35,17 +35,27 @@ def _value(cls: type) -> type:
     and deepcopy call it) and refuses a built value with the text an
     assignment gets.  The class writes its own ``__init__``, which checks
     its arguments and passes the canonical fields to ``__setstate__``,
-    so that ``__init__`` on a built value is refused too.  A shared
-    value is built raw in its cache core instead, behind a door that
-    has checked it (``_group``, ``_subgroup``, ``tables._finite``), so
-    no library call runs the guarded constructor of a class a cache
-    hands out.  Only the five classes rebuilt per op and never shared
-    write through ``_slot_writers`` from an unguarded ``__init__`` (see
-    there).  A class
-    keeps any of these methods it defines itself (``tables.GroupTable``
-    does, so that a copy or a pickle passes its constructor).  It gets no
-    base class: ``structset.present`` retypes a plain class with the
-    same slots to a value, which CPython allows only with equal bases."""
+    so that ``__init__`` on a built value is refused too.  Only the three
+    classes that callers alone build (``ltheory.NormalClassDiff``,
+    ``classify.S3S4Invariant`` and ``S4S4Manifold``) write through
+    ``_slot_writers`` from an ``__init__`` that is not guarded, so a
+    rewrite there changes only the caller's own value.  A class keeps
+    any of these methods it defines itself (``tables.GroupTable`` does,
+    so that a copy or a pickle passes its constructor).
+
+    A value that a library function builds is a draft instead: the
+    function stores each field, already checked and canonical, into an
+    instance of the class's ``_draft`` twin by plain slot stores, then
+    sets its ``__class__`` to the value class once.  That skips the
+    constructor's call and its guard, whose read of the first slot
+    raises on every fresh build, and costs about half a guarded build;
+    the retyped object is an ordinary frozen value.  The cache cores
+    (``_group``, ``_subgroup``, ``tables._finite`` and
+    ``_z_times_finite``), ``_element`` (for ``structset.del_map`` and
+    element arithmetic), ``ltheory.theta_diff`` and ``structset.present``
+    build this way, each behind a door that has checked the fields.
+    CPython allows the retype only between classes with the same slots
+    and the same base, so a value class gets no base class."""
     names = cls.__slots__
     first = names[0]
     get = attrgetter(*names)  # of one name, the bare value
@@ -93,24 +103,20 @@ def _refuse_deletion(self, name: str) -> None:
 def _slot_writers(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
-    ``__setstate__`` writes through these after its guard, which reads
-    the first slot; on a fresh build that slot is unset and the read
-    raises, about 0.6-1.1 us more than two direct writes on a 2-field
-    class.  So the cache cores of shared values (``_group``,
-    ``_subgroup``, ``tables._finite`` and ``_z_times_finite``) build a
-    blank instance and write each field once, already checked and
-    canonical, through these.  The five classes that library calls
-    rebuild per op and no cache hands out (``CyclicElement``,
-    ``ltheory.LClass`` and ``NormalClassDiff``,
-    ``classify.S3S4Invariant`` and ``S4S4Manifold``) write through them
-    from an ``__init__`` that is not guarded, so a rewrite there changes
-    only the caller's own value.  A slot's own setter
-    skips the name lookup through the class that ``object.__setattr__``
-    repeats on every call.  Each call costs about 70 ns, so a wide class
-    that one factory builds fills an unfrozen twin with the same
-    ``__slots__`` by plain stores and retypes it once
-    (``structset.present`` does)."""
+    ``__setstate__`` writes through these after its guard, and so do the
+    unguarded constructors of the three caller-built classes (see
+    ``_value``).  A slot's own setter skips the name lookup through the
+    class that ``object.__setattr__`` repeats on every call, but each
+    call still costs about 60-100 ns, more than a plain store into a
+    draft; so no library function writes through one per op, and each
+    builds a draft instead (see ``_value``)."""
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
+
+
+def _draft(cls: type) -> type:
+    """The method-less twin of a value class that ``_value`` describes:
+    the same ``__slots__`` in the same order and no base class."""
+    return type(f"_{cls.__name__}Draft", (), {"__slots__": cls.__slots__})
 
 
 def _reject_non_int(name: str, value: object) -> None:
@@ -153,14 +159,15 @@ def _reject_order(n: int) -> None:
     raise ValueError(f"cyclic group order must be >= 1, got {n}")
 
 
-# Only ``_group`` writes through this: its order is an int >= 1.
-(_set_order,) = _slot_writers(CyclicGroup)
+_GroupDraft = _draft(CyclicGroup)
 
 
 def _group(n: int) -> CyclicGroup:
-    # Z_n built raw, for an int n >= 1 that the caller has checked.
-    group = object.__new__(CyclicGroup)
-    _set_order(group, n)
+    # Z_n as a draft (see ``_value``), for an int n >= 1 that the caller
+    # has checked.
+    group = _GroupDraft()
+    group.order = n
+    group.__class__ = CyclicGroup
     return group
 
 
@@ -174,9 +181,9 @@ def cyclic_group(n: int) -> CyclicGroup:
     """The shared Z_n value: equal to ``CyclicGroup(n)``, built once per
     order and then reused (safe because the value is frozen).  A bool is
     turned into the int it equals, and any other non-int or an order
-    below 1 is rejected before the cache, whose core builds Z_n raw; so
-    cyclic_group(True) is cyclic_group(1) and a float never reaches a
-    key it equals."""
+    below 1 is rejected before the cache, whose core builds Z_n as a
+    draft (see ``_value``); so cyclic_group(True) is cyclic_group(1) and
+    a float never reaches a key it equals."""
     if type(n) is not int:
         n = _exact_int("order", n)
     if n < 1:
@@ -203,8 +210,7 @@ class CyclicElement:
             _reject_non_int("value", value)
         if type(group) is not CyclicGroup:
             _check_group("group", group)
-        _set_group(self, group)
-        _set_value(self, value % group.order)
+        self.__setstate__((group, value % group.order))
 
     def _check_same_group(self, other: CyclicElement) -> None:
         if self.group.order != other.group.order:
@@ -214,14 +220,17 @@ class CyclicElement:
 
     def __add__(self, other: CyclicElement) -> CyclicElement:
         self._check_same_group(other)
-        return CyclicElement(self.group, self.value + other.value)
+        group = self.group
+        return _element(group, (self.value + other.value) % group.order)
 
     def __sub__(self, other: CyclicElement) -> CyclicElement:
         self._check_same_group(other)
-        return CyclicElement(self.group, self.value - other.value)
+        group = self.group
+        return _element(group, (self.value - other.value) % group.order)
 
     def __neg__(self) -> CyclicElement:
-        return CyclicElement(self.group, -self.value)
+        group = self.group
+        return _element(group, -self.value % group.order)
 
     @property
     def is_zero(self) -> bool:
@@ -231,7 +240,17 @@ class CyclicElement:
         return f"{self.value} in {self.group}"
 
 
-_set_group, _set_value = _slot_writers(CyclicElement)
+_ElementDraft = _draft(CyclicElement)
+
+
+def _element(group: CyclicGroup, value: int) -> CyclicElement:
+    # An element as a draft (see ``_value``): ``value`` is an int that the
+    # caller has already reduced into 0..n-1.
+    element = _ElementDraft()
+    element.group = group
+    element.value = value
+    element.__class__ = CyclicElement
+    return element
 
 
 @_value
@@ -270,8 +289,7 @@ class CyclicSubgroup:
         return f"<{shown}> in {self.ambient}"
 
 
-# Only ``_subgroup`` writes through these: its value is fresh and canonical.
-_set_ambient, _set_generator_value = _slot_writers(CyclicSubgroup)
+_SubgroupDraft = _draft(CyclicSubgroup)
 
 
 def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
@@ -288,8 +306,9 @@ def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
 @lru_cache(maxsize=1024)
 def _subgroup(n: int, generator: int) -> CyclicSubgroup:
     # One shared value per subgroup, keyed by its canonical generator,
-    # which is written as given: the caller has already reduced it.
-    subgroup = object.__new__(CyclicSubgroup)
-    _set_ambient(subgroup, _cyclic_group(n))
-    _set_generator_value(subgroup, generator)
+    # which is stored as given: the caller has already reduced it.
+    subgroup = _SubgroupDraft()
+    subgroup.ambient = _cyclic_group(n)
+    subgroup.generator_value = generator
+    subgroup.__class__ = CyclicSubgroup
     return subgroup

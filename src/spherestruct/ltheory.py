@@ -19,8 +19,8 @@ package's scope).  The surgery obstruction of a smooth normal invariant
     theta_diff(u, v, w) = 8 t_p t_q phi_u phi_v + t_{p+q} phi_w.
 
 ``theta_diff`` evaluates this formula directly, after its own checks,
-taking 8 t_p t_q from ``bp``'s core of ``pairing_coefficient``, the one
-home of the obstruction;
+taking 8 t_p t_q from the record of the pair in ``bp``, the one home of
+the obstruction, and builds its class as a draft (``cyclic._value``);
 ``structset.del_map`` is its image in Z_{t_{p+q}}.  The composed route,
 the topological obstruction x*y + z applied to the comparison images,
 gives the same class; it lives in ``tests/helpers.py`` as the reference
@@ -29,8 +29,8 @@ the tests compare against.
 
 from __future__ import annotations
 
-from .bp import _pairing_coefficient, _t_multiple_of_4, check_pair
-from .cyclic import _exact_int, _slot_writers, _value
+from .bp import _residual_split, _t_multiple_of_4, check_pair
+from .cyclic import _draft, _exact_int, _slot_writers, _value
 
 __all__ = [
     "LGroupKind",
@@ -90,8 +90,7 @@ class LClass:
             value = 0
         elif symbol == "Z/2":
             value %= 2
-        _set_lclass_dim(self, dim)
-        _set_lclass_value(self, value)
+        self.__setstate__((dim, value))
 
     @property
     def is_zero(self) -> bool:
@@ -108,8 +107,7 @@ class LClass:
         return f"{self.value}*z_{self.dim}"
 
 
-# Constructors write each field once, already canonical (see ``cyclic``).
-_set_lclass_dim, _set_lclass_value = _slot_writers(LClass)
+_LClassDraft = _draft(LClass)
 
 
 @_value
@@ -141,13 +139,25 @@ def theta_diff(
 ) -> LClass:
     """Surgery obstruction 8 t_p t_q phi_u phi_v + t_{p+q} phi_w of a
     smooth normal invariant (u, v, w) of S^p x S^q."""
-    check_pair(p, q)
+    # The test of check_pair, inlined for the common case: anything it
+    # would reject, a bool too, goes to it for its error.
+    if not (type(p) is int and type(q) is int and p >= 2 and q >= 2 and p + q >= 5):
+        check_pair(p, q)
     if u.dim != p or v.dim != q or w.dim != p + q:
         raise ValueError(
             f"coordinate dimensions must be ({p}, {q}, {p + q}), "
             f"got ({u.dim}, {v.dim}, {w.dim})"
         )
+    # 8 t_p t_q is 0 unless 4 divides p and q, and otherwise the record's
+    # c, read before t_n so that a cap error names p or q first.  The
+    # value is then canonical: it is 0 unless 4 divides n = p + q.
     n = p + q
-    c = _pairing_coefficient(p, q)  # before t_n: a cap error names p or q first
-    t_n = _t_multiple_of_4(n) if n % 4 == 0 else 0
-    return LClass(n, c * u.phi * v.phi + t_n * w.phi)
+    if p % 4 or q % 4:
+        value = _t_multiple_of_4(n) * w.phi if n % 4 == 0 else 0
+    else:
+        value = _residual_split(p, q)[0] * u.phi * v.phi + _t_multiple_of_4(n) * w.phi
+    x = _LClassDraft()
+    x.dim = n
+    x.value = value
+    x.__class__ = LClass
+    return x

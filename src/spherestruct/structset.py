@@ -54,15 +54,11 @@ which ``eta_fiber_size`` and ``forgetful_fiber`` read through its public
 door (so ``eta_fiber_size`` checks its pair twice).  Tests pin each
 inline copy to its home.
 
-``present`` builds its result as a draft: it stores the ten fields into
-a ``_Draft``, a method-less class with the same ``__slots__``, and then
-retypes it once to ``StructureSetPresentation``.  Ten plain slot stores
-and one retype cost a fifth or less of a call of ``__init__``, which
-passes the fields to the guarded ``__setstate__``.  The retyped value is
-an ordinary frozen instance.  Keyword construction, which takes the
-place of ``dataclasses.replace`` (values are not dataclasses), goes
-through the hand-written ``__init__``, and a test pins that both routes
-build the same value.
+``present`` and ``del_map`` build their results as drafts (see
+``cyclic._value``).  Keyword construction, which takes the place of
+``dataclasses.replace`` (values are not dataclasses), goes through the
+hand-written ``__init__``, and tests pin that both routes build the
+same value.
 """
 
 from __future__ import annotations
@@ -75,6 +71,8 @@ from .cyclic import (
     CyclicGroup,
     CyclicSubgroup,
     _cyclic_group,
+    _draft,
+    _element,
     _exact_int,
     _reject_non_int,
     _subgroup,
@@ -214,11 +212,7 @@ class StructureSetPresentation:
         return lines
 
 
-class _Draft:
-    # The unfrozen twin that ``present`` fills: the same slots in the same
-    # order, so CPython lets the finished draft be retyped to the frozen
-    # class, after which it is an ordinary StructureSetPresentation.
-    __slots__ = StructureSetPresentation.__slots__
+_Draft = _draft(StructureSetPresentation)
 
 
 def _named_order(name: str, group: KnownGroup) -> str:
@@ -244,8 +238,8 @@ def present(
     if table is not None and not isinstance(table, GroupTable):
         _reject_non_table(table)
     table = table or tables._BUILTIN
-    # Built as a draft and retyped once: ten plain slot stores and the
-    # retype cost about a fifth of a call of __init__.
+    # Ten plain slot stores and the retype cost about a fifth of a call
+    # of __init__.
     x = _Draft()
     x.p = np_
     x.q = nq
@@ -279,7 +273,7 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
         phi_u = _exact_int("phi_u", phi_u)
     if type(phi_v) is not int:
         phi_v = _exact_int("phi_v", phi_v)
-    return CyclicElement(group, bp._pairing_coefficient(p, q) * phi_u * phi_v)
+    return _element(group, bp._pairing_coefficient(p, q) * phi_u * phi_v % group.order)
 
 
 def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:

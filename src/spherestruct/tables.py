@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .cyclic import _exact_int, _reject_non_int, _slot_writers, _value
+from .cyclic import _draft, _exact_int, _reject_non_int, _slot_writers, _value
 from .rationals import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
 __all__ = [
@@ -170,29 +170,32 @@ def _reject_order(kind: str, order: int) -> None:
 _TRIVIAL = KnownGroup("finite", 1)
 _UNKNOWN = KnownGroup("unknown", None)
 
-# Only the two cores below write through these.
-_set_kind, _set_order = _slot_writers(KnownGroup)
+_KnownGroupDraft = _draft(KnownGroup)
 
 
 # The cores of KnownGroup.finite and z_times_finite, for int orders >= 1,
 # which their doors and the package's own callers have checked.  Each
-# builds its shared value raw, writing the canonical fields into a blank
-# instance, so that a pair's first call runs no constructor and no guard
-# (``cyclic._value``).  The caches are bounded because orders are
-# arbitrary integers.
+# builds its shared value as a draft (``cyclic._value``), so that a
+# pair's first call runs no constructor and no guard; order 1 is the
+# one trivial group, whatever the cache has evicted.  The caches are
+# bounded because orders are arbitrary integers.
 @lru_cache(maxsize=1024)
 def _finite(order: int) -> KnownGroup:
-    group = object.__new__(KnownGroup)
-    _set_kind(group, "finite")
-    _set_order(group, order)
+    if order == 1:
+        return _TRIVIAL
+    group = _KnownGroupDraft()
+    group.kind = "finite"
+    group.order = order
+    group.__class__ = KnownGroup
     return group
 
 
 @lru_cache(maxsize=256)
 def _z_times_finite(torsion_order: int) -> KnownGroup:
-    group = object.__new__(KnownGroup)
-    _set_kind(group, "z_times_finite")
-    _set_order(group, torsion_order)
+    group = _KnownGroupDraft()
+    group.kind = "z_times_finite"
+    group.order = torsion_order
+    group.__class__ = KnownGroup
     return group
 
 

@@ -8,11 +8,15 @@ enumeration, obstruction values by the closed formula and by the composed
 maps (the L-group product ``pairing``, the topological obstruction
 ``theta_top`` and the comparison map ``forgetful_f``), the plumbing
 boundary class from its Wall triple, and the classifier relations from
-enumerated subgroups and unordered pairs.
+enumerated subgroups and unordered pairs.  ``entered_codes`` records the
+Python functions a call enters, for the tests that pin a warm call's
+frames.
 """
 
 from __future__ import annotations
 
+import gc
+import sys
 from fractions import Fraction
 from math import comb, gcd
 
@@ -224,3 +228,33 @@ def s4s4_almost_oracle(u0: int, v0: int, u1: int, v1: int) -> bool:
     common sign, by set membership."""
     mine = {(u0, v0), (v0, u0)}
     return (u1, v1) in mine or (-u1, -v1) in mine
+
+
+def entered_codes(call, warm=True):
+    # Code objects of the Python functions a call enters, in order, the
+    # call's own lambda first; warm unless told otherwise.  The collector
+    # is paused, so that a collection in the window cannot add a
+    # finalised generator's frame.
+    if warm:
+        call()
+    codes = []
+
+    def profile(frame, event, arg):
+        if event == "call":
+            codes.append(frame.f_code)
+
+    collecting = gc.isenabled()
+    gc.disable()
+    sys.setprofile(profile)
+    try:
+        call()
+    finally:
+        sys.setprofile(None)
+        if collecting:
+            gc.enable()
+    return codes
+
+
+def entered(call):
+    # Names of the Python functions a warm call enters, in order.
+    return [code.co_name for code in entered_codes(call)[1:]]  # without the lambda

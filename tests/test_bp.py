@@ -1,5 +1,3 @@
-import gc
-import sys
 import time
 from itertools import permutations
 from math import gcd
@@ -44,7 +42,7 @@ from spherestruct.cyclic import CyclicGroup, CyclicSubgroup, _cyclic_group, _sub
 from spherestruct.structset import normalize_dims
 from spherestruct.tables import _finite, _z_times_finite
 
-from helpers import brute_subgroup, t_oracle
+from helpers import brute_subgroup, entered, entered_codes, t_oracle
 
 
 def test_t_small_values():
@@ -329,40 +327,9 @@ def test_either_order_of_a_pair_reads_the_same_values(j, k, mirrored_first):
 
 
 
-def _entered_codes(call, warm=True):
-    # Code objects of the Python functions a call enters, in order, the
-    # call's own lambda first; warm unless told otherwise.  The collector
-    # is paused, so that a collection in the window cannot add a
-    # finalised generator's frame.
-    if warm:
-        call()
-    entered = []
-
-    def profile(frame, event, arg):
-        if event == "call":
-            entered.append(frame.f_code)
-
-    collecting = gc.isenabled()
-    gc.disable()
-    sys.setprofile(profile)
-    try:
-        call()
-    finally:
-        sys.setprofile(None)
-        if collecting:
-            gc.enable()
-    return entered
-
-
-def _entered(call):
-    # Names of the Python functions a warm call enters, in order.
-    return [code.co_name for code in _entered_codes(call)[1:]]  # without the lambda
-
-
 def test_a_cold_shared_value_is_built_raw_in_its_cache_core():
     # A pair's first call builds its Z_r, <c>, Z_n and KnownGroups in the
-    # cache cores, which write the slots directly: no constructor and no
-    # guarded writer runs.
+    # cache cores, as drafts: no constructor and no guarded writer runs.
     calls = [
         lambda: _residual_split(8, 12),
         lambda: bp_order(24),
@@ -377,7 +344,7 @@ def test_a_cold_shared_value_is_built_raw_in_its_cache_core():
     for cache in (_residual_split, _subgroup, _cyclic_group, _finite, _z_times_finite):
         cache.cache_clear()
     for call in calls:
-        assert writers.isdisjoint(_entered_codes(call, warm=False))
+        assert writers.isdisjoint(entered_codes(call, warm=False))
     # The raw values equal the ones the constructors build.
     assert [call() for call in calls] == [
         (222208, 3584, CyclicGroup(73), CyclicSubgroup(CyclicGroup(t(20)), 3584)),
@@ -388,7 +355,7 @@ def test_a_cold_shared_value_is_built_raw_in_its_cache_core():
 
 
 def test_a_warm_residual_group_enters_two_python_functions():
-    assert _entered(lambda: residual_group(40, 44)) == ["residual_group", "check_pair"]
+    assert entered(lambda: residual_group(40, 44)) == ["residual_group", "check_pair"]
 
 
 @pytest.mark.parametrize("p, q", [(23, 24), (24, 23), (22, 24)])
@@ -396,14 +363,14 @@ def test_a_warm_stabilizer_enters_two_python_functions(p, q):
     # The stabiliser shape, the same pair swapped, and a free shape: the
     # door inlines the swap of normalize_dims, and reads t_m off the
     # record of the pair.
-    assert _entered(lambda: stabilizer(p, q, 5)) == ["stabilizer", "check_pair"]
+    assert entered(lambda: stabilizer(p, q, 5)) == ["stabilizer", "check_pair"]
 
 
 def test_a_warm_eta_fiber_size_reads_the_public_stabilizer():
     # The formula has one home, so the fibre reads it through the public
     # door, which checks the pair a second time.  The property getters
     # KnownGroup.is_unknown and CyclicSubgroup.order are frames too.
-    assert _entered(lambda: eta_fiber_size(3, 4, 5)) == [
+    assert entered(lambda: eta_fiber_size(3, 4, 5)) == [
         "eta_fiber_size", "check_pair", "theta_order", "is_unknown",
         "stabilizer", "check_pair", "order",
     ]
@@ -412,7 +379,7 @@ def test_a_warm_eta_fiber_size_reads_the_public_stabilizer():
 def test_a_warm_group_structure_possible_enters_two_python_functions():
     # It tests the shape of the pair as given, reads Z_r off the record,
     # and hands out a shared verdict.
-    assert _entered(lambda: group_structure_possible(40, 44)) == [
+    assert entered(lambda: group_structure_possible(40, 44)) == [
         "group_structure_possible", "check_pair",
     ]
 
@@ -438,7 +405,7 @@ def test_a_warm_group_structure_possible_enters_two_python_functions():
 def test_a_symmetric_answer_never_enters_normalize_dims(call):
     # The order rule lives in normalize_dims; answers that do not depend
     # on the order read the pair as given.
-    assert normalize_dims.__code__ not in _entered_codes(call)
+    assert normalize_dims.__code__ not in entered_codes(call)
 
 
 @pytest.mark.parametrize("m", [10, 12], ids=["bp_order(10)", "bp_order(12)"])
@@ -446,7 +413,7 @@ def test_a_warm_bp_order_enters_no_core(m):
     # The door checks m and the table's bp_order, the one home of |bP_m|,
     # reads the table's bp family for m = 2 mod 4 and t's cache, a
     # builtin, for m = 4k.
-    assert _entered(lambda: bp_order(m)) == ["bp_order", "bp_order"]
+    assert entered(lambda: bp_order(m)) == ["bp_order", "bp_order"]
 
 
 _PRESENT_PATH = ["present", "check_pair", "theta_order", "bp_order", "pi_go", "pi_go"]
@@ -470,7 +437,7 @@ def test_a_warm_call_checks_its_pair_once_and_enters_no_other_door(call, path):
     doors = {
         f.__code__: f.__name__ for f in (t, residual_group, pairing_coefficient)
     }
-    entered = _entered_codes(call)
+    entered = entered_codes(call)
     assert entered.count(check_pair.__code__) == 1
     assert [doors[code] for code in entered if code in doors] == []
     assert [code.co_name for code in entered[1:]] == path
@@ -482,7 +449,7 @@ def test_a_warm_present_checks_its_table_once():
     # present reads |bP_{p+q+1}| from the table it has checked, not through
     # the bp_order door, which would check the table again.  The table's
     # method shares the door's name, so the two are told apart by code.
-    entered = _entered_codes(lambda: present(19, 27))
+    entered = entered_codes(lambda: present(19, 27))
     assert entered.count(check_pair.__code__) == 1
     assert bp_order.__code__ not in entered
 

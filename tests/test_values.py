@@ -25,13 +25,18 @@ from spherestruct import (
     KnownGroup,
     StructureSetPresentation,
     TopStructureSet,
+    bp_order,
+    del_map,
     eta_fiber_size,
     group_structure_possible,
     l_group,
+    pairing_coefficient,
     parse_table,
     present,
     stabilizer,
     subgroup_generated,
+    t,
+    theta_diff,
     theta_order,
     top_structure_set,
 )
@@ -40,6 +45,8 @@ from spherestruct.classify import (
     S3S4Invariant,
     S4S4Manifold,
     WallTriple,
+    plumbing_boundary_class,
+    s3s4_structure_equal,
     wall_triple_of_plumbing,
 )
 from spherestruct.cyclic import (
@@ -47,16 +54,17 @@ from spherestruct.cyclic import (
     CyclicGroup,
     CyclicSubgroup,
     _cyclic_group,
+    _element,
     _slot_writers,
     _subgroup,
     cyclic_group,
 )
 from spherestruct.ltheory import LClass, LGroupKind, NormalClassDiff
-from spherestruct import structset
+from spherestruct import bp, classify, cyclic, ltheory, structset, tables
 from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, _Draft
 from spherestruct.tables import _finite, _z_times_finite
 
-from helpers import brute_subgroup
+from helpers import brute_subgroup, entered, entered_codes
 
 
 def _samples():
@@ -86,11 +94,11 @@ VALUE_CLASSES = (
 
 # The classes whose __init__ passes its fields to the guarded
 # __setstate__, so that it refuses a built value too: every class that a
-# cache hands out (their cache cores build them raw), and the ones no
-# workload builds per op.
+# library function builds (as a draft, ``cyclic._value``) or shares.
+# Only the three that callers alone build keep an unguarded __init__.
 GUARDED_INIT = (
-    CyclicGroup, CyclicSubgroup, KnownGroup, LGroupKind, StructureSetPresentation,
-    TopStructureSet, GroupStructureVerdict, WallTriple,
+    CyclicGroup, CyclicElement, CyclicSubgroup, KnownGroup, LGroupKind, LClass,
+    StructureSetPresentation, TopStructureSet, GroupStructureVerdict, WallTriple,
 )
 
 
@@ -203,6 +211,36 @@ def test_a_shared_value_refuses_a_rewrite_and_every_answer_stays():
     assert str(cyclic_group(28)) == "Z_28"
 
 
+def test_a_shared_bp8_element_refuses_init_and_every_answer_stays():
+    # Before CyclicElement.__init__ was guarded, this rewrote the shared
+    # element 3 of bP_8 to 10, so S3S4Invariant(3, 1) printed sigma 10 and
+    # the structures with sigma 3 and 10 at v = 0 compared equal.
+    with pytest.raises(AttributeError, match="^cannot assign to field 'group'$"):
+        S3S4Invariant(3, 5).sigma.__init__(BP8, 10)
+    assert repr(S3S4Invariant(3, 1).sigma) == (
+        "CyclicElement(group=CyclicGroup(order=28), value=3)"
+    )
+    assert not s3s4_structure_equal(S3S4Invariant(3, 0), S3S4Invariant(10, 0))
+
+
+def test_every_trivial_known_group_is_the_one_shared_value():
+    # Order 1 is the shared trivial group through every route, also once
+    # the bounded cache of finite orders has evicted it.
+    trivial = KnownGroup.trivial()
+    routes = (
+        lambda: KnownGroup.finite(1), lambda: bp_order(5), lambda: theta_order(1),
+    )
+    assert all(route() is trivial for route in routes)
+    try:
+        for order in range(2, _finite.cache_info().maxsize + 3):
+            KnownGroup.finite(order)
+        misses = _finite.cache_info().misses
+        assert all(route() is trivial for route in routes)
+        assert _finite.cache_info().misses == misses + 1  # order 1 was evicted
+    finally:
+        _finite.cache_clear()
+
+
 def test_a_shared_cyclic_group_refuses_init_and_every_answer_stays():
     # Before Z_n was built raw in its cache, this rewrote the shared Z_28
     # to Z_5 for every caller.
@@ -311,12 +349,16 @@ def test_a_presentation_is_built_by_its_draft_or_its_constructor():
     # writers.
     assert _Draft.__bases__ == StructureSetPresentation.__bases__ == (object,)
     assert "__init__" in StructureSetPresentation.__dict__
-    named = [
-        name for name, writer in vars(structset).items()
-        if name.startswith("_set_")
-        and writer.__self__.__objclass__ is StructureSetPresentation
-    ]
-    assert named == []
+
+
+def test_no_module_keeps_a_slot_writer_of_a_class_the_library_builds():
+    # Library-built values are drafts, so no module holds a named slot
+    # writer of one; the guarded __init__ writes through __setstate__.
+    for module in (bp, classify, cyclic, ltheory, structset, tables):
+        for name, writer in vars(module).items():
+            descriptor = getattr(writer, "__self__", None)
+            owner = getattr(descriptor, "__objclass__", None)
+            assert owner not in GUARDED_INIT, (module.__name__, name)
 
 
 @settings(max_examples=150, deadline=None)
@@ -529,3 +571,97 @@ def test_mixing_groups_of_different_orders_still_raises(n, m, a, shared_x, share
     outside = re.escape(f"element of {x.group} tested against a subgroup of {sub.ambient}")
     with pytest.raises(ValueError, match=outside):
         sub.contains(x)
+
+
+# The ten shapes of the theta_diff ops of the classify-grid benchmark.
+_THETA_DIFF_SHAPES = [(4, 4), (4, 8), (8, 4), (8, 8), (3, 4), (4, 3),
+                      (2, 6), (6, 2), (4, 6), (5, 7)]
+
+
+def _assert_same_value(built, constructed):
+    # Equal in type, repr, hash and protocol-4 pickle bytes.
+    assert type(built) is type(constructed)
+    assert repr(built) == repr(constructed)
+    assert built == constructed and hash(built) == hash(constructed)
+    assert pickle.dumps(built, 4) == pickle.dumps(constructed, 4)
+
+
+_PHI = st.integers(-10**6, 10**6)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_THETA_DIFF_SHAPES), _PHI, _PHI, _PHI)
+def test_theta_diff_builds_the_value_its_constructor_builds(shape, pu, pv, pw):
+    # theta_diff drafts its class; LClass's constructor normalises one.
+    p, q = shape
+    u, v, w = NormalClassDiff(p, pu), NormalClassDiff(q, pv), NormalClassDiff(p + q, pw)
+    value = pairing_coefficient(p, q) * u.phi * v.phi + t(p + q) * w.phi
+    _assert_same_value(theta_diff(p, q, u, v, w), LClass(p + q, value))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(_THETA_DIFF_SHAPES), _PHI, _PHI)
+def test_del_map_builds_the_value_its_constructor_builds(shape, phi_u, phi_v):
+    p, q = shape
+    n = p + q
+    group = CyclicGroup(t(n) if n % 4 == 0 else 1)
+    value = pairing_coefficient(p, q) * phi_u * phi_v
+    _assert_same_value(del_map(p, q, phi_u, phi_v), CyclicElement(group, value))
+
+
+_ORDER = st.one_of(st.integers(1, 100), st.integers(1, 10**40))
+
+
+@settings(max_examples=200, deadline=None)
+@given(_ORDER, st.integers(-10**40, 10**40))
+def test_each_draft_core_builds_the_value_its_constructor_builds(n, g):
+    # The uncached cores, so that no shared value is replaced.
+    generator = CyclicSubgroup(CyclicGroup(n), g).generator_value
+    pairs = [
+        (_cyclic_group.__wrapped__(n), CyclicGroup(n)),
+        (_subgroup.__wrapped__(n, generator), CyclicSubgroup(CyclicGroup(n), g)),
+        (_element(cyclic_group(n), g % n), CyclicElement(CyclicGroup(n), g)),
+        (_finite.__wrapped__(n), KnownGroup("finite", n)),
+        (_z_times_finite.__wrapped__(n), KnownGroup("z_times_finite", n)),
+    ]
+    for built, constructed in pairs:
+        _assert_same_value(built, constructed)
+
+
+def test_element_arithmetic_builds_the_value_its_constructor_builds():
+    z28 = cyclic_group(28)
+    x, y = CyclicElement(z28, 5), CyclicElement(z28, 27)
+    _assert_same_value(x + y, CyclicElement(z28, 32))
+    _assert_same_value(x - y, CyclicElement(z28, -22))
+    _assert_same_value(-x, CyclicElement(z28, -5))
+
+
+_WRITERS = {
+    method.__code__
+    for cls in VALUE_CLASSES
+    for method in (cls.__init__, cls.__setstate__)
+}
+_U, _V, _W = NormalClassDiff(4, 3), NormalClassDiff(8, -2), NormalClassDiff(12, 1)
+_U5, _V7 = NormalClassDiff(5), NormalClassDiff(7)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: theta_diff(4, 8, _U, _V, _W),
+        lambda: theta_diff(5, 7, _U5, _V7, _W),
+        lambda: del_map(4, 4, 3, -5),
+        lambda: plumbing_boundary_class(3, 5),
+    ],
+    ids=["theta_diff(4, 8)", "theta_diff(5, 7)", "del_map(4, 4)",
+         "plumbing_boundary_class"],
+)
+def test_a_warm_library_value_runs_no_constructor_or_writer(call):
+    # Drafts: no __init__ and no __setstate__ of any value class runs.
+    assert _WRITERS.isdisjoint(entered_codes(call))
+
+
+def test_a_warm_theta_diff_enters_only_itself():
+    # The pair test of check_pair is inline and c is read off the record
+    # of the pair, a builtin cache like t's.
+    assert entered(lambda: theta_diff(4, 8, _U, _V, _W)) == ["theta_diff"]

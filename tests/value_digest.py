@@ -6,6 +6,10 @@ every value (and every error) as it was.
 It covers every pair (p, q) with p, q >= 0 and p + q < N (default 130),
 in both orders, and every integer coordinate d with |d| <= D (default
 70), which ``forgetful_fiber`` also takes as its ``top_invariant``.
+``theta_diff`` takes d as the coordinates (d, 1, d) and (1, d, -d) of
+(u, v, w), each pair once more with a w of the wrong dimension, and a
+few pairs past the cap of ``t``, so that the order of its pair,
+dimension and cap errors is pinned too.
 ``bp_order`` covers every m from 1 to 4 * D (below 4 an error), and
 ``theta_order`` and ``pi_go`` every n from 0 to 4 * D, so that both
 range errors are pinned; each with the built-in table and with an
@@ -36,6 +40,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from spherestruct.bp import bp_order, residual_group, t
+from spherestruct.ltheory import NormalClassDiff, theta_diff
 from spherestruct.rationals import MAX_BERNOULLI_INDEX
 from spherestruct.structset import (
     del_map,
@@ -60,6 +65,7 @@ FAMILIES = (
     "eta_fiber_size",
     "residual_group",
     "del_map",
+    "theta_diff",
     "group_structure_possible",
     "forgetful_fiber",
     "bp_order",
@@ -122,9 +128,16 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
     def feed(family: str, args: tuple, outcome: str) -> None:
         hashes[family].update(f"{args} {outcome}\n".encode())
 
+    def obstruction(p: int, q: int, u: int, v: int, w: int, w_dim: int) -> object:
+        return theta_diff(
+            p, q, NormalClassDiff(p, u), NormalClassDiff(q, v), NormalClassDiff(w_dim, w)
+        )
+
     ds = range(-max_d, max_d + 1)
     for p in range(max_sum):
         for q in range(max_sum - p):
+            wrong_w = _outcome(lambda: obstruction(p, q, 1, 1, 1, p + q + 1))
+            feed("theta_diff", (p, q, "w_dim"), wrong_w)
             feed("present", (p, q), _outcome(lambda: present(p, q), _as_json))
             feed("residual_group", (p, q), _outcome(lambda: residual_group(p, q)))
             feed(
@@ -138,6 +151,8 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
                 feed("eta_fiber_size", args, _outcome(lambda: eta_fiber_size(p, q, d)))
                 feed("del_map", args, _outcome(lambda: del_map(p, q, d, 1)))
                 feed("del_map", args, _outcome(lambda: del_map(p, q, 1, d)))
+                feed("theta_diff", args, _outcome(lambda: obstruction(p, q, d, 1, d, p + q)))
+                feed("theta_diff", args, _outcome(lambda: obstruction(p, q, 1, d, -d, p + q)))
                 feed("forgetful_fiber", args, _outcome(lambda: forgetful_fiber(p, q, d)))
     override = parse_table(_OVERRIDE)
     for m in range(1, 4 * max_d + 1):
@@ -147,7 +162,10 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
         for name, order in (("theta_order", theta_order), ("pi_go", pi_go)):
             feed(name, (n,), _outcome(lambda: order(n)))
             feed(name, (n, "override"), _outcome(lambda: order(n, override)))
-    for i in [*range(-1, 4 * max_d + 1), 4 * MAX_BERNOULLI_INDEX + 4]:
+    past = 4 * MAX_BERNOULLI_INDEX + 4  # the first multiple of 4 past the cap
+    for p, q in ((past, 4), (4, past), (past, past + 4), (2, past - 2)):
+        feed("theta_diff", (p, q), _outcome(lambda: obstruction(p, q, 1, 1, 1, p + q)))
+    for i in [*range(-1, 4 * max_d + 1), past]:
         feed("t", (i,), _outcome(lambda: t(i)))
     for name, build in _tables().items():
         feed("group_table", (name,), _outcome(build))
