@@ -41,6 +41,11 @@ indexed by x mod |bP_8|, which is exact: d c mod n, and so the subgroup
 to build them.  The predicates test the coset, sigma_a = sigma_b modulo
 the subgroup's canonical generator g; g divides |bP_8|, so this is
 membership of the difference.
+
+``plumbing_boundary_class`` checks u and v and reads del_map's cached
+core (``structset._del_map``, 1024 entries) at (4, 4, -u, v), so the two
+doors share one cache, and a warm call is one cache read that hands out
+the shared element: plumbing_boundary_class(u, v) is del_map(4, 4, -u, v).
 """
 
 from __future__ import annotations
@@ -56,7 +61,7 @@ from .cyclic import (
     cyclic_group,
     subgroup_generated,
 )
-from .structset import del_map, stabilizer
+from .structset import _del_map, stabilizer
 
 __all__ = [
     "BP8",
@@ -161,12 +166,12 @@ def wall_triple_of_plumbing(u: int, v: int) -> WallTriple:
 def plumbing_boundary_class(u: int, v: int) -> CyclicElement:
     """Class of the boundary sphere of W_{u,v} in bP_8 = Z_28: minus the
     surgery obstruction del(u, v), which is -4uv mod 28.  del is bilinear,
-    so this is del(-u, v) = -del(u, v), built as one element."""
+    so this is del(-u, v) = -del(u, v), read from del_map's cache."""
     if type(u) is not int:
         u = _exact_int("u", u)
     if type(v) is not int:
         v = _exact_int("v", v)
-    return del_map(4, 4, -u, v)
+    return _del_map(4, 4, -u, v)
 
 
 @_value

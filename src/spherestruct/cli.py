@@ -10,7 +10,8 @@ built-in table.
 Exit status: 0 on success, 1 on domain errors (a precondition violated by
 otherwise well-formed arguments, a malformed table file, or an index
 above the Bernoulli cap), 2 on usage errors (including a table file that
-cannot be read).
+cannot be read).  A reader that closes stdout early ends the output
+with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -363,10 +364,17 @@ def main(argv: list[str] | None = None) -> int:
 
         query = {"command": args.command, **_operands(args)}
         envelope = {"query": query, "result": payload, "provenance": provenance}
-        print(json.dumps(envelope, sort_keys=True, indent=2))
-    else:
+        text = [json.dumps(envelope, sort_keys=True, indent=2)]
+    try:
         for line in text:
             print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout: the output ends here, undelivered.
+        # Point stdout at os.devnull, so that the interpreter's flush at
+        # exit finds nothing to report.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return 0
 
 

@@ -50,10 +50,10 @@ def _value(cls: type) -> type:
     constructor's call and its guard, whose read of the first slot
     raises on every fresh build, and costs about half a guarded build;
     the retyped object is an ordinary frozen value.  The cache cores
-    (``_group``, ``_subgroup``, ``tables._finite`` and
-    ``_z_times_finite``), ``_element`` (for ``structset.del_map`` and
-    element arithmetic), ``ltheory.theta_diff`` and ``structset.present``
-    build this way, each behind a door that has checked the fields.
+    (``_group``, ``_subgroup``, ``tables._finite``, ``_z_times_finite``
+    and ``structset._del_map``), ``_element`` (for element arithmetic),
+    ``ltheory.theta_diff`` and ``structset.present`` build this way,
+    each behind a door that has checked the fields.
     CPython allows the retype only between classes with the same slots
     and the same base, so a value class gets no base class."""
     names = cls.__slots__

@@ -39,8 +39,8 @@ topological set is not a subgroup whenever the residual group is
 nontrivial, which holds in every shipped dimension).
 
 As in ``bp``, public functions check their arguments (one
-``bp.check_pair`` for the dimensions; a ``table`` is None or a
-``GroupTable``) and then read ``bp``'s cores and the record of a pair,
+``bp.check_pair``, or its test inlined, for the dimensions; a ``table``
+is None or a ``GroupTable``) and then read ``bp``'s cores and the record of a pair,
 never ``t``, ``residual_group``, ``pairing_coefficient`` or ``bp_order``;
 ``present`` reads its three orders off its table.  The order rule lives in
 ``normalize_dims``; only ``present``, whose result shows the order, and
@@ -50,11 +50,28 @@ enters only itself and ``check_pair``.  The verdicts of
 p and q (the record is one per unordered pair), so they test the shape
 on the pair as given: {4j-1, 4k} is p + q = 3 mod 4 with a factor
 divisible by 4.  ``stabilizer`` is the home of the stabiliser formula,
-which ``eta_fiber_size`` and ``forgetful_fiber`` read through its public
-door (so ``eta_fiber_size`` checks its pair twice).  Tests pin each
-inline copy to its home.
+which ``eta_fiber_size`` reads through its public door on a miss of its
+cache.  Tests pin each inline copy to its home.
 
-``present`` and ``del_map`` build their results as drafts (see
+``del_map`` and ``eta_fiber_size`` are checked doors over bounded
+``lru_cache`` cores (1024 entries each), as ``cyclic_group`` is over
+``_cyclic_group``: a core's cache must never see an unchecked argument.
+Each door runs every check first, with the inline pair test of
+``ltheory.theta_diff``, turns a bool invariant into its int, and calls
+its core with plain ints, so a warm call is one cache read and hands out a
+shared frozen value (``del_map(4, 4, 1, 2) is del_map(4, 4, 1, 2)``).
+``_del_map`` also serves ``classify.plumbing_boundary_class``.
+``_eta_fiber_size`` caches only the built-in table's answers (``table``
+None), because that table never changes; an explicit table, override or
+built-in, is read on every call by the same body, uncached, so no
+table's answer is ever stored.  A first call pays for the cache's miss
+and insert on top of the work: about 1.14x the uncached cost for
+``eta_fiber_size`` and none for ``del_map``, whose core reads the
+target group and c off the record (see README).  ``stabilizer`` and
+``present`` are not cached: most of their calls in a sweep are first
+calls.
+
+``present`` and ``_del_map`` build their results as drafts (see
 ``cyclic._value``).  Keyword construction, which takes the place of
 ``dataclasses.replace`` (values are not dataclasses), goes through the
 hand-written ``__init__``, and tests pin that both routes build the
@@ -63,6 +80,7 @@ same value.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 
 from . import bp, tables
@@ -72,14 +90,14 @@ from .cyclic import (
     CyclicSubgroup,
     _cyclic_group,
     _draft,
-    _element,
+    _ElementDraft,
     _exact_int,
     _reject_non_int,
     _subgroup,
     _value,
 )
 from .ltheory import LGroupKind, l_group
-from .tables import GroupTable, KnownGroup, _finite, _reject_non_table
+from .tables import _UNKNOWN, GroupTable, KnownGroup, _finite, _reject_non_table
 
 __all__ = [
     "StructureSetPresentation",
@@ -264,16 +282,42 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     """Value 8 t_p t_q phi_u phi_v of the right-hand map in bP_{p+q}.
 
     When p + q is not divisible by 4 the target is represented by the
-    trivial group (the map is identically zero there).
+    trivial group (the map is identically zero there).  The answer is a
+    shared value, cached per argument tuple.
     """
-    bp.check_pair(p, q)
-    n = p + q
-    group = _cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1)
+    # The test of check_pair, inlined as in ``ltheory.theta_diff``:
+    # anything it would reject, a bool too, goes to it for its error.
+    if not (type(p) is int and type(q) is int and p >= 2 and q >= 2 and p + q >= 5):
+        bp.check_pair(p, q)
     if type(phi_u) is not int:
         phi_u = _exact_int("phi_u", phi_u)
     if type(phi_v) is not int:
         phi_v = _exact_int("phi_v", phi_v)
-    return _element(group, bp._pairing_coefficient(p, q) * phi_u * phi_v % group.order)
+    return _del_map(p, q, phi_u, phi_v)
+
+
+# The core of del_map and classify.plumbing_boundary_class, for the ints
+# their doors have checked; bounded because the invariants are arbitrary.
+@lru_cache(maxsize=1024)
+def _del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
+    # The element is a draft.  8 t_p t_q is 0 unless 4 divides p and q,
+    # and then the record of (p, q) holds it as c, and the target
+    # Z_n, n = t_{p+q}, as the ambient of <c>.
+    x = _ElementDraft()
+    if p % 4 or q % 4:
+        n = p + q
+        x.group = _cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1)
+        x.value = 0
+    else:
+        try:
+            c, _, _, residual = bp._residual_split(p, q)
+        except ValueError:  # past the cap, named by p + q as t(p + q) would
+            bp._t_multiple_of_4(p + q)
+            raise
+        group = x.group = residual.ambient
+        x.value = c * phi_u * phi_v % group.order
+    x.__class__ = CyclicElement
+    return x
 
 
 def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
@@ -314,17 +358,35 @@ def eta_fiber_size(
     Unknown when the order of Theta_{p+q} is outside the table.  The
     stabiliser is a subgroup of bP_{p+q+1}, whose order divides every
     known |Theta_{p+q}| (``GroupTable`` checks that chain when it is
-    built), so the quotient is exact.
+    built), so the quotient is exact.  With the built-in table (``table``
+    None) the answer is cached per (p, q, d); an explicit table is read
+    on every call.
     """
-    if not isinstance(d, int):
-        _reject_non_int("d", d)
-    bp.check_pair(p, q)
-    if table is not None and not isinstance(table, GroupTable):
+    if type(d) is not int:
+        d = _exact_int("d", d)
+    # The test of check_pair, inlined as in del_map.
+    if not (type(p) is int and type(q) is int and p >= 2 and q >= 2 and p + q >= 5):
+        bp.check_pair(p, q)
+    if table is None:
+        return _eta_fiber_size(p, q, d)
+    if not isinstance(table, GroupTable):
         _reject_non_table(table)
-    theta_group = (table or tables._BUILTIN).theta_order(p + q)
-    if theta_group.is_unknown:
-        return KnownGroup.unknown()
+    return _fiber(p, q, d, table)
+
+
+def _fiber(p: int, q: int, d: int, table: GroupTable = tables._BUILTIN) -> KnownGroup:
+    # eta_fiber_size for checked arguments.  The stabiliser is read through
+    # its public door, the formula's one home.
+    theta_group = table.theta_order(p + q)
+    if theta_group.kind == "unknown":
+        return _UNKNOWN
     return _finite(theta_group.order // stabilizer(p, q, d).order)
+
+
+# The core of eta_fiber_size for the built-in table, which never changes.
+# An explicit table, override or built-in, takes ``_fiber`` uncached, so
+# no table's answer is ever stored.  Bounded because d is arbitrary.
+_eta_fiber_size = lru_cache(maxsize=1024)(_fiber)
 
 
 @_value

@@ -22,6 +22,7 @@ from spherestruct import (
     num_b_over_4k,
     parse_table,
     pi_go,
+    plumbing_boundary_class,
     present,
     residual_group,
     stabilizer,
@@ -30,7 +31,7 @@ from spherestruct import (
     theta_order,
     top_structure_set,
 )
-from spherestruct import bp
+from spherestruct import bp, structset
 from spherestruct.bp import (
     _residual_split,
     _t_multiple_of_4,
@@ -367,13 +368,32 @@ def test_a_warm_stabilizer_enters_two_python_functions(p, q):
 
 
 def test_a_warm_eta_fiber_size_reads_the_public_stabilizer():
-    # The formula has one home, so the fibre reads it through the public
-    # door, which checks the pair a second time.  The property getters
-    # KnownGroup.is_unknown and CyclicSubgroup.order are frames too.
-    assert entered(lambda: eta_fiber_size(3, 4, 5)) == [
-        "eta_fiber_size", "check_pair", "theta_order", "is_unknown",
-        "stabilizer", "check_pair", "order",
-    ]
+    # A warm call with the built-in table is one read of the core's cache.
+    # On a miss the core still reads the formula's one home through the
+    # public stabilizer door.
+    assert entered(lambda: eta_fiber_size(3, 4, 5)) == ["eta_fiber_size"]
+    structset._eta_fiber_size.cache_clear()
+    cold = entered_codes(lambda: eta_fiber_size(3, 4, 5), warm=False)
+    assert stabilizer.__code__ in cold
+
+
+@pytest.mark.parametrize(
+    "call, path",
+    [
+        (lambda: del_map(4, 4, 7, -3), ["del_map"]),
+        (lambda: plumbing_boundary_class(7, -3), ["plumbing_boundary_class"]),
+        # Its own check_pair decides a bad pair's error before the shape
+        # test; eta_fiber_size tests the pair inline and reads its cache.
+        (
+            lambda: forgetful_fiber(3, 4, 2),
+            ["forgetful_fiber", "check_pair", "eta_fiber_size"],
+        ),
+    ],
+    ids=["del_map(4, 4, 7, -3)", "plumbing_boundary_class(7, -3)",
+         "forgetful_fiber(3, 4, 2)"],
+)
+def test_a_warm_cached_door_is_one_cache_read(call, path):
+    assert entered(call) == path
 
 
 def test_a_warm_group_structure_possible_enters_two_python_functions():

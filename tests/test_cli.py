@@ -268,6 +268,26 @@ def test_python_dash_m_runs_main(capsys, argv, status):
     assert result.returncode == status
 
 
+@pytest.mark.parametrize("json_flag", [[], ["--json"]], ids=["text", "json"])
+def test_a_closed_stdout_ends_the_output_with_exit_1(json_flag):
+    # The read end is closed before the spawn, so the first write fails
+    # every time: no traceback, and exit 1 because nothing was delivered.
+    src = os.path.dirname(os.path.dirname(spherestruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "spherestruct", "structure-set", "23", "24", *json_flag],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
 def test_version_exits_zero(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0

@@ -250,7 +250,10 @@ def test_a_shared_cyclic_group_refuses_init_and_every_answer_stays():
     assert eta_fiber_size(3, 4, 1).order == 4
 
 
-_CACHES = (_finite, _z_times_finite, _cyclic_group)
+_CACHES = (
+    _finite, _z_times_finite, _cyclic_group, structset._del_map,
+    structset._eta_fiber_size,
+)
 
 
 @pytest.mark.parametrize(
@@ -274,6 +277,51 @@ def test_a_door_rejects_a_bad_order_before_its_cache(call, message):
         call()
     assert [cache.cache_info() for cache in _CACHES] == before
     assert KnownGroup.finite(True) is KnownGroup.finite(1)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: del_map(4, 4, [1], 2), TypeError, "phi_u must be an int, got list"),
+        (lambda: del_map(4, 4, 1.5, 2), TypeError, "phi_u must be an int, got float"),
+        (
+            lambda: del_map(1, 4, 1, 1),
+            ValueError,
+            "sphere factors need p, q >= 2 with p + q >= 5, got (1, 4)",
+        ),
+        # Every argument is checked before the core, which asks t of
+        # p + q = 4004 first, so the invariant's error comes before the cap's.
+        (lambda: del_map(4000, 4, 1.5, 1), TypeError, "phi_u must be an int, got float"),
+        (lambda: eta_fiber_size(3, 4, 2.0), TypeError, "d must be an int, got float"),
+        (
+            lambda: eta_fiber_size(3, 4, 2, table=0),
+            TypeError,
+            "table must be a GroupTable, got int",
+        ),
+        (lambda: plumbing_boundary_class([1], 2), TypeError, "u must be an int, got list"),
+    ],
+    ids=["del_map-list", "del_map-float", "del_map-pair",
+         "del_map-float-past-the-cap", "eta_fiber_size-float",
+         "eta_fiber_size-table", "plumbing_boundary_class-list"],
+)
+def test_a_cached_door_rejects_a_bad_argument_before_its_cache(call, error, message):
+    # As for the orders above: a list never reaches a key, so the error is
+    # the door's text, not "unhashable type", and no cache moves.
+    before = [cache.cache_info() for cache in _CACHES]
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
+    assert [cache.cache_info() for cache in _CACHES] == before
+
+
+def test_a_cached_door_hands_out_one_shared_value():
+    # del_map and plumbing_boundary_class share one core, keyed by
+    # (p, q, phi_u, phi_v); plumbing_boundary_class(u, v) is del(-u, v).
+    assert del_map(4, 4, 1, 2) is del_map(4, 4, 1, 2)
+    assert plumbing_boundary_class(3, 5) is del_map(4, 4, -3, 5)
+    assert eta_fiber_size(3, 4, 5) is eta_fiber_size(3, 4, 5)
+    # A bool is keyed as the int it equals.
+    assert del_map(4, 4, True, 2) is del_map(4, 4, 1, 2)
+    assert eta_fiber_size(3, 4, True) is eta_fiber_size(3, 4, 1)
 
 
 def test_a_value_equals_only_a_value_of_its_own_class():
@@ -659,6 +707,17 @@ _U5, _V7 = NormalClassDiff(5), NormalClassDiff(7)
 def test_a_warm_library_value_runs_no_constructor_or_writer(call):
     # Drafts: no __init__ and no __setstate__ of any value class runs.
     assert _WRITERS.isdisjoint(entered_codes(call))
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda: del_map(4, 4, 3, -5), lambda: plumbing_boundary_class(3, 5)],
+    ids=["del_map(4, 4)", "plumbing_boundary_class"],
+)
+def test_a_first_del_map_builds_its_element_as_a_draft(call):
+    # On a miss, del_map's core fills a draft too.
+    structset._del_map.cache_clear()
+    assert _WRITERS.isdisjoint(entered_codes(call, warm=False))
 
 
 def test_a_warm_theta_diff_enters_only_itself():

@@ -10,6 +10,10 @@ in both orders, and every integer coordinate d with |d| <= D (default
 (u, v, w), each pair once more with a w of the wrong dimension, and a
 few pairs past the cap of ``t``, so that the order of its pair,
 dimension and cap errors is pinned too.
+``eta_fiber_size_override`` repeats ``eta_fiber_size`` with README's
+example override table right after each built-in call, so an answer of
+the built-in table that reached an override call would show.
+``plumbing_boundary_class`` takes d as (d, 1) and (1, d).
 ``bp_order`` covers every m from 1 to 4 * D (below 4 an error), and
 ``theta_order`` and ``pi_go`` every n from 0 to 4 * D, so that both
 range errors are pinned; each with the built-in table and with an
@@ -40,6 +44,7 @@ from collections.abc import Callable
 from pathlib import Path
 
 from spherestruct.bp import bp_order, residual_group, t
+from spherestruct.classify import plumbing_boundary_class
 from spherestruct.ltheory import NormalClassDiff, theta_diff
 from spherestruct.rationals import MAX_BERNOULLI_INDEX
 from spherestruct.structset import (
@@ -73,6 +78,8 @@ FAMILIES = (
     "pi_go",
     "t",
     "group_table",
+    "plumbing_boundary_class",
+    "eta_fiber_size_override",
 )
 
 # bP_10 and bP_18 are the orders m = 2 mod 4 below 21 that the built-in
@@ -133,6 +140,7 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
             p, q, NormalClassDiff(p, u), NormalClassDiff(q, v), NormalClassDiff(w_dim, w)
         )
 
+    readme = parse_table(_README_OVERRIDE)
     ds = range(-max_d, max_d + 1)
     for p in range(max_sum):
         for q in range(max_sum - p):
@@ -149,11 +157,23 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
                 args = (p, q, d)
                 feed("stabilizer", args, _outcome(lambda: stabilizer(p, q, d)))
                 feed("eta_fiber_size", args, _outcome(lambda: eta_fiber_size(p, q, d)))
+                feed(
+                    "eta_fiber_size_override",
+                    args,
+                    _outcome(lambda: eta_fiber_size(p, q, d, readme)),
+                )
                 feed("del_map", args, _outcome(lambda: del_map(p, q, d, 1)))
                 feed("del_map", args, _outcome(lambda: del_map(p, q, 1, d)))
                 feed("theta_diff", args, _outcome(lambda: obstruction(p, q, d, 1, d, p + q)))
                 feed("theta_diff", args, _outcome(lambda: obstruction(p, q, 1, d, -d, p + q)))
                 feed("forgetful_fiber", args, _outcome(lambda: forgetful_fiber(p, q, d)))
+    for d in ds:
+        for args in ((d, 1), (1, d)):
+            feed(
+                "plumbing_boundary_class",
+                args,
+                _outcome(lambda: plumbing_boundary_class(*args)),
+            )
     override = parse_table(_OVERRIDE)
     for m in range(1, 4 * max_d + 1):
         feed("bp_order", (m,), _outcome(lambda: bp_order(m)))
