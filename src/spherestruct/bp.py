@@ -54,8 +54,8 @@ from math import gcd
 from .cyclic import (
     CyclicGroup,
     CyclicSubgroup,
+    _exact_int,
     _group,
-    _reject_non_int,
     _subgroup,
     cyclic_group,
 )
@@ -81,8 +81,8 @@ def t(i: int) -> int:
     are answered before the cache, which therefore holds at most
     MAX_BERNOULLI_INDEX entries.
     """
-    if not isinstance(i, int):
-        _reject_non_int("i", i)
+    if type(i) is not int:
+        i = _exact_int("i", i)
     if i < 1:
         raise ValueError(f"t(i) requires i >= 1, got {i}")
     return _t_multiple_of_4(i) if i % 4 == 0 else 0
@@ -96,8 +96,8 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
     unknown unless forced or overridden).  Formula values are shared and
     cached; the table is consulted on every call.
     """
-    if not isinstance(m, int):
-        _reject_non_int("m", m)
+    if type(m) is not int:
+        m = _exact_int("m", m)
     if m < 4:
         raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
     if table is not None and not isinstance(table, GroupTable):
@@ -108,10 +108,8 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
 def check_pair(p: int, q: int) -> None:
     """Reject dimensions (p, q) that do not describe S^p x S^q with
     p, q >= 2 and p + q >= 5, the range the surgery sequence covers."""
-    if not isinstance(p, int):
-        _reject_non_int("p", p)
-    if not isinstance(q, int):
-        _reject_non_int("q", q)
+    if type(p) is not int or type(q) is not int:
+        p, q = _exact_int("p", p), _exact_int("q", q)
     if p < 2 or q < 2 or p + q < 5:
         raise ValueError(
             f"sphere factors need p, q >= 2 with p + q >= 5, got ({p}, {q})"
@@ -123,21 +121,16 @@ def pairing_coefficient(a: int, b: int) -> int:
     generates the residual group and the stabilisers.
 
     Zero when a or b is not a multiple of 4, answered without computing
-    the other factor, so that one is not held to the cap of ``t``; an
-    argument below 1 raises as in ``t``, and a non-int one raises
-    ``TypeError`` first.  Otherwise it is read from the record of the
-    pair, which also needs t_{a+b}."""
-    if not isinstance(a, int):
-        _reject_non_int("a", a)
-    if not isinstance(b, int):
-        _reject_non_int("b", b)
+    the other factor, so that one is not held to the cap of ``t``.  A
+    non-int argument raises ``TypeError`` first, then an argument below 1
+    raises as in ``t`` (before the cap of the other), and past the cap
+    the error names the first of a, b and a + b beyond it.
+    Otherwise it is read from the record of the pair, which also needs
+    t_{a+b}."""
+    if type(a) is not int or type(b) is not int:
+        a, b = _exact_int("a", a), _exact_int("b", b)
     if min(a, b) < 1:
-        # The ValueError of t: of the argument below 1 off multiples of 4,
-        # else of the first argument the record would ask t of.
-        if a % 4 or b % 4:
-            t(min(a, b))
-        t(a)
-        t(b)
+        t(min(a, b))
     return _pairing_coefficient(a, b)
 
 
@@ -192,8 +185,8 @@ def image_f_residual(p: int, q: int) -> CyclicGroup:
     """The residual group of S^{4j} x S^{4k}; the forgetful image in the
     topological structure set is a subgroup exactly when this group is
     trivial.  Other shapes are rejected."""
-    if not isinstance(p, int) or not isinstance(q, int):
-        check_pair(p, q)  # raises the TypeError naming the argument
+    if type(p) is not int or type(q) is not int:
+        p, q = _exact_int("p", p), _exact_int("q", q)
     if p % 4 != 0 or q % 4 != 0 or p < 4 or q < 4:
         raise ValueError(
             f"image_f_residual expects dimensions (4j, 4k), got ({p}, {q})"

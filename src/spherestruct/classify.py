@@ -55,7 +55,6 @@ from .cyclic import (
     CyclicElement,
     CyclicSubgroup,
     _exact_int,
-    _reject_non_int,
     _slot_writers,
     _value,
     cyclic_group,
@@ -136,8 +135,8 @@ def s3s4_diffeomorphic(a: S3S4Invariant, b: S3S4Invariant) -> bool:
 def s3s4_inertia_group(v: int) -> CyclicSubgroup:
     """Inertia group of N_v: the subgroup <2v> of bP_8 = Z_28, whose
     order is 14 / gcd(14, v)."""
-    if not isinstance(v, int):
-        _reject_non_int("v", v)
+    if type(v) is not int:
+        v = _exact_int("v", v)
     return _S3S4_INERTIA[v % BP8.order]
 
 
@@ -156,10 +155,8 @@ class WallTriple:
 
 def wall_triple_of_plumbing(u: int, v: int) -> WallTriple:
     """Wall triple of W_{u,v}: Salpha is (24u, 24v) on the basis."""
-    if not isinstance(u, int):
-        _reject_non_int("u", u)
-    if not isinstance(v, int):
-        _reject_non_int("v", v)
+    if type(u) is not int or type(v) is not int:
+        u, v = _exact_int("u", u), _exact_int("v", v)
     return WallTriple(24 * u, 24 * v)
 
 
@@ -167,10 +164,8 @@ def plumbing_boundary_class(u: int, v: int) -> CyclicElement:
     """Class of the boundary sphere of W_{u,v} in bP_8 = Z_28: minus the
     surgery obstruction del(u, v), which is -4uv mod 28.  del is bilinear,
     so this is del(-u, v) = -del(u, v), read from del_map's cache."""
-    if type(u) is not int:
-        u = _exact_int("u", u)
-    if type(v) is not int:
-        v = _exact_int("v", v)
+    if type(u) is not int or type(v) is not int:
+        u, v = _exact_int("u", u), _exact_int("v", v)
     return _del_map(4, 4, -u, v)
 
 
@@ -189,12 +184,8 @@ class S4S4Manifold:
     phi: int
 
     def __init__(self, u: int, v: int, phi: int) -> None:
-        if type(u) is not int:
-            u = _exact_int("u", u)
-        if type(v) is not int:
-            v = _exact_int("v", v)
-        if type(phi) is not int:
-            phi = _exact_int("phi", phi)
+        if type(u) is not int or type(v) is not int or type(phi) is not int:
+            u, v, phi = _exact_int("u", u), _exact_int("v", v), _exact_int("phi", phi)
         if (u * v) % _S4S4_RESIDUAL != 0:
             raise ValueError(
                 f"no closed manifold for (u, v) = ({u}, {v}): the plumbing "

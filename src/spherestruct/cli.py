@@ -314,12 +314,25 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    # argparse drops an OSError of its own writes, so that --help or
+    # --version into a closed stdout would exit 0 with nothing delivered.
+    # This parser, and the subparsers it makes, deliver stdout's text as
+    # an answer is delivered, so that the error reaches ``main``.
+
+    def _print_message(self, message: str, file=None) -> None:
+        if message and file is sys.stdout:
+            print(message, end="", flush=True)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--table", metavar="FILE", help="JSON table override file")
     common.add_argument("--json", action="store_true", help="emit a JSON envelope")
 
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog=PROG,
         description="exact structure-set calculator for products of spheres",
     )
@@ -348,6 +361,8 @@ def main(argv: list[str] | None = None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except BrokenPipeError:  # --help or --version into a closed stdout
+        return _undelivered()
 
     try:
         table = _load_table(args)
@@ -370,12 +385,16 @@ def main(argv: list[str] | None = None) -> int:
             print(line)
         sys.stdout.flush()
     except BrokenPipeError:
-        # The reader closed stdout: the output ends here, undelivered.
-        # Point stdout at os.devnull, so that the interpreter's flush at
-        # exit finds nothing to report.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
-        return 1
+        return _undelivered()
     return 0
+
+
+def _undelivered() -> int:
+    # The reader closed stdout: the output ends here, undelivered.  Point
+    # stdout at os.devnull, so that the interpreter's flush at exit finds
+    # nothing to report.
+    os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    return 1
 
 
 if __name__ == "__main__":

@@ -49,11 +49,12 @@ def _value(cls: type) -> type:
     sets its ``__class__`` to the value class once.  That skips the
     constructor's call and its guard, whose read of the first slot
     raises on every fresh build, and costs about half a guarded build;
-    the retyped object is an ordinary frozen value.  The cache cores
-    (``_group``, ``_subgroup``, ``tables._finite``, ``_z_times_finite``
-    and ``structset._del_map``), ``_element`` (for element arithmetic),
-    ``ltheory.theta_diff`` and ``structset.present`` build this way,
-    each behind a door that has checked the fields.
+    the retyped object is an ordinary frozen value.  Six builders work
+    this way, each behind a door that has checked the fields: ``_group``
+    and ``_subgroup`` (cache cores), ``_element`` (for element arithmetic
+    and the cache core ``structset._del_map``), ``tables._known_group``
+    (for the cache cores ``_finite`` and ``_z_times_finite``),
+    ``ltheory.theta_diff`` and ``structset.present``.
     CPython allows the retype only between classes with the same slots
     and the same base, so a value class gets no base class."""
     names = cls.__slots__
@@ -107,9 +108,9 @@ def _slot_writers(cls: type) -> tuple:
     unguarded constructors of the three caller-built classes (see
     ``_value``).  A slot's own setter skips the name lookup through the
     class that ``object.__setattr__`` repeats on every call, but each
-    call still costs about 60-100 ns, more than a plain store into a
-    draft; so no library function writes through one per op, and each
-    builds a draft instead (see ``_value``)."""
+    call still costs more than a plain store into a draft; so no library
+    function writes through one per op, and each builds a draft instead
+    (see ``_value``)."""
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
@@ -119,15 +120,13 @@ def _draft(cls: type) -> type:
     return type(f"_{cls.__name__}Draft", (), {"__slots__": cls.__slots__})
 
 
-def _reject_non_int(name: str, value: object) -> None:
-    raise TypeError(f"{name} must be an int, got {type(value).__name__}")
-
-
 def _exact_int(name: str, value: object) -> int:
-    # The slow branch behind ``type(value) is not int``: a bool is stored
-    # as the int it equals, so that it prints, serialises and caches as one.
+    # The package's one integer rule, the slow branch behind every door's
+    # ``type(value) is not int``: a bool is taken as the int it equals, so
+    # that it prints, serialises and caches as one, and any other non-int
+    # is refused.
     if not isinstance(value, int):
-        _reject_non_int(name, value)
+        raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     return int(value)
 
 
@@ -142,11 +141,7 @@ class CyclicGroup:
     order: int
 
     def __init__(self, order: int) -> None:
-        if type(order) is not int:
-            order = _exact_int("order", order)
-        if order < 1:
-            _reject_order(order)
-        self.__setstate__((order,))
+        self.__setstate__((_checked_order(order),))
 
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self, value)
@@ -155,8 +150,13 @@ class CyclicGroup:
         return "0" if self.order == 1 else f"Z_{self.order}"
 
 
-def _reject_order(n: int) -> None:
-    raise ValueError(f"cyclic group order must be >= 1, got {n}")
+def _checked_order(n: object) -> int:
+    # The order rule of CyclicGroup and cyclic_group: an int >= 1.
+    if type(n) is not int:
+        n = _exact_int("order", n)
+    if n < 1:
+        raise ValueError(f"cyclic group order must be >= 1, got {n}")
+    return n
 
 
 _GroupDraft = _draft(CyclicGroup)
@@ -184,10 +184,8 @@ def cyclic_group(n: int) -> CyclicGroup:
     below 1 is rejected before the cache, whose core builds Z_n as a
     draft (see ``_value``); so cyclic_group(True) is cyclic_group(1) and
     a float never reaches a key it equals."""
-    if type(n) is not int:
-        n = _exact_int("order", n)
-    if n < 1:
-        _reject_order(n)
+    if type(n) is not int or n < 1:
+        n = _checked_order(n)
     return _cyclic_group(n)
 
 
@@ -206,8 +204,8 @@ class CyclicElement:
     value: int
 
     def __init__(self, group: CyclicGroup, value: int) -> None:
-        if not isinstance(value, int):
-            _reject_non_int("value", value)
+        if type(value) is not int:
+            value = _exact_int("value", value)
         if type(group) is not CyclicGroup:
             _check_group("group", group)
         self.__setstate__((group, value % group.order))
@@ -262,8 +260,8 @@ class CyclicSubgroup:
     generator_value: int
 
     def __init__(self, ambient: CyclicGroup, generator_value: int) -> None:
-        if not isinstance(generator_value, int):
-            _reject_non_int("generator_value", generator_value)
+        if type(generator_value) is not int:
+            generator_value = _exact_int("generator_value", generator_value)
         if type(ambient) is not CyclicGroup:
             _check_group("ambient", ambient)
         n = ambient.order
@@ -296,8 +294,8 @@ def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
     """The subgroup of Z_n generated by g, i.e. (g mod n)Z_n."""
     if type(n) is not int:
         n = _exact_int("n", n)  # a bool n reaches the shared Z_n of its int
-    if not isinstance(g, int):
-        _reject_non_int("g", g)
+    if type(g) is not int:
+        g = _exact_int("g", g)
     if n < 1:
         raise ValueError(f"ambient order must be >= 1, got {n}")
     return _subgroup(n, gcd(g % n, n))

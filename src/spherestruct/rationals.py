@@ -31,9 +31,8 @@ for i <= 3308.  The cap is where the values stop being printable: Python
 refuses to convert an int of more than 4300 decimal digits to a string
 (its default ``sys.get_int_max_str_digits()``), and t_3308 has 4281
 digits while t_3312 has 4308.  The cap also bounds the work, whose bit
-cost grows about eightfold per doubling of the index (on a 2-core Xeon a
-cold ``bernoulli(827)`` takes about 0.6 s).  A larger index raises
-``ValueError`` at once instead of failing after the work is done.
+cost grows about eightfold per doubling of the index.  A larger index
+raises ``ValueError`` at once instead of failing after the work is done.
 ``_t_multiple_of_4``, the cached Levine order t_{4k} of ``bp``, sits by
 its one input, the unchecked core of ``num_b_over_4k`` (it checks its own
 cap, so k is checked once), and ``tables`` needs nothing above it.
@@ -45,7 +44,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclic import _reject_non_int
+from .cyclic import _exact_int
 
 __all__ = ["MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
 
@@ -84,8 +83,8 @@ def _tangent(k: int) -> int:
 
 
 def _check_index(name: str, k: int) -> None:
-    if not isinstance(k, int):
-        _reject_non_int("k", k)
+    if type(k) is not int:
+        k = _exact_int("k", k)
     if k < 1:
         raise ValueError(f"{name}(k) requires k >= 1, got {k}")
     if k > MAX_BERNOULLI_INDEX:

@@ -65,17 +65,15 @@ shared frozen value (``del_map(4, 4, 1, 2) is del_map(4, 4, 1, 2)``).
 None), because that table never changes; an explicit table, override or
 built-in, is read on every call by the same body, uncached, so no
 table's answer is ever stored.  A first call pays for the cache's miss
-and insert on top of the work: about 1.14x the uncached cost for
-``eta_fiber_size`` and none for ``del_map``, whose core reads the
-target group and c off the record (see README).  ``stabilizer`` and
-``present`` are not cached: most of their calls in a sweep are first
-calls.
+and insert on top of the work; ``_del_map`` reads the target group and
+c off the record.  ``stabilizer`` and ``present`` are not cached: most
+of their calls in a sweep are first calls.
 
-``present`` and ``_del_map`` build their results as drafts (see
-``cyclic._value``).  Keyword construction, which takes the place of
-``dataclasses.replace`` (values are not dataclasses), goes through the
-hand-written ``__init__``, and tests pin that both routes build the
-same value.
+``present`` builds its result as a draft (see ``cyclic._value``), and
+``_del_map`` builds its element through ``cyclic._element``.  Keyword
+construction, which takes the place of ``dataclasses.replace`` (values
+are not dataclasses), goes through the hand-written ``__init__``, and
+tests pin that both routes build the same value.
 """
 
 from __future__ import annotations
@@ -90,9 +88,8 @@ from .cyclic import (
     CyclicSubgroup,
     _cyclic_group,
     _draft,
-    _ElementDraft,
+    _element,
     _exact_int,
-    _reject_non_int,
     _subgroup,
     _value,
 )
@@ -289,10 +286,8 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
     # anything it would reject, a bool too, goes to it for its error.
     if not (type(p) is int and type(q) is int and p >= 2 and q >= 2 and p + q >= 5):
         bp.check_pair(p, q)
-    if type(phi_u) is not int:
-        phi_u = _exact_int("phi_u", phi_u)
-    if type(phi_v) is not int:
-        phi_v = _exact_int("phi_v", phi_v)
+    if type(phi_u) is not int or type(phi_v) is not int:
+        phi_u, phi_v = _exact_int("phi_u", phi_u), _exact_int("phi_v", phi_v)
     return _del_map(p, q, phi_u, phi_v)
 
 
@@ -300,24 +295,19 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
 # their doors have checked; bounded because the invariants are arbitrary.
 @lru_cache(maxsize=1024)
 def _del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
-    # The element is a draft.  8 t_p t_q is 0 unless 4 divides p and q,
-    # and then the record of (p, q) holds it as c, and the target
-    # Z_n, n = t_{p+q}, as the ambient of <c>.
-    x = _ElementDraft()
+    # 8 t_p t_q is 0 unless 4 divides p and q, and then the record of
+    # (p, q) holds it as c, and the target Z_n, n = t_{p+q}, as the
+    # ambient of <c>.
     if p % 4 or q % 4:
         n = p + q
-        x.group = _cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1)
-        x.value = 0
-    else:
-        try:
-            c, _, _, residual = bp._residual_split(p, q)
-        except ValueError:  # past the cap, named by p + q as t(p + q) would
-            bp._t_multiple_of_4(p + q)
-            raise
-        group = x.group = residual.ambient
-        x.value = c * phi_u * phi_v % group.order
-    x.__class__ = CyclicElement
-    return x
+        return _element(_cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1), 0)
+    try:
+        c, _, _, residual = bp._residual_split(p, q)
+    except ValueError:  # past the cap, named by p + q as t(p + q) would
+        bp._t_multiple_of_4(p + q)
+        raise
+    group = residual.ambient
+    return _element(group, c * phi_u * phi_v % group.order)
 
 
 def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
@@ -329,8 +319,8 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     trivial subgroup (with ambient bP_{p+q+1} when its order follows from
     the formulas, the trivial group otherwise).
     """
-    if not isinstance(d, int):
-        _reject_non_int("d", d)
+    if type(d) is not int:
+        d = _exact_int("d", d)
     bp.check_pair(p, q)
     # The swap of normalize_dims, inlined: a warm call enters two frames.
     # The ambient Z_n, n = t_m, is read from t's cache before the record,
@@ -457,8 +447,8 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
     and odd inputs are rejected.  Over t_4 * y the fibre is the
     normal-invariant fibre over d = y, of size |Theta_7| / |stabiliser(y)|.
     """
-    if not isinstance(top_invariant, int):
-        _reject_non_int("top_invariant", top_invariant)
+    if type(top_invariant) is not int:
+        top_invariant = _exact_int("top_invariant", top_invariant)
     bp.check_pair(p, q)
     if (p, q) not in ((3, 4), (4, 3)):
         raise ValueError(

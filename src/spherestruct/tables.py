@@ -45,7 +45,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .cyclic import _draft, _exact_int, _reject_non_int, _slot_writers, _value
+from .cyclic import _draft, _exact_int, _slot_writers, _value
 from .rationals import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
 __all__ = [
@@ -93,10 +93,8 @@ class KnownGroup:
                     f"an unknown group has no order, got {_shown_repr(order)}"
                 )
         elif kind == "finite" or kind == "z_times_finite":
-            if type(order) is not int:
-                order = _exact_int("order", order)
-            if order < 1:
-                _reject_order(kind, order)
+            if type(order) is not int or order < 1:
+                order = _checked_order(kind, "order", order)
         else:
             raise ValueError(
                 "group kind must be 'finite', 'z_times_finite' or 'unknown', "
@@ -111,10 +109,8 @@ class KnownGroup:
 
     @staticmethod
     def finite(order: int) -> KnownGroup:
-        if type(order) is not int:
-            order = _exact_int("order", order)
-        if order < 1:
-            _reject_order("finite", order)
+        if type(order) is not int or order < 1:
+            order = _checked_order("finite", "order", order)
         return _finite(order)
 
     @staticmethod
@@ -123,10 +119,10 @@ class KnownGroup:
 
     @staticmethod
     def z_times_finite(torsion_order: int) -> KnownGroup:
-        if type(torsion_order) is not int:
-            torsion_order = _exact_int("torsion_order", torsion_order)
-        if torsion_order < 1:
-            _reject_order("z_times_finite", torsion_order)
+        if type(torsion_order) is not int or torsion_order < 1:
+            torsion_order = _checked_order(
+                "z_times_finite", "torsion_order", torsion_order
+            )
         return _z_times_finite(torsion_order)
 
     @staticmethod
@@ -160,9 +156,15 @@ class KnownGroup:
         return {"kind": "unknown"}
 
 
-def _reject_order(kind: str, order: int) -> None:
-    what = "finite group order" if kind == "finite" else "torsion order"
-    raise ValueError(f"{what} must be >= 1, got {order}")
+def _checked_order(kind: str, name: str, order: object) -> int:
+    # The order rule of KnownGroup's constructor, finite and z_times_finite:
+    # an int >= 1, where ``name`` is the argument that holds it.
+    if type(order) is not int:
+        order = _exact_int(name, order)
+    if order < 1:
+        what = "finite group order" if kind == "finite" else "torsion order"
+        raise ValueError(f"{what} must be >= 1, got {order}")
+    return order
 
 
 # Shared values behind KnownGroup.trivial() and KnownGroup.unknown(); safe
@@ -173,30 +175,28 @@ _UNKNOWN = KnownGroup("unknown", None)
 _KnownGroupDraft = _draft(KnownGroup)
 
 
-# The cores of KnownGroup.finite and z_times_finite, for int orders >= 1,
-# which their doors and the package's own callers have checked.  Each
-# builds its shared value as a draft (``cyclic._value``), so that a
-# pair's first call runs no constructor and no guard; order 1 is the
-# one trivial group, whatever the cache has evicted.  The caches are
-# bounded because orders are arbitrary integers.
-@lru_cache(maxsize=1024)
-def _finite(order: int) -> KnownGroup:
-    if order == 1:
-        return _TRIVIAL
+def _known_group(kind: str, order: int) -> KnownGroup:
+    # A KnownGroup as a draft (``cyclic._value``), so that a first call
+    # of a cache core below runs no constructor and no guard.
     group = _KnownGroupDraft()
-    group.kind = "finite"
+    group.kind = kind
     group.order = order
     group.__class__ = KnownGroup
     return group
 
 
+# The cores of KnownGroup.finite and z_times_finite, for int orders >= 1,
+# which their doors and the package's own callers have checked; order 1
+# is the one trivial group, whatever the cache has evicted.  The caches
+# are bounded because orders are arbitrary integers.
+@lru_cache(maxsize=1024)
+def _finite(order: int) -> KnownGroup:
+    return _TRIVIAL if order == 1 else _known_group("finite", order)
+
+
 @lru_cache(maxsize=256)
 def _z_times_finite(torsion_order: int) -> KnownGroup:
-    group = _KnownGroupDraft()
-    group.kind = "z_times_finite"
-    group.order = torsion_order
-    group.__class__ = KnownGroup
-    return group
+    return _known_group("z_times_finite", torsion_order)
 
 
 # Orders of the homotopy-sphere groups Theta_n, n <= 20 (reference data).
@@ -331,8 +331,8 @@ def _reject_non_table(table: object) -> None:
 
 def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order of the group of homotopy n-spheres, n >= 1, or unknown."""
-    if not isinstance(n, int):
-        _reject_non_int("n", n)
+    if type(n) is not int:
+        n = _exact_int("n", n)
     if n < 1:
         raise ValueError(f"theta_order(n) requires n >= 1, got {n}")
     if table is not None and not isinstance(table, GroupTable):
@@ -342,8 +342,8 @@ def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:
 
 def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order data for pi_n(G/O), n >= 2."""
-    if not isinstance(n, int):
-        _reject_non_int("n", n)
+    if type(n) is not int:
+        n = _exact_int("n", n)
     if n < 2:
         raise ValueError(f"pi_go(n) requires n >= 2, got {n}")
     if table is not None and not isinstance(table, GroupTable):

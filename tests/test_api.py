@@ -92,6 +92,64 @@ def test_each_module_imports_only_the_layers_below_it():
     assert wrong == []
 
 
+def _scoped_calls(tree, scope=""):
+    # (dotted scope, call) for each call in a module, where the scope names
+    # the functions and classes that enclose it.
+    for child in ast.iter_child_nodes(tree):
+        inner = scope
+        if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+            inner = f"{scope}.{child.name}" if scope else child.name
+        elif isinstance(child, ast.Call):
+            yield scope, child
+        yield from _scoped_calls(child, inner)
+
+
+def test_each_argument_rule_has_one_home():
+    # One integer rule, cyclic._exact_int, behind every door's
+    # ``type(x) is not int``; one order check per value class.
+    package = Path(spherestruct.__file__).resolve().parent
+    sources = {
+        path.stem: path.read_text(encoding="utf-8") for path in package.glob("*.py")
+    }
+    trees = {name: ast.parse(text) for name, text in sources.items()}
+    # The text of the rule's error; S3S4Invariant's sigma, an int or an
+    # element, has a message of its own ("must be an int or an element").
+    text = "must be an int, got"
+    homes = [name for name, source in sources.items() if text in source]
+    assert [sources[name].count(text) for name in homes] == [1]
+    assert homes == ["cyclic"]
+    (rule,) = [
+        node for node in trees["cyclic"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_exact_int"
+    ]
+    assert text in ast.get_source_segment(sources["cyclic"], rule)
+    int_tests = sorted(
+        f"{name}.{scope}"
+        for name, tree in trees.items()
+        for scope, call in _scoped_calls(tree)
+        if getattr(call.func, "id", None) == "isinstance"
+        and any(getattr(node, "id", None) == "int" for node in ast.walk(call.args[1]))
+    )
+    # S3S4Invariant dispatches on an int or an element; a JSON bool is
+    # refused on purpose where a table file is parsed.
+    assert int_tests == [
+        "classify.S3S4Invariant.__init__", "cyclic._exact_int", "tables._parse_entry"
+    ]
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef):
+                assert node.name not in {"_reject_non_int", "_reject_order"}, name
+            elif isinstance(node, ast.ImportFrom) and node.module == "cyclic":
+                assert not [a.name for a in node.names if a.name.startswith("_reject")]
+    orders = sorted(
+        name
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_checked_order"
+    )
+    assert orders == ["cyclic", "tables"]
+
+
 @pytest.mark.parametrize("module", ["json", "dataclasses", "inspect"])
 def test_importing_the_package_does_not_load(module):
     # Only a table override (parse_table) and the CLI's --json envelope

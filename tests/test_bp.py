@@ -8,8 +8,11 @@ from hypothesis import strategies as st
 
 from spherestruct import (
     KnownGroup,
+    LClass,
     MAX_BERNOULLI_INDEX,
     NormalClassDiff,
+    S3S4Invariant,
+    S4S4Manifold,
     StructureSetPresentation,
     bernoulli,
     bp_order,
@@ -19,17 +22,21 @@ from spherestruct import (
     eta_fiber_size,
     forgetful_fiber,
     group_structure_possible,
+    l_group,
     num_b_over_4k,
     parse_table,
     pi_go,
     plumbing_boundary_class,
     present,
     residual_group,
+    s3s4_inertia_group,
     stabilizer,
+    subgroup_generated,
     t,
     theta_diff,
     theta_order,
     top_structure_set,
+    wall_triple_of_plumbing,
 )
 from spherestruct import bp, structset
 from spherestruct.bp import (
@@ -39,7 +46,13 @@ from spherestruct.bp import (
     image_f_residual,
     pairing_coefficient,
 )
-from spherestruct.cyclic import CyclicGroup, CyclicSubgroup, _cyclic_group, _subgroup
+from spherestruct.cyclic import (
+    CyclicElement,
+    CyclicGroup,
+    CyclicSubgroup,
+    _cyclic_group,
+    _subgroup,
+)
 from spherestruct.structset import normalize_dims
 from spherestruct.tables import _finite, _z_times_finite
 
@@ -213,6 +226,14 @@ def test_pairs_that_need_t_past_the_cap_still_raise():
         u, v, w = (NormalClassDiff(dim, 1) for dim in (p, q, p + q))
         with pytest.raises(ValueError, match=f"i <= {cap} .*, {message}$"):
             theta_diff(p, q, u, v, w)
+
+
+@pytest.mark.parametrize("a, b", [(4000, 0), (0, 4000), (4000, -4), (3312, -1)])
+def test_an_argument_below_1_raises_before_the_cap_of_the_other(a, b):
+    # pairing_coefficient asks t of the smaller argument first, so a pair
+    # with one argument past the cap and one below 1 names the one below 1.
+    with pytest.raises(ValueError, match=rf"^t\(i\) requires i >= 1, got {min(a, b)}$"):
+        pairing_coefficient(a, b)
 
 
 # (p, q) past the cap in both orders: both factors, one factor, only the
@@ -627,6 +648,153 @@ def test_boolean_dimensions_and_indices_stay_accepted():
     assert theta_order(True + 6) == theta_order(7)
     assert KnownGroup.finite(True) == KnownGroup.finite(1)
     assert KnownGroup.z_times_finite(True) == KnownGroup.z_times_finite(1)
+
+
+_Z28 = cyclic_group(28)
+_ONE = NormalClassDiff(4, 1)
+
+# Every public door that takes an integer, by the argument's name: each
+# entry calls the door with x in that argument and fixed valid others.
+_INT_DOORS = {
+    "bernoulli": ("k", lambda x: bernoulli(x)),
+    "num_b_over_4k": ("k", lambda x: num_b_over_4k(x)),
+    "t": ("i", lambda x: t(x)),
+    "bp_order": ("m", lambda x: bp_order(x)),
+    "GroupTable.bp_order": ("m", lambda x: builtin_table().bp_order(x)),
+    "check_pair-p": ("p", lambda x: check_pair(x, 5)),
+    "check_pair-q": ("q", lambda x: check_pair(5, x)),
+    "pairing_coefficient-a": ("a", lambda x: pairing_coefficient(x, 4)),
+    "pairing_coefficient-b": ("b", lambda x: pairing_coefficient(4, x)),
+    "residual_group": ("q", lambda x: residual_group(4, x)),
+    "image_f_residual-p": ("p", lambda x: image_f_residual(x, 4)),
+    "image_f_residual-q": ("q", lambda x: image_f_residual(4, x)),
+    "theta_order": ("n", lambda x: theta_order(x)),
+    "pi_go": ("n", lambda x: pi_go(x)),
+    "KnownGroup-finite": ("order", lambda x: KnownGroup("finite", x)),
+    "KnownGroup-z_times_finite": ("order", lambda x: KnownGroup("z_times_finite", x)),
+    "KnownGroup.finite": ("order", lambda x: KnownGroup.finite(x)),
+    "KnownGroup.z_times_finite": (
+        "torsion_order", lambda x: KnownGroup.z_times_finite(x)
+    ),
+    "CyclicGroup": ("order", lambda x: CyclicGroup(x)),
+    "cyclic_group": ("order", lambda x: cyclic_group(x)),
+    "CyclicGroup.element": ("value", lambda x: _Z28.element(x)),
+    "CyclicElement": ("value", lambda x: CyclicElement(_Z28, x)),
+    "CyclicSubgroup": ("generator_value", lambda x: CyclicSubgroup(_Z28, x)),
+    "subgroup_generated-n": ("n", lambda x: subgroup_generated(x, 2)),
+    "subgroup_generated-g": ("g", lambda x: subgroup_generated(28, x)),
+    "l_group": ("i", lambda x: l_group(x)),
+    "LClass-dim": ("dim", lambda x: LClass(x, 3)),
+    "LClass-value": ("value", lambda x: LClass(4, x)),
+    "NormalClassDiff-dim": ("dim", lambda x: NormalClassDiff(x, 3)),
+    "NormalClassDiff-phi": ("phi", lambda x: NormalClassDiff(4, x)),
+    "theta_diff": ("q", lambda x: theta_diff(4, x, _ONE, _ONE, _ONE)),
+    "normalize_dims": ("p", lambda x: normalize_dims(x, 4)),
+    "present": ("q", lambda x: present(4, x)),
+    "del_map-p": ("p", lambda x: del_map(x, 4, 1, 2)),
+    "del_map-phi_u": ("phi_u", lambda x: del_map(4, 4, x, 2)),
+    "del_map-phi_v": ("phi_v", lambda x: del_map(4, 4, 2, x)),
+    "stabilizer-q": ("q", lambda x: stabilizer(3, x, 1)),
+    "stabilizer-d": ("d", lambda x: stabilizer(3, 4, x)),
+    "eta_fiber_size-p": ("p", lambda x: eta_fiber_size(x, 4, 1)),
+    "eta_fiber_size-d": ("d", lambda x: eta_fiber_size(3, 4, x)),
+    "top_structure_set": ("p", lambda x: top_structure_set(x, 4)),
+    "group_structure_possible": ("q", lambda x: group_structure_possible(4, x)),
+    "forgetful_fiber-p": ("p", lambda x: forgetful_fiber(x, 4, 2)),
+    "forgetful_fiber-top_invariant": (
+        "top_invariant", lambda x: forgetful_fiber(3, 4, x)
+    ),
+    "S3S4Invariant": ("v", lambda x: S3S4Invariant(5, x)),
+    "s3s4_inertia_group": ("v", lambda x: s3s4_inertia_group(x)),
+    "wall_triple_of_plumbing-u": ("u", lambda x: wall_triple_of_plumbing(x, 2)),
+    "wall_triple_of_plumbing-v": ("v", lambda x: wall_triple_of_plumbing(2, x)),
+    "plumbing_boundary_class-u": ("u", lambda x: plumbing_boundary_class(x, 2)),
+    "plumbing_boundary_class-v": ("v", lambda x: plumbing_boundary_class(2, x)),
+    "S4S4Manifold-u": ("u", lambda x: S4S4Manifold(x, 0, 1)),
+    "S4S4Manifold-v": ("v", lambda x: S4S4Manifold(0, x, 1)),
+    "S4S4Manifold-phi": ("phi", lambda x: S4S4Manifold(7, 1, x)),
+}
+
+# Every lru_cache in the package: a refused argument reaches none of them.
+_ALL_CACHES = (
+    _finite, _z_times_finite, _cyclic_group, _subgroup, _residual_split,
+    _t_multiple_of_4, structset._del_map, structset._eta_fiber_size,
+)
+
+
+def _outcome(call):
+    try:
+        return call(), None
+    except (TypeError, ValueError) as exc:
+        return None, (type(exc), str(exc))
+
+
+@pytest.mark.parametrize("door", list(_INT_DOORS))
+@pytest.mark.parametrize("flag", [True, False])
+def test_every_integer_door_takes_a_bool_as_the_int_it_equals(door, flag):
+    # One integer rule at every door: True and False answer as 1 and 0
+    # do, an error included (its message prints the int), and a value
+    # stores the int, which its repr shows.
+    call = _INT_DOORS[door][1]
+    result, error = _outcome(lambda: call(flag))
+    expected, expected_error = _outcome(lambda: call(int(flag)))
+    assert error == expected_error
+    if error is None:
+        assert result == expected and repr(result) == repr(expected)
+        if door != "bernoulli" and call(int(flag)) is expected:  # a shared value
+            assert result is expected
+
+
+def test_bernoulli_keeps_its_typed_cache():
+    # The one exception to a shared answer: bernoulli's cache is typed,
+    # so bernoulli(True) is its own entry, equal to bernoulli(1).
+    assert bernoulli(True) == bernoulli(1)
+    assert bernoulli(True) is not bernoulli(1)
+
+
+@pytest.mark.parametrize("door", list(_INT_DOORS))
+@pytest.mark.parametrize("value", [1.0, "1"], ids=["float", "str"])
+def test_every_integer_door_refuses_a_non_int_before_any_cache(door, value):
+    name, call = _INT_DOORS[door]
+    # bernoulli's typed cache counts the refused call as a miss, but
+    # stores nothing, so its size is compared.
+    before = [cache.cache_info() for cache in _ALL_CACHES]
+    size = bernoulli.cache_info().currsize
+    with pytest.raises(TypeError) as info:
+        call(value)
+    assert str(info.value) == f"{name} must be an int, got {type(value).__name__}"
+    assert [cache.cache_info() for cache in _ALL_CACHES] == before
+    assert bernoulli.cache_info().currsize == size
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: bp_order(True), "bp_order(m) requires m >= 4, got 1"),
+        (lambda: pi_go(True), "pi_go(n) requires n >= 2, got 1"),
+        (lambda: theta_order(False), "theta_order(n) requires n >= 1, got 0"),
+        (lambda: t(False), "t(i) requires i >= 1, got 0"),
+        (
+            lambda: check_pair(True, 5),
+            "sphere factors need p, q >= 2 with p + q >= 5, got (1, 5)",
+        ),
+        (
+            lambda: forgetful_fiber(3, 4, True),
+            "topological normal invariant 1 is odd, hence not in the image of "
+            "the smooth structure set (even invariants only)",
+        ),
+        (
+            lambda: image_f_residual(True, 4),
+            "image_f_residual expects dimensions (4j, 4k), got (1, 4)",
+        ),
+    ],
+    ids=["bp_order", "pi_go", "theta_order", "t", "check_pair", "forgetful_fiber",
+         "image_f_residual"],
+)
+def test_a_message_about_a_bool_prints_the_int_it_equals(call, message):
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_image_f_residual():

@@ -288,6 +288,37 @@ def test_a_closed_stdout_ends_the_output_with_exit_1(json_flag):
     assert (result.returncode, result.stderr) == (1, b"")
 
 
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["--help"], ["--version"], ["t", "8", "--help"]],
+    ids=["help", "version", "t-help"],
+)
+def test_help_and_version_into_a_closed_stdout_exit_1(argv, unbuffered):
+    # argparse drops the error of its own write; the text is undelivered
+    # as an answer would be, so the exit status says so, without a traceback.
+    src = os.path.dirname(os.path.dirname(spherestruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src, PYTHONUNBUFFERED=unbuffered)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        result = subprocess.run(
+            [sys.executable, "-m", "spherestruct", *argv],
+            env=env,
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+        )
+    finally:
+        os.close(write_end)
+    assert (result.returncode, result.stderr) == (1, b"")
+
+
+def test_help_into_an_open_stdout_exits_0(capsys):
+    code, out, err = run(capsys, ["t", "8", "--help"])
+    assert (code, err) == (0, "")
+    assert out.startswith("usage: spherestruct t [-h]")
+
+
 def test_version_exits_zero(capsys):
     code, out, _ = run(capsys, ["--version"])
     assert code == 0
