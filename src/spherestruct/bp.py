@@ -37,13 +37,13 @@ of a pair warms the others, in either order.
 
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores
-(``_t_multiple_of_4`` from ``rationals``, ``_pairing_coefficient`` and
-the record ``_residual_split``) assume checked ones, and the package's
-own callers that have already checked a pair call the cores: the
-residual group is Z_r off the record for a pair (4j, 4k) and
-``_TRIVIAL`` for every other shape.  ``bp_order`` is the checked door
-to ``GroupTable.bp_order``.  A core's cache must never see an unchecked
-argument, because it keys (4.0, 4) and (4, 4) alike.
+(``_t_multiple_of_4`` from ``rationals`` and the record
+``_residual_split``) assume checked ones, and the package's own callers
+that have already checked a pair call the cores: the residual group is
+Z_r off the record for a pair (4j, 4k) and ``_TRIVIAL`` for every other
+shape.  ``bp_order`` is the checked door to ``GroupTable.bp_order``,
+which applies the same rule to m.  A core's cache must never see an
+unchecked argument, because it keys (4.0, 4) and (4, 4) alike.
 """
 
 from __future__ import annotations
@@ -60,7 +60,7 @@ from .cyclic import (
     cyclic_group,
 )
 from .rationals import _t_multiple_of_4
-from .tables import _BUILTIN, GroupTable, KnownGroup, _reject_non_table
+from .tables import _BUILTIN, GroupTable, KnownGroup, _checked_bp_dim, _checked_table
 
 __all__ = [
     "t",
@@ -96,13 +96,9 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
     unknown unless forced or overridden).  Formula values are shared and
     cached; the table is consulted on every call.
     """
-    if type(m) is not int:
-        m = _exact_int("m", m)
-    if m < 4:
-        raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
-    if table is not None and not isinstance(table, GroupTable):
-        _reject_non_table(table)
-    return (table or _BUILTIN).bp_order(m)
+    if type(m) is not int or m < 4:
+        m = _checked_bp_dim(m)
+    return (_BUILTIN if table is None else _checked_table(table)).bp_order(m)
 
 
 def check_pair(p: int, q: int) -> None:
@@ -131,11 +127,6 @@ def pairing_coefficient(a: int, b: int) -> int:
         a, b = _exact_int("a", a), _exact_int("b", b)
     if min(a, b) < 1:
         t(min(a, b))
-    return _pairing_coefficient(a, b)
-
-
-def _pairing_coefficient(a: int, b: int) -> int:
-    # pairing_coefficient for ints a, b >= 1.
     return 0 if a % 4 or b % 4 else _residual_split(a, b)[0]
 
 

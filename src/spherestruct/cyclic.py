@@ -297,7 +297,7 @@ def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
     if type(g) is not int:
         g = _exact_int("g", g)
     if n < 1:
-        raise ValueError(f"ambient order must be >= 1, got {n}")
+        _checked_order(n)
     return _subgroup(n, gcd(g % n, n))
 
 

@@ -40,18 +40,20 @@ nontrivial, which holds in every shipped dimension).
 
 As in ``bp``, public functions check their arguments (one
 ``bp.check_pair``, or its test inlined, for the dimensions; a ``table``
-is None or a ``GroupTable``) and then read ``bp``'s cores and the record of a pair,
-never ``t``, ``residual_group``, ``pairing_coefficient`` or ``bp_order``;
-``present`` reads its three orders off its table.  The order rule lives in
-``normalize_dims``; only ``present``, whose result shows the order, and
-``stabilizer`` repeat its swap inline, so that a warm ``stabilizer``
-enters only itself and ``check_pair``.  The verdicts of
-``group_structure_possible`` and ``forgetful_fiber`` are symmetric in
-p and q (the record is one per unordered pair), so they test the shape
-on the pair as given: {4j-1, 4k} is p + q = 3 mod 4 with a factor
-divisible by 4.  ``stabilizer`` is the home of the stabiliser formula,
-which ``eta_fiber_size`` reads through its public door on a miss of its
-cache.  Tests pin each inline copy to its home.
+is None or a ``GroupTable``) and then read ``bp``'s cores and the record
+of a pair, never ``t``, ``residual_group``, ``pairing_coefficient`` or
+``bp_order``; ``present`` reads its three orders off its table.  The one
+exception is ``StructureSetPresentation.as_dict``, which reads c through
+``pairing_coefficient``: a value built by keyword has unchecked fields.
+The order rule lives in ``normalize_dims``; only ``present``, whose
+result shows the order, and ``stabilizer`` repeat its swap inline, so
+that a warm ``stabilizer`` enters only itself and ``check_pair``.  The
+verdicts of ``group_structure_possible`` and ``forgetful_fiber`` are
+symmetric in p and q (the record is one per unordered pair), so they
+test the shape on the pair as given: {4j-1, 4k} is p + q = 3 mod 4 with
+a factor divisible by 4.  ``stabilizer`` is the home of the stabiliser
+formula, which ``eta_fiber_size`` reads through its public door on a
+miss of its cache.  Tests pin each inline copy to its home.
 
 ``del_map`` and ``eta_fiber_size`` are checked doors over bounded
 ``lru_cache`` cores (1024 entries each), as ``cyclic_group`` is over
@@ -94,7 +96,7 @@ from .cyclic import (
     _value,
 )
 from .ltheory import LGroupKind, l_group
-from .tables import _UNKNOWN, GroupTable, KnownGroup, _finite, _reject_non_table
+from .tables import _UNKNOWN, GroupTable, KnownGroup, _checked_table, _finite
 
 __all__ = [
     "StructureSetPresentation",
@@ -184,7 +186,7 @@ class StructureSetPresentation:
             "bp_next": self.bp_next.as_json(),
             "normal_invariants": [g.as_json() for g in self.normal_invariants],
             "residual_order": self.residual.order,
-            "residual_generator_coefficient": bp._pairing_coefficient(self.p, self.q),
+            "residual_generator_coefficient": bp.pairing_coefficient(self.p, self.q),
             "bp_dim": n,
             "action": self.action_case,
             "sequence": self.sequence_text(),
@@ -250,11 +252,7 @@ def present(
     else:
         np_, nq = p, q
     n = np_ + nq
-    if table is not None and not isinstance(table, GroupTable):
-        _reject_non_table(table)
-    table = table or tables._BUILTIN
-    # Ten plain slot stores and the retype cost about a fifth of a call
-    # of __init__.
+    table = tables._BUILTIN if table is None else _checked_table(table)
     x = _Draft()
     x.p = np_
     x.q = nq
@@ -359,9 +357,7 @@ def eta_fiber_size(
         bp.check_pair(p, q)
     if table is None:
         return _eta_fiber_size(p, q, d)
-    if not isinstance(table, GroupTable):
-        _reject_non_table(table)
-    return _fiber(p, q, d, table)
+    return _fiber(p, q, d, _checked_table(table))
 
 
 def _fiber(p: int, q: int, d: int, table: GroupTable = tables._BUILTIN) -> KnownGroup:

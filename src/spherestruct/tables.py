@@ -280,10 +280,10 @@ class GroupTable:
 
     def bp_order(self, m: int) -> KnownGroup:
         """Order data for bP_m, m >= 4 (see the module docstring).  It
-        rejects a non-int m before the cache of t_m, which would key 12.0
-        as 12."""
-        if type(m) is not int:
-            m = _exact_int("m", m)
+        rejects m as the module's ``bp_order`` does, before the cache of
+        t_m, which would key 12.0 as 12 and store t_0 as a float."""
+        if type(m) is not int or m < 4:
+            m = _checked_bp_dim(m)
         if m % 2 == 1 or m == 4:
             return _TRIVIAL
         if m % 4 == 0:
@@ -324,9 +324,20 @@ def _checked_family(family: str, entries: object) -> dict[int, KnownGroup]:
     return checked
 
 
-def _reject_non_table(table: object) -> None:
-    # A door's ``table`` is None (the built-in table) or a GroupTable.
-    raise TypeError(f"table must be a GroupTable, got {type(table).__name__}")
+def _checked_bp_dim(m: object) -> int:
+    # The rule of bp.bp_order's m and of GroupTable.bp_order: an int >= 4.
+    if type(m) is not int:
+        m = _exact_int("m", m)
+    if m < 4:
+        raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
+    return m
+
+
+def _checked_table(table: object) -> GroupTable:
+    # A door's ``table`` other than None (the built-in table).
+    if not isinstance(table, GroupTable):
+        raise TypeError(f"table must be a GroupTable, got {type(table).__name__}")
+    return table
 
 
 def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:
@@ -335,9 +346,7 @@ def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:
         n = _exact_int("n", n)
     if n < 1:
         raise ValueError(f"theta_order(n) requires n >= 1, got {n}")
-    if table is not None and not isinstance(table, GroupTable):
-        _reject_non_table(table)
-    return (table or _BUILTIN).theta_order(n)
+    return (_BUILTIN if table is None else _checked_table(table)).theta_order(n)
 
 
 def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
@@ -346,9 +355,7 @@ def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
         n = _exact_int("n", n)
     if n < 2:
         raise ValueError(f"pi_go(n) requires n >= 2, got {n}")
-    if table is not None and not isinstance(table, GroupTable):
-        _reject_non_table(table)
-    return (table or _BUILTIN).pi_go(n)
+    return (_BUILTIN if table is None else _checked_table(table)).pi_go(n)
 
 
 class _LongInt:

@@ -45,4 +45,7 @@ def main(root: str) -> None:
 
 
 if __name__ == "__main__":
+    if len(sys.argv) != 2:
+        print("usage: python tests/code_lines.py DIR", file=sys.stderr)
+        sys.exit(2)
     main(sys.argv[1])

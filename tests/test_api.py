@@ -135,10 +135,13 @@ def test_each_argument_rule_has_one_home():
     assert int_tests == [
         "classify.S3S4Invariant.__init__", "cyclic._exact_int", "tables._parse_entry"
     ]
+    gone = {
+        "_reject_non_int", "_reject_order", "_reject_non_table", "_pairing_coefficient"
+    }
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.FunctionDef):
-                assert node.name not in {"_reject_non_int", "_reject_order"}, name
+                assert node.name not in gone, name
             elif isinstance(node, ast.ImportFrom) and node.module == "cyclic":
                 assert not [a.name for a in node.names if a.name.startswith("_reject")]
     orders = sorted(
@@ -148,6 +151,20 @@ def test_each_argument_rule_has_one_home():
         if isinstance(node, ast.FunctionDef) and node.name == "_checked_order"
     )
     assert orders == ["cyclic", "tables"]
+    # subgroup_generated reads the order rule of CyclicGroup.
+    assert not [name for name in sources if "ambient order must be" in sources[name]]
+    # One table check, and one rule for bp_order's m, which its door and
+    # GroupTable.bp_order share.
+    for text in ("table must be a GroupTable", "bp_order(m) requires m >= 4"):
+        assert sum(source.count(text) for source in sources.values()) == 1, text
+    table_tests = sorted(
+        f"{name}.{scope}"
+        for name, tree in trees.items()
+        for scope, call in _scoped_calls(tree)
+        if getattr(call.func, "id", None) == "isinstance"
+        and getattr(call.args[1], "id", None) == "GroupTable"
+    )
+    assert table_tests == ["tables._checked_table"]
 
 
 @pytest.mark.parametrize("module", ["json", "dataclasses", "inspect"])

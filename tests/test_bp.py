@@ -1,5 +1,5 @@
 import time
-from itertools import permutations
+from itertools import permutations, product
 from math import gcd
 
 import pytest
@@ -795,6 +795,62 @@ def test_a_message_about_a_bool_prints_the_int_it_equals(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize("m", [0, -4, -8, 1, 2, 3])
+def test_the_table_method_bp_order_refuses_what_its_door_refuses(m):
+    # One rule for m: the method once answered m = 1, 2, 3 and 0, leaving
+    # t_0 = -0.125 in t's cache, and failed late on -4.
+    message = f"bp_order(m) requires m >= 4, got {m}"
+    before = [cache.cache_info() for cache in _ALL_CACHES]
+    for call in (lambda: bp_order(m), lambda: builtin_table().bp_order(m)):
+        with pytest.raises(ValueError) as info:
+            call()
+        assert str(info.value) == message
+    assert [cache.cache_info() for cache in _ALL_CACHES] == before
+
+
+_PAIR_ARGUMENTS = [*range(-3, 10), True, False]
+
+
+def test_the_inline_pair_tests_refuse_what_check_pair_refuses():
+    # del_map, eta_fiber_size and theta_diff copy check_pair's test inline
+    # and hand anything it fails to check_pair for its error; a refused
+    # pair reaches no cache.
+    for p, q in product(_PAIR_ARGUMENTS, repeat=2):
+        error = _outcome(lambda: check_pair(p, q))[1]
+        dims = (4, 4, 4) if error else (p, q, p + q)
+        u, v, w = (NormalClassDiff(dim, 1) for dim in dims)
+        doors = {
+            "del_map": lambda: del_map(p, q, 1, 2),
+            "eta_fiber_size": lambda: eta_fiber_size(p, q, 1),
+            "theta_diff": lambda: theta_diff(p, q, u, v, w),
+        }
+        for door, call in doors.items():
+            before = [cache.cache_info() for cache in _ALL_CACHES]
+            assert _outcome(call)[1] == error, (door, p, q)
+            if error:
+                after = [cache.cache_info() for cache in _ALL_CACHES]
+                assert after == before, (door, p, q)
+
+
+@pytest.mark.parametrize(
+    "p, error, message",
+    [(0, ValueError, "t(i) requires i >= 1, got 0"),
+     (4.0, TypeError, "a must be an int, got float")],
+)
+def test_as_dict_checks_the_fields_of_a_keyword_built_presentation(p, error, message):
+    # as_dict reads c through pairing_coefficient, because the fields of a
+    # value built by keyword are unchecked; p = 0 once left t_0 = -0.125
+    # in t's cache.
+    value = present(4, 4)
+    fields = {name: getattr(value, name) for name in value.__slots__}
+    built = StructureSetPresentation(**{**fields, "p": p, "q": 4})
+    before = [cache.cache_info() for cache in _ALL_CACHES]
+    with pytest.raises(error) as info:
+        built.as_dict()
+    assert str(info.value) == message
+    assert [cache.cache_info() for cache in _ALL_CACHES] == before
 
 
 def test_image_f_residual():

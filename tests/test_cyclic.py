@@ -42,9 +42,11 @@ def test_negative_generators():
 
 
 def test_rejects_bad_order():
-    with pytest.raises(ValueError):
+    # One order rule, cyclic._checked_order, and one text for it.
+    message = r"^cyclic group order must be >= 1, got 0$"
+    with pytest.raises(ValueError, match=message):
         subgroup_generated(0, 3)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=message):
         CyclicGroup(0)
 
 

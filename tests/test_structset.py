@@ -476,9 +476,9 @@ def test_del_map_is_odd_off_the_4j_4k_shape(p, q, phi_u, phi_v):
 
 def _presentation_from_cores(p, q):
     # What present(p, q) says, assembled from normalize_dims, a shape test
-    # on the normalised pair, the public residual_group and bp_order and
-    # the cores,
-    # without the inlined swap and the shape branches of present.
+    # on the normalised pair and the public residual_group, bp_order and
+    # pairing_coefficient, without the inlined swap and the shape branches
+    # of present.
     np_, nq = normalize_dims(p, q)
     n, table = np_ + nq, builtin_table()
     varies = np_ % 4 == 3 and nq % 4 == 0
@@ -486,7 +486,7 @@ def _presentation_from_cores(p, q):
         np_, nq, p, q, table.theta_order(n), bp.bp_order(n + 1, table),
         (table.pi_go(np_), table.pi_go(nq)), residual_group(np_, nq),
         ACTION_STABILIZER if varies else ACTION_FREE,
-        bp._pairing_coefficient(np_ + 1, nq) if varies else None,
+        bp.pairing_coefficient(np_ + 1, nq) if varies else None,
     )
 
 

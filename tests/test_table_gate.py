@@ -252,9 +252,11 @@ def test_an_old_format_pickle_loads_as_a_read_only_table():
 
 
 def test_the_table_method_bp_order_takes_a_bool_as_its_int():
-    # A float is rejected (test_bp's _NON_INT_CALLS); a bool is an int.
+    # A float is rejected (test_bp's _NON_INT_CALLS); a bool is an int,
+    # and True is refused as 1 is, by the rule of the bp_order door.
     table = builtin_table()
-    assert table.bp_order(True) is KnownGroup.trivial()
+    with pytest.raises(ValueError, match=r"^bp_order\(m\) requires m >= 4, got 1$"):
+        table.bp_order(True)
     assert table.bp_order(12) == KnownGroup.finite(992)
 
 
