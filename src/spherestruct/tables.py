@@ -5,7 +5,7 @@ Three families are tabulated:
 * ``theta``          -- orders of the group of homotopy n-spheres,
 * ``pi_go_torsion``  -- torsion of the n-th homotopy group of G/O,
 * ``bp``             -- orders of the boundary-sphere groups bP_m for
-                        m = 2 mod 4, each 1 or 2.  ``GroupTable.bp_order``
+                        m = 2 mod 4, m >= 6, each 1 or 2.  ``GroupTable.bp_order``
                         reads them for that residue, the only one with no
                         closed formula here: odd m and m = 4 are trivial,
                         and m = 4k is the Levine order t_m (``rationals``).
@@ -434,6 +434,8 @@ def _check_dimension(family: str, dim: int, key: int | str) -> None:
             f"{_entry(family, key)}: only dimensions = 2 mod 4 are table entries "
             "(odd ones are trivial, multiples of 4 are computed)"
         )
+    if family == "bp" and dim < 4:  # bP_2: bp_order refuses m < 4, so never read
+        raise TableError(f"{_entry(family, key)}: dimension must be >= 4")
 
 
 def _check_order(family: str, order: int, key: int | str) -> None:

@@ -96,6 +96,11 @@ _RULE_ERRORS = {
         "bp[7]: only dimensions = 2 mod 4 are table entries "
         "(odd ones are trivial, multiples of 4 are computed)",
     ),
+    "bp-key-2": (
+        {"bp": {2: KnownGroup.trivial()}},
+        '{"bp": {"2": "1"}}',
+        "bp[2]: dimension must be >= 4",
+    ),
 }
 
 

@@ -189,6 +189,14 @@ def test_load_table_roundtrip(tmp_path):
         load_table(str(tmp_path / "missing.json"))
 
 
+def test_load_table_refuses_a_bp_entry_below_4(tmp_path):
+    # bp_order refuses m < 4, so an entry there could never be read.
+    path = tmp_path / "table.json"
+    path.write_text('{"bp": {"2": "2"}}', encoding="utf-8")
+    with pytest.raises(TableError, match=r"^bp\[2\]: dimension must be >= 4$"):
+        load_table(str(path))
+
+
 def test_parse_rejects_boolean_order():
     # bool is a subclass of int, so JSON true must be caught explicitly.
     with pytest.raises(TableError, match="decimal order"):
@@ -367,8 +375,8 @@ def _overrides(draw):
         st.one_of(st.sampled_from(["unknown", "Z"]), _ORDER.map(str), _ORDER),
         max_size=6,
     ))
-    bp = draw(st.dictionaries(
-        st.sampled_from([m for m in range(2, 61, 4) if m not in (6, 14)]),
+    bp = draw(st.dictionaries(  # bp_order refuses m < 4, so no bP_2 entry
+        st.sampled_from([m for m in range(10, 61, 4) if m != 14]),
         st.sampled_from(["1", "2", 1, 2, "unknown"]),
         max_size=4,
     ))
