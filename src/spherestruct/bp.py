@@ -41,9 +41,11 @@ their arguments and keep their messages; the ``_``-prefixed cores
 ``_residual_split``) assume checked ones, and the package's own callers
 that have already checked a pair call the cores: the residual group is
 Z_r off the record for a pair (4j, 4k) and ``_TRIVIAL`` for every other
-shape.  ``bp_order`` is the checked door to ``GroupTable.bp_order``,
-which applies the same rule to m.  A core's cache must never see an
-unchecked argument, because it keys (4.0, 4) and (4, 4) alike.
+shape.  ``bp_order`` is the checked door to ``GroupTable.bp_order``;
+both, and ``t``, check their index by the package's one range rule,
+``cyclic._checked_index``, which every index door shares with its
+message form.  A core's cache must never see an unchecked argument,
+because it keys (4.0, 4) and (4, 4) alike.
 """
 
 from __future__ import annotations
@@ -54,13 +56,14 @@ from math import gcd
 from .cyclic import (
     CyclicGroup,
     CyclicSubgroup,
+    _checked_index,
     _exact_int,
     _group,
     _subgroup,
     cyclic_group,
 )
 from .rationals import _t_multiple_of_4
-from .tables import _BUILTIN, GroupTable, KnownGroup, _checked_bp_dim, _checked_table
+from .tables import _BUILTIN, GroupTable, KnownGroup, _checked_table
 
 __all__ = [
     "t",
@@ -81,10 +84,8 @@ def t(i: int) -> int:
     are answered before the cache, which therefore holds at most
     MAX_BERNOULLI_INDEX entries.
     """
-    if type(i) is not int:
-        i = _exact_int("i", i)
-    if i < 1:
-        raise ValueError(f"t(i) requires i >= 1, got {i}")
+    if type(i) is not int or i < 1:
+        i = _checked_index("t", "i", i, 1)
     return _t_multiple_of_4(i) if i % 4 == 0 else 0
 
 
@@ -97,7 +98,7 @@ def bp_order(m: int, table: GroupTable | None = None) -> KnownGroup:
     cached; the table is consulted on every call.
     """
     if type(m) is not int or m < 4:
-        m = _checked_bp_dim(m)
+        m = _checked_index("bp_order", "m", m, 4)
     return (_BUILTIN if table is None else _checked_table(table)).bp_order(m)
 
 

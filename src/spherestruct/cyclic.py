@@ -6,6 +6,11 @@ makes subgroup values compare equal exactly when they are the same
 subgroup, which is what the classification predicates rely on.  The
 canonical generator is always a positive divisor of n; the trivial
 subgroup is stored with generator n itself.
+
+The module also holds the package's argument rules that every door
+shares: ``_exact_int`` for an integer and ``_checked_index`` for an
+index's least value, whose one message form is
+``<door>(<arg>) requires <arg> >= <least>, got <value>``.
 """
 
 from __future__ import annotations
@@ -130,6 +135,16 @@ def _exact_int(name: str, value: object) -> int:
     return int(value)
 
 
+def _checked_index(door: str, name: str, value: object, least: int) -> int:
+    # The package's one range rule, the slow branch behind every index
+    # door's ``type(value) is not int or value < least``: the integer
+    # rule, then one message form for an index below its least value.
+    value = _exact_int(name, value)
+    if value < least:
+        raise ValueError(f"{door}({name}) requires {name} >= {least}, got {value}")
+    return value
+
+
 @_value
 class CyclicGroup:
     """The additive cyclic group Z_n; order 1 is the trivial group.
@@ -217,11 +232,15 @@ class CyclicElement:
             )
 
     def __add__(self, other: CyclicElement) -> CyclicElement:
+        if type(other) is not CyclicElement:
+            return NotImplemented
         self._check_same_group(other)
         group = self.group
         return _element(group, (self.value + other.value) % group.order)
 
     def __sub__(self, other: CyclicElement) -> CyclicElement:
+        if type(other) is not CyclicElement:
+            return NotImplemented
         self._check_same_group(other)
         group = self.group
         return _element(group, (self.value - other.value) % group.order)

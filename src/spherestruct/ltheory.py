@@ -30,7 +30,7 @@ the tests compare against.
 from __future__ import annotations
 
 from .bp import _residual_split, _t_multiple_of_4, check_pair
-from .cyclic import _draft, _exact_int, _slot_writers, _value
+from .cyclic import _checked_index, _draft, _exact_int, _slot_writers, _value
 
 __all__ = [
     "LGroupKind",
@@ -60,10 +60,8 @@ class LGroupKind:
 
 def l_group(i: int) -> LGroupKind:
     """The quadratic L-group in dimension i >= 0."""
-    if type(i) is not int:
-        i = _exact_int("i", i)
-    if i < 0:
-        raise ValueError(f"l_group(i) requires i >= 0, got {i}")
+    if type(i) is not int or i < 0:
+        i = _checked_index("l_group", "i", i, 0)
     return LGroupKind(i, _QUADRATIC[i % 4])
 
 
@@ -97,6 +95,8 @@ class LClass:
         return self.value == 0
 
     def __add__(self, other: LClass) -> LClass:
+        if type(other) is not LClass:
+            return NotImplemented
         if self.dim != other.dim:
             raise ValueError(
                 f"cannot add L-classes of dimensions {self.dim} and {other.dim}"

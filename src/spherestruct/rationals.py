@@ -32,7 +32,9 @@ refuses to convert an int of more than 4300 decimal digits to a string
 (its default ``sys.get_int_max_str_digits()``), and t_3308 has 4281
 digits while t_3312 has 4308.  The cap also bounds the work, whose bit
 cost grows about eightfold per doubling of the index.  A larger index
-raises ``ValueError`` at once instead of failing after the work is done.
+raises ``ValueError`` at once instead of failing after the work is done;
+an index below 1 is refused by the package's one range rule,
+``cyclic._checked_index``, with the message form every index door shares.
 ``_t_multiple_of_4``, the cached Levine order t_{4k} of ``bp``, sits by
 its one input, the unchecked core of ``num_b_over_4k`` (it checks its own
 cap, so k is checked once), and ``tables`` needs nothing above it.
@@ -44,7 +46,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclic import _exact_int
+from .cyclic import _checked_index
 
 __all__ = ["MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
 
@@ -83,10 +85,8 @@ def _tangent(k: int) -> int:
 
 
 def _check_index(name: str, k: int) -> None:
-    if type(k) is not int:
-        k = _exact_int("k", k)
-    if k < 1:
-        raise ValueError(f"{name}(k) requires k >= 1, got {k}")
+    if type(k) is not int or k < 1:
+        k = _checked_index(name, "k", k, 1)
     if k > MAX_BERNOULLI_INDEX:
         raise ValueError(
             f"{name}(k) requires k <= {MAX_BERNOULLI_INDEX} "

@@ -22,6 +22,11 @@ Z x Theta_n, so the torsion is read off the theta family at lookup time.
 
 Any dimension outside the shipped data is reported as unknown rather than
 guessed.  A JSON file can override individual entries; see ``load_table``.
+The doors ``theta_order`` and ``pi_go`` and the method
+``GroupTable.bp_order`` check their index by the package's one range
+rule, ``cyclic._checked_index``, so they share its message form with
+every other index door; ``GroupTable.theta_order`` and ``pi_go`` are
+plain lookups.
 
 ``GroupTable.__init__`` is the one gate into a table: the constructor,
 keyword construction, ``parse_table``, ``copy``, ``deepcopy`` and
@@ -45,7 +50,7 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .cyclic import _draft, _exact_int, _slot_writers, _value
+from .cyclic import _checked_index, _draft, _exact_int, _slot_writers, _value
 from .rationals import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
 __all__ = [
@@ -283,7 +288,7 @@ class GroupTable:
         rejects m as the module's ``bp_order`` does, before the cache of
         t_m, which would key 12.0 as 12 and store t_0 as a float."""
         if type(m) is not int or m < 4:
-            m = _checked_bp_dim(m)
+            m = _checked_index("bp_order", "m", m, 4)
         if m % 2 == 1 or m == 4:
             return _TRIVIAL
         if m % 4 == 0:
@@ -324,15 +329,6 @@ def _checked_family(family: str, entries: object) -> dict[int, KnownGroup]:
     return checked
 
 
-def _checked_bp_dim(m: object) -> int:
-    # The rule of bp.bp_order's m and of GroupTable.bp_order: an int >= 4.
-    if type(m) is not int:
-        m = _exact_int("m", m)
-    if m < 4:
-        raise ValueError(f"bp_order(m) requires m >= 4, got {m}")
-    return m
-
-
 def _checked_table(table: object) -> GroupTable:
     # A door's ``table`` other than None (the built-in table).
     if not isinstance(table, GroupTable):
@@ -342,19 +338,15 @@ def _checked_table(table: object) -> GroupTable:
 
 def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order of the group of homotopy n-spheres, n >= 1, or unknown."""
-    if type(n) is not int:
-        n = _exact_int("n", n)
-    if n < 1:
-        raise ValueError(f"theta_order(n) requires n >= 1, got {n}")
+    if type(n) is not int or n < 1:
+        n = _checked_index("theta_order", "n", n, 1)
     return (_BUILTIN if table is None else _checked_table(table)).theta_order(n)
 
 
 def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
     """Order data for pi_n(G/O), n >= 2."""
-    if type(n) is not int:
-        n = _exact_int("n", n)
-    if n < 2:
-        raise ValueError(f"pi_go(n) requires n >= 2, got {n}")
+    if type(n) is not int or n < 2:
+        n = _checked_index("pi_go", "n", n, 2)
     return (_BUILTIN if table is None else _checked_table(table)).pi_go(n)
 
 
@@ -534,15 +526,17 @@ def _object_without_duplicates(pairs: list[tuple[str, object]]) -> dict:
 def parse_table(text: str) -> GroupTable:
     """Parse override JSON and merge it over the built-in table.
 
-    Empty input yields the built-ins unchanged.  Each family maps decimal
-    dimension strings to a decimal order string, the marker ``"Z"`` (for
-    pi_go_torsion only), or ``"unknown"``.  Entries replace the built-in
-    entry for that dimension wholesale.  A key repeated in one JSON object,
-    or two keys naming the same dimension (``"07"`` and ``"7"``), is an
-    error, and so is an order that breaks the Kervaire-Milnor chain
-    |bP_{n+1}| divides |Theta_n|, where bP_{n+1} comes from a table entry
-    or from the order formula.  The merged table is built by the
-    ``GroupTable`` constructor, which runs that chain check.
+    Empty input yields the built-ins unchanged.  Each family present, even
+    as ``null``, must be an object mapping decimal dimension strings to a
+    decimal order string, the marker ``"Z"`` (for pi_go_torsion only), or
+    ``"unknown"``; an absent family keeps its built-ins.  Entries replace
+    the built-in entry for that dimension wholesale.  A key repeated in one
+    JSON object, or two keys naming the same dimension (``"07"`` and
+    ``"7"``), is an error, and so is an order that breaks the
+    Kervaire-Milnor chain |bP_{n+1}| divides |Theta_n|, where bP_{n+1}
+    comes from a table entry or from the order formula.  The merged table
+    is built by the ``GroupTable`` constructor, which runs that chain
+    check.
     """
     if not text.strip():
         return _BUILTIN
@@ -568,9 +562,9 @@ def parse_table(text: str) -> GroupTable:
         )
     merged = {family: dict(getattr(_BUILTIN, family)) for family in _FAMILIES}
     for family in _FAMILIES:
-        entries = raw.get(family)
-        if entries is None:
+        if family not in raw:
             continue
+        entries = raw[family]
         if not isinstance(entries, dict):
             raise TableError(f"{family}: expected an object of dimension entries")
         seen: dict[int, str] = {}

@@ -136,7 +136,8 @@ def test_each_argument_rule_has_one_home():
         "classify.S3S4Invariant.__init__", "cyclic._exact_int", "tables._parse_entry"
     ]
     gone = {
-        "_reject_non_int", "_reject_order", "_reject_non_table", "_pairing_coefficient"
+        "_reject_non_int", "_reject_order", "_reject_non_table", "_pairing_coefficient",
+        "_checked_bp_dim",
     }
     for name, tree in trees.items():
         for node in ast.walk(tree):
@@ -153,10 +154,25 @@ def test_each_argument_rule_has_one_home():
     assert orders == ["cyclic", "tables"]
     # subgroup_generated reads the order rule of CyclicGroup.
     assert not [name for name in sources if "ambient order must be" in sources[name]]
-    # One table check, and one rule for bp_order's m, which its door and
-    # GroupTable.bp_order share.
-    for text in ("table must be a GroupTable", "bp_order(m) requires m >= 4"):
-        assert sum(source.count(text) for source in sources.values()) == 1, text
+    # One table check.
+    text = "table must be a GroupTable"
+    assert sum(source.count(text) for source in sources.values()) == 1
+    # One range rule, cyclic._checked_index, behind every index door; no
+    # door spells out its own message (the caps of t and bernoulli, which
+    # say "<=", are not range floors).
+    template = "requires {name} >= {least}"
+    homes = {name: source.count(template) for name, source in sources.items()}
+    assert {name: count for name, count in homes.items() if count} == {"cyclic": 1}
+    (rule,) = [
+        node for node in trees["cyclic"].body
+        if isinstance(node, ast.FunctionDef) and node.name == "_checked_index"
+    ]
+    assert template in ast.get_source_segment(sources["cyclic"], rule)
+    for text in (
+        "t(i) requires i >=", "bp_order(m) requires", "theta_order(n) requires",
+        "pi_go(n) requires", "l_group(i) requires", "(k) requires k >= 1",
+    ):
+        assert not [name for name in sources if text in sources[name]], text
     table_tests = sorted(
         f"{name}.{scope}"
         for name, tree in trees.items()

@@ -787,14 +787,45 @@ def test_every_integer_door_refuses_a_non_int_before_any_cache(door, value):
             lambda: image_f_residual(True, 4),
             "image_f_residual expects dimensions (4j, 4k), got (1, 4)",
         ),
+        (lambda: bernoulli(False), "bernoulli(k) requires k >= 1, got 0"),
+        (lambda: num_b_over_4k(False), "num_b_over_4k(k) requires k >= 1, got 0"),
     ],
     ids=["bp_order", "pi_go", "theta_order", "t", "check_pair", "forgetful_fiber",
-         "image_f_residual"],
+         "image_f_residual", "bernoulli", "num_b_over_4k"],
 )
 def test_a_message_about_a_bool_prints_the_int_it_equals(call, message):
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "call, least, message",
+    [
+        (t, 1, "t(i) requires i >= 1, got 0"),
+        (bp_order, 4, "bp_order(m) requires m >= 4, got 3"),
+        (builtin_table().bp_order, 4, "bp_order(m) requires m >= 4, got 3"),
+        (theta_order, 1, "theta_order(n) requires n >= 1, got 0"),
+        (pi_go, 2, "pi_go(n) requires n >= 2, got 1"),
+        (l_group, 0, "l_group(i) requires i >= 0, got -1"),
+        (bernoulli, 1, "bernoulli(k) requires k >= 1, got 0"),
+        (num_b_over_4k, 1, "num_b_over_4k(k) requires k >= 1, got 0"),
+    ],
+    ids=["t", "bp_order", "GroupTable.bp_order", "theta_order", "pi_go", "l_group",
+         "bernoulli", "num_b_over_4k"],
+)
+def test_every_range_door_refuses_one_below_its_least_before_any_cache(
+    call, least, message
+):
+    # One range rule, one message form: "<door>(<arg>) requires <arg> >=
+    # <least>, got <value>".  bernoulli's typed cache is compared by size.
+    before = [cache.cache_info() for cache in _ALL_CACHES]
+    size = bernoulli.cache_info().currsize
+    with pytest.raises(ValueError) as info:
+        call(least - 1)
+    assert str(info.value) == message
+    assert [cache.cache_info() for cache in _ALL_CACHES] == before
+    assert bernoulli.cache_info().currsize == size
 
 
 @pytest.mark.parametrize("m", [0, -4, -8, 1, 2, 3])

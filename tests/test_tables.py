@@ -126,10 +126,12 @@ def test_parse_rejects_bad_structure():
         parse_table("[1, 2]")
     with pytest.raises(TableError, match="unrecognised"):
         parse_table('{"thetas": {}}')
-    with pytest.raises(
-        TableError, match="^theta: expected an object of dimension entries$"
-    ):
-        parse_table('{"theta": 5}')
+    # A family that is present must be an object: null is not an absent one.
+    for family, value in (("theta", "5"), ("theta", "null"), ("bp", "null")):
+        with pytest.raises(
+            TableError, match=f"^{family}: expected an object of dimension entries$"
+        ):
+            parse_table(f'{{"{family}": {value}}}')
     with pytest.raises(TableError, match="dimension keys"):
         parse_table('{"theta": {"seven": "28"}}')
     with pytest.raises(TableError, match="decimal order"):

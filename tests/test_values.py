@@ -621,6 +621,29 @@ def test_mixing_groups_of_different_orders_still_raises(n, m, a, shared_x, share
         sub.contains(x)
 
 
+@pytest.mark.parametrize(
+    "value, symbol",
+    [
+        (cyclic_group(28).element(3), "+"),
+        (cyclic_group(28).element(3), "-"),
+        (LClass(4, 1), "+"),
+    ],
+    ids=["element+", "element-", "LClass+"],
+)
+@pytest.mark.parametrize("other", [1, 1.5, None, BP8], ids=["int", "float", "None", "group"])
+def test_arithmetic_with_a_foreign_operand_is_unsupported(value, symbol, other):
+    # The class's own operator steps aside, so Python refuses either order
+    # with its own TypeError instead of failing on the operand's fields.
+    operate = {"+": lambda a, b: a + b, "-": lambda a, b: a - b}[symbol]
+    for a, b in ((value, other), (other, value)):
+        message = re.escape(
+            f"unsupported operand type(s) for {symbol}: "
+            f"'{type(a).__name__}' and '{type(b).__name__}'"
+        )
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            operate(a, b)
+
+
 # The ten shapes of the theta_diff ops of the classify-grid benchmark.
 _THETA_DIFF_SHAPES = [(4, 4), (4, 8), (8, 4), (8, 8), (3, 4), (4, 3),
                       (2, 6), (6, 2), (4, 6), (5, 7)]
