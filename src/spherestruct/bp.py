@@ -35,6 +35,17 @@ g * gcd(d, r), so it is <c> itself for every d coprime to r) and Z_r
 for its presentations and group-structure verdicts.  So any first call
 of a pair warms the others, in either order.
 
+The shape of a pair decides which of these numbers an answer needs, and
+``_SHAPES`` is its one home: ``_SHAPES[p & 3][q & 3]`` is ``_STABILIZER``
+for {4j-1, 4k} (stabilisers vary with d, so there is no group
+structure), ``_RESIDUAL`` for (4j, 4k) (a residual group, so the
+forgetful image is not a subgroup when it is nontrivial) and ``_FREE``
+for every other pair (the action is free).  The table is symmetric, so
+it names the shape of a pair in either order; every shape test in
+``bp``, ``ltheory`` and ``structset`` is one subscript of it, and
+``structset.present``, whose result shows the order, is the only
+function that repeats the swap of ``structset.normalize_dims``.
+
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores
 (``_t_multiple_of_4`` from ``rationals`` and the record
@@ -113,6 +124,16 @@ def check_pair(p: int, q: int) -> None:
         )
 
 
+# The shape of a pair (p, q), in either order: _SHAPES[p & 3][q & 3].
+_FREE, _STABILIZER, _RESIDUAL = "free", "stabilizer", "residual"
+_SHAPES = (
+    (_RESIDUAL, _FREE, _FREE, _STABILIZER),
+    (_FREE, _FREE, _FREE, _FREE),
+    (_FREE, _FREE, _FREE, _FREE),
+    (_STABILIZER, _FREE, _FREE, _FREE),
+)
+
+
 def pairing_coefficient(a: int, b: int) -> int:
     """8 * t_a * t_b: the L-group product of the comparison images, which
     generates the residual group and the stabilisers.
@@ -128,7 +149,7 @@ def pairing_coefficient(a: int, b: int) -> int:
         a, b = _exact_int("a", a), _exact_int("b", b)
     if min(a, b) < 1:
         t(min(a, b))
-    return 0 if a % 4 or b % 4 else _residual_split(a, b)[0]
+    return _residual_split(a, b)[0] if _SHAPES[a & 3][b & 3] is _RESIDUAL else 0
 
 
 _TRIVIAL = cyclic_group(1)
@@ -142,9 +163,7 @@ def residual_group(p: int, q: int) -> CyclicGroup:
     order formula applies.  The result is a shared, cached value.
     """
     check_pair(p, q)
-    if p % 4 or q % 4:
-        return _TRIVIAL
-    return _residual_split(p, q)[2]
+    return _residual_split(p, q)[2] if _SHAPES[p & 3][q & 3] is _RESIDUAL else _TRIVIAL
 
 
 # Bounded: its arguments are multiples of 4 up to the cap of t, and a
@@ -179,7 +198,7 @@ def image_f_residual(p: int, q: int) -> CyclicGroup:
     trivial.  Other shapes are rejected."""
     if type(p) is not int or type(q) is not int:
         p, q = _exact_int("p", p), _exact_int("q", q)
-    if p % 4 != 0 or q % 4 != 0 or p < 4 or q < 4:
+    if _SHAPES[p & 3][q & 3] is not _RESIDUAL or p < 4 or q < 4:
         raise ValueError(
             f"image_f_residual expects dimensions (4j, 4k), got ({p}, {q})"
         )

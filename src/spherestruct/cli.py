@@ -7,11 +7,16 @@ output and which come from the reference table.  ``--table FILE`` (or the
 SURGERY_TABLE environment variable) merges a JSON override file over the
 built-in table.
 
+Integer arguments follow the table file's grammar (``tables._decimal``):
+an optional ``-`` and then ASCII digits, so ``+16``, ``1_6``, `` 16 ``
+and non-ASCII digits are usage errors, and an error shows a long number
+by its digit count (``tables._shown``).
+
 Exit status: 0 on success, 1 on domain errors (a precondition violated by
 otherwise well-formed arguments, a malformed table file, or an index
-above the Bernoulli cap), 2 on usage errors (including a table file that
-cannot be read).  A reader that closes stdout early ends the output
-with exit 1 and no traceback.
+above the Bernoulli cap), 2 on usage errors (including a malformed
+integer argument and a table file that cannot be read).  A reader that
+closes stdout early ends the output with exit 1 and no traceback.
 """
 
 from __future__ import annotations
@@ -41,7 +46,10 @@ from .structset import (
     stabilizer,
     top_structure_set,
 )
-from .tables import GroupTable, KnownGroup, TableReadError, load_table
+from .tables import (
+    GroupTable, KnownGroup, TableError, TableReadError, _decimal, _shown, _shown_repr,
+    load_table,
+)
 
 PROG = "spherestruct"
 
@@ -274,6 +282,20 @@ def _yesno(flag: bool) -> str:
     return "yes" if flag else "no"
 
 
+def _integer(text: str) -> int:
+    # The type of every integer argument: the table file's grammar with
+    # an optional "-" (int() would also take "+", spaces, "_" and
+    # non-ASCII digits), and a long number shown by its digit count.
+    digits = text.removeprefix("-")
+    try:
+        value = _decimal(digits, "argument")
+    except TableError:  # more digits than int() converts
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
+    if value is None:
+        raise argparse.ArgumentTypeError(f"invalid int value: {_shown_repr(text)}")
+    return -value if text.startswith("-") else value
+
+
 def _ints(*names: str) -> tuple:
     return tuple((name, {}) for name in names)
 
@@ -341,7 +363,7 @@ def build_parser() -> argparse.ArgumentParser:
     for name, (_, help_text, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
         for flag, options in arguments:
-            sp.add_argument(flag, type=int, **options)
+            sp.add_argument(flag, type=_integer, **options)
     return parser
 
 

@@ -8,9 +8,11 @@ canonical generator is always a positive divisor of n; the trivial
 subgroup is stored with generator n itself.
 
 The module also holds the package's argument rules that every door
-shares: ``_exact_int`` for an integer and ``_checked_index`` for an
+shares: ``_exact_int`` for an integer, ``_checked_index`` for an
 index's least value, whose one message form is
-``<door>(<arg>) requires <arg> >= <least>, got <value>``.
+``<door>(<arg>) requires <arg> >= <least>, got <value>``, and
+``_past_cap`` for an index above a cap, whose one form is
+``<door>(<arg>) requires <arg> <= <most><note>, got <value>``.
 """
 
 from __future__ import annotations
@@ -143,6 +145,12 @@ def _checked_index(door: str, name: str, value: object, least: int) -> int:
     if value < least:
         raise ValueError(f"{door}({name}) requires {name} >= {least}, got {value}")
     return value
+
+
+def _past_cap(door: str, name: str, value: int, most: int, note: str) -> ValueError:
+    # The package's one cap rule, the error behind every capped door's
+    # ``value > most``; ``note`` says which cap it is.
+    return ValueError(f"{door}({name}) requires {name} <= {most}{note}, got {value}")
 
 
 @_value
@@ -291,6 +299,8 @@ class CyclicSubgroup:
         return self.ambient.order // self.generator_value
 
     def contains(self, x: CyclicElement) -> bool:
+        if type(x) is not CyclicElement:
+            raise TypeError(f"x must be a CyclicElement, got {type(x).__name__}")
         if x.group.order != self.ambient.order:
             raise ValueError(
                 f"element of {x.group} tested against a subgroup of {self.ambient}"

@@ -20,7 +20,8 @@ package's scope).  The surgery obstruction of a smooth normal invariant
 
 ``theta_diff`` evaluates this formula directly, after its own checks,
 taking 8 t_p t_q from the record of the pair in ``bp``, the one home of
-the obstruction, and builds its class as a draft (``cyclic._value``);
+the obstruction, when ``bp``'s shape table names the pair (4j, 4k), and
+0 otherwise.  It builds its class as a draft (``cyclic._value``);
 ``structset.del_map`` is its image in Z_{t_{p+q}}.  The composed route,
 the topological obstruction x*y + z applied to the comparison images,
 gives the same class; it lives in ``tests/helpers.py`` as the reference
@@ -29,7 +30,7 @@ the tests compare against.
 
 from __future__ import annotations
 
-from .bp import _residual_split, _t_multiple_of_4, check_pair
+from .bp import _RESIDUAL, _SHAPES, _residual_split, _t_multiple_of_4, check_pair
 from .cyclic import _checked_index, _draft, _exact_int, _slot_writers, _value
 
 __all__ = [
@@ -148,11 +149,11 @@ def theta_diff(
             f"coordinate dimensions must be ({p}, {q}, {p + q}), "
             f"got ({u.dim}, {v.dim}, {w.dim})"
         )
-    # 8 t_p t_q is 0 unless 4 divides p and q, and otherwise the record's
+    # 8 t_p t_q is 0 off the (4j, 4k) shape, and otherwise the record's
     # c, read before t_n so that a cap error names p or q first.  The
     # value is then canonical: it is 0 unless 4 divides n = p + q.
     n = p + q
-    if p % 4 or q % 4:
+    if _SHAPES[p & 3][q & 3] is not _RESIDUAL:
         value = _t_multiple_of_4(n) * w.phi if n % 4 == 0 else 0
     else:
         value = _residual_split(p, q)[0] * u.phi * v.phi + _t_multiple_of_4(n) * w.phi

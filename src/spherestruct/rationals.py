@@ -32,7 +32,8 @@ refuses to convert an int of more than 4300 decimal digits to a string
 (its default ``sys.get_int_max_str_digits()``), and t_3308 has 4281
 digits while t_3312 has 4308.  The cap also bounds the work, whose bit
 cost grows about eightfold per doubling of the index.  A larger index
-raises ``ValueError`` at once instead of failing after the work is done;
+raises ``ValueError`` at once instead of failing after the work is done,
+with the message form of the package's one cap rule, ``cyclic._past_cap``;
 an index below 1 is refused by the package's one range rule,
 ``cyclic._checked_index``, with the message form every index door shares.
 ``_t_multiple_of_4``, the cached Levine order t_{4k} of ``bp``, sits by
@@ -46,7 +47,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from .cyclic import _checked_index
+from .cyclic import _checked_index, _past_cap
 
 __all__ = ["MAX_BERNOULLI_INDEX", "bernoulli", "num_b_over_4k"]
 
@@ -88,10 +89,7 @@ def _check_index(name: str, k: int) -> None:
     if type(k) is not int or k < 1:
         k = _checked_index(name, "k", k, 1)
     if k > MAX_BERNOULLI_INDEX:
-        raise ValueError(
-            f"{name}(k) requires k <= {MAX_BERNOULLI_INDEX} "
-            f"(MAX_BERNOULLI_INDEX), got {k}"
-        )
+        raise _past_cap(name, "k", k, MAX_BERNOULLI_INDEX, " (MAX_BERNOULLI_INDEX)")
 
 
 @lru_cache(maxsize=None, typed=True)
@@ -126,13 +124,12 @@ def _num_b_over_4k(k: int) -> int:
 
 @lru_cache(maxsize=None)
 def _t_multiple_of_4(i: int) -> int:
-    # t for a positive multiple of 4; the cap is checked here.
+    # t for a positive multiple of 4; the cap is checked here.  It holds
+    # for multiples of 4 only: t(i) is 0 past it for every other i.
     k = i // 4
     if k > MAX_BERNOULLI_INDEX:
-        raise ValueError(
-            f"t(i) requires i <= {4 * MAX_BERNOULLI_INDEX} for multiples of 4 "
-            f"(the Bernoulli index cap is {MAX_BERNOULLI_INDEX}), got {i}"
-        )
+        note = f" for multiples of 4 (the Bernoulli index cap is {MAX_BERNOULLI_INDEX})"
+        raise _past_cap("t", "i", i, 4 * MAX_BERNOULLI_INDEX, note)
     if k == 1:
         return 2
     a_k = 2 if k % 2 == 1 else 1

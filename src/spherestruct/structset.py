@@ -16,10 +16,10 @@ subgroup.
 Convention: when p + q is odd the even factor is listed second; inputs
 are normalised to that order and the original order is echoed back.
 
-The Theta-action is free except when the normalised shape is
-(4j-1, 4k).  There the stabiliser of a structure whose even-factor
-invariant has integer coordinate d is the subgroup of bP_{4(j+k)}
-generated by 8 d t_{4j} t_{4k}, so fibre sizes vary with d:
+The Theta-action is free except in the shape {4j-1, 4k}.  There the
+stabiliser of a structure whose even-factor invariant has integer
+coordinate d is the subgroup of bP_{4(j+k)} generated by
+8 d t_{4j} t_{4k}, so fibre sizes vary with d:
 |fibre| = |Theta_{p+q}| / |stabiliser(d)|.  With r the order of the
 residual group of (4j, 4k), the stabiliser has canonical generator
 g * gcd(d, r) and order r / gcd(d, r), so it depends on d only through
@@ -33,7 +33,7 @@ the same record.  The generic stabiliser is the record's <c> itself, so
 a warm call for d coprime to r reads the record and nothing else.
 
 The topological structure set, by contrast, is a group isomorphic to
-L_p x L_q, and the smooth set never is one when the shape is (4j-1, 4k)
+L_p x L_q, and the smooth set never is one when the shape is {4j-1, 4k}
 (stabilisers vary) or (4j, 4k) (the image of the forgetful map to the
 topological set is not a subgroup whenever the residual group is
 nontrivial, which holds in every shipped dimension).
@@ -45,15 +45,17 @@ of a pair, never ``t``, ``residual_group``, ``pairing_coefficient`` or
 ``bp_order``; ``present`` reads its three orders off its table.  The one
 exception is ``StructureSetPresentation.as_dict``, which reads c through
 ``pairing_coefficient``: a value built by keyword has unchecked fields.
-The order rule lives in ``normalize_dims``; only ``present``, whose
-result shows the order, and ``stabilizer`` repeat its swap inline, so
-that a warm ``stabilizer`` enters only itself and ``check_pair``.  The
-verdicts of ``group_structure_possible`` and ``forgetful_fiber`` are
-symmetric in p and q (the record is one per unordered pair), so they
-test the shape on the pair as given: {4j-1, 4k} is p + q = 3 mod 4 with
-a factor divisible by 4.  ``stabilizer`` is the home of the stabiliser
-formula, which ``eta_fiber_size`` reads through its public door on a
-miss of its cache.  Tests pin each inline copy to its home.
+Every shape test reads ``bp``'s table of the three shapes,
+``_SHAPES[p & 3][q & 3]``, which is symmetric: it names the shape of
+the pair in either order.  The order rule lives in ``normalize_dims``,
+and only ``present``, whose result shows the order, repeats its swap
+inline.  Every other answer is symmetric in p and q (the record is one
+per unordered pair), so ``stabilizer``, ``group_structure_possible``
+and ``forgetful_fiber`` read the pair as given, and a warm
+``stabilizer`` enters only itself and ``check_pair``.  ``stabilizer``
+is the home of the stabiliser formula, which ``eta_fiber_size`` reads
+through its public door on a miss of its cache.  Tests pin each inline
+copy to its home.
 
 ``del_map`` and ``eta_fiber_size`` are checked doors over bounded
 ``lru_cache`` cores (1024 entries each), as ``cyclic_group`` is over
@@ -84,6 +86,7 @@ from functools import lru_cache
 from math import gcd
 
 from . import bp, tables
+from .bp import _RESIDUAL, _SHAPES, _STABILIZER
 from .cyclic import (
     CyclicElement,
     CyclicGroup,
@@ -261,14 +264,13 @@ def present(
     x.theta_group = table.theta_order(n)
     x.bp_next = table.bp_order(n + 1)
     x.normal_invariants = (table.pi_go(np_), table.pi_go(nq))
-    x.residual = bp._TRIVIAL
+    shape = _SHAPES[np_ & 3][nq & 3]
+    x.residual = bp._residual_split(np_, nq)[2] if shape is _RESIDUAL else bp._TRIVIAL
     x.action_case = ACTION_FREE
     x.stabilizer_coefficient = None
-    if np_ % 4 == 3 and nq % 4 == 0:  # (4j-1, 4k)
+    if shape is _STABILIZER:  # (4j-1, 4k), the odd factor first
         x.action_case = ACTION_STABILIZER
         x.stabilizer_coefficient = bp._residual_split(np_ + 1, nq)[0]
-    elif np_ % 4 == 0 and nq % 4 == 0:  # (4j, 4k)
-        x.residual = bp._residual_split(np_, nq)[2]
     x.__class__ = StructureSetPresentation
     return x
 
@@ -293,10 +295,10 @@ def del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
 # their doors have checked; bounded because the invariants are arbitrary.
 @lru_cache(maxsize=1024)
 def _del_map(p: int, q: int, phi_u: int, phi_v: int) -> CyclicElement:
-    # 8 t_p t_q is 0 unless 4 divides p and q, and then the record of
+    # 8 t_p t_q is 0 off the (4j, 4k) shape, and there the record of
     # (p, q) holds it as c, and the target Z_n, n = t_{p+q}, as the
     # ambient of <c>.
-    if p % 4 or q % 4:
+    if _SHAPES[p & 3][q & 3] is not _RESIDUAL:
         n = p + q
         return _element(_cyclic_group(bp._t_multiple_of_4(n) if n % 4 == 0 else 1), 0)
     try:
@@ -312,26 +314,25 @@ def stabilizer(p: int, q: int, d: int) -> CyclicSubgroup:
     """Stabiliser in bP_{p+q+1} of a structure with even-factor integer
     coordinate d.
 
-    In the (4j-1, 4k) shape this is the subgroup generated by
-    8 d t_{4j} t_{4k}; every other shape has a free action and gets the
-    trivial subgroup (with ambient bP_{p+q+1} when its order follows from
-    the formulas, the trivial group otherwise).
+    In the {4j-1, 4k} shape, in either order, this is the subgroup
+    generated by 8 d t_{4j} t_{4k}; every other shape has a free action
+    and gets the trivial subgroup (with ambient bP_{p+q+1} when its order
+    follows from the formulas, the trivial group otherwise).
     """
     if type(d) is not int:
         d = _exact_int("d", d)
     bp.check_pair(p, q)
-    # The swap of normalize_dims, inlined: a warm call enters two frames.
-    # The ambient Z_n, n = t_m, is read from t's cache before the record,
-    # so past the cap it raises the error naming m, as ``t(m)`` would.
-    # With (c, g, Z_r, <c>) the record of (p + 1, q), c = 8 t_{p+1} t_q and
-    # g = gcd(c, n), the generator d * c of Z_n reduces to g * h with
+    # The answer does not depend on the order of the pair, so a warm call
+    # enters two frames.  The ambient Z_n, n = t_m, is read from t's cache
+    # before the record, so past the cap it raises the error naming m, as
+    # ``t(m)`` would.  The record (c, g, Z_r, <c>) is that of the pair
+    # with its odd factor raised by one, so c = 8 t_{4j} t_{4k} and
+    # g = gcd(c, n); the generator d * c of Z_n reduces to g * h with
     # h = gcd(d, r): for h = 1, the generic d, it is the record's <c>.
-    if p % 2 == 0 and q % 2 == 1:
-        p, q = q, p
     m = p + q + 1
     n = bp._t_multiple_of_4(m) if m % 4 == 0 else 1
-    if p % 4 == 3 and q % 4 == 0:
-        _, g, residual, generic = bp._residual_split(p + 1, q)
+    if _SHAPES[p & 3][q & 3] is _STABILIZER:
+        _, g, residual, generic = bp._residual_split(p + (p & 1), q + (q & 1))
         h = gcd(d, residual.order)
         return generic if h == 1 else _subgroup(n, g * h)
     return _subgroup(n, n)  # the trivial subgroup <0> = <n> of Z_n
@@ -427,11 +428,10 @@ def group_structure_possible(p: int, q: int) -> GroupStructureVerdict:
     with varying stabilisers, {4j, 4k} fails when the residual group is
     nontrivial, everything else succeeds."""
     bp.check_pair(p, q)
-    if (p + q) % 4 == 3 and (p % 4 == 0 or q % 4 == 0):  # {4j-1, 4k}
-        return _VARYING_STABILIZERS
-    if p % 4 == 0 and q % 4 == 0 and bp._residual_split(p, q)[2].order > 1:
-        return _NOT_A_SUBGROUP
-    return _POSSIBLE
+    shape = _SHAPES[p & 3][q & 3]
+    if shape is _RESIDUAL:
+        return _NOT_A_SUBGROUP if bp._residual_split(p, q)[2].order > 1 else _POSSIBLE
+    return _VARYING_STABILIZERS if shape is _STABILIZER else _POSSIBLE
 
 
 def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:

@@ -92,16 +92,16 @@ def test_each_module_imports_only_the_layers_below_it():
     assert wrong == []
 
 
-def _scoped_calls(tree, scope=""):
-    # (dotted scope, call) for each call in a module, where the scope names
-    # the functions and classes that enclose it.
+def _scoped_nodes(tree, kind=ast.Call, scope=""):
+    # (dotted scope, node) for each node of the kind in a module, where the
+    # scope names the functions and classes that enclose it.
     for child in ast.iter_child_nodes(tree):
         inner = scope
         if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
             inner = f"{scope}.{child.name}" if scope else child.name
-        elif isinstance(child, ast.Call):
+        elif isinstance(child, kind):
             yield scope, child
-        yield from _scoped_calls(child, inner)
+        yield from _scoped_nodes(child, kind, inner)
 
 
 def test_each_argument_rule_has_one_home():
@@ -126,7 +126,7 @@ def test_each_argument_rule_has_one_home():
     int_tests = sorted(
         f"{name}.{scope}"
         for name, tree in trees.items()
-        for scope, call in _scoped_calls(tree)
+        for scope, call in _scoped_nodes(tree)
         if getattr(call.func, "id", None) == "isinstance"
         and any(getattr(node, "id", None) == "int" for node in ast.walk(call.args[1]))
     )
@@ -157,30 +157,65 @@ def test_each_argument_rule_has_one_home():
     # One table check.
     text = "table must be a GroupTable"
     assert sum(source.count(text) for source in sources.values()) == 1
-    # One range rule, cyclic._checked_index, behind every index door; no
-    # door spells out its own message (the caps of t and bernoulli, which
-    # say "<=", are not range floors).
-    template = "requires {name} >= {least}"
-    homes = {name: source.count(template) for name, source in sources.items()}
-    assert {name: count for name, count in homes.items() if count} == {"cyclic": 1}
-    (rule,) = [
-        node for node in trees["cyclic"].body
-        if isinstance(node, ast.FunctionDef) and node.name == "_checked_index"
-    ]
-    assert template in ast.get_source_segment(sources["cyclic"], rule)
+    # One range rule, cyclic._checked_index, behind every index door, and
+    # one cap rule, cyclic._past_cap, behind the caps of t and bernoulli;
+    # no door spells out its own message.
+    for template, home in (
+        ("requires {name} >= {least}", "_checked_index"),
+        ("requires {name} <= {most}", "_past_cap"),
+    ):
+        homes = {name: source.count(template) for name, source in sources.items()}
+        assert {name: count for name, count in homes.items() if count} == {"cyclic": 1}
+        (rule,) = [
+            node for node in trees["cyclic"].body
+            if isinstance(node, ast.FunctionDef) and node.name == home
+        ]
+        assert template in ast.get_source_segment(sources["cyclic"], rule)
     for text in (
-        "t(i) requires i >=", "bp_order(m) requires", "theta_order(n) requires",
-        "pi_go(n) requires", "l_group(i) requires", "(k) requires k >= 1",
+        "t(i) requires", "bp_order(m) requires", "theta_order(n) requires",
+        "pi_go(n) requires", "l_group(i) requires", "(k) requires k",
     ):
         assert not [name for name in sources if text in sources[name]], text
     table_tests = sorted(
         f"{name}.{scope}"
         for name, tree in trees.items()
-        for scope, call in _scoped_calls(tree)
+        for scope, call in _scoped_nodes(tree)
         if getattr(call.func, "id", None) == "isinstance"
         and getattr(call.args[1], "id", None) == "GroupTable"
     )
     assert table_tests == ["tables._checked_table"]
+
+
+def test_the_shape_of_a_pair_has_one_home():
+    # bp._SHAPES decides the shape of a pair: no module takes a pair
+    # argument mod 4 (the ambient n % 4 and m % 4 are not shapes), every
+    # ``& 3`` of one is a subscript of the table, and the table is read
+    # by name.  Only normalize_dims and present, whose result shows the
+    # order, test which factor is odd.
+    package = Path(spherestruct.__file__).resolve().parent
+    pair = {"p", "q", "np_", "nq", "a", "b"}
+    wrong, parity = [], set()
+    for name in ("bp", "ltheory", "structset"):
+        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+        indices = {
+            id(node.slice) for node in ast.walk(tree)
+            if isinstance(node, ast.Subscript) and "_SHAPES" in ast.unparse(node.value)
+        }
+        for scope, node in _scoped_nodes(tree, ast.BinOp):
+            names = {leaf.id for leaf in ast.walk(node.left) if isinstance(leaf, ast.Name)}
+            if not (names & pair and isinstance(node.right, ast.Constant)):
+                continue
+            test = (type(node.op), node.right.value)
+            if test == (ast.Mod, 4) or test == (ast.BitAnd, 3) and id(node) not in indices:
+                wrong.append(f"{name}.{scope}: {ast.unparse(node)}")
+            elif test == (ast.Mod, 2):
+                parity.add(f"{name}.{scope}")
+        wrong += [
+            f"{name}: {ast.unparse(node)}" for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute) and node.attr == "_SHAPES"
+        ]
+    assert wrong == []
+    assert parity == {"structset.normalize_dims", "structset.present"}
 
 
 @pytest.mark.parametrize("module", ["json", "dataclasses", "inspect"])

@@ -376,6 +376,28 @@ def test_a_cold_shared_value_is_built_raw_in_its_cache_core():
     ]
 
 
+def test_the_shape_table_names_the_three_shapes_in_either_order():
+    # The residues of p and q mod 4 decide the shape, so these 16 pairs of
+    # residues are every case: {4j-1, 4k} has stabilisers that vary with
+    # d, (4j, 4k) a residual group, and every other pair a free action.
+    assert len({bp._FREE, bp._STABILIZER, bp._RESIDUAL}) == 3
+    assert [len(row) for row in bp._SHAPES] == [4, 4, 4, 4]
+    for a, b in product(range(4), repeat=2):
+        if (a + b) % 4 == 3 and 0 in (a, b):
+            shape = bp._STABILIZER
+        elif a == b == 0:
+            shape = bp._RESIDUAL
+        else:
+            shape = bp._FREE
+        assert bp._SHAPES[a][b] is bp._SHAPES[b][a] is shape, (a, b)
+        # The answers agree, for a pair of these residues in either order.
+        for p, q in ((a + 4, b + 8), (b + 8, a + 4)):
+            assert (pairing_coefficient(p, q) != 0) == (shape is bp._RESIDUAL), (p, q)
+            assert (present(p, q).action_case == structset.ACTION_STABILIZER) == (
+                shape is bp._STABILIZER
+            ), (p, q)
+
+
 def test_a_warm_residual_group_enters_two_python_functions():
     assert entered(lambda: residual_group(40, 44)) == ["residual_group", "check_pair"]
 
@@ -383,8 +405,8 @@ def test_a_warm_residual_group_enters_two_python_functions():
 @pytest.mark.parametrize("p, q", [(23, 24), (24, 23), (22, 24)])
 def test_a_warm_stabilizer_enters_two_python_functions(p, q):
     # The stabiliser shape, the same pair swapped, and a free shape: the
-    # door inlines the swap of normalize_dims, and reads t_m off the
-    # record of the pair.
+    # door reads the shape table in either order, and t_m and the record
+    # of the pair off their caches.
     assert entered(lambda: stabilizer(p, q, 5)) == ["stabilizer", "check_pair"]
 
 

@@ -178,18 +178,26 @@ def test_domain_errors_exit_1(capsys):
 
 
 def test_indices_above_the_bernoulli_cap_exit_1_at_once(capsys):
+    # Both caps speak through the one cap rule, cyclic._past_cap; t's
+    # names multiples of 4, since t(i) answers 0 past it for every other i.
     cap = MAX_BERNOULLI_INDEX
-    for argv in (
-        ["t", "100000"],
-        ["bernoulli", str(cap + 1)],
-        ["bp-order", str(4 * cap + 4)],
+    t_cap = (
+        f"t(i) requires i <= {4 * cap} for multiples of 4 "
+        f"(the Bernoulli index cap is {cap})"
+    )
+    for argv, message in (
+        (["t", "100000"], f"{t_cap}, got 100000"),
+        (["bernoulli", str(cap + 1)],
+         f"bernoulli(k) requires k <= {cap} (MAX_BERNOULLI_INDEX), got {cap + 1}"),
+        (["bp-order", str(4 * cap + 4)], f"{t_cap}, got {4 * cap + 4}"),
     ):
         start = time.perf_counter()
         code, out, err = run(capsys, argv)
         assert time.perf_counter() - start < 0.5, argv
         assert code == 1, argv
-        assert str(cap) in err or str(4 * cap) in err, argv
+        assert err == f"error: {message}\n", argv
         assert out == ""
+    assert run(capsys, ["t", str(4 * cap + 1)])[1] == f"t_{4 * cap + 1} = 0\n"
 
 
 def test_off_degree_pairs_past_the_cap_answer(capsys):
@@ -250,6 +258,42 @@ def test_usage_errors_exit_2(capsys):
     ):
         code, out, err = run(capsys, argv)
         assert code == 2, argv
+
+
+@pytest.mark.parametrize(
+    "argv, shown",
+    [
+        (["t", "1_6"], "'1_6'"),
+        (["t", "+16"], "'+16'"),
+        (["t", " 16 "], "' 16 '"),
+        (["t", "\u0663\u0662"], "'\u0663\u0662'"),  # Arabic-Indic 32
+        (["stabilizer", "3", "4", "--d", "\u0667"], "'\u0667'"),  # Arabic-Indic 7
+        (["stabilizer", "3", "4", "--d", "+5"], "'+5'"),
+        (["t", "--", "--16"], "'--16'"),
+        (["t", "9" * 4400], "<integer of 4400 digits>"),
+        (["t", "--", "-" + "9" * 4400], "-<integer of 4400 digits>"),
+    ],
+    ids=["underscore", "plus", "spaces", "arabic-indic", "arabic-indic-d", "plus-d",
+         "two-minus", "long", "long-negative"],
+)
+def test_an_integer_argument_is_an_optional_minus_and_ascii_digits(capsys, argv, shown):
+    # argv's integers follow the table file's grammar, and an error shows
+    # a long number by its digit count instead of echoing every digit.
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert err.endswith(f"invalid int value: {shown}\n")
+    assert len(err) < 300
+
+
+def test_plain_decimal_arguments_parse_as_before(capsys):
+    for argv, line in (
+        (["stabilizer", "3", "4", "--d", "-5"], "stabiliser(d = -5) = <4> in Z_28 (order 7)"),
+        (["t", "0016"], "t_16 = 8128"),
+        (["classify-s4s4", "--plumbing", "-1", "2"], "plumbing W_(-1,2): "),
+    ):
+        code, out, err = run(capsys, argv)
+        assert (code, err) == (0, ""), argv
+        assert out.startswith(line), argv
 
 
 @pytest.mark.parametrize(

@@ -496,8 +496,9 @@ def _presentation_from_cores(p, q):
 @example(4, 3, 0, False)
 @example(22, 24, 5, True)
 def test_the_doors_agree_with_normalize_dims_and_the_cores(p, q, d, swap):
-    # present and stabilizer repeat the swap of normalize_dims inline;
-    # each must answer as on the normalised pair.  eta_fiber_size reads
+    # present repeats the swap of normalize_dims inline, and stabilizer
+    # reads the pair as given through the symmetric shape table; each
+    # must answer as on the normalised pair.  eta_fiber_size reads
     # stabilizer with the pair as given.
     assume(p + q >= 5)
     if swap:

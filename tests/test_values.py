@@ -644,6 +644,15 @@ def test_arithmetic_with_a_foreign_operand_is_unsupported(value, symbol, other):
             operate(a, b)
 
 
+@pytest.mark.parametrize("other", [3, 1.5, None, BP8], ids=["int", "float", "None", "group"])
+def test_membership_of_a_foreign_argument_is_refused(other):
+    # Refused with a TypeError that names the argument, as the operators
+    # refuse a foreign operand, not by failing on its fields.
+    message = f"x must be a CyclicElement, got {type(other).__name__}"
+    with pytest.raises(TypeError, match=f"^{message}$"):
+        subgroup_generated(28, 4).contains(other)
+
+
 # The ten shapes of the theta_diff ops of the classify-grid benchmark.
 _THETA_DIFF_SHAPES = [(4, 4), (4, 8), (8, 4), (8, 8), (3, 4), (4, 3),
                       (2, 6), (6, 2), (4, 6), (5, 7)]
