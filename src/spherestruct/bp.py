@@ -27,7 +27,7 @@ subgroup <c> = <g> of Z_n, of order r, as the shared
 ``cyclic._subgroup(n, g)`` value.  ``_residual_split`` caches one record
 per unordered pair, because all four are symmetric in p and q: (4k, 4j)
 reuses the record of (4j, 4k), with no second gcd.  It is the only home
-of these numbers: ``pairing_coefficient`` and ``ltheory.theta_diff``
+of these numbers: ``pairing_coefficient`` and ``ltheory._theta_diff``
 read c, ``residual_group`` and ``image_f_residual`` hand out Z_r, and
 ``structset`` reads the record for every stabiliser of the (4j-1, 4k)
 shape (the subgroup <d * c> of Z_n has canonical generator
@@ -70,6 +70,7 @@ from .cyclic import (
     _checked_index,
     _exact_int,
     _group,
+    _shown,
     _subgroup,
     cyclic_group,
 )
@@ -120,7 +121,8 @@ def check_pair(p: int, q: int) -> None:
         p, q = _exact_int("p", p), _exact_int("q", q)
     if p < 2 or q < 2 or p + q < 5:
         raise ValueError(
-            f"sphere factors need p, q >= 2 with p + q >= 5, got ({p}, {q})"
+            "sphere factors need p, q >= 2 with p + q >= 5, "
+            f"got ({_shown(p)}, {_shown(q)})"
         )
 
 
@@ -200,6 +202,7 @@ def image_f_residual(p: int, q: int) -> CyclicGroup:
         p, q = _exact_int("p", p), _exact_int("q", q)
     if _SHAPES[p & 3][q & 3] is not _RESIDUAL or p < 4 or q < 4:
         raise ValueError(
-            f"image_f_residual expects dimensions (4j, 4k), got ({p}, {q})"
+            "image_f_residual expects dimensions (4j, 4k), "
+            f"got ({_shown(p)}, {_shown(q)})"
         )
     return _residual_split(p, q)[2]

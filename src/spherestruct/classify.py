@@ -46,6 +46,11 @@ membership of the difference.
 core (``structset._del_map``, 1024 entries) at (4, 4, -u, v), so the two
 doors share one cache, and a warm call is one cache read that hands out
 the shared element: plumbing_boundary_class(u, v) is del_map(4, 4, -u, v).
+
+``s4s4_diffeomorphic`` compares the twists first, one comparison that
+settles every pair with different twists, and only then asks
+``s4s4_almost_diffeomorphic``, the one home of the almost-diffeomorphism
+test.
 """
 
 from __future__ import annotations
@@ -55,6 +60,7 @@ from .cyclic import (
     CyclicElement,
     CyclicSubgroup,
     _exact_int,
+    _shown,
     _slot_writers,
     _value,
     cyclic_group,
@@ -188,8 +194,9 @@ class S4S4Manifold:
             u, v, phi = _exact_int("u", u), _exact_int("v", v), _exact_int("phi", phi)
         if (u * v) % _S4S4_RESIDUAL != 0:
             raise ValueError(
-                f"no closed manifold for (u, v) = ({u}, {v}): the plumbing "
-                f"boundary is an exotic sphere unless {_S4S4_RESIDUAL} divides u*v"
+                f"no closed manifold for (u, v) = ({_shown(u)}, {_shown(v)}): "
+                "the plumbing boundary is an exotic sphere unless "
+                f"{_S4S4_RESIDUAL} divides u*v"
             )
         _set_u(self, u)
         _set_s4s4_v(self, v)
@@ -212,5 +219,5 @@ def s4s4_almost_diffeomorphic(a: S4S4Manifold, b: S4S4Manifold) -> bool:
 
 
 def s4s4_diffeomorphic(a: S4S4Manifold, b: S4S4Manifold) -> bool:
-    """Diffeomorphic: almost diffeomorphic with matching twist."""
-    return s4s4_almost_diffeomorphic(a, b) and a.phi == b.phi
+    """Diffeomorphic: matching twist and almost diffeomorphic."""
+    return a.phi == b.phi and s4s4_almost_diffeomorphic(a, b)

@@ -10,7 +10,7 @@ built-in table.
 Integer arguments follow the table file's grammar (``tables._decimal``):
 an optional ``-`` and then ASCII digits, so ``+16``, ``1_6``, `` 16 ``
 and non-ASCII digits are usage errors, and an error shows a long number
-by its digit count (``tables._shown``).
+by its digit count (``cyclic._shown``).
 
 Exit status: 0 on success, 1 on domain errors (a precondition violated by
 otherwise well-formed arguments, a malformed table file, or an index
@@ -38,6 +38,7 @@ from .classify import (
     s4s4_diffeomorphic,
     wall_triple_of_plumbing,
 )
+from .cyclic import _shown, _shown_repr
 from .rationals import bernoulli
 from .structset import (
     eta_fiber_size,
@@ -47,8 +48,7 @@ from .structset import (
     top_structure_set,
 )
 from .tables import (
-    GroupTable, KnownGroup, TableError, TableReadError, _decimal, _shown, _shown_repr,
-    load_table,
+    GroupTable, KnownGroup, TableError, TableReadError, _decimal, load_table,
 )
 
 PROG = "spherestruct"

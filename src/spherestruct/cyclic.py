@@ -12,7 +12,13 @@ shares: ``_exact_int`` for an integer, ``_checked_index`` for an
 index's least value, whose one message form is
 ``<door>(<arg>) requires <arg> >= <least>, got <value>``, and
 ``_past_cap`` for an index above a cap, whose one form is
-``<door>(<arg>) requires <arg> <= <most><note>, got <value>``.
+``<door>(<arg>) requires <arg> <= <most><note>, got <value>``.  Beside
+them is the one display rule for a caller's value in a message:
+``_shown`` prints a number of up to ``_SHOWN_DIGITS`` (100) digits in
+full and names a longer one by its digit count, and ``_shown_repr``
+does the same for a ``repr``, so no message can be flooded by its
+argument.  Both rules above and every message of a later layer that
+prints a caller's integer go through ``_shown``.
 """
 
 from __future__ import annotations
@@ -60,8 +66,8 @@ def _value(cls: type) -> type:
     this way, each behind a door that has checked the fields: ``_group``
     and ``_subgroup`` (cache cores), ``_element`` (for element arithmetic
     and the cache core ``structset._del_map``), ``tables._known_group``
-    (for the cache cores ``_finite`` and ``_z_times_finite``),
-    ``ltheory.theta_diff`` and ``structset.present``.
+    (for the cache cores ``_finite`` and ``_z_times_finite``), the cache
+    core ``ltheory._theta_diff`` and ``structset.present``.
     CPython allows the retype only between classes with the same slots
     and the same base, so a value class gets no base class."""
     names = cls.__slots__
@@ -137,20 +143,48 @@ def _exact_int(name: str, value: object) -> int:
     return int(value)
 
 
+# Error messages show a number of up to this many digits, and name a longer
+# one by its digit count, so a caller's argument cannot flood the message.
+_SHOWN_DIGITS = 100
+
+
+def _shown(number: int | str) -> str:
+    # ``number`` is an int or a string of ASCII digits.
+    text = str(number)
+    digits = len(text.lstrip("-"))
+    if digits <= _SHOWN_DIGITS:
+        return text
+    sign = "-" if text.startswith("-") else ""
+    return f"{sign}<integer of {digits} digits>"
+
+
+def _shown_repr(value: object) -> str:
+    # repr(value), or its type and length when that is longer than a number
+    # ``_shown`` would print.
+    text = repr(value)
+    if len(text) <= _SHOWN_DIGITS:
+        return text
+    return f"<{type(value).__name__} of {len(text)} characters>"
+
+
 def _checked_index(door: str, name: str, value: object, least: int) -> int:
     # The package's one range rule, the slow branch behind every index
     # door's ``type(value) is not int or value < least``: the integer
     # rule, then one message form for an index below its least value.
     value = _exact_int(name, value)
     if value < least:
-        raise ValueError(f"{door}({name}) requires {name} >= {least}, got {value}")
+        raise ValueError(
+            f"{door}({name}) requires {name} >= {least}, got {_shown(value)}"
+        )
     return value
 
 
 def _past_cap(door: str, name: str, value: int, most: int, note: str) -> ValueError:
     # The package's one cap rule, the error behind every capped door's
     # ``value > most``; ``note`` says which cap it is.
-    return ValueError(f"{door}({name}) requires {name} <= {most}{note}, got {value}")
+    return ValueError(
+        f"{door}({name}) requires {name} <= {most}{note}, got {_shown(value)}"
+    )
 
 
 @_value
@@ -178,7 +212,7 @@ def _checked_order(n: object) -> int:
     if type(n) is not int:
         n = _exact_int("order", n)
     if n < 1:
-        raise ValueError(f"cyclic group order must be >= 1, got {n}")
+        raise ValueError(f"cyclic group order must be >= 1, got {_shown(n)}")
     return n
 
 

@@ -18,20 +18,31 @@ package's scope).  The surgery obstruction of a smooth normal invariant
 
     theta_diff(u, v, w) = 8 t_p t_q phi_u phi_v + t_{p+q} phi_w.
 
-``theta_diff`` evaluates this formula directly, after its own checks,
-taking 8 t_p t_q from the record of the pair in ``bp``, the one home of
-the obstruction, when ``bp``'s shape table names the pair (4j, 4k), and
-0 otherwise.  It builds its class as a draft (``cyclic._value``);
-``structset.del_map`` is its image in Z_{t_{p+q}}.  The composed route,
-the topological obstruction x*y + z applied to the comparison images,
-gives the same class; it lives in ``tests/helpers.py`` as the reference
-the tests compare against.
+``theta_diff`` is a checked door over a bounded ``lru_cache`` core, as
+``structset.del_map`` is over ``_del_map``: the door runs every check
+first (the inline pair test of ``bp.check_pair``, then that u, v and w
+are ``NormalClassDiff`` values, then their dimensions), and calls
+``_theta_diff`` (1024 entries) with the pair and the three integer
+coordinates.  The type test keeps the cache's keys plain ints: an
+object that merely has ``dim`` and ``phi`` attributes, with a float phi,
+would key like the int it equals.  So a warm call is one cache read
+that hands out a shared frozen value
+(``theta_diff(p, q, u, v, w) is theta_diff(p, q, u, v, w)``).  The core
+evaluates the formula, taking 8 t_p t_q from the record of the pair in
+``bp``, the one home of the obstruction, when ``bp``'s shape table names
+the pair (4j, 4k), and 0 otherwise, and builds its class as a draft
+(``cyclic._value``); ``structset.del_map`` is its image in
+Z_{t_{p+q}}.  The composed route, the topological obstruction x*y + z
+applied to the comparison images, gives the same class; it lives in
+``tests/helpers.py`` as the reference the tests compare against.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .bp import _RESIDUAL, _SHAPES, _residual_split, _t_multiple_of_4, check_pair
-from .cyclic import _checked_index, _draft, _exact_int, _slot_writers, _value
+from .cyclic import _checked_index, _draft, _exact_int, _shown, _slot_writers, _value
 
 __all__ = [
     "LGroupKind",
@@ -139,24 +150,43 @@ def theta_diff(
     p: int, q: int, u: NormalClassDiff, v: NormalClassDiff, w: NormalClassDiff
 ) -> LClass:
     """Surgery obstruction 8 t_p t_q phi_u phi_v + t_{p+q} phi_w of a
-    smooth normal invariant (u, v, w) of S^p x S^q."""
+    smooth normal invariant (u, v, w) of S^p x S^q.  The answer is a
+    shared value, cached per pair and coordinates."""
     # The test of check_pair, inlined for the common case: anything it
     # would reject, a bool too, goes to it for its error.
     if not (type(p) is int and type(q) is int and p >= 2 and q >= 2 and p + q >= 5):
         check_pair(p, q)
+    if not (type(u) is type(v) is type(w) is NormalClassDiff):
+        _check_coordinates(u, v, w)
     if u.dim != p or v.dim != q or w.dim != p + q:
         raise ValueError(
-            f"coordinate dimensions must be ({p}, {q}, {p + q}), "
-            f"got ({u.dim}, {v.dim}, {w.dim})"
+            f"coordinate dimensions must be ({_shown(p)}, {_shown(q)}, "
+            f"{_shown(p + q)}), got ({_shown(u.dim)}, {_shown(v.dim)}, "
+            f"{_shown(w.dim)})"
         )
+    return _theta_diff(p, q, u.phi, v.phi, w.phi)
+
+
+def _check_coordinates(u: object, v: object, w: object) -> None:
+    # The slow branch behind theta_diff's type test: the first of u, v
+    # and w that is not a NormalClassDiff is named.
+    for name, x in (("u", u), ("v", v), ("w", w)):
+        if type(x) is not NormalClassDiff:
+            raise TypeError(f"{name} must be a NormalClassDiff, got {type(x).__name__}")
+
+
+# The core of theta_diff, for the ints its door has checked; bounded, as
+# structset._del_map is, because the coordinates are arbitrary.
+@lru_cache(maxsize=1024)
+def _theta_diff(p: int, q: int, phi_u: int, phi_v: int, phi_w: int) -> LClass:
     # 8 t_p t_q is 0 off the (4j, 4k) shape, and otherwise the record's
     # c, read before t_n so that a cap error names p or q first.  The
     # value is then canonical: it is 0 unless 4 divides n = p + q.
     n = p + q
     if _SHAPES[p & 3][q & 3] is not _RESIDUAL:
-        value = _t_multiple_of_4(n) * w.phi if n % 4 == 0 else 0
+        value = _t_multiple_of_4(n) * phi_w if n % 4 == 0 else 0
     else:
-        value = _residual_split(p, q)[0] * u.phi * v.phi + _t_multiple_of_4(n) * w.phi
+        value = _residual_split(p, q)[0] * phi_u * phi_v + _t_multiple_of_4(n) * phi_w
     x = _LClassDraft()
     x.dim = n
     x.value = value

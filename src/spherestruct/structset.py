@@ -59,12 +59,13 @@ copy to its home.
 
 ``del_map`` and ``eta_fiber_size`` are checked doors over bounded
 ``lru_cache`` cores (1024 entries each), as ``cyclic_group`` is over
-``_cyclic_group``: a core's cache must never see an unchecked argument.
-Each door runs every check first, with the inline pair test of
-``ltheory.theta_diff``, turns a bool invariant into its int, and calls
-its core with plain ints, so a warm call is one cache read and hands out a
-shared frozen value (``del_map(4, 4, 1, 2) is del_map(4, 4, 1, 2)``).
-``_del_map`` also serves ``classify.plumbing_boundary_class``.
+``_cyclic_group`` and ``ltheory.theta_diff`` over ``_theta_diff``: a
+core's cache must never see an unchecked argument.  Each door runs every
+check first, with the inline pair test of ``ltheory.theta_diff``, turns
+a bool invariant into its int, and calls its core with plain ints, so a
+warm call is one cache read and hands out a shared frozen value
+(``del_map(4, 4, 1, 2) is del_map(4, 4, 1, 2)``).  ``_del_map`` also
+serves ``classify.plumbing_boundary_class``.
 ``_eta_fiber_size`` caches only the built-in table's answers (``table``
 None), because that table never changes; an explicit table, override or
 built-in, is read on every call by the same body, uncached, so no
@@ -95,6 +96,7 @@ from .cyclic import (
     _draft,
     _element,
     _exact_int,
+    _shown,
     _subgroup,
     _value,
 )
@@ -448,12 +450,14 @@ def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
     bp.check_pair(p, q)
     if (p, q) not in ((3, 4), (4, 3)):
         raise ValueError(
-            f"forgetful_fiber currently handles only S^3 x S^4, got ({p}, {q})"
+            "forgetful_fiber currently handles only S^3 x S^4, "
+            f"got ({_shown(p)}, {_shown(q)})"
         )
     t_4 = bp._t_multiple_of_4(4)
     if top_invariant % t_4 != 0:
         raise ValueError(
-            f"topological normal invariant {top_invariant} is odd, hence not "
-            "in the image of the smooth structure set (even invariants only)"
+            f"topological normal invariant {_shown(top_invariant)} is odd, "
+            "hence not in the image of the smooth structure set "
+            "(even invariants only)"
         )
     return eta_fiber_size(p, q, top_invariant // t_4)

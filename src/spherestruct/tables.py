@@ -50,7 +50,9 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
-from .cyclic import _checked_index, _draft, _exact_int, _slot_writers, _value
+from .cyclic import (
+    _checked_index, _draft, _exact_int, _shown, _shown_repr, _slot_writers, _value,
+)
 from .rationals import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
 __all__ = [
@@ -168,7 +170,7 @@ def _checked_order(kind: str, name: str, order: object) -> int:
         order = _exact_int(name, order)
     if order < 1:
         what = "finite group order" if kind == "finite" else "torsion order"
-        raise ValueError(f"{what} must be >= 1, got {order}")
+        raise ValueError(f"{what} must be >= 1, got {_shown(order)}")
     return order
 
 
@@ -372,30 +374,6 @@ def _json_int(text: str) -> int | _LongInt:
 
 def _too_long(what: str, digits: int) -> TableError:
     return TableError(f"{what} has {digits} digits, more than int() converts")
-
-
-# Error messages show a number of up to this many digits, and name a longer
-# one by its digit count, so a bad entry cannot flood the message.
-_SHOWN_DIGITS = 100
-
-
-def _shown(number: int | str) -> str:
-    # ``number`` is an int or a string of ASCII digits.
-    text = str(number)
-    digits = len(text.lstrip("-"))
-    if digits <= _SHOWN_DIGITS:
-        return text
-    sign = "-" if text.startswith("-") else ""
-    return f"{sign}<integer of {digits} digits>"
-
-
-def _shown_repr(value: object) -> str:
-    # repr(value), or its type and length when that is longer than a number
-    # ``_shown`` would print.
-    text = repr(value)
-    if len(text) <= _SHOWN_DIGITS:
-        return text
-    return f"<{type(value).__name__} of {len(text)} characters>"
 
 
 def _decimal(text: str, what: str) -> int | None:

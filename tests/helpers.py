@@ -10,16 +10,19 @@ maps (the L-group product ``pairing``, the topological obstruction
 boundary class from its Wall triple, and the classifier relations from
 enumerated subgroups and unordered pairs.  ``entered_codes`` records the
 Python functions a call enters, for the tests that pin a warm call's
-frames.
+frames, and ``package_caches`` finds every cache of the package.
 """
 
 from __future__ import annotations
 
 import gc
+import importlib
+import pkgutil
 import sys
 from fractions import Fraction
 from math import comb, gcd
 
+import spherestruct
 from spherestruct import (
     NormalClassDiff,
     bernoulli,
@@ -258,3 +261,24 @@ def entered_codes(call, warm=True):
 def entered(call):
     # Names of the Python functions a warm call enters, in order.
     return [code.co_name for code in entered_codes(call)[1:]]  # without the lambda
+
+
+def package_caches() -> list:
+    # Every cache of the package, each once, found by its cache_clear in
+    # every module, so that a core added later is found too.
+    modules = [
+        importlib.import_module(f"spherestruct.{info.name}")
+        for info in pkgutil.iter_modules(spherestruct.__path__)
+    ]
+    return list({
+        id(obj): obj
+        for module in modules
+        for obj in vars(module).values()
+        if callable(getattr(obj, "cache_clear", None))
+    }.values())
+
+
+def core_caches() -> list:
+    # The caches of the private cores: every cache but that of the door
+    # ``bernoulli``, which counts a refused call as a miss.
+    return [cache for cache in package_caches() if cache.__name__.startswith("_")]

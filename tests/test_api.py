@@ -171,6 +171,46 @@ def test_each_argument_rule_has_one_home():
             if isinstance(node, ast.FunctionDef) and node.name == home
         ]
         assert template in ast.get_source_segment(sources["cyclic"], rule)
+    # One display rule, cyclic._shown (with _shown_repr beside it), for a
+    # caller's value in a message: no other module defines one or its
+    # bound, its "<integer of" form is spelled only there and in the
+    # repr of tables._LongInt, a JSON number that int() could not convert
+    # and so holds no int to show, and each message that prints a
+    # caller's integer formats it only through _shown.
+    displays = sorted(
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_shown")
+    )
+    assert displays == ["cyclic._shown", "cyclic._shown_repr"]
+    assert [name for name in sources if "_SHOWN_DIGITS =" in sources[name]] == ["cyclic"]
+    forms = {name: source.count("<integer of") for name, source in sources.items()}
+    assert {name: count for name, count in forms.items() if count} == {
+        "cyclic": 1, "tables": 1,
+    }
+    shown = {
+        "cyclic._checked_index": {"value"}, "cyclic._past_cap": {"value"},
+        "cyclic._checked_order": {"n"}, "tables._checked_order": {"order"},
+        "bp.check_pair": {"p", "q"}, "bp.image_f_residual": {"p", "q"},
+        "structset.forgetful_fiber": {"p", "q", "top_invariant"},
+        "ltheory.theta_diff": {"p", "q", "u", "v", "w"},
+        "classify.S4S4Manifold.__init__": {"u", "v"},
+    }
+    through, raw = set(), []
+    for name, tree in trees.items():
+        for scope, text in _scoped_nodes(tree, ast.JoinedStr):
+            arguments = shown.get(f"{name}.{scope}", set())
+            for part in text.values:
+                names = {leaf.id for leaf in ast.walk(part) if isinstance(leaf, ast.Name)}
+                if not (isinstance(part, ast.FormattedValue) and names & arguments):
+                    continue
+                if getattr(getattr(part.value, "func", None), "id", None) == "_shown":
+                    through.add(f"{name}.{scope}")
+                else:
+                    raw.append(f"{name}.{scope}: {ast.unparse(part)}")
+    assert raw == []
+    assert through == set(shown)
     for text in (
         "t(i) requires", "bp_order(m) requires", "theta_order(n) requires",
         "pi_go(n) requires", "l_group(i) requires", "(k) requires k",

@@ -200,6 +200,22 @@ def test_indices_above_the_bernoulli_cap_exit_1_at_once(capsys):
     assert run(capsys, ["t", str(4 * cap + 1)])[1] == f"t_{4 * cap + 1} = 0\n"
 
 
+def test_a_domain_error_names_a_long_argument_by_its_digit_count(capsys):
+    # The library's messages show a caller's integer by the display rule
+    # (cyclic._shown), so a long argument that int() converts no longer
+    # floods stderr (4066 and 4089 bytes before).
+    cap = MAX_BERNOULLI_INDEX
+    for argv, message in (
+        (["bernoulli", "9" * 4000],
+         f"bernoulli(k) requires k <= {cap} (MAX_BERNOULLI_INDEX), "
+         "got <integer of 4000 digits>"),
+        (["residual", "4", "8" * 4000],
+         f"t(i) requires i <= {4 * cap} for multiples of 4 "
+         f"(the Bernoulli index cap is {cap}), got <integer of 4000 digits>"),
+    ):
+        assert run(capsys, argv) == (1, "", f"error: {message}\n"), argv[0]
+
+
 def test_off_degree_pairs_past_the_cap_answer(capsys):
     # 8 t_p t_q = 0 when p or q is not a multiple of 4, so no t past the
     # cap is needed.

@@ -2,13 +2,14 @@
 
 A ``hypothesis.stateful`` machine interleaves public calls, with the
 built-in table, README's example override table and the built-in table
-passed explicitly, with rules that clear the package's caches and that
-sweep enough distinct arguments through a bounded cache to evict its
-entries.  Every answer (its ``repr``, or the type and text of its error)
-is recorded, and a checking rule recomputes each recorded call after
-``cache_clear()`` on every cache of the package: a cached answer that
-depends on what was asked before, such as an override table's answer
-stored under a key that does not name the table, shows as a mismatch.
+passed explicitly, with rules that clear the package's caches (every one
+that ``helpers.package_caches`` finds) and that sweep enough distinct
+arguments through a bounded cache to evict its entries.  Every answer
+(its ``repr``, or the type and text of its error) is recorded, and a
+checking rule recomputes each recorded call after ``cache_clear()`` on
+every cache of the package: a cached answer that depends on what was
+asked before, such as an override table's answer stored under a key
+that does not name the table, shows as a mismatch.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 
 from spherestruct import (
     KnownGroup,
+    NormalClassDiff,
     bp_order,
     builtin_table,
     del_map,
@@ -29,8 +31,10 @@ from spherestruct import (
     residual_group,
     stabilizer,
     subgroup_generated,
+    theta_diff,
 )
-from spherestruct import bp, classify, cli, cyclic, ltheory, rationals, structset, tables
+
+from helpers import package_caches
 
 # The example override of README's "Reference table overrides" section:
 # it sets |Theta_21|, which the built-in table leaves unknown, so an
@@ -47,19 +51,25 @@ _TABLES = {
     "builtin": builtin_table(),
 }
 
-# Every cache of the package, found by its cache_clear, so that a core
-# added later is cleared too.
-_CACHES = list({
-    id(obj): obj
-    for module in (bp, classify, cli, cyclic, ltheory, rationals, structset, tables)
-    for obj in vars(module).values()
-    if callable(getattr(obj, "cache_clear", None))
-}.values())
+_CACHES = package_caches()
 
 
 def _clear_all() -> None:
     for cache in _CACHES:
         cache.cache_clear()
+
+
+def _coordinate(dim: int, phi: int | float) -> object:
+    # A float coordinate is passed as it is, which theta_diff refuses.
+    return phi if type(phi) is float else NormalClassDiff(dim, phi)
+
+
+def _obstruction(p, q, pu, pv, pw, shift):
+    # theta_diff with w in dimension p + q + shift; a dimension that is
+    # not an int (a float p) is given to u, v and w as 4.
+    dims = (p, q, p + q + shift) if type(p + q) is int else (4, 4, 4)
+    u, v, w = map(_coordinate, dims, (pu, pv, pw))
+    return theta_diff(p, q, u, v, w)
 
 
 _DOORS = {
@@ -70,6 +80,7 @@ _DOORS = {
     "del_map": del_map,
     "plumbing_boundary_class": plumbing_boundary_class,
     "eta_fiber_size": lambda p, q, d, table: eta_fiber_size(p, q, d, _TABLES[table]),
+    "theta_diff": _obstruction,
 }
 
 # Pairs of every shape, both orders, rejected ones, and p + q = 21 and 22,
@@ -81,6 +92,12 @@ _PAIRS = [
     (10, 11), (4, 17), (17, 4), (11, 11), (3, 8), (11, 12), (5, 6),
 ]
 _pairs = st.sampled_from(_PAIRS)
+# theta_diff's pairs add (6, 2) and (4, 12), each with the p + q of a
+# pair above but another obstruction, pairs past the cap of t, each
+# refused at once, a float p and a bool q.
+_theta_pairs = st.sampled_from(
+    _PAIRS + [(6, 2), (4, 12), (3312, 4), (4, 3312), (3, 3313), (4.0, 4), (4, True)]
+)
 _ints = st.one_of(st.integers(-4, 4), st.booleans(), st.just(2.0))
 _tables = st.sampled_from(sorted(_TABLES))
 # A call with a table names it last.
@@ -98,11 +115,16 @@ _CALLS = st.one_of(
     st.builds(lambda pair: ("residual_group", *pair), _pairs),
     st.builds(lambda pair, u, v: ("del_map", *pair, u, v), _pairs, _ints, _ints),
     st.tuples(st.just("plumbing_boundary_class"), _ints, _ints),
+    st.builds(
+        lambda pair, u, v, w, shift: ("theta_diff", *pair, u, v, w, shift),
+        _theta_pairs, _ints, _ints, _ints, st.sampled_from((0, 0, 0, 1)),
+    ),
 )
 
 # Sweeps of more distinct arguments than a bounded cache holds (1024).
 _SWEEPS = {
     "del_map": lambda k: del_map(4, 4, k, 1),
+    "theta_diff": lambda k: _obstruction(4, 4, k, 1, 1, 0),
     "eta_fiber_size": lambda k: eta_fiber_size(3, 4, k),
     "finite": lambda k: KnownGroup.finite(k + 1),
     "subgroup_generated": lambda k: subgroup_generated(k + 1, 2),

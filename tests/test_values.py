@@ -25,10 +25,14 @@ from spherestruct import (
     KnownGroup,
     StructureSetPresentation,
     TopStructureSet,
+    bernoulli,
     bp_order,
+    check_pair,
     del_map,
     eta_fiber_size,
+    forgetful_fiber,
     group_structure_possible,
+    image_f_residual,
     l_group,
     pairing_coefficient,
     parse_table,
@@ -55,6 +59,7 @@ from spherestruct.cyclic import (
     CyclicSubgroup,
     _cyclic_group,
     _element,
+    _shown,
     _slot_writers,
     _subgroup,
     cyclic_group,
@@ -64,7 +69,7 @@ from spherestruct import bp, classify, cyclic, ltheory, structset, tables
 from spherestruct.structset import ACTION_FREE, ACTION_STABILIZER, _Draft
 from spherestruct.tables import _finite, _z_times_finite
 
-from helpers import brute_subgroup, entered, entered_codes
+from helpers import brute_subgroup, core_caches, entered, entered_codes
 
 
 def _samples():
@@ -250,10 +255,14 @@ def test_a_shared_cyclic_group_refuses_init_and_every_answer_stays():
     assert eta_fiber_size(3, 4, 1).order == 4
 
 
-_CACHES = (
-    _finite, _z_times_finite, _cyclic_group, structset._del_map,
-    structset._eta_fiber_size,
-)
+# Every cache of a core, a core added later too.
+_CACHES = tuple(core_caches())
+
+
+class _Coordinate:
+    # Not a NormalClassDiff, but with its fields, and a float phi that
+    # would key like the int it equals.
+    dim, phi = 4, 1.0
 
 
 @pytest.mark.parametrize(
@@ -299,10 +308,39 @@ def test_a_door_rejects_a_bad_order_before_its_cache(call, message):
             "table must be a GroupTable, got int",
         ),
         (lambda: plumbing_boundary_class([1], 2), TypeError, "u must be an int, got list"),
+        # theta_diff checks the pair, then that each coordinate is a
+        # NormalClassDiff, then their dimensions, all before its core.
+        (
+            lambda: theta_diff(4, 4, 1, 2, 3),
+            TypeError,
+            "u must be a NormalClassDiff, got int",
+        ),
+        (
+            lambda: theta_diff(4, 4, NormalClassDiff(4), NormalClassDiff(4), LClass(8, 1)),
+            TypeError,
+            "w must be a NormalClassDiff, got LClass",
+        ),
+        (
+            lambda: theta_diff(4, 4, NormalClassDiff(4), _Coordinate(), NormalClassDiff(8)),
+            TypeError,
+            "v must be a NormalClassDiff, got _Coordinate",
+        ),
+        (
+            lambda: theta_diff(4, 4, NormalClassDiff(5), NormalClassDiff(4), 3),
+            TypeError,
+            "w must be a NormalClassDiff, got int",
+        ),
+        (
+            lambda: theta_diff(1, 4, 1, 2, 3),
+            ValueError,
+            "sphere factors need p, q >= 2 with p + q >= 5, got (1, 4)",
+        ),
     ],
     ids=["del_map-list", "del_map-float", "del_map-pair",
          "del_map-float-past-the-cap", "eta_fiber_size-float",
-         "eta_fiber_size-table", "plumbing_boundary_class-list"],
+         "eta_fiber_size-table", "plumbing_boundary_class-list",
+         "theta_diff-int", "theta_diff-l-class", "theta_diff-duck",
+         "theta_diff-type-before-dimension", "theta_diff-pair-before-type"],
 )
 def test_a_cached_door_rejects_a_bad_argument_before_its_cache(call, error, message):
     # As for the orders above: a list never reaches a key, so the error is
@@ -311,6 +349,77 @@ def test_a_cached_door_rejects_a_bad_argument_before_its_cache(call, error, mess
     with pytest.raises(error, match=f"^{re.escape(message)}$"):
         call()
     assert [cache.cache_info() for cache in _CACHES] == before
+
+
+_LONG = 10**100  # 101 digits, one more than a message shows in full
+_LONG_CALLS = {
+    "t-least": (lambda: t(-_LONG), "t(i) requires i >= 1, got -<integer of 101 digits>"),
+    "t-cap": (
+        lambda: t(4 * _LONG),
+        "t(i) requires i <= 3308 for multiples of 4 (the Bernoulli index cap "
+        "is 827), got <integer of 101 digits>",
+    ),
+    "bernoulli-cap": (
+        lambda: bernoulli(_LONG),
+        "bernoulli(k) requires k <= 827 (MAX_BERNOULLI_INDEX), "
+        "got <integer of 101 digits>",
+    ),
+    "cyclic_group": (
+        lambda: cyclic_group(-_LONG),
+        "cyclic group order must be >= 1, got -<integer of 101 digits>",
+    ),
+    "finite": (
+        lambda: KnownGroup.finite(-_LONG),
+        "finite group order must be >= 1, got -<integer of 101 digits>",
+    ),
+    "check_pair": (
+        lambda: check_pair(1, _LONG),
+        "sphere factors need p, q >= 2 with p + q >= 5, "
+        "got (1, <integer of 101 digits>)",
+    ),
+    "image_f_residual": (
+        lambda: image_f_residual(3, _LONG),
+        "image_f_residual expects dimensions (4j, 4k), "
+        "got (3, <integer of 101 digits>)",
+    ),
+    "forgetful_fiber-pair": (
+        lambda: forgetful_fiber(_LONG, 4, 2),
+        "forgetful_fiber currently handles only S^3 x S^4, "
+        "got (<integer of 101 digits>, 4)",
+    ),
+    "forgetful_fiber-odd": (
+        lambda: forgetful_fiber(3, 4, _LONG + 1),
+        "topological normal invariant <integer of 101 digits> is odd, hence "
+        "not in the image of the smooth structure set (even invariants only)",
+    ),
+    "theta_diff": (
+        lambda: theta_diff(4, 4, _U, NormalClassDiff(4), NormalClassDiff(_LONG)),
+        "coordinate dimensions must be (4, 4, 8), got (4, 4, <integer of 101 digits>)",
+    ),
+    "S4S4Manifold": (
+        lambda: S4S4Manifold(-_LONG, 1, 0),
+        "no closed manifold for (u, v) = (-<integer of 101 digits>, 1): the "
+        "plumbing boundary is an exotic sphere unless 7 divides u*v",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(_LONG_CALLS))
+def test_a_message_names_a_long_integer_by_its_digit_count(name):
+    # One display rule, cyclic._shown, for a caller's integer in a message.
+    call, message = _LONG_CALLS[name]
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
+
+
+def test_the_display_rule_prints_up_to_100_digits_in_full():
+    # So a message with a shorter integer is byte-identical to the one
+    # that printed it raw.
+    for number in (0, 7, -7, 10**99, -(10**99), 10**100 - 1):
+        assert _shown(number) == str(number) == _shown(str(number))
+    assert _shown(10**100) == "<integer of 101 digits>"
+    assert _shown(-(10**100)) == "-<integer of 101 digits>"
 
 
 def test_a_cached_door_hands_out_one_shared_value():
@@ -322,6 +431,11 @@ def test_a_cached_door_hands_out_one_shared_value():
     # A bool is keyed as the int it equals.
     assert del_map(4, 4, True, 2) is del_map(4, 4, 1, 2)
     assert eta_fiber_size(3, 4, True) is eta_fiber_size(3, 4, 1)
+    # theta_diff is keyed by the pair and the coordinates' phi, so equal
+    # coordinates share a value.
+    u, v, w = NormalClassDiff(4, 3), NormalClassDiff(8, -2), NormalClassDiff(12, True)
+    assert theta_diff(4, 8, u, v, w) is theta_diff(4, 8, u, v, w)
+    assert theta_diff(4, 8, u, v, w) is theta_diff(4, 8, _U, _V, _W)
 
 
 def test_a_value_equals_only_a_value_of_its_own_class():
@@ -752,7 +866,28 @@ def test_a_first_del_map_builds_its_element_as_a_draft(call):
     assert _WRITERS.isdisjoint(entered_codes(call, warm=False))
 
 
+def test_theta_diff_keys_its_cache_by_the_pair():
+    # (8, 8), (4, 12) and (12, 4) share p + q and the coordinates' phi,
+    # but (8, 8) has another c, so a key without the pair would mix them.
+    for p, q in ((8, 8), (4, 12), (12, 4), (8, 8)):
+        u, v, w = NormalClassDiff(p, 1), NormalClassDiff(q, 1), NormalClassDiff(16, 1)
+        assert theta_diff(p, q, u, v, w).value == pairing_coefficient(p, q) + t(16)
+
+
 def test_a_warm_theta_diff_enters_only_itself():
-    # The pair test of check_pair is inline and c is read off the record
-    # of the pair, a builtin cache like t's.
+    # The pair test of check_pair is inline, and the answer is read from
+    # the core's cache, a builtin one like t's.
     assert entered(lambda: theta_diff(4, 8, _U, _V, _W)) == ["theta_diff"]
+
+
+def test_a_first_theta_diff_enters_its_core_and_builds_a_draft():
+    # On a miss the core runs too, and reads c off the record of the pair
+    # and t_n from t's cache, both warm builtin caches; it drafts its class.
+    def call():
+        return theta_diff(4, 8, _U, _V, _W)
+
+    call()
+    ltheory._theta_diff.cache_clear()
+    codes = entered_codes(call, warm=False)
+    assert [code.co_name for code in codes[1:]] == ["theta_diff", "_theta_diff"]
+    assert _WRITERS.isdisjoint(codes)

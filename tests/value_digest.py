@@ -23,6 +23,12 @@ before any work.  ``group_table`` does not depend on the grid: it builds
 a fixed list of tables (by hand, from ``golden_table.json``, from the
 README's example override, and by keyword from the built-in table's
 fields), so a change to any rule of the table gate shows here.
+``classify`` does not depend on the grid either: it takes both S^3 x S^4
+predicates over every pair of a box of ``S3S4Invariant``s (every sigma
+in Z_28, a few v) and both S^4 x S^4 predicates over every pair of a
+box of ``S4S4Manifold``s (u, v in -8..8 with 7 | uv, both twists), one
+line per pair with both verdicts, and each constructor over a list of
+arguments that it accepts or refuses.
 Each family hashes one line per call: its arguments and either the
 ``repr`` of the value (``present`` hashes ``as_dict()`` as JSON) or the
 type and message of the error it raised, so a pair that ``check_pair``
@@ -44,7 +50,17 @@ from collections.abc import Callable
 from pathlib import Path
 
 from spherestruct.bp import bp_order, residual_group, t
-from spherestruct.classify import plumbing_boundary_class
+from spherestruct.classify import (
+    BP8,
+    S3S4Invariant,
+    S4S4Manifold,
+    plumbing_boundary_class,
+    s3s4_diffeomorphic,
+    s3s4_structure_equal,
+    s4s4_almost_diffeomorphic,
+    s4s4_diffeomorphic,
+)
+from spherestruct.cyclic import CyclicElement, cyclic_group
 from spherestruct.ltheory import NormalClassDiff, theta_diff
 from spherestruct.rationals import MAX_BERNOULLI_INDEX
 from spherestruct.structset import (
@@ -80,6 +96,7 @@ FAMILIES = (
     "group_table",
     "plumbing_boundary_class",
     "eta_fiber_size_override",
+    "classify",
 )
 
 # bP_10 and bP_18 are the orders m = 2 mod 4 below 21 that the built-in
@@ -115,6 +132,48 @@ def _tables() -> dict[str, Callable[[], GroupTable]]:
             **{name: getattr(builtin, name) for name in GroupTable.__slots__}
         ),
     }
+
+
+# Constructor arguments for the ``classify`` family: accepted ones (a
+# bool, a sigma out of 0..27, a twist out of {0, 1}) and refused ones (a
+# foreign type, a sigma of another group, 7 not dividing uv, also for a
+# u of 100 digits, which the message shows in full).
+_S3S4_ARGS = (
+    (3, 1), (29, -3), (-1, 2), (True, 2), (3, True), (3, 1.0), (1.5, 1),
+    ("3", 1), (None, 0), (CyclicElement(BP8, 3), 1),
+    (CyclicElement(cyclic_group(7), 3), 1),
+)
+_S4S4_ARGS = (
+    (7, 1, 0), (1, 14, 3), (0, 5, -1), (-1, -7, 2), (True, 7, True),
+    (1, 1, 0), (2, 3, 1), (-5, 6, 0), (10**99 + 2, 1, 0), (-(10**99) - 2, 1, 0),
+    (1.0, 7, 0), (7, 1, 0.0), (2, 3, "x"),
+)
+
+
+def _classify(feed: Callable[[tuple, str], None]) -> None:
+    # The ``classify`` family (see the module docstring).
+    for args in _S3S4_ARGS:
+        feed(("S3S4Invariant", *args), _outcome(lambda: S3S4Invariant(*args)))
+    for args in _S4S4_ARGS:
+        feed(("S4S4Manifold", *args), _outcome(lambda: S4S4Manifold(*args)))
+    s3s4 = [
+        S3S4Invariant(sigma, v)
+        for v in (-14, -7, -2, -1, 0, 1, 2, 3, 7, 14)
+        for sigma in range(28)
+    ]
+    for a in s3s4:
+        for b in s3s4:
+            verdicts = (s3s4_structure_equal(a, b), s3s4_diffeomorphic(a, b))
+            feed((a.sigma.value, a.v, b.sigma.value, b.v), repr(verdicts))
+    box = range(-8, 9)
+    s4s4 = [
+        S4S4Manifold(u, v, phi)
+        for u in box for v in box if u * v % 7 == 0 for phi in (0, 1)
+    ]
+    for a in s4s4:
+        for b in s4s4:
+            verdicts = (s4s4_almost_diffeomorphic(a, b), s4s4_diffeomorphic(a, b))
+            feed((a.u, a.v, a.phi, b.u, b.v, b.phi), repr(verdicts))
 
 
 def _outcome(call: Callable[[], object], show: Callable[[object], str] = repr) -> str:
@@ -189,6 +248,7 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
         feed("t", (i,), _outcome(lambda: t(i)))
     for name, build in _tables().items():
         feed("group_table", (name,), _outcome(build))
+    _classify(lambda args, outcome: feed("classify", args, outcome))
     return {family: h.hexdigest() for family, h in hashes.items()}
 
 
