@@ -15,10 +15,13 @@ index's least value, whose one message form is
 ``<door>(<arg>) requires <arg> <= <most><note>, got <value>``.  Beside
 them is the one display rule for a caller's value in a message:
 ``_shown`` prints a number of up to ``_SHOWN_DIGITS`` (100) digits in
-full and names a longer one by its digit count, and ``_shown_repr``
-does the same for a ``repr``, so no message can be flooded by its
-argument.  Both rules above and every message of a later layer that
-prints a caller's integer go through ``_shown``.
+full and names a longer one by its digit count, which it counts by
+integer arithmetic, so a number past Python's int-to-str limit is named
+too; ``_shown_repr`` does the same for a ``repr``, and ``_shown_group``
+names Z_n through ``_shown``, so no message can be flooded by its
+argument.  Both rules above and every message that prints a caller's
+integer or group go through them; ``CyclicGroup.__str__``, which the
+CLI prints, stays in full.
 """
 
 from __future__ import annotations
@@ -149,13 +152,21 @@ _SHOWN_DIGITS = 100
 
 
 def _shown(number: int | str) -> str:
-    # ``number`` is an int or a string of ASCII digits.
-    text = str(number)
-    digits = len(text.lstrip("-"))
+    # ``number`` is an int, or ASCII digits after an optional "-".  An int
+    # is measured by arithmetic: str() refuses one of more digits than
+    # sys.get_int_max_str_digits().
+    if isinstance(number, str):
+        negative, digits = number.startswith("-"), len(number.lstrip("-"))
+    else:
+        # Counted up from a lower bound by the bit length, since
+        # 0.30102999566 is just below log10(2); 0 counts as no digits.
+        negative, size = number < 0, abs(number)
+        digits = (size.bit_length() - 1) * 30102999566 // 10**11 + 1
+        while size >= 10**digits:
+            digits += 1
     if digits <= _SHOWN_DIGITS:
-        return text
-    sign = "-" if text.startswith("-") else ""
-    return f"{sign}<integer of {digits} digits>"
+        return str(number)
+    return f"{'-' if negative else ''}<integer of {digits} digits>"
 
 
 def _shown_repr(value: object) -> str:
@@ -205,6 +216,11 @@ class CyclicGroup:
 
     def __str__(self) -> str:
         return "0" if self.order == 1 else f"Z_{self.order}"
+
+
+def _shown_group(group: CyclicGroup) -> str:
+    # str(group) by the display rule, for a message.
+    return "0" if group.order == 1 else f"Z_{_shown(group.order)}"
 
 
 def _checked_order(n: object) -> int:
@@ -270,7 +286,8 @@ class CyclicElement:
     def _check_same_group(self, other: CyclicElement) -> None:
         if self.group.order != other.group.order:
             raise ValueError(
-                f"elements live in different groups: {self.group} vs {other.group}"
+                "elements live in different groups: "
+                f"{_shown_group(self.group)} vs {_shown_group(other.group)}"
             )
 
     def __add__(self, other: CyclicElement) -> CyclicElement:
@@ -337,7 +354,8 @@ class CyclicSubgroup:
             raise TypeError(f"x must be a CyclicElement, got {type(x).__name__}")
         if x.group.order != self.ambient.order:
             raise ValueError(
-                f"element of {x.group} tested against a subgroup of {self.ambient}"
+                f"element of {_shown_group(x.group)} tested against a subgroup "
+                f"of {_shown_group(self.ambient)}"
             )
         return x.value % self.generator_value == 0
 

@@ -111,7 +111,8 @@ class LClass:
             return NotImplemented
         if self.dim != other.dim:
             raise ValueError(
-                f"cannot add L-classes of dimensions {self.dim} and {other.dim}"
+                f"cannot add L-classes of dimensions {_shown(self.dim)} and "
+                f"{_shown(other.dim)}"
             )
         return LClass(self.dim, self.value + other.value)
 

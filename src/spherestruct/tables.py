@@ -1,4 +1,5 @@
-"""Reference orders for groups the calculator consumes but cannot derive.
+"""Reference orders for groups the calculator consumes but cannot derive,
+and the orders the table derives from them.
 
 Three families are tabulated:
 
@@ -10,15 +11,25 @@ Three families are tabulated:
                         closed formula here: odd m and m = 4 are trivial,
                         and m = 4k is the Levine order t_m (``rationals``).
 
-The shipped entries cover dimensions up to 20 and come from the standard
-Kervaire-Milnor era tables; they are reference data, not computed by this
-package.  The bp family ships only the entries forced by the theta data
-(bP_6 and bP_14 must be trivial because they embed in groups of order 1
-and 3).  The pi_go torsion entries are the ones determined by the theta
-and bp data through the surgery sequence of the sphere, namely
-|Theta_n| / |bP_{n+1}| for odd n and that times 2/|bP_n| for n = 2 mod 4,
-plus the classical pi_2(G/O) = Z/2.  For n = 0 mod 4 the group splits as
-Z x Theta_n, so the torsion is read off the theta family at lookup time.
+The given entries of the built-in table are |Theta_n| for n <= 20, from
+the standard Kervaire-Milnor era tables, and the classical
+pi_2(G/O) = Z/2; they are reference data, not computed by this package.
+Every other entry of a family is derived by the gate (below) from the
+entries it is given, through the surgery sequence of the sphere
+(Kervaire-Milnor, "Groups of homotopy spheres I", Ann. Math. 77, 1963):
+
+* bP_{4k+2} is trivial wherever |Theta_{4k+1}| is known and odd, because
+  |bP_{4k+2}| is 1 or 2 and divides it (so bP_6 and bP_14 are trivial);
+* the torsion of pi_n(G/O), n >= 3, is |Theta_n| / |bP_{n+1}|, times
+  2 / |bP_n| for n = 2 mod 4, where each factor is known (and t_{n+1}
+  is below the cap); for n = 0 mod 4 that is |Theta_n|, and pi_n(G/O)
+  is Z x torsion there.
+
+A given entry wins over a derived one, in any family: a ``pi_go_torsion``
+entry stands whatever the rule gives, and a ``bp`` entry, ``unknown``
+too, stands over a forced trivial one.  ``parse_table`` merges an
+override over the built-in table's given entries, not over its derived
+ones, so an override of Theta or bP moves every order derived from it.
 
 Any dimension outside the shipped data is reported as unknown rather than
 guessed.  A JSON file can override individual entries; see ``load_table``.
@@ -33,8 +44,11 @@ keyword construction, ``parse_table``, ``copy``, ``deepcopy`` and
 ``pickle.loads`` all pass it.  It rejects a key that is not an int (a
 bool too) or an entry that is not a ``KnownGroup`` (``TypeError``), then
 applies the entry rules that ``parse_table`` applies to each JSON entry
-and the Kervaire-Milnor chain check (``TableError``), and it stores
-read-only views of its own copies, so tables are immutable once built.
+and the Kervaire-Milnor chain check (``TableError``), in whose one pass
+over theta it derives the entries above.  It stores read-only views of
+its own copies, given and derived entries together, so tables are
+immutable once built, and a table's families passed back through the
+gate derive nothing new: a copy equals its source.
 The kind rule: every entry is ``finite`` or ``unknown``, because Theta_n
 and bP_m are finite groups and a ``pi_go_torsion`` entry is a torsion
 order, so a ``z_times_finite`` entry raises a ``TableError`` naming it.
@@ -213,14 +227,8 @@ _THETA_ORDERS: dict[int, int] = {
     19: 523264, 20: 24,
 }
 
-# bP_m for m = 2 mod 4: only the entries forced by the theta orders above.
-_BP_2MOD4_ORDERS: dict[int, int] = {6: 1, 14: 1}
-
-# Torsion of pi_n(G/O) for n != 0 mod 4, where determined by the data
-# above (see the module docstring); pi_2(G/O) = Z/2 is classical.
-_PI_GO_TORSION: dict[int, int] = {
-    2: 2, 3: 1, 5: 1, 6: 2, 7: 1, 11: 1, 13: 3, 14: 4, 15: 2, 19: 2,
-}
+# pi_2(G/O) = Z/2, classical; no rule of the gate reaches n = 2.
+_PI_GO_TORSION: dict[int, int] = {2: 2}
 
 
 _FAMILIES = ("theta", "pi_go_torsion", "bp")
@@ -247,10 +255,11 @@ class GroupTable:
     ) -> None:
         if hasattr(self, "theta"):  # built: refused before any write
             raise AttributeError("cannot assign to field 'theta'")
-        families = (theta, pi_go_torsion, bp)
-        for write, family, entries in zip(_table_writers, _FAMILIES, families):
-            write(self, MappingProxyType(_checked_family(family, entries)))
-        _check_consistency(self)
+        given = (theta, pi_go_torsion, bp)
+        theta, torsions, bp = map(_checked_family, _FAMILIES, given)
+        for write, entries in zip(_table_writers, (theta, torsions, bp)):
+            write(self, MappingProxyType(entries))
+        _check_consistency(self, torsions, bp)
 
     def __repr__(self) -> str:
         shown = ", ".join(f"{name}={dict(getattr(self, name))!r}" for name in _FAMILIES)
@@ -275,15 +284,13 @@ class GroupTable:
 
     def pi_go(self, n: int) -> KnownGroup:
         """Order data for pi_n(G/O); Z x torsion in the 4-periodic degrees.
-        A plain lookup that checks nothing (the module's ``pi_go`` checks
-        n)."""
+        A plain lookup of the torsion, given or derived by the gate, that
+        checks nothing (the module's ``pi_go`` checks n)."""
         torsions = self.pi_go_torsion
-        if n % 4 == 0 and n >= 4:
-            torsion = torsions[n] if n in torsions else self.theta_order(n)
-            if torsion.is_unknown:
-                return _UNKNOWN
-            return _z_times_finite(torsion.order)
-        return torsions[n] if n in torsions else _UNKNOWN
+        torsion = torsions[n] if n in torsions else _UNKNOWN
+        if n % 4 or torsion.is_unknown:
+            return torsion
+        return _z_times_finite(torsion.order)
 
     def bp_order(self, m: int) -> KnownGroup:
         """Order data for bP_m, m >= 4 (see the module docstring).  It
@@ -453,15 +460,22 @@ def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGr
     return dim, _finite(order)
 
 
-def _check_consistency(table: GroupTable) -> None:
-    # The gate's chain check.  Kervaire-Milnor: bP_{n+1} is a subgroup of
-    # Theta_n, so its order, whether a table entry or formula output,
-    # divides every known |Theta_n|.
+def _check_consistency(table: GroupTable, torsions: dict, bp: dict) -> None:
+    # The gate's chain check, which also adds to the table's own ``torsions``
+    # and ``bp`` what it derives where they have no entry.  Kervaire-Milnor:
+    # bP_{n+1} is a subgroup of Theta_n, so its order, whether a table entry
+    # or formula output, divides every known |Theta_n|; so bP_{4k+2}, of
+    # order 1 or 2, is trivial where |Theta_{4k+1}| is odd.  The surgery
+    # sequence of S^n makes the torsion of pi_n(G/O) |Theta_n| / |bP_{n+1}|,
+    # times 2 / |bP_n| for n = 2 mod 4.  Theta_n is read in increasing n,
+    # so a forced bP_n is in place when Theta_n is read.
     for n, theta_group in sorted(table.theta.items()):
         m = n + 1
         past_cap = m % 4 == 0 and m > 4 * MAX_BERNOULLI_INDEX  # t_m not computable
         if theta_group.is_unknown or m < 4 or past_cap:
             continue
+        if m % 4 == 2 and theta_group.order % 2:
+            bp.setdefault(m, _TRIVIAL)
         bp_group = table.bp_order(m)
         if not bp_group.is_unknown and theta_group.order % bp_group.order != 0:
             bp_name, theta_name = f"bP_{_shown(m)}", f"Theta_{_shown(n)}"
@@ -470,18 +484,23 @@ def _check_consistency(table: GroupTable) -> None:
                 f"|{theta_name}| = {_shown(theta_group.order)}; the table is "
                 f"inconsistent with {bp_name} being a subgroup of {theta_name}"
             )
+        # Off n = 2 mod 4 the factor 2 / |bP_n| is 1: |bP_n| stands in as 2.
+        bp_n = table.bp_order(n) if n % 4 == 2 else _finite(2)
+        if not (bp_group.is_unknown or bp_n.is_unknown):
+            torsion = theta_group.order // bp_group.order * 2 // bp_n.order
+            torsions.setdefault(n, _finite(torsion))
 
 
-def _finite_map(orders: dict[int, int]) -> dict[int, KnownGroup]:
-    return {n: _finite(k) for n, k in orders.items()}
-
+# The built-in table's given entries.  parse_table merges an override over
+# these, not over the built-in families, so that no entry derived from a
+# built-in order outvotes an override.
+_GIVEN = {
+    family: {n: _finite(order) for n, order in orders.items()}
+    for family, orders in (("theta", _THETA_ORDERS), ("pi_go_torsion", _PI_GO_TORSION))
+}
 
 # Built once the gate's checks exist; its chain check asks t of 8 to 20.
-_BUILTIN = GroupTable(
-    theta=_finite_map(_THETA_ORDERS),
-    pi_go_torsion=_finite_map(_PI_GO_TORSION),
-    bp=_finite_map(_BP_2MOD4_ORDERS),
-)
+_BUILTIN = GroupTable(**_GIVEN)
 
 
 def builtin_table() -> GroupTable:
@@ -502,7 +521,8 @@ def _object_without_duplicates(pairs: list[tuple[str, object]]) -> dict:
 
 
 def parse_table(text: str) -> GroupTable:
-    """Parse override JSON and merge it over the built-in table.
+    """Parse override JSON and merge it over the built-in table's given
+    entries; the gate then derives the rest (see the module docstring).
 
     Empty input yields the built-ins unchanged.  Each family present, even
     as ``null``, must be an object mapping decimal dimension strings to a
@@ -538,7 +558,7 @@ def parse_table(text: str) -> GroupTable:
         raise TableError(
             f"unrecognised table keys {stray}; expected any of {list(_FAMILIES)}"
         )
-    merged = {family: dict(getattr(_BUILTIN, family)) for family in _FAMILIES}
+    merged = {family: dict(_GIVEN.get(family, {})) for family in _FAMILIES}
     for family in _FAMILIES:
         if family not in raw:
             continue

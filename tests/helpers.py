@@ -3,14 +3,16 @@
 Each oracle recomputes a quantity through a route independent of the
 implementation under test: Bernoulli numbers through the defining
 convolution recurrence instead of the triangular one, tangent numbers by
-sweeping the whole triangle in place, subgroups by brute
-enumeration, obstruction values by the closed formula and by the composed
-maps (the L-group product ``pairing``, the topological obstruction
-``theta_top`` and the comparison map ``forgetful_f``), the plumbing
-boundary class from its Wall triple, and the classifier relations from
-enumerated subgroups and unordered pairs.  ``entered_codes`` records the
-Python functions a call enters, for the tests that pin a warm call's
-frames, and ``package_caches`` finds every cache of the package.
+sweeping the whole triangle in place, subgroups by brute enumeration,
+obstruction values by the closed formula and by the composed maps (the
+L-group product ``pairing``, the topological obstruction ``theta_top``
+and the comparison map ``forgetful_f``), the plumbing boundary class
+from its Wall triple, the classifier relations from enumerated subgroups
+and unordered pairs, and pi_n(G/O) from table orders by the surgery
+sequence of S^n, written without the table's gate.  ``entered_codes``
+records the Python functions a call enters, for the tests that pin a
+warm call's frames, and ``package_caches`` finds every cache of the
+package.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from math import comb, gcd
 
 import spherestruct
 from spherestruct import (
+    KnownGroup,
     NormalClassDiff,
     bernoulli,
     s3s4_diffeomorphic,
@@ -74,6 +77,62 @@ def t_oracle(i: int) -> int:
     a_k = 2 if k % 2 == 1 else 1
     numerator = (bernoulli_oracle(k) / (4 * k)).numerator
     return a_k * 2 ** (2 * k - 2) * (2 ** (2 * k - 1) - 1) * numerator
+
+
+def surgery_bp_order(
+    m: int, theta: dict[int, int | None], bp: dict[int, int | None]
+) -> int | None:
+    """|bP_m|, m >= 4, from a table's orders, or None for unknown: 1 for odd
+    m and m = 4, t_m for other m = 0 mod 4, and for m = 2 mod 4 the
+    ``bp`` entry, else 1 where the ``theta`` order |Theta_{m-1}| is odd
+    (|bP_m| is 1 or 2 and divides it), else unknown."""
+    if m % 2 == 1 or m == 4:
+        return 1
+    if m % 4 == 0:
+        return t_oracle(m)
+    if m in bp:
+        return bp[m]
+    below = theta.get(m - 1)
+    return 1 if below is not None and below % 2 == 1 else None
+
+
+def surgery_pi_go(
+    n: int,
+    theta: dict[int, int | None],
+    bp: dict[int, int | None],
+    given: dict[int, int | None],
+) -> KnownGroup:
+    """pi_n(G/O) from a table's orders: ``theta`` holds |Theta_n|, ``bp``
+    the |bP_{4k+2}| entries and ``given`` the pi_go_torsion entries, each
+    an order or None for unknown, below the cap of t.
+
+    A given torsion is taken as it is.  Otherwise, for n >= 3,
+    Kervaire-Milnor's surgery sequence of S^n gives the torsion
+    |Theta_n| / |bP_{n+1}|, times 2 / |bP_n| for n = 2 mod 4, unknown
+    where a factor is.  pi_n(G/O) is Z x torsion for n = 0 mod 4 and the
+    torsion elsewhere.
+    """
+    if n in given:
+        torsion = given[n]
+    elif n < 3:
+        torsion = None
+    else:
+        factors = [theta.get(n), surgery_bp_order(n + 1, theta, bp)]
+        if n % 4 == 2:
+            factors.append(surgery_bp_order(n, theta, bp))
+        if None in factors:
+            torsion = None
+        else:
+            quotient = Fraction(factors[0], factors[1])
+            if n % 4 == 2:
+                quotient *= Fraction(2, factors[2])
+            assert quotient.denominator == 1, (n, factors)
+            torsion = int(quotient)
+    if torsion is None:
+        return KnownGroup.unknown()
+    if n % 4 == 0:
+        return KnownGroup.z_times_finite(torsion)
+    return KnownGroup.finite(torsion)
 
 
 def primes_upto(n: int) -> list[int]:

@@ -171,19 +171,20 @@ def test_each_argument_rule_has_one_home():
             if isinstance(node, ast.FunctionDef) and node.name == home
         ]
         assert template in ast.get_source_segment(sources["cyclic"], rule)
-    # One display rule, cyclic._shown (with _shown_repr beside it), for a
-    # caller's value in a message: no other module defines one or its
-    # bound, its "<integer of" form is spelled only there and in the
-    # repr of tables._LongInt, a JSON number that int() could not convert
-    # and so holds no int to show, and each message that prints a
-    # caller's integer formats it only through _shown.
+    # One display rule, cyclic._shown (with _shown_repr beside it, and
+    # _shown_group, which names Z_n through it), for a caller's value in a
+    # message: no other module defines one or its bound, its "<integer of"
+    # form is spelled only there and in the repr of tables._LongInt, a
+    # JSON number that int() could not convert and so holds no int to
+    # show, and each message that prints a caller's integer or group
+    # formats it only through _shown or _shown_group.
     displays = sorted(
         f"{name}.{node.name}"
         for name, tree in trees.items()
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name.startswith("_shown")
     )
-    assert displays == ["cyclic._shown", "cyclic._shown_repr"]
+    assert displays == ["cyclic._shown", "cyclic._shown_group", "cyclic._shown_repr"]
     assert [name for name in sources if "_SHOWN_DIGITS =" in sources[name]] == ["cyclic"]
     forms = {name: source.count("<integer of") for name, source in sources.items()}
     assert {name: count for name, count in forms.items() if count} == {
@@ -196,6 +197,9 @@ def test_each_argument_rule_has_one_home():
         "structset.forgetful_fiber": {"p", "q", "top_invariant"},
         "ltheory.theta_diff": {"p", "q", "u", "v", "w"},
         "classify.S4S4Manifold.__init__": {"u", "v"},
+        "ltheory.LClass.__add__": {"self", "other"},
+        "cyclic.CyclicElement._check_same_group": {"self", "other"},
+        "cyclic.CyclicSubgroup.contains": {"self", "x"},
     }
     through, raw = set(), []
     for name, tree in trees.items():
@@ -205,7 +209,10 @@ def test_each_argument_rule_has_one_home():
                 names = {leaf.id for leaf in ast.walk(part) if isinstance(leaf, ast.Name)}
                 if not (isinstance(part, ast.FormattedValue) and names & arguments):
                     continue
-                if getattr(getattr(part.value, "func", None), "id", None) == "_shown":
+                called = getattr(getattr(part.value, "func", None), "id", None)
+                if getattr(part.value, "attr", None) == "__name__":
+                    continue  # a type's name, as in "x must be a ..., got int"
+                if called in ("_shown", "_shown_group"):
                     through.add(f"{name}.{scope}")
                 else:
                     raw.append(f"{name}.{scope}: {ast.unparse(part)}")

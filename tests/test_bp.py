@@ -486,8 +486,8 @@ _PRESENT_PATH = ["present", "check_pair", "theta_order", "bp_order", "pi_go", "p
     "call, path",
     [
         (lambda: present(19, 27), _PRESENT_PATH),
-        # pi_go(24) reads |Theta_24| for its torsion
-        (lambda: present(23, 24), _PRESENT_PATH + ["theta_order", "is_unknown"]),
+        # pi_go(24) tests its torsion entry before the Z x torsion wrap
+        (lambda: present(23, 24), _PRESENT_PATH + ["is_unknown"]),
         (lambda: stabilizer(23, 24, 5), ["stabilizer", "check_pair"]),
     ],
     ids=["present(19, 27)", "present(23, 24)", "stabilizer(23, 24, 5)"],

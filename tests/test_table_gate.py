@@ -13,6 +13,7 @@ import re
 
 import pytest
 
+from spherestruct import tables
 from spherestruct import (
     GroupTable,
     KnownGroup,
@@ -26,6 +27,10 @@ from spherestruct import (
 
 _FAMILIES = ("theta", "pi_go_torsion", "bp")
 _28 = KnownGroup.finite(28)
+# The dimensions of the built-in pi_go_torsion family: the given pi_2 and
+# every n <= 20 whose torsion the gate derives, which leaves out 9, 10,
+# 17 and 18, where bP_10 or bP_18 is an unknown factor.
+_BUILTIN_TORSION_DIMENSIONS = {2, 3, 4, 5, 6, 7, 8, 11, 12, 13, 14, 15, 16, 19, 20}
 
 # Tables whose construction is refused for the type of a key or a value.
 _TYPE_ERRORS = {
@@ -182,7 +187,11 @@ def test_copies_and_pickles_are_equal_read_only_tables(source):
         "parsed": parse_table('{"theta": {"21": "4"}, "bp": {"22": "2"}}'),
         "empty": GroupTable(),
     }[source]
+    # The families hold derived entries (pi_21(G/O) = Z/2 in the parsed
+    # table) beside given ones; passed back through the gate as given,
+    # they derive the same entries again.
     clones = {
+        "keyword": GroupTable(**{name: getattr(table, name) for name in _FAMILIES}),
         "copy": copy.copy(table),
         "deepcopy": copy.deepcopy(table),
         "pickle": pickle.loads(pickle.dumps(table)),
@@ -199,12 +208,15 @@ def test_copies_and_pickles_are_equal_read_only_tables(source):
 
 def test_a_table_pickles_to_the_bytes_of_its_plain_dict_families():
     # The state is a list of three plain dicts, as before the families were
-    # read-only, so a pickle written by either loads in the other.
+    # read-only, so a pickle written by either loads in the other.  The
+    # pi_go_torsion dict holds the torsion the gate derives, |pi_7(G/O)| =
+    # |Theta_7| / |bP_8| = 1.
     table = GroupTable(theta={7: _28})
     assert pickle.dumps(table, 4) == (
-        b"\x80\x04\x95[\x00\x00\x00\x00\x00\x00\x00\x8c\x13spherestruct.tables"
+        b"\x80\x04\x95l\x00\x00\x00\x00\x00\x00\x00\x8c\x13spherestruct.tables"
         b"\x94\x8c\nGroupTable\x94\x93\x94)\x81\x94]\x94(}\x94K\x07h\x00\x8c\n"
-        b"KnownGroup\x94\x93\x94)\x81\x94]\x94(\x8c\x06finite\x94K\x1cebs}\x94}\x94eb."
+        b"KnownGroup\x94\x93\x94)\x81\x94]\x94(\x8c\x06finite\x94K\x1cebs}\x94K"
+        b"\x07h\x07)\x81\x94]\x94(h\nK\x01ebs}\x94eb."
     )
 
 
@@ -303,4 +315,81 @@ def test_a_built_table_refuses_init_before_it_writes(reinit, source):
     assert present(3, 4, table).as_dict() == answer
     assert theta_order(7) is _28
     assert present(3, 4).theta_group is _28
-    assert len(builtin_table().pi_go_torsion) == 10
+    assert set(builtin_table().pi_go_torsion) == _BUILTIN_TORSION_DIMENSIONS
+
+
+def test_the_gate_derives_pi_go_and_the_forced_bp_from_an_override():
+    # An override of Theta or bP moves the pi_n(G/O) it is a factor of and
+    # the bP_{4k+2} that an odd |Theta_{4k+1}| forces.
+    assert parse_table('{"theta": {"7": "56"}}').pi_go(7) == KnownGroup.finite(2)
+    table = parse_table('{"bp": {"10": "2"}}')
+    assert table.pi_go(9) == KnownGroup.finite(4)
+    assert table.pi_go(10) == KnownGroup.finite(6)
+    table = parse_table('{"bp": {"18": "2"}}')
+    assert table.pi_go(17) == KnownGroup.finite(8)
+    assert table.pi_go(18) == KnownGroup.finite(16)
+    for n in (5, 13):
+        table = parse_table(f'{{"theta": {{"{n}": "6"}}}}')
+        assert table.bp_order(n + 1).is_unknown
+        assert table.pi_go(n).is_unknown and table.pi_go(n + 1).is_unknown
+    table = parse_table('{"theta": {"24": "5"}}')
+    assert table.pi_go(24) == KnownGroup.z_times_finite(5)
+
+
+def test_a_given_entry_wins_over_the_rule():
+    unknown = KnownGroup.unknown()
+    table = parse_table('{"theta": {"7": "56"}, "pi_go_torsion": {"7": "5"}}')
+    assert table.pi_go(7) == KnownGroup.finite(5)
+    table = GroupTable(theta={8: KnownGroup.finite(2)}, pi_go_torsion={8: unknown})
+    assert table.pi_go(8).is_unknown
+    table = GroupTable(theta={5: KnownGroup.trivial()}, bp={6: unknown})
+    assert table.bp_order(6).is_unknown and table.pi_go(5).is_unknown
+
+
+def test_a_theta_entry_past_the_cap_of_t_derives_nothing():
+    # t_3312 is past the cap, so bP_3312 and pi_3311(G/O) are unknown, and
+    # the gate asks neither.
+    table = GroupTable(theta={3311: KnownGroup.finite(5)})
+    assert table.pi_go(3311).is_unknown
+    assert dict(table.pi_go_torsion) == {} and dict(table.bp) == {}
+
+
+def test_theta_entries_at_1_and_2_never_ask_bp_2(monkeypatch):
+    # bp_order refuses m < 4, and no rule here reaches pi_2 or a bP_2 entry.
+    asked = []
+    read = GroupTable.bp_order
+    monkeypatch.setattr(
+        GroupTable, "bp_order", lambda self, m: asked.append(m) or read(self, m)
+    )
+    trivial = KnownGroup.trivial()
+    table = GroupTable(theta={1: trivial, 2: trivial, 3: trivial})
+    assert asked == [4]
+    assert dict(table.bp) == {} and dict(table.pi_go_torsion) == {3: trivial}
+    assert table.pi_go(2).is_unknown
+
+
+_GIVEN_ENTRIES = [
+    (family, dim) for family, entries in tables._GIVEN.items() for dim in entries
+]
+_ANSWER = {
+    "theta": GroupTable.theta_order,
+    "pi_go_torsion": GroupTable.pi_go,
+    "bp": GroupTable.bp_order,
+}
+
+
+@pytest.mark.parametrize(
+    "family, dim", _GIVEN_ENTRIES, ids=[f"{f}[{n}]" for f, n in _GIVEN_ENTRIES]
+)
+def test_the_builtin_table_types_only_what_no_rule_derives(family, dim):
+    # Without any one of its given entries the built-in table no longer
+    # knows that entry's answer: no rule of the gate derives it from the
+    # rest, so no typed number is redundant.
+    given = {name: dict(entries) for name, entries in tables._GIVEN.items()}
+    del given[family][dim]
+    assert _ANSWER[family](GroupTable(**given), dim).is_unknown
+
+
+def test_the_builtin_table_is_its_given_entries_through_the_gate():
+    assert GroupTable(**tables._GIVEN) == builtin_table()
+    assert len(_GIVEN_ENTRIES) == 21  # |Theta_n| for n <= 20 and pi_2(G/O)

@@ -20,6 +20,8 @@ from spherestruct import (
 )
 from spherestruct.tables import TableError
 
+from helpers import surgery_bp_order, surgery_pi_go
+
 
 def test_theta_builtin_values():
     assert theta_order(7) == KnownGroup.finite(28)
@@ -33,13 +35,25 @@ def test_theta_builtin_values():
     assert theta_order(25).is_unknown
 
 
+# The torsion of pi_n(G/O), n != 0 mod 4, that the built-in table once
+# typed by hand, and the torsion |Theta_n| that it read for n = 0 mod 4;
+# the gate now derives all of them but pi_2 = Z/2.
+_TYPED_PI_GO_TORSION = {2: 2, 3: 1, 5: 1, 6: 2, 7: 1, 11: 1, 13: 3, 14: 4, 15: 2, 19: 2}
+_THETA_TORSION = {4: 1, 8: 2, 12: 1, 16: 2, 20: 24}
+
+
 def test_pi_go_values():
-    assert pi_go(3) == KnownGroup.trivial()
-    assert pi_go(7) == KnownGroup.trivial()
-    assert pi_go(4) == KnownGroup.z_times_finite(1)
-    assert pi_go(8) == KnownGroup.z_times_finite(2)
-    assert pi_go(2) == KnownGroup.finite(2)
-    assert pi_go(9).is_unknown
+    # Every degree up to 20 answers as it did when the torsions were
+    # typed: unknown only where bP_10 or bP_18 is a factor.
+    for n in range(2, 21):
+        if n in _TYPED_PI_GO_TORSION:
+            expected = KnownGroup.finite(_TYPED_PI_GO_TORSION[n])
+        elif n in _THETA_TORSION:
+            expected = KnownGroup.z_times_finite(_THETA_TORSION[n])
+        else:
+            assert n in (9, 10, 17, 18)
+            expected = KnownGroup.unknown()
+        assert pi_go(n) == expected, n
     assert pi_go(24).is_unknown  # theta unknown above 20
 
 
@@ -413,6 +427,56 @@ def test_parse_table_round_trips_through_its_own_entries(override):
         expected = KnownGroup.unknown() if value == "unknown" else KnownGroup.finite(int(value))
         assert table.theta_order(int(n)) == expected
     assert parse_table(_table_text(table)) == table
+
+
+@st.composite
+def _theta_bp_overrides(draw):
+    """Random theta, bp and pi_go_torsion overrides up to dimension 40,
+    with the merged theta orders that the rule reads.  The chain holds:
+    |Theta_n| is a multiple of t_{n+1} where n + 1 = 0 mod 4, and a bp
+    entry of 2 stands only where the merged |Theta_{m-1}| is even or
+    unknown.  Odd theta orders elsewhere keep the forced bP in play."""
+    theta = draw(st.dictionaries(
+        st.integers(1, 40), st.one_of(st.none(), st.integers(1, 12)), max_size=10
+    ))
+    theta = {
+        n: None if v is None else v * (t(n + 1) if (n + 1) % 4 == 0 else 1)
+        for n, v in theta.items()
+    }
+    merged = {n: theta_order(n).order for n in range(1, 21)} | theta
+    bp = draw(st.dictionaries(
+        st.sampled_from(range(6, 42, 4)), st.sampled_from([1, 2, None]), max_size=4
+    ))
+    bp = {
+        m: v for m, v in bp.items()
+        if v != 2 or merged.get(m - 1) is None or merged[m - 1] % 2 == 0
+    }
+    given = draw(st.dictionaries(
+        st.integers(2, 41), st.one_of(st.none(), st.integers(1, 9)), max_size=2
+    ))
+    return merged, bp, {2: 2} | given, {
+        "theta": theta, "bp": bp, "pi_go_torsion": given,
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(_theta_bp_overrides())
+def test_pi_go_follows_the_surgery_sequence_under_any_override(case):
+    # The gate's derived torsions and forced bP against the rule written
+    # out independently in helpers.surgery_pi_go, on the merged orders.
+    theta, bp, given_torsion, families = case
+    text = json.dumps({
+        family: {str(n): "unknown" if v is None else str(v) for n, v in entries.items()}
+        for family, entries in families.items()
+    })
+    table = parse_table(text)
+    for n in range(2, 45):
+        assert table.pi_go(n) == surgery_pi_go(n, theta, bp, given_torsion), n
+    for m in range(6, 45, 4):
+        order = surgery_bp_order(m, theta, bp)
+        assert table.bp_order(m) == (
+            KnownGroup.unknown() if order is None else KnownGroup.finite(order)
+        ), m
 
 
 def _known_group_from_json(data: dict) -> KnownGroup:

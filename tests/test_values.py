@@ -60,6 +60,7 @@ from spherestruct.cyclic import (
     _cyclic_group,
     _element,
     _shown,
+    _shown_group,
     _slot_writers,
     _subgroup,
     cyclic_group,
@@ -401,6 +402,27 @@ _LONG_CALLS = {
         "no closed manifold for (u, v) = (-<integer of 101 digits>, 1): the "
         "plumbing boundary is an exotic sphere unless 7 divides u*v",
     ),
+    "LClass-add": (
+        lambda: LClass(_LONG, 1) + LClass(4, 1),
+        "cannot add L-classes of dimensions <integer of 101 digits> and 4",
+    ),
+    "CyclicElement-sub": (
+        lambda: cyclic_group(_LONG).element(1) - cyclic_group(3).element(1),
+        "elements live in different groups: Z_<integer of 101 digits> vs Z_3",
+    ),
+    "CyclicSubgroup-contains": (
+        lambda: subgroup_generated(_LONG, 2).contains(cyclic_group(1).element(0)),
+        "element of 0 tested against a subgroup of Z_<integer of 101 digits>",
+    ),
+    # Past Python's int-to-str limit (4300 digits), counted by arithmetic.
+    "t-past-str-limit": (
+        lambda: t(-10**5000), "t(i) requires i >= 1, got -<integer of 5001 digits>"
+    ),
+    "bernoulli-past-str-limit": (
+        lambda: bernoulli(10**5000),
+        "bernoulli(k) requires k <= 827 (MAX_BERNOULLI_INDEX), "
+        "got <integer of 5001 digits>",
+    ),
 }
 
 
@@ -420,6 +442,18 @@ def test_the_display_rule_prints_up_to_100_digits_in_full():
         assert _shown(number) == str(number) == _shown(str(number))
     assert _shown(10**100) == "<integer of 101 digits>"
     assert _shown(-(10**100)) == "-<integer of 101 digits>"
+    # The same texts as for a short number: 0 for Z_1, Z_n otherwise.
+    for order in (1, 3, 10**100 - 1):
+        assert _shown_group(cyclic_group(order)) == str(cyclic_group(order))
+    assert _shown_group(cyclic_group(10**100)) == "Z_<integer of 101 digits>"
+
+
+def test_the_display_rule_counts_digits_without_str():
+    # Every power of ten and its predecessor up to 6000 digits, past the
+    # int-to-str limit; the digit count comes from arithmetic alone.
+    for digits in range(101, 6001):
+        assert _shown(10 ** (digits - 1)) == f"<integer of {digits} digits>"
+        assert _shown(-(10**digits - 1)) == f"-<integer of {digits} digits>"
 
 
 def test_a_cached_door_hands_out_one_shared_value():
