@@ -3,14 +3,15 @@
 Every subcommand answers one library question; ``--json`` switches the
 output to a deterministic envelope with the query echoed back, the result
 payload, and provenance notes saying which numbers are exact formula
-output and which come from the reference table.  ``--table FILE`` (or the
+output, which come from the reference table and which the table derives
+from its theta orders.  ``--table FILE`` (or the
 SURGERY_TABLE environment variable) merges a JSON override file over the
 built-in table.
 
-Integer arguments follow the table file's grammar (``tables._decimal``):
-an optional ``-`` and then ASCII digits, so ``+16``, ``1_6``, `` 16 ``
-and non-ASCII digits are usage errors, and an error shows a long number
-by its digit count (``cyclic._shown``).
+Integer arguments have the one reader of the table file's keys and
+orders (``tables._decimal``): an optional ``-`` and then ASCII digits, so
+``+16``, ``1_6``, `` 16 `` and non-ASCII digits are usage errors, and an
+error shows a long number by its digit count (``cyclic._shown``).
 
 Exit status: 0 on success, 1 on domain errors (a precondition violated by
 otherwise well-formed arguments, a malformed table file, or an index
@@ -54,8 +55,8 @@ from .tables import (
 PROG = "spherestruct"
 
 _NOTE_TABLE = (
-    "theta, pi(G/O) and bP_{4k+2} orders: shipped reference table "
-    "(override with --table or SURGERY_TABLE)"
+    "theta and pi_2(G/O) orders: shipped reference table; other pi(G/O) and bP_{4k+2} "
+    "orders: derived from theta unless given (override with --table or SURGERY_TABLE)"
 )
 _NOTE_FORMULA = "t_i and |bP_{4k}| orders: Levine order formula, exact integers"
 _NOTE_BERNOULLI = (
@@ -283,17 +284,15 @@ def _yesno(flag: bool) -> str:
 
 
 def _integer(text: str) -> int:
-    # The type of every integer argument: the table file's grammar with
-    # an optional "-" (int() would also take "+", spaces, "_" and
-    # non-ASCII digits), and a long number shown by its digit count.
-    digits = text.removeprefix("-")
+    # The type of every integer argument: the package's one reader,
+    # ``tables._decimal``, and a long number shown by its digit count.
     try:
-        value = _decimal(digits, "argument")
+        value = _decimal(text, "argument")
     except TableError:  # more digits than int() converts
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown_repr(text)}")
-    return -value if text.startswith("-") else value
+    return value
 
 
 def _ints(*names: str) -> tuple:

@@ -10,16 +10,18 @@ subgroup is stored with generator n itself.
 The module also holds the package's argument rules that every door
 shares: ``_exact_int`` for an integer, ``_checked_index`` for an
 index's least value, whose one message form is
-``<door>(<arg>) requires <arg> >= <least>, got <value>``, and
+``<door>(<arg>) requires <arg> >= <least>, got <value>``,
 ``_past_cap`` for an index above a cap, whose one form is
-``<door>(<arg>) requires <arg> <= <most><note>, got <value>``.  Beside
-them is the one display rule for a caller's value in a message:
+``<door>(<arg>) requires <arg> <= <most><note>, got <value>``, and
+``_checked_order`` for a group order, whose one form is
+``<subject> must be >= 1, got <value>``.  Beside them is the one
+display rule for a caller's value in a message:
 ``_shown`` prints a number of up to ``_SHOWN_DIGITS`` (100) digits in
 full and names a longer one by its digit count, which it counts by
 integer arithmetic, so a number past Python's int-to-str limit is named
 too; ``_shown_repr`` does the same for a ``repr``, and ``_shown_group``
 names Z_n through ``_shown``, so no message can be flooded by its
-argument.  Both rules above and every message that prints a caller's
+argument.  The rules above and every message that prints a caller's
 integer or group go through them; ``CyclicGroup.__str__``, which the
 CLI prints, stays in full.
 """
@@ -57,7 +59,8 @@ def _value(cls: type) -> type:
     ``_slot_writers`` from an ``__init__`` that is not guarded, so a
     rewrite there changes only the caller's own value.  A class keeps
     any of these methods it defines itself (``tables.GroupTable`` does,
-    so that a copy or a pickle passes its constructor).
+    so that a copy or a pickle passes its constructor, and it sets
+    ``__hash__`` to None, since its read-only views do not hash).
 
     A value that a library function builds is a draft instead: the
     function stores each field, already checked and canonical, into an
@@ -209,7 +212,7 @@ class CyclicGroup:
     order: int
 
     def __init__(self, order: int) -> None:
-        self.__setstate__((_checked_order(order),))
+        self.__setstate__((_checked_order("order", "cyclic group order", order),))
 
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self, value)
@@ -223,13 +226,17 @@ def _shown_group(group: CyclicGroup) -> str:
     return "0" if group.order == 1 else f"Z_{_shown(group.order)}"
 
 
-def _checked_order(n: object) -> int:
-    # The order rule of CyclicGroup and cyclic_group: an int >= 1.
-    if type(n) is not int:
-        n = _exact_int("order", n)
-    if n < 1:
-        raise ValueError(f"cyclic group order must be >= 1, got {_shown(n)}")
-    return n
+def _checked_order(name: str, what: str, value: object) -> int:
+    # The package's one order rule, the slow branch behind every order
+    # door's ``type(value) is not int or value < 1``: the integer rule for
+    # the argument ``name``, then "<what> must be >= 1".  CyclicGroup,
+    # cyclic_group, subgroup_generated and tables.KnownGroup pass it.
+    if type(value) is not int:
+        value = _exact_int(name, value)
+    if value < 1:
+        raise ValueError(f"{what} must be >= 1, got {_shown(value)}")
+    return value
+
 
 
 _GroupDraft = _draft(CyclicGroup)
@@ -258,7 +265,7 @@ def cyclic_group(n: int) -> CyclicGroup:
     draft (see ``_value``); so cyclic_group(True) is cyclic_group(1) and
     a float never reaches a key it equals."""
     if type(n) is not int or n < 1:
-        n = _checked_order(n)
+        n = _checked_order("order", "cyclic group order", n)
     return _cyclic_group(n)
 
 
@@ -378,7 +385,7 @@ def subgroup_generated(n: int, g: int) -> CyclicSubgroup:
     if type(g) is not int:
         g = _exact_int("g", g)
     if n < 1:
-        _checked_order(n)
+        _checked_order("order", "cyclic group order", n)
     return _subgroup(n, gcd(g % n, n))
 
 

@@ -39,16 +39,18 @@ rule, ``cyclic._checked_index``, so they share its message form with
 every other index door; ``GroupTable.theta_order`` and ``pi_go`` are
 plain lookups.
 
-``GroupTable.__init__`` is the one gate into a table: the constructor,
-keyword construction, ``parse_table``, ``copy``, ``deepcopy`` and
-``pickle.loads`` all pass it.  It rejects a key that is not an int (a
-bool too) or an entry that is not a ``KnownGroup`` (``TypeError``), then
-applies the entry rules that ``parse_table`` applies to each JSON entry
+``GroupTable.__init__`` is the one gate into a table and the one checker
+of its entries: the constructor, keyword construction, ``parse_table``,
+``copy``, ``deepcopy`` and ``pickle.loads`` all pass it.  It rejects a
+key that is not an int (a bool too) or an entry that is not a
+``KnownGroup`` (``TypeError``), then applies the entry rules (a dimension
+>= 1, a ``bp`` dimension of 2 mod 4 and >= 4, a ``bp`` order of 1 or 2)
 and the Kervaire-Milnor chain check (``TableError``), in whose one pass
 over theta it derives the entries above.  It stores read-only views of
 its own copies, given and derived entries together, so tables are
 immutable once built, and a table's families passed back through the
-gate derive nothing new: a copy equals its source.
+gate derive nothing new: a copy equals its source.  A table does not
+hash, as its views do not.
 The kind rule: every entry is ``finite`` or ``unknown``, because Theta_n
 and bP_m are finite groups and a ``pi_go_torsion`` entry is a torsion
 order, so a ``z_times_finite`` entry raises a ``TableError`` naming it.
@@ -56,6 +58,13 @@ A built table refuses ``__init__`` before it writes anything
 (``AttributeError``, as a frozen dataclass does); ``copy``, ``deepcopy``
 and ``pickle.loads`` start from a blank instance, so they still pass the
 gate.
+
+``parse_table`` only reads, and leaves the checks to the gate.
+``_decimal``, the package's one reader of a typed integer (the CLI's
+arguments too), reads each key and order: an optional ``-`` and then
+ASCII digits, a key unsigned.  A JSON number reaches it as its digit
+text, so ``{"7": 28}`` and ``{"7": "28"}`` read alike.  The reader
+refuses an order below 1, which no ``KnownGroup`` holds.
 """
 
 from __future__ import annotations
@@ -65,7 +74,7 @@ from functools import lru_cache
 from types import MappingProxyType
 
 from .cyclic import (
-    _checked_index, _draft, _exact_int, _shown, _shown_repr, _slot_writers, _value,
+    _checked_index, _checked_order, _draft, _shown, _shown_repr, _slot_writers, _value,
 )
 from .rationals import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
@@ -115,7 +124,8 @@ class KnownGroup:
                 )
         elif kind == "finite" or kind == "z_times_finite":
             if type(order) is not int or order < 1:
-                order = _checked_order(kind, "order", order)
+                what = "finite group order" if kind == "finite" else "torsion order"
+                order = _checked_order("order", what, order)
         else:
             raise ValueError(
                 "group kind must be 'finite', 'z_times_finite' or 'unknown', "
@@ -131,7 +141,7 @@ class KnownGroup:
     @staticmethod
     def finite(order: int) -> KnownGroup:
         if type(order) is not int or order < 1:
-            order = _checked_order("finite", "order", order)
+            order = _checked_order("order", "finite group order", order)
         return _finite(order)
 
     @staticmethod
@@ -142,7 +152,7 @@ class KnownGroup:
     def z_times_finite(torsion_order: int) -> KnownGroup:
         if type(torsion_order) is not int or torsion_order < 1:
             torsion_order = _checked_order(
-                "z_times_finite", "torsion_order", torsion_order
+                "torsion_order", "torsion order", torsion_order
             )
         return _z_times_finite(torsion_order)
 
@@ -175,17 +185,6 @@ class KnownGroup:
         if self.kind == "z_times_finite":
             return {"kind": "z_times_finite", "torsion_order": self.order}
         return {"kind": "unknown"}
-
-
-def _checked_order(kind: str, name: str, order: object) -> int:
-    # The order rule of KnownGroup's constructor, finite and z_times_finite:
-    # an int >= 1, where ``name`` is the argument that holds it.
-    if type(order) is not int:
-        order = _exact_int(name, order)
-    if order < 1:
-        what = "finite group order" if kind == "finite" else "torsion order"
-        raise ValueError(f"{what} must be >= 1, got {_shown(order)}")
-    return order
 
 
 # Shared values behind KnownGroup.trivial() and KnownGroup.unknown(); safe
@@ -243,6 +242,7 @@ class GroupTable:
     costs what ``dict.get`` does on a miss, where ``.get`` costs more."""
 
     __slots__ = _FAMILIES
+    __hash__ = None  # its families are read-only views, which do not hash
     theta: Mapping[int, KnownGroup]
     pi_go_torsion: Mapping[int, KnownGroup]
     bp: Mapping[int, KnownGroup]
@@ -326,14 +326,14 @@ def _checked_family(family: str, entries: object) -> dict[int, KnownGroup]:
                 f"{_entry(family, dim)}: expected a KnownGroup, "
                 f"got {type(group).__name__}"
             )
-        _check_dimension(family, dim, dim)
+        _check_dimension(family, dim)
         if group.kind == "z_times_finite":
             raise TableError(
                 f"{_entry(family, dim)}: entries must be finite or unknown, "
                 "got z_times_finite"
             )
         if not group.is_unknown:
-            _check_order(family, group.order, dim)
+            _check_order(family, dim, group.order)
         checked[dim] = group
     return checked
 
@@ -359,104 +359,79 @@ def pi_go(n: int, table: GroupTable | None = None) -> KnownGroup:
     return (_BUILTIN if table is None else _checked_table(table)).pi_go(n)
 
 
-class _LongInt:
-    """A JSON integer with more digits than int() converts, kept so that
-    the entry holding it can be named without echoing the digits."""
-
-    __slots__ = ("digits",)
-
-    def __init__(self, text: str) -> None:
-        self.digits = len(text.lstrip("-"))
-
-    def __repr__(self) -> str:
-        return f"<integer of {self.digits} digits>"
-
-
-def _json_int(text: str) -> int | _LongInt:
-    try:
-        return int(text)
-    except ValueError:  # past sys.get_int_max_str_digits()
-        return _LongInt(text)
-
-
-def _too_long(what: str, digits: int) -> TableError:
-    return TableError(f"{what} has {digits} digits, more than int() converts")
-
-
 def _decimal(text: str, what: str) -> int | None:
-    # Plain ASCII digits only: int() would also accept signs, surrounding
-    # whitespace, underscores ("7_0" -> 70) and non-ASCII digits.
-    if not (text.isascii() and text.isdigit()):
+    # The package's one reader of a typed integer (argv, a table key or
+    # order): an optional "-" and then ASCII digits, or None.  int() would
+    # also accept "+", surrounding whitespace, underscores ("7_0" -> 70)
+    # and non-ASCII digits.
+    digits = text.removeprefix("-")
+    if not (digits.isascii() and digits.isdigit()):
         return None
     try:
         return int(text)
     except ValueError:  # past sys.get_int_max_str_digits()
-        raise _too_long(what, len(text)) from None
+        raise TableError(
+            f"{what} has {len(digits)} digits, more than int() converts"
+        ) from None
 
 
-def _entry(family: str, key: int | str) -> str:
-    # An entry as errors name it; ``key`` is a dimension or its JSON key.
-    return f"{family}[{_shown(key)}]"
+def _entry(family: str, dim: int) -> str:
+    # An entry as errors name it: by its dimension, not its JSON key.
+    return f"{family}[{_shown(dim)}]"
 
 
-# The entry rules: one home for the JSON entries of parse_table and for
-# the gate of GroupTable.  ``key`` names the entry in an error.
+# The entry rules of the gate, which checks every entry of every table.
 
 
-def _check_dimension(family: str, dim: int, key: int | str) -> None:
+def _check_dimension(family: str, dim: int) -> None:
     if dim < 1:
-        raise TableError(f"{_entry(family, key)}: dimension must be >= 1")
+        raise TableError(f"{_entry(family, dim)}: dimension must be >= 1")
     if family == "bp" and dim % 4 != 2:
         raise TableError(
-            f"{_entry(family, key)}: only dimensions = 2 mod 4 are table entries "
+            f"{_entry(family, dim)}: only dimensions = 2 mod 4 are table entries "
             "(odd ones are trivial, multiples of 4 are computed)"
         )
     if family == "bp" and dim < 4:  # bP_2: bp_order refuses m < 4, so never read
-        raise TableError(f"{_entry(family, key)}: dimension must be >= 4")
+        raise TableError(f"{_entry(family, dim)}: dimension must be >= 4")
 
 
-def _check_order(family: str, order: int, key: int | str) -> None:
+def _check_order(family: str, dim: int, order: int) -> None:
     # ``order`` is a known order, >= 1.
     if family == "bp" and order > 2:
         raise TableError(
-            f"{_entry(family, key)}: |bP_{{4k+2}}| is 1 or 2, got {_shown(order)}"
+            f"{_entry(family, dim)}: |bP_{{4k+2}}| is 1 or 2, got {_shown(order)}"
         )
 
 
 def _parse_entry(family: str, dim_key: str, value: object) -> tuple[int, KnownGroup]:
-    dim = _decimal(dim_key, f"{family}: a dimension key")
+    # One JSON entry read, not checked: an unsigned decimal key, and a
+    # value that becomes a KnownGroup ("unknown", "Z" or an order >= 1).
+    # A JSON number arrives as its digit text (``parse_table``).
+    dim = _decimal(dim_key, f"{family}: a dimension key") if dim_key.isdigit() else None
     if dim is None:
         raise TableError(
             f"{family}: dimension keys must be decimal strings, "
             f"got {_shown_repr(dim_key)}"
         )
-    _check_dimension(family, dim, dim_key)
-    entry = _entry(family, dim_key)
+    entry = _entry(family, dim)
     if value == "unknown":
-        return dim, KnownGroup.unknown()
+        return dim, _UNKNOWN
     if value == "Z":
         if family != "pi_go_torsion":
             raise TableError(
                 f"{entry}: the marker 'Z' is only meaningful for "
                 "pi_go_torsion (it denotes a free group with trivial torsion)"
             )
-        return dim, _finite(1)
-    if isinstance(value, str):
-        order = _decimal(value, f"{entry}: the order")
-    elif isinstance(value, int) and not isinstance(value, bool):  # bool is an int
-        order = value
-    elif isinstance(value, _LongInt):
-        raise _too_long(f"{entry}: the order", value.digits)
-    else:
-        order = None
+        return dim, _TRIVIAL
+    order = _decimal(value, f"{entry}: the order") if isinstance(value, str) else None
     if order is None:
         raise TableError(
             f"{entry}: expected a decimal order string, "
             f"'Z', or 'unknown'; got {_shown_repr(value)}"
         )
     if order < 1:
+        _check_dimension(family, dim)  # a bad dimension is named first
         raise TableError(f"{entry}: orders must be >= 1, got {_shown(order)}")
-    _check_order(family, order, dim_key)
     return dim, _finite(order)
 
 
@@ -525,8 +500,9 @@ def parse_table(text: str) -> GroupTable:
     entries; the gate then derives the rest (see the module docstring).
 
     Empty input yields the built-ins unchanged.  Each family present, even
-    as ``null``, must be an object mapping decimal dimension strings to a
-    decimal order string, the marker ``"Z"`` (for pi_go_torsion only), or
+    as ``null``, must be an object mapping decimal dimension strings to an
+    order (a JSON number or a decimal string, read as the CLI reads an
+    integer argument), the marker ``"Z"`` (for pi_go_torsion only), or
     ``"unknown"``; an absent family keeps its built-ins.  Entries replace
     the built-in entry for that dimension wholesale.  A key repeated in one
     JSON object, or two keys naming the same dimension (``"07"`` and
@@ -542,7 +518,7 @@ def parse_table(text: str) -> GroupTable:
 
     try:
         raw = json.loads(
-            text, object_pairs_hook=_object_without_duplicates, parse_int=_json_int
+            text, object_pairs_hook=_object_without_duplicates, parse_int=str
         )
     except json.JSONDecodeError as exc:
         raise TableError(

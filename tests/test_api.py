@@ -130,11 +130,26 @@ def test_each_argument_rule_has_one_home():
         if getattr(call.func, "id", None) == "isinstance"
         and any(getattr(node, "id", None) == "int" for node in ast.walk(call.args[1]))
     )
-    # S3S4Invariant dispatches on an int or an element; a JSON bool is
-    # refused on purpose where a table file is parsed.
-    assert int_tests == [
-        "classify.S3S4Invariant.__init__", "cyclic._exact_int", "tables._parse_entry"
+    # S3S4Invariant dispatches on an int or an element.
+    assert int_tests == ["classify.S3S4Invariant.__init__", "cyclic._exact_int"]
+    # One reader of a typed integer, tables._decimal: the only other int()
+    # calls are the integer rule and the exit code of cli.main, and the
+    # package's one json.loads hands a JSON number to the reader as its
+    # digit text.
+    int_calls = sorted(
+        f"{name}.{scope}"
+        for name, tree in trees.items()
+        for scope, call in _scoped_nodes(tree)
+        if getattr(call.func, "id", None) == "int"
+    )
+    assert int_calls == ["cli.main", "cyclic._exact_int", "tables._decimal"]
+    loads = [
+        (name, {word.arg: ast.unparse(word.value) for word in call.keywords})
+        for name, tree in trees.items()
+        for _, call in _scoped_nodes(tree)
+        if getattr(call.func, "attr", None) == "loads"
     ]
+    assert [(name, words["parse_int"]) for name, words in loads] == [("tables", "str")]
     gone = {
         "_reject_non_int", "_reject_order", "_reject_non_table", "_pairing_coefficient",
         "_checked_bp_dim",
@@ -151,7 +166,19 @@ def test_each_argument_rule_has_one_home():
         for node in ast.walk(tree)
         if isinstance(node, ast.FunctionDef) and node.name == "_checked_order"
     )
-    assert orders == ["cyclic", "tables"]
+    assert orders == ["cyclic"]
+    # One checker of a table entry, the gate, whose family copy runs the
+    # entry rules; the JSON reader checks a dimension only on its way to
+    # refusing an order below 1, so that a bad dimension is named first.
+    checks = sorted(
+        f"{scope}.{call.func.id}"
+        for scope, call in _scoped_nodes(trees["tables"])
+        if getattr(call.func, "id", None) in ("_check_dimension", "_check_order")
+    )
+    assert checks == [
+        "_checked_family._check_dimension", "_checked_family._check_order",
+        "_parse_entry._check_dimension",
+    ]
     # subgroup_generated reads the order rule of CyclicGroup.
     assert not [name for name in sources if "ambient order must be" in sources[name]]
     # One table check.
@@ -174,10 +201,8 @@ def test_each_argument_rule_has_one_home():
     # One display rule, cyclic._shown (with _shown_repr beside it, and
     # _shown_group, which names Z_n through it), for a caller's value in a
     # message: no other module defines one or its bound, its "<integer of"
-    # form is spelled only there and in the repr of tables._LongInt, a
-    # JSON number that int() could not convert and so holds no int to
-    # show, and each message that prints a caller's integer or group
-    # formats it only through _shown or _shown_group.
+    # form is spelled only there, and each message that prints a caller's
+    # integer or group formats it only through _shown or _shown_group.
     displays = sorted(
         f"{name}.{node.name}"
         for name, tree in trees.items()
@@ -187,12 +212,10 @@ def test_each_argument_rule_has_one_home():
     assert displays == ["cyclic._shown", "cyclic._shown_group", "cyclic._shown_repr"]
     assert [name for name in sources if "_SHOWN_DIGITS =" in sources[name]] == ["cyclic"]
     forms = {name: source.count("<integer of") for name, source in sources.items()}
-    assert {name: count for name, count in forms.items() if count} == {
-        "cyclic": 1, "tables": 1,
-    }
+    assert {name: count for name, count in forms.items() if count} == {"cyclic": 1}
     shown = {
         "cyclic._checked_index": {"value"}, "cyclic._past_cap": {"value"},
-        "cyclic._checked_order": {"n"}, "tables._checked_order": {"order"},
+        "cyclic._checked_order": {"value"},
         "bp.check_pair": {"p", "q"}, "bp.image_f_residual": {"p", "q"},
         "structset.forgetful_fiber": {"p", "q", "top_invariant"},
         "ltheory.theta_diff": {"p", "q", "u", "v", "w"},

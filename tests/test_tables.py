@@ -1,5 +1,7 @@
+import argparse
 import json
 import pickle
+import re
 import sys
 
 import pytest
@@ -18,6 +20,8 @@ from spherestruct import (
     t,
     theta_order,
 )
+from spherestruct.cli import _integer
+from spherestruct.cyclic import _shown, _shown_repr
 from spherestruct.tables import TableError
 
 from helpers import surgery_bp_order, surgery_pi_go
@@ -256,7 +260,9 @@ _LONG = "9" * 5000  # more digits than int() converts by default
         ('{"theta": {"7": %s}}' % _LONG, "theta[7]: the order has 5000 digits"),
         ('{"theta": {"7": -%s}}' % _LONG, "theta[7]: the order has 5000 digits"),
         ('{"bp": {"%s": "1"}}' % _LONG, "bp: a dimension key has 5000 digits"),
-        ('{"theta": {"7": [%s]}}' % _LONG, "got [<integer of 5000 digits>]"),
+        # A JSON number is read as its digit text, so one in a list is
+        # shown as the list's text.
+        ('{"theta": {"7": [%s]}}' % _LONG, "got <list of 5004 characters>"),
     ],
     ids=["order-string", "json-integer", "negative-json-integer", "dimension-key",
          "integer-in-a-list"],
@@ -287,8 +293,7 @@ _NEAR_LABEL = "<integer of 4000 digits>"
          f"theta[7]: orders must be >= 1, got -{_NEAR_LABEL}"),
         ('{"bp": {"10": %s}}' % _NEAR,
          f"bp[10]: |bP_{{4k+2}}| is 1 or 2, got {_NEAR_LABEL}"),
-        ('{"theta": {"%s": "0"}}' % ("0" * 4000),
-         f"theta[{_NEAR_LABEL}]: dimension must be >= 1"),
+        ('{"theta": {"%s": "0"}}' % ("0" * 4000), "theta[0]: dimension must be >= 1"),
         ('{"theta": {"0%s": "3", "%s": "3"}}' % (_NEAR, _NEAR),
          "theta: keys '<integer of 4001 digits>' and "
          f"'{_NEAR_LABEL}' both name dimension {_NEAR_LABEL}"),
@@ -300,7 +305,7 @@ _NEAR_LABEL = "<integer of 4000 digits>"
          "table JSON has a duplicate key <str of 4002 characters> in one object"),
         ('{"theta": {"7": [%s]}}' % _NEAR,
          "theta[7]: expected a decimal order string, 'Z', or 'unknown'; "
-         "got <list of 4002 characters>"),
+         "got <list of 4004 characters>"),
     ],
     ids=["bp-dimension-key", "theta-dimension-key", "chain-check-json-integer",
          "chain-check-order-string", "negative-order", "bp-order", "zero-key",
@@ -350,6 +355,71 @@ def test_a_group_table_is_a_frozen_slotted_value():
 def test_duplicate_key_error_survives_long_integers():
     with pytest.raises(TableError, match="duplicate key '7'"):
         parse_table('{"theta": {"7": %s, "7": "28"}}' % _LONG)
+
+
+# Integer texts: any int, "-0", leading zeros (a JSON string and argv
+# take them, JSON numbers do not), and numbers of more digits than int()
+# converts, either sign.  Junk: texts outside the grammar of an optional
+# "-" and then ASCII digits, none of them a table marker.
+_INT_TEXTS = st.one_of(
+    st.integers().map(str),
+    st.from_regex(r"-?(0|[1-9][0-9]{0,30})", fullmatch=True),
+    st.from_regex(r"-?0[0-9]{1,5}", fullmatch=True),
+    st.builds(
+        lambda sign, lead, zeros: sign + lead + "0" * zeros,
+        st.sampled_from(["", "-"]), st.sampled_from("123456789"),
+        st.integers(4250, 5000),
+    ),
+)
+_JUNK = st.one_of(
+    st.sampled_from(["+5", "1_6", " 5", "5 ", "\u0667", "", "-", "--5", "5-", "1e3"]),
+    st.text().filter(
+        lambda text: not re.fullmatch(r"-?[0-9]+", text) and text not in ("Z", "unknown")
+    ),
+)
+_JSON_INTEGER = re.compile(r"-?(0|[1-9][0-9]*)")
+
+
+def _argv_reading(text):
+    try:
+        return _integer(text)
+    except argparse.ArgumentTypeError as exc:
+        return str(exc)
+
+
+def _order_reading(order_json):
+    # The order of theta[21] in a table that gives it, or the refusal.
+    try:
+        table = parse_table('{"theta": {"21": %s}}' % order_json)
+    except TableError as exc:
+        return str(exc)
+    return table.theta_order(21).order
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(_INT_TEXTS, _JUNK))
+def test_argv_and_both_json_spellings_of_an_order_read_alike(text):
+    # One reader, tables._decimal, behind an argv integer, an order written
+    # as a JSON string and (where the text is a JSON number) the same order
+    # written as a JSON number: the same value, or the same refusal.
+    argv = _argv_reading(text)
+    if isinstance(argv, int):
+        expected = argv if argv >= 1 else (
+            f"theta[21]: orders must be >= 1, got {_shown(argv)}"
+        )
+    elif re.fullmatch(r"-?[0-9]+", text):  # more digits than int() converts
+        assert argv == f"invalid int value: {_shown(text)}"
+        digits = len(text.removeprefix("-"))
+        expected = f"theta[21]: the order has {digits} digits, more than int() converts"
+    else:
+        assert argv == f"invalid int value: {_shown_repr(text)}"
+        expected = (
+            "theta[21]: expected a decimal order string, 'Z', or 'unknown'; "
+            f"got {_shown_repr(text)}"
+        )
+    assert _order_reading(json.dumps(text)) == expected
+    if _JSON_INTEGER.fullmatch(text):
+        assert _order_reading(text) == expected
 
 
 def test_shared_known_group_constants_are_frozen():

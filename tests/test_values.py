@@ -14,6 +14,7 @@ import pickle
 import re
 import subprocess
 import sys
+from collections.abc import Hashable
 from pathlib import Path
 
 import pytest
@@ -27,6 +28,7 @@ from spherestruct import (
     TopStructureSet,
     bernoulli,
     bp_order,
+    builtin_table,
     check_pair,
     del_map,
     eta_fiber_size,
@@ -501,6 +503,21 @@ def test_values_survive_replace_pickle_and_hashing():
         assert clone == value and clone is not value
         assert repr(clone) == repr(value)
         assert hash(clone) == hash(value)
+
+
+def test_a_group_table_is_unhashable_and_every_other_value_hashes():
+    # A table's families are read-only views, which do not hash, so
+    # GroupTable declares itself unhashable instead of keeping the
+    # field-tuple hash of cyclic._value, which could never work.
+    table = builtin_table()
+    with pytest.raises(TypeError, match=r"^unhashable type: 'GroupTable'$"):
+        hash(table)
+    assert not isinstance(table, Hashable)
+    assert pickle.loads(pickle.dumps(table)) == table  # equal by the fields
+    assert {type(value) for value in _samples()} == set(VALUE_CLASSES)
+    for value in _samples():
+        assert isinstance(value, Hashable)
+        assert hash(value) == hash(type(value)(**_fields(value)))
 
 
 def test_presentations_survive_replace_pickle_and_keyword_construction():
