@@ -48,7 +48,7 @@ function that repeats the swap of ``structset.normalize_dims``.
 
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores
-(``_t_multiple_of_4`` from ``rationals`` and the record
+(``_t_multiple_of_4`` from ``levine`` and the record
 ``_residual_split``) assume checked ones, and the package's own callers
 that have already checked a pair call the cores: the residual group is
 Z_r off the record for a pair (4j, 4k) and ``_TRIVIAL`` for every other
@@ -74,7 +74,7 @@ from .cyclic import (
     _subgroup,
     cyclic_group,
 )
-from .rationals import _t_multiple_of_4
+from .levine import _t_multiple_of_4
 from .tables import _BUILTIN, GroupTable, KnownGroup, _checked_table
 
 __all__ = [

@@ -40,7 +40,6 @@ from .classify import (
     wall_triple_of_plumbing,
 )
 from .cyclic import _shown, _shown_repr
-from .rationals import bernoulli
 from .structset import (
     eta_fiber_size,
     group_structure_possible,
@@ -94,6 +93,8 @@ def _operands(args) -> dict:
 
 
 def _cmd_bernoulli(args, table):
+    from .rationals import bernoulli  # only this subcommand needs fractions
+
     value = bernoulli(args.k)
     payload = {
         **_operands(args),

@@ -41,8 +41,9 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-from .bp import _RESIDUAL, _SHAPES, _residual_split, _t_multiple_of_4, check_pair
+from .bp import _RESIDUAL, _SHAPES, _residual_split, check_pair
 from .cyclic import _checked_index, _draft, _exact_int, _shown, _slot_writers, _value
+from .levine import _t_multiple_of_4
 
 __all__ = [
     "LGroupKind",

@@ -9,7 +9,7 @@ Three families are tabulated:
                         m = 2 mod 4, m >= 6, each 1 or 2.  ``GroupTable.bp_order``
                         reads them for that residue, the only one with no
                         closed formula here: odd m and m = 4 are trivial,
-                        and m = 4k is the Levine order t_m (``rationals``).
+                        and m = 4k is the Levine order t_m (``levine``).
 
 The given entries of the built-in table are |Theta_n| for n <= 20, from
 the standard Kervaire-Milnor era tables, and the classical
@@ -76,7 +76,7 @@ from types import MappingProxyType
 from .cyclic import (
     _checked_index, _checked_order, _draft, _shown, _shown_repr, _slot_writers, _value,
 )
-from .rationals import MAX_BERNOULLI_INDEX, _t_multiple_of_4
+from .levine import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
 __all__ = [
     "KnownGroup",

@@ -28,15 +28,49 @@ def test_every_exported_name_resolves(name):
     assert missing == [], name
 
 
-LIBRARY_MODULES = ("rationals", "cyclic", "tables", "bp", "ltheory", "structset", "classify")
+LIBRARY_MODULES = (
+    "levine", "rationals", "cyclic", "tables", "bp", "ltheory", "structset", "classify",
+)
+
+
+def _fresh(code):
+    # The stdout of code run in a new interpreter that imports the package
+    # from this checkout.
+    src = os.path.dirname(os.path.dirname(spherestruct.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    )
+    return result.stdout
 
 
 def test_the_package_re_exports_each_library_module_all():
+    # The lazy namespace's map of homes is the library modules' __all__
+    # lists joined, in order, and each name it hands out is its home's.
+    homes = {
+        name: importlib.import_module(f"spherestruct.{name}") for name in LIBRARY_MODULES
+    }
+    assert spherestruct._HOMES == {name: tuple(home.__all__) for name, home in homes.items()}
     expected = ["__version__"]
-    for name in LIBRARY_MODULES:
-        expected += importlib.import_module(f"spherestruct.{name}").__all__
+    for home in homes.values():
+        expected += home.__all__
     assert len(expected) == len(set(expected))
-    assert sorted(spherestruct.__all__) == sorted(expected)
+    assert spherestruct.__all__ == expected
+    for name, home in homes.items():
+        for exported in home.__all__:
+            assert getattr(spherestruct, exported) is getattr(home, exported), exported
+    # A first read binds the value, so later reads do not reach __getattr__.
+    assert set(expected) <= set(vars(spherestruct))
+    assert set(expected) <= set(dir(spherestruct))
+    assert set(LIBRARY_MODULES) | {"cli"} <= set(dir(spherestruct))
+    star = {}
+    exec("from spherestruct import *", star)
+    assert sorted(set(star) - {"__builtins__"}) == sorted(expected)
+    # A submodule resolves on first read, with no import of it before.
+    assert _fresh("import spherestruct; print(spherestruct.bp.t(16))") == "8128\n"
+    with pytest.raises(AttributeError) as caught:
+        spherestruct.x
+    assert str(caught.value) == "module 'spherestruct' has no attribute 'x'"
     from spherestruct import TableError, image_f_residual, pairing_coefficient
 
     assert issubclass(TableError, ValueError)
@@ -49,7 +83,8 @@ def test_the_package_re_exports_each_library_module_all():
 
 # The package's layers, lowest first.  __init__ and __main__ are not ranked.
 LAYERS = (
-    "cyclic", "rationals", "tables", "bp", "ltheory", "structset", "classify", "cli",
+    "cyclic", "levine", "rationals", "tables", "bp", "ltheory", "structset", "classify",
+    "cli",
 )
 
 
@@ -77,8 +112,8 @@ def _package_imports(tree):
 
 def test_each_module_imports_only_the_layers_below_it():
     # Imports run one way, so the package has no import cycle.  A name
-    # read from the package root other than __version__ would import the
-    # root, which imports every library module.
+    # read from the package root other than __version__ would hide the
+    # layer it comes from, and could load layers above the reader.
     package = Path(spherestruct.__file__).resolve().parent
     modules = sorted(path.stem for path in package.glob("*.py"))
     assert modules == sorted(LAYERS + ("__init__", "__main__"))
@@ -288,29 +323,42 @@ def test_the_shape_of_a_pair_has_one_home():
     assert parity == {"structset.normalize_dims", "structset.present"}
 
 
-@pytest.mark.parametrize("module", ["json", "dataclasses", "inspect"])
+@pytest.mark.parametrize(
+    "module", ["json", "dataclasses", "inspect", "fractions", "decimal", "numbers"]
+)
 def test_importing_the_package_does_not_load(module):
     # Only a table override (parse_table) and the CLI's --json envelope
     # need json, and each imports it where it is used.  The value classes
     # get their methods from cyclic._value, not from dataclasses, whose
-    # import alone pulls in inspect, ast, dis and tokenize.
-    src = os.path.dirname(os.path.dirname(spherestruct.__file__))
-    code = f"import sys, spherestruct, spherestruct.cli; print({module!r} in sys.modules)"
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+    # import alone pulls in inspect, ast, dis and tokenize.  Only bernoulli
+    # needs fractions, which pulls in decimal and numbers.  A bare import
+    # loads no library module; then the CLI's import and a read of every
+    # public name but bernoulli load none of these modules.
+    code = (
+        "import sys\n"
+        "import spherestruct\n"
+        "print(sorted(m for m in sys.modules if m.startswith('spherestruct.')))\n"
+        f"print({module!r} in sys.modules)\n"
+        "import spherestruct.cli\n"
+        f"print({module!r} in sys.modules)\n"
+        "for name in spherestruct.__all__:\n"
+        "    if name != 'bernoulli':\n"
+        "        getattr(spherestruct, name)\n"
+        f"print({module!r} in sys.modules)\n"
+        "spherestruct.bernoulli\n"
+        f"print({module!r} in sys.modules)\n"
     )
-    assert result.stdout == "False\n"
+    loaded_by_bernoulli = module in ("fractions", "decimal", "numbers")
+    assert _fresh(code) == f"[]\nFalse\nFalse\nFalse\n{loaded_by_bernoulli}\n"
 
 
 def test_import_builds_the_classifier_tables_from_t4_and_t8_only():
-    # The S^3 x S^4 tables are built at import; they may compute t_4 and
-    # t_8 (bP_8 and the pairing 8 t_4 t_4).  The chain check of the
-    # built-in table asks t of 8, 12, 16 and 20 (bP_{n+1} for its theta
-    # entries), and import computes no other t.
-    src = os.path.dirname(os.path.dirname(spherestruct.__file__))
+    # The S^3 x S^4 tables are built when spherestruct.classify is
+    # imported (a bare import of the package builds nothing); they may
+    # compute t_4 and t_8 (bP_8 and the pairing 8 t_4 t_4).  The chain
+    # check of the built-in table asks t of 8, 12, 16 and 20 (bP_{n+1} for
+    # its theta entries), and the import computes no other t.
     code = (
-        "import spherestruct\n"
         "from spherestruct import bp, classify\n"
         "before = bp._t_multiple_of_4.cache_info()\n"
         "bp.t(4), bp.t(8), bp.t(12), bp.t(16), bp.t(20)\n"
@@ -319,11 +367,7 @@ def test_import_builds_the_classifier_tables_from_t4_and_t8_only():
         "print(before.currsize, after.misses - before.misses,"
         " [len(table) == classify.BP8.order for table in tables])"
     )
-    env = dict(os.environ, PYTHONPATH=src)
-    result = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
-    )
-    assert result.stdout == "5 0 [True, True, True]\n"
+    assert _fresh(code) == "5 0 [True, True, True]\n"
 
 
 def test_bench_library_names_resolve():

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from spherestruct import bernoulli, num_b_over_4k, rationals
+from spherestruct import bernoulli, levine, num_b_over_4k
 
 from helpers import (
     bernoulli_oracle,
@@ -91,7 +91,7 @@ def test_bernoulli_agrees_with_sympy():
 
 def _cold() -> None:
     """Drop the tangent table and the Bernoulli cache, as in a fresh process."""
-    rationals._TANGENT = ([1], [1])
+    levine._TANGENT = ([1], [1])
     bernoulli.cache_clear()
 
 
@@ -117,17 +117,17 @@ def test_results_on_each_side_of_a_table_rebuild():
     for k in (10, 11, 20, 21, 9, 40, 41, 80, 3, 200):
         largest = max(largest, k)
         assert bernoulli(k) == bernoulli_oracle(k), k
-        assert len(rationals._TANGENT[0]) == largest, k
+        assert len(levine._TANGENT[0]) == largest, k
         assert num_b_over_4k(k) == (bernoulli_oracle(k) / (4 * k)).numerator, k
 
 
 def test_tangent_numbers_match_the_in_place_triangle():
     reference = tangent_numbers_in_place(300)
     _cold()
-    assert rationals._tangent(300) == reference[-1]
-    assert rationals._TANGENT[0] == reference
+    assert levine._tangent(300) == reference[-1]
+    assert levine._TANGENT[0] == reference
     _cold()
-    assert [rationals._tangent(k) for k in range(1, 301)] == reference
+    assert [levine._tangent(k) for k in range(1, 301)] == reference
 
 
 @settings(max_examples=30, deadline=None)
@@ -136,10 +136,10 @@ def test_any_request_order_builds_the_table_of_one_cold_request(indices):
     _cold()
     for k in indices:
         num_b_over_4k(k)
-    grown = rationals._TANGENT
+    grown = levine._TANGENT
     _cold()
     num_b_over_4k(max(indices))
-    assert grown == rationals._TANGENT
+    assert grown == levine._TANGENT
     assert len(grown[0]) == len(grown[1]) == max(indices)
 
 
@@ -150,7 +150,7 @@ def test_any_call_order_matches_oracle(indices):
 
 
 def test_indices_above_the_cap_are_rejected():
-    cap = rationals.MAX_BERNOULLI_INDEX
+    cap = levine.MAX_BERNOULLI_INDEX
     for fn in (bernoulli, num_b_over_4k):
         with pytest.raises(ValueError, match=f"k <= {cap}"):
             fn(cap + 1)
@@ -159,14 +159,14 @@ def test_indices_above_the_cap_are_rejected():
 
 def test_table_rebuild_never_grows_past_the_cap(monkeypatch):
     # With a cap of 30 the table stops at index 30.
-    monkeypatch.setattr(rationals, "MAX_BERNOULLI_INDEX", 30)
+    monkeypatch.setattr(levine, "MAX_BERNOULLI_INDEX", 30)
     _cold()
     for k in (20, 21, 30):
         assert bernoulli(k) == bernoulli_oracle(k), k
-        assert len(rationals._TANGENT[0]) == k, k
+        assert len(levine._TANGENT[0]) == k, k
     with pytest.raises(ValueError):
         bernoulli(31)
     with pytest.raises(ValueError):
         num_b_over_4k(31)
-    assert len(rationals._TANGENT[0]) == 30
+    assert len(levine._TANGENT[0]) == 30
     _cold()

@@ -61,8 +61,8 @@ from spherestruct.classify import (
     s4s4_diffeomorphic,
 )
 from spherestruct.cyclic import CyclicElement, cyclic_group
+from spherestruct.levine import MAX_BERNOULLI_INDEX
 from spherestruct.ltheory import NormalClassDiff, theta_diff
-from spherestruct.rationals import MAX_BERNOULLI_INDEX
 from spherestruct.structset import (
     del_map,
     eta_fiber_size,
