@@ -18,11 +18,11 @@ module, which imports the layers below it, and binds the value here, so
 later reads are plain attribute hits; the first read of a submodule
 (``spherestruct.bp``, ``spherestruct.cli``) imports it.  ``_HOMES``
 names the home of each public name without importing it, so it repeats
-each module's ``__all__`` in order;
+each module's ``__all__`` in order: a public name is added, renamed or
+removed in both lists together, and
 ``tests/test_api.py::test_the_package_re_exports_each_library_module_all``
-pins the two to each other, and the modules' lists stay the ones to
-edit.  ``from spherestruct import *`` imports every library module but
-``cli``.
+fails until they agree.  ``from spherestruct import *`` imports every
+library module but ``cli``.
 """
 
 from importlib import import_module as _import_module
