@@ -6,6 +6,9 @@ every value (and every error) as it was.
 It covers every pair (p, q) with p, q >= 0 and p + q < N (default 130),
 in both orders, and every integer coordinate d with |d| <= D (default
 70), which ``forgetful_fiber`` also takes as its ``top_invariant``.
+``image_f_residual`` and ``top_structure_set`` take each pair of the
+grid, so their errors for every other shape and for a pair that
+``check_pair`` rejects are pinned too.
 ``theta_diff`` takes d as the coordinates (d, 1, d) and (1, d, -d) of
 (u, v, w), each pair once more with a w of the wrong dimension, and a
 few pairs past the cap of ``t``, so that the order of its pair,
@@ -49,7 +52,7 @@ import json
 from collections.abc import Callable
 from pathlib import Path
 
-from spherestruct.bp import bp_order, residual_group, t
+from spherestruct.bp import bp_order, image_f_residual, residual_group, t
 from spherestruct.classify import (
     BP8,
     S3S4Invariant,
@@ -70,6 +73,7 @@ from spherestruct.structset import (
     group_structure_possible,
     present,
     stabilizer,
+    top_structure_set,
 )
 from spherestruct.tables import (
     GroupTable,
@@ -89,6 +93,8 @@ FAMILIES = (
     "theta_diff",
     "group_structure_possible",
     "forgetful_fiber",
+    "image_f_residual",
+    "top_structure_set",
     "bp_order",
     "theta_order",
     "pi_go",
@@ -212,6 +218,8 @@ def digests(max_sum: int, max_d: int) -> dict[str, str]:
                 (p, q),
                 _outcome(lambda: group_structure_possible(p, q)),
             )
+            feed("image_f_residual", (p, q), _outcome(lambda: image_f_residual(p, q)))
+            feed("top_structure_set", (p, q), _outcome(lambda: top_structure_set(p, q)))
             for d in ds:
                 args = (p, q, d)
                 feed("stabilizer", args, _outcome(lambda: stabilizer(p, q, d)))
