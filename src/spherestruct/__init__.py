@@ -18,8 +18,10 @@ module, which imports the layers below it, and binds the value here, so
 later reads are plain attribute hits; the first read of a submodule
 (``spherestruct.bp``, ``spherestruct.cli``) imports it.  ``_HOMES``
 names the home of each public name without importing it, so it repeats
-each module's ``__all__`` in order: a public name is added, renamed or
-removed in both lists together, and
+each module's ``__all__`` in order, and lists the modules in their
+layer order, lowest first: a public name is added, renamed or removed
+in both lists together, a module is added to ``_HOMES`` and to
+``LAYERS`` in ``tests/test_api.py`` together, and
 ``tests/test_api.py::test_the_package_re_exports_each_library_module_all``
 fails until they agree.  ``from spherestruct import *`` imports every
 library module but ``cli``.
@@ -30,26 +32,26 @@ from importlib import import_module as _import_module
 __version__ = "0.1.0"
 
 _HOMES = {
-    "levine": ("MAX_BERNOULLI_INDEX", "num_b_over_4k"),
-    "rationals": ("bernoulli",),
     "cyclic": (
         "CyclicGroup", "cyclic_group", "CyclicElement", "CyclicSubgroup",
         "subgroup_generated",
     ),
+    "levine": ("MAX_BERNOULLI_INDEX", "num_b_over_4k"),
+    "rationals": ("bernoulli",),
     "tables": (
         "KnownGroup", "GroupTable", "TableError", "TableReadError", "builtin_table",
         "theta_order", "pi_go", "parse_table", "load_table",
     ),
-    "bp": (
-        "t", "bp_order", "check_pair", "pairing_coefficient", "residual_group",
-        "image_f_residual",
-    ),
+    "bp": ("t", "bp_order", "check_pair", "pairing_coefficient", "residual_group"),
     "ltheory": ("LGroupKind", "LClass", "NormalClassDiff", "l_group", "theta_diff"),
     "structset": (
         "StructureSetPresentation", "TopStructureSet", "GroupStructureVerdict",
         "ACTION_FREE", "ACTION_STABILIZER", "normalize_dims", "present", "del_map",
-        "stabilizer", "eta_fiber_size", "top_structure_set", "group_structure_possible",
-        "forgetful_fiber",
+        "stabilizer", "eta_fiber_size",
+    ),
+    "consequences": (
+        "top_structure_set", "group_structure_possible", "forgetful_fiber",
+        "image_f_residual",
     ),
     "classify": (
         "BP8", "S3S4Invariant", "WallTriple", "S4S4Manifold", "s3s4_structure_equal",

@@ -28,12 +28,12 @@ subgroup <c> = <g> of Z_n, of order r, as the shared
 per unordered pair, because all four are symmetric in p and q: (4k, 4j)
 reuses the record of (4j, 4k), with no second gcd.  It is the only home
 of these numbers: ``pairing_coefficient`` and ``ltheory._theta_diff``
-read c, ``residual_group`` and ``image_f_residual`` hand out Z_r, and
-``structset`` reads the record for every stabiliser of the (4j-1, 4k)
-shape (the subgroup <d * c> of Z_n has canonical generator
+read c, ``structset`` reads the record for every stabiliser of the
+(4j-1, 4k) shape (the subgroup <d * c> of Z_n has canonical generator
 g * gcd(d, r), so it is <c> itself for every d coprime to r) and Z_r
-for its presentations and group-structure verdicts.  So any first call
-of a pair warms the others, in either order.
+for its presentations, and ``consequences`` reads Z_r for its
+group-structure verdicts and hands it out through ``image_f_residual``.
+So any first call of a pair warms the others, in either order.
 
 The shape of a pair decides which of these numbers an answer needs, and
 ``_SHAPES`` is its one home: ``_SHAPES[p & 3][q & 3]`` is ``_STABILIZER``
@@ -41,10 +41,10 @@ for {4j-1, 4k} (stabilisers vary with d, so there is no group
 structure), ``_RESIDUAL`` for (4j, 4k) (a residual group, so the
 forgetful image is not a subgroup when it is nontrivial) and ``_FREE``
 for every other pair (the action is free).  The table is symmetric, so
-it names the shape of a pair in either order; every shape test in
-``bp``, ``ltheory`` and ``structset`` is one subscript of it, and
-``structset.present``, whose result shows the order, is the only
-function that repeats the swap of ``structset.normalize_dims``.
+it names the shape of a pair in either order; every shape test in the
+package is one subscript of it, and ``structset.present``, whose result
+shows the order, is the only function that repeats the swap of
+``structset.normalize_dims``.
 
 Each argument is checked once, where it enters.  Public functions check
 their arguments and keep their messages; the ``_``-prefixed cores
@@ -83,7 +83,6 @@ __all__ = [
     "check_pair",
     "pairing_coefficient",
     "residual_group",
-    "image_f_residual",
 ]
 
 
@@ -192,17 +191,3 @@ def _residual_split(
     ambient = _t_multiple_of_4(p + q)
     g = gcd(c, ambient)
     return c, g, _group(ambient // g), _subgroup(ambient, g)
-
-
-def image_f_residual(p: int, q: int) -> CyclicGroup:
-    """The residual group of S^{4j} x S^{4k}; the forgetful image in the
-    topological structure set is a subgroup exactly when this group is
-    trivial.  Other shapes are rejected."""
-    if type(p) is not int or type(q) is not int:
-        p, q = _exact_int("p", p), _exact_int("q", q)
-    if _SHAPES[p & 3][q & 3] is not _RESIDUAL or p < 4 or q < 4:
-        raise ValueError(
-            "image_f_residual expects dimensions (4j, 4k), "
-            f"got ({_shown(p)}, {_shown(q)})"
-        )
-    return _residual_split(p, q)[2]

@@ -27,7 +27,7 @@ import os
 import sys
 
 from . import __version__
-from .bp import bp_order, image_f_residual, pairing_coefficient, residual_group, t
+from .bp import bp_order, pairing_coefficient, residual_group, t
 from .classify import (
     S3S4Invariant,
     S4S4Manifold,
@@ -39,14 +39,13 @@ from .classify import (
     s4s4_diffeomorphic,
     wall_triple_of_plumbing,
 )
-from .cyclic import _shown, _shown_repr
-from .structset import (
-    eta_fiber_size,
+from .consequences import (
     group_structure_possible,
-    present,
-    stabilizer,
+    image_f_residual,
     top_structure_set,
 )
+from .cyclic import _shown, _shown_repr
+from .structset import eta_fiber_size, present, stabilizer
 from .tables import (
     GroupTable, KnownGroup, TableError, TableReadError, _decimal, load_table,
 )

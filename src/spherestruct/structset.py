@@ -26,17 +26,12 @@ g * gcd(d, r) and order r / gcd(d, r), so it depends on d only through
 gcd(d, r): trivial for d = 0, and for every d coprime to r (d = 1
 among them) the whole residual subgroup <8 t_{4j} t_{4k}> of order r.
 This change with d is why the smooth set admits no group structure in
-this shape (below).  The ambient order t_{4(j+k)} comes from t's cache,
-as in ``del_map``, and the rest from the record (c, g, Z_r, <c>) of
-(4j, 4k) that ``bp`` caches once per unordered pair, so (4k, 4j) reads
-the same record.  The generic stabiliser is the record's <c> itself, so
-a warm call for d coprime to r reads the record and nothing else.
-
-The topological structure set, by contrast, is a group isomorphic to
-L_p x L_q, and the smooth set never is one when the shape is {4j-1, 4k}
-(stabilisers vary) or (4j, 4k) (the image of the forgetful map to the
-topological set is not a subgroup whenever the residual group is
-nontrivial, which holds in every shipped dimension).
+this shape (see ``consequences``).  The ambient order t_{4(j+k)} comes
+from t's cache, as in ``del_map``, and the rest from the record
+(c, g, Z_r, <c>) of (4j, 4k) that ``bp`` caches once per unordered
+pair, so (4k, 4j) reads the same record.  The generic stabiliser is
+the record's <c> itself, so a warm call for d coprime to r reads the
+record and nothing else.
 
 As in ``bp``, public functions check their arguments (one
 ``bp.check_pair``, or its test inlined, for the dimensions; a ``table``
@@ -50,10 +45,9 @@ Every shape test reads ``bp``'s table of the three shapes,
 the pair in either order.  The order rule lives in ``normalize_dims``,
 and only ``present``, whose result shows the order, repeats its swap
 inline.  Every other answer is symmetric in p and q (the record is one
-per unordered pair), so ``stabilizer``, ``group_structure_possible``
-and ``forgetful_fiber`` read the pair as given, and a warm
-``stabilizer`` enters only itself and ``check_pair``.  ``stabilizer``
-is the home of the stabiliser formula, which ``eta_fiber_size`` reads
+per unordered pair), so ``stabilizer`` reads the pair as given, and a
+warm call enters only itself and ``check_pair``.  ``stabilizer`` is
+the home of the stabiliser formula, which ``eta_fiber_size`` reads
 through its public door on a miss of its cache.  Tests pin each inline
 copy to its home.
 
@@ -79,6 +73,10 @@ of their calls in a sweep are first calls.
 construction, which takes the place of ``dataclasses.replace`` (values
 are not dataclasses), goes through the hand-written ``__init__``, and
 tests pin that both routes build the same value.
+
+``TopStructureSet`` and ``GroupStructureVerdict`` are the values of
+``consequences``, the layer above, which builds them.  They stay here
+so that each keeps its ``__module__``, repr and pickle bytes.
 """
 
 from __future__ import annotations
@@ -96,11 +94,10 @@ from .cyclic import (
     _draft,
     _element,
     _exact_int,
-    _shown,
     _subgroup,
     _value,
 )
-from .ltheory import LGroupKind, l_group
+from .ltheory import LGroupKind
 from .tables import _UNKNOWN, GroupTable, KnownGroup, _checked_table, _finite
 
 __all__ = [
@@ -114,9 +111,6 @@ __all__ = [
     "del_map",
     "stabilizer",
     "eta_fiber_size",
-    "top_structure_set",
-    "group_structure_possible",
-    "forgetful_fiber",
 ]
 
 ACTION_FREE = "free_everywhere"
@@ -397,12 +391,6 @@ class TopStructureSet:
         return f"{self.p_factor} x {self.q_factor}"
 
 
-def top_structure_set(p: int, q: int) -> TopStructureSet:
-    """S^Top(S^p x S^q) as the group L_p x L_q (factor order as given)."""
-    bp.check_pair(p, q)
-    return TopStructureSet(l_group(p), l_group(q))
-
-
 @_value
 class GroupStructureVerdict:
     """Whether the smooth structure set can carry a compatible group
@@ -417,47 +405,3 @@ class GroupStructureVerdict:
 
     def __bool__(self) -> bool:
         return self.possible
-
-
-# The three verdicts, shared like every other result.
-_VARYING_STABILIZERS = GroupStructureVerdict(False, "non-constant stabilizers")
-_NOT_A_SUBGROUP = GroupStructureVerdict(False, "image not a subgroup")
-_POSSIBLE = GroupStructureVerdict(True, None)
-
-
-def group_structure_possible(p: int, q: int) -> GroupStructureVerdict:
-    """Group-structure verdict by shape, in either order: {4j-1, 4k} fails
-    with varying stabilisers, {4j, 4k} fails when the residual group is
-    nontrivial, everything else succeeds."""
-    bp.check_pair(p, q)
-    shape = _SHAPES[p & 3][q & 3]
-    if shape is _RESIDUAL:
-        return _NOT_A_SUBGROUP if bp._residual_split(p, q)[2].order > 1 else _POSSIBLE
-    return _VARYING_STABILIZERS if shape is _STABILIZER else _POSSIBLE
-
-
-def forgetful_fiber(p: int, q: int, top_invariant: int) -> KnownGroup:
-    """Size of the forgetful-map fibre over a topological structure of
-    S^3 x S^4 (or S^4 x S^3) with normal invariant ``top_invariant`` in Z.
-
-    The comparison map multiplies the degree-4 coordinate by t_4 = 2 (read
-    from t's cache), so smooth structures hit exactly the even invariants
-    and odd inputs are rejected.  Over t_4 * y the fibre is the
-    normal-invariant fibre over d = y, of size |Theta_7| / |stabiliser(y)|.
-    """
-    if type(top_invariant) is not int:
-        top_invariant = _exact_int("top_invariant", top_invariant)
-    bp.check_pair(p, q)
-    if (p, q) not in ((3, 4), (4, 3)):
-        raise ValueError(
-            "forgetful_fiber currently handles only S^3 x S^4, "
-            f"got ({_shown(p)}, {_shown(q)})"
-        )
-    t_4 = bp._t_multiple_of_4(4)
-    if top_invariant % t_4 != 0:
-        raise ValueError(
-            f"topological normal invariant {_shown(top_invariant)} is odd, "
-            "hence not in the image of the smooth structure set "
-            "(even invariants only)"
-        )
-    return eta_fiber_size(p, q, top_invariant // t_4)

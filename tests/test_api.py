@@ -28,9 +28,13 @@ def test_every_exported_name_resolves(name):
     assert missing == [], name
 
 
-LIBRARY_MODULES = (
-    "levine", "rationals", "cyclic", "tables", "bp", "ltheory", "structset", "classify",
+# The package's layers, lowest first.  __init__ and __main__ are not ranked.
+LAYERS = (
+    "cyclic", "levine", "rationals", "tables", "bp", "ltheory", "structset",
+    "consequences", "classify", "cli",
 )
+# Every layer but the command-line front end is a library module.
+LIBRARY_MODULES = tuple(name for name in LAYERS if name != "cli")
 
 
 def _fresh(code):
@@ -46,7 +50,8 @@ def _fresh(code):
 
 def test_the_package_re_exports_each_library_module_all():
     # The lazy namespace's map of homes is the library modules' __all__
-    # lists joined, in order, and each name it hands out is its home's.
+    # lists joined, in layer order, and each name it hands out is its home's.
+    assert tuple(spherestruct._HOMES) == LIBRARY_MODULES == LAYERS[:-1]
     homes = {
         name: importlib.import_module(f"spherestruct.{name}") for name in LIBRARY_MODULES
     }
@@ -79,13 +84,6 @@ def test_the_package_re_exports_each_library_module_all():
     for name in MODULES:
         exported = getattr(importlib.import_module(name), "__all__", [])
         assert not {"residual_split", "bp_from_table"} & set(exported), name
-
-
-# The package's layers, lowest first.  __init__ and __main__ are not ranked.
-LAYERS = (
-    "cyclic", "levine", "rationals", "tables", "bp", "ltheory", "structset", "classify",
-    "cli",
-)
 
 
 def _package_imports(tree):
@@ -251,8 +249,8 @@ def test_each_argument_rule_has_one_home():
     shown = {
         "cyclic._checked_index": {"value"}, "cyclic._past_cap": {"value"},
         "cyclic._checked_order": {"value"},
-        "bp.check_pair": {"p", "q"}, "bp.image_f_residual": {"p", "q"},
-        "structset.forgetful_fiber": {"p", "q", "top_invariant"},
+        "bp.check_pair": {"p", "q"}, "consequences.image_f_residual": {"p", "q"},
+        "consequences.forgetful_fiber": {"p", "q", "top_invariant"},
         "ltheory.theta_diff": {"p", "q", "u", "v", "w"},
         "classify.S4S4Manifold.__init__": {"u", "v"},
         "ltheory.LClass.__add__": {"self", "other"},
@@ -292,16 +290,17 @@ def test_each_argument_rule_has_one_home():
 
 
 def test_the_shape_of_a_pair_has_one_home():
-    # bp._SHAPES decides the shape of a pair: no module takes a pair
-    # argument mod 4 (the ambient n % 4 and m % 4 are not shapes), every
-    # ``& 3`` of one is a subscript of the table, and the table is read
-    # by name.  Only normalize_dims and present, whose result shows the
-    # order, test which factor is odd.
+    # bp._SHAPES decides the shape of a pair: no module of the package
+    # takes a pair argument mod 4 (the ambient n % 4 and m % 4 are not
+    # shapes), every ``& 3`` of one is a subscript of the table, and the
+    # table is read by name.  Only normalize_dims and present, whose
+    # result shows the order, test which factor is odd.
     package = Path(spherestruct.__file__).resolve().parent
     pair = {"p", "q", "np_", "nq", "a", "b"}
     wrong, parity = [], set()
-    for name in ("bp", "ltheory", "structset"):
-        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+    for path in sorted(package.glob("*.py")):
+        name = path.stem
+        tree = ast.parse(path.read_text(encoding="utf-8"))
         indices = {
             id(node.slice) for node in ast.walk(tree)
             if isinstance(node, ast.Subscript) and "_SHAPES" in ast.unparse(node.value)

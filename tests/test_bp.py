@@ -22,6 +22,7 @@ from spherestruct import (
     eta_fiber_size,
     forgetful_fiber,
     group_structure_possible,
+    image_f_residual,
     l_group,
     num_b_over_4k,
     parse_table,
@@ -43,7 +44,6 @@ from spherestruct.bp import (
     _residual_split,
     _t_multiple_of_4,
     check_pair,
-    image_f_residual,
     pairing_coefficient,
 )
 from spherestruct.cyclic import (

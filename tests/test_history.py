@@ -26,6 +26,9 @@ from spherestruct import (
     builtin_table,
     del_map,
     eta_fiber_size,
+    forgetful_fiber,
+    group_structure_possible,
+    image_f_residual,
     parse_table,
     plumbing_boundary_class,
     present,
@@ -86,6 +89,9 @@ _DOORS = {
     "plumbing_boundary_class": plumbing_boundary_class,
     "eta_fiber_size": lambda p, q, d, table: eta_fiber_size(p, q, d, _TABLES[table]),
     "theta_diff": _obstruction,
+    "group_structure_possible": group_structure_possible,
+    "image_f_residual": image_f_residual,
+    "forgetful_fiber": forgetful_fiber,
 }
 
 # Pairs of every shape, both orders, rejected ones, and p + q = 21 and 22,
@@ -124,6 +130,9 @@ _CALLS = st.one_of(
         lambda pair, u, v, w, shift: ("theta_diff", *pair, u, v, w, shift),
         _theta_pairs, _ints, _ints, _ints, st.sampled_from((0, 0, 0, 1)),
     ),
+    st.builds(lambda pair: ("group_structure_possible", *pair), _pairs),
+    st.builds(lambda pair: ("image_f_residual", *pair), _pairs),
+    st.builds(lambda pair, d: ("forgetful_fiber", *pair, d), _pairs, _ints),
 )
 
 # Sweeps of more distinct arguments than a bounded cache holds (1024).

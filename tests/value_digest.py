@@ -52,7 +52,7 @@ import json
 from collections.abc import Callable
 from pathlib import Path
 
-from spherestruct.bp import bp_order, image_f_residual, residual_group, t
+from spherestruct.bp import bp_order, residual_group, t
 from spherestruct.classify import (
     BP8,
     S3S4Invariant,
@@ -63,18 +63,16 @@ from spherestruct.classify import (
     s4s4_almost_diffeomorphic,
     s4s4_diffeomorphic,
 )
+from spherestruct.consequences import (
+    forgetful_fiber,
+    group_structure_possible,
+    image_f_residual,
+    top_structure_set,
+)
 from spherestruct.cyclic import CyclicElement, cyclic_group
 from spherestruct.levine import MAX_BERNOULLI_INDEX
 from spherestruct.ltheory import NormalClassDiff, theta_diff
-from spherestruct.structset import (
-    del_map,
-    eta_fiber_size,
-    forgetful_fiber,
-    group_structure_possible,
-    present,
-    stabilizer,
-    top_structure_set,
-)
+from spherestruct.structset import del_map, eta_fiber_size, present, stabilizer
 from spherestruct.tables import (
     GroupTable,
     KnownGroup,
