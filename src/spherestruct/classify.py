@@ -47,6 +47,14 @@ core (``structset._del_map``, 1024 entries) at (4, 4, -u, v), so the two
 doors share one cache, and a warm call is one cache read that hands out
 the shared element: plumbing_boundary_class(u, v) is del_map(4, 4, -u, v).
 
+Values.  ``S3S4Invariant`` and ``S4S4Manifold`` are the caller's
+arguments to the classifiers.  Their class is ``cyclic._Shared``, so a
+call hands out one shared frozen value per argument tuple: a repeated
+``S3S4Invariant(5, 7)`` is one builtin cache read, and the constructor,
+which checks the arguments and writes the fields through the guarded
+``__setstate__``, runs only for a new tuple.  ``WallTriple`` checks
+that both its fields are ints.
+
 ``s4s4_diffeomorphic`` compares the twists first, one comparison that
 settles every pair with different twists, and only then asks
 ``s4s4_almost_diffeomorphic``, the one home of the almost-diffeomorphism
@@ -60,8 +68,8 @@ from .cyclic import (
     CyclicElement,
     CyclicSubgroup,
     _exact_int,
+    _Shared,
     _shown,
-    _slot_writers,
     _value,
     cyclic_group,
     subgroup_generated,
@@ -92,9 +100,10 @@ _S4S4_RESIDUAL = residual_group(4, 4).order
 
 
 @_value
-class S3S4Invariant:
+class S3S4Invariant(metaclass=_Shared):
     """A manifold Sigma # N_v: the class sigma of Sigma in Z_28 and the
-    bundle parameter v.  ``sigma`` may be given as a plain integer."""
+    bundle parameter v.  ``sigma`` may be given as a plain integer.  One
+    value is shared per argument tuple (``cyclic._Shared``)."""
 
     __slots__ = ("sigma", "v")
     sigma: CyclicElement
@@ -112,12 +121,7 @@ class S3S4Invariant:
             raise ValueError(f"sigma must lie in {BP8}, got {sigma.group}")
         if type(v) is not int:
             v = _exact_int("v", v)
-        _set_sigma(self, sigma)
-        _set_s3s4_v(self, v)
-
-
-# Constructors write each field once, already canonical (see ``cyclic``).
-_set_sigma, _set_s3s4_v = _slot_writers(S3S4Invariant)
+        self.__setstate__((sigma, v))
 
 
 def s3s4_structure_equal(a: S3S4Invariant, b: S3S4Invariant) -> bool:
@@ -156,6 +160,9 @@ class WallTriple:
     s_alpha_y: int
 
     def __init__(self, s_alpha_x: int, s_alpha_y: int) -> None:
+        if type(s_alpha_x) is not int or type(s_alpha_y) is not int:
+            s_alpha_x = _exact_int("s_alpha_x", s_alpha_x)
+            s_alpha_y = _exact_int("s_alpha_y", s_alpha_y)
         self.__setstate__((s_alpha_x, s_alpha_y))
 
 
@@ -176,12 +183,13 @@ def plumbing_boundary_class(u: int, v: int) -> CyclicElement:
 
 
 @_value
-class S4S4Manifold:
+class S4S4Manifold(metaclass=_Shared):
     """A closed manifold N_{u,v,phi} obtained by capping off W_{u,v}.
 
     Requires r | uv, where r = 7 is the residual order; otherwise the
     boundary sphere is exotic and no such closed manifold exists.  The
-    twist phi is reduced mod 2.
+    twist phi is reduced mod 2.  One value is shared per argument tuple
+    (``cyclic._Shared``).
     """
 
     __slots__ = ("u", "v", "phi")
@@ -198,12 +206,7 @@ class S4S4Manifold:
                 "the plumbing boundary is an exotic sphere unless "
                 f"{_S4S4_RESIDUAL} divides u*v"
             )
-        _set_u(self, u)
-        _set_s4s4_v(self, v)
-        _set_phi(self, phi % 2)
-
-
-_set_u, _set_s4s4_v, _set_phi = _slot_writers(S4S4Manifold)
+        self.__setstate__((u, v, phi % 2))
 
 
 def s4s4_almost_diffeomorphic(a: S4S4Manifold, b: S4S4Manifold) -> bool:

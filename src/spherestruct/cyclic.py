@@ -28,7 +28,7 @@ CLI prints, stays in full.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import gcd
 from operator import attrgetter
 
@@ -53,14 +53,16 @@ def _value(cls: type) -> type:
     and deepcopy call it) and refuses a built value with the text an
     assignment gets.  The class writes its own ``__init__``, which checks
     its arguments and passes the canonical fields to ``__setstate__``,
-    so that ``__init__`` on a built value is refused too.  Only the three
-    classes that callers alone build (``ltheory.NormalClassDiff``,
-    ``classify.S3S4Invariant`` and ``S4S4Manifold``) write through
-    ``_slot_writers`` from an ``__init__`` that is not guarded, so a
-    rewrite there changes only the caller's own value.  A class keeps
+    so that ``__init__`` on a built value is refused too.  A class keeps
     any of these methods it defines itself (``tables.GroupTable`` does,
     so that a copy or a pickle passes its constructor, and it sets
     ``__hash__`` to None, since its read-only views do not hash).
+
+    The three classes that callers alone build (``ltheory.NormalClassDiff``,
+    ``classify.S3S4Invariant`` and ``S4S4Manifold``) are made by
+    ``_Shared``: a call of the class is a read of one cache, so it hands
+    out one shared value per argument tuple, and the constructor and its
+    guard run only on a miss.
 
     A value that a library function builds is a draft instead: the
     function stores each field, already checked and canonical, into an
@@ -123,13 +125,12 @@ def _refuse_deletion(self, name: str) -> None:
 def _slot_writers(cls: type) -> tuple:
     """The ``__set__`` of each field's slot descriptor, in field order.
 
-    ``__setstate__`` writes through these after its guard, and so do the
-    unguarded constructors of the three caller-built classes (see
-    ``_value``).  A slot's own setter skips the name lookup through the
-    class that ``object.__setattr__`` repeats on every call, but each
-    call still costs more than a plain store into a draft; so no library
-    function writes through one per op, and each builds a draft instead
-    (see ``_value``)."""
+    ``__setstate__`` writes through these after its guard, and so does
+    ``tables.GroupTable.__init__`` after its own.  A slot's own setter
+    skips the name lookup through the class that ``object.__setattr__``
+    repeats on every call, but each call still costs more than a plain
+    store into a draft; so no library function writes through one per
+    op, and each builds a draft instead (see ``_value``)."""
     return tuple(getattr(cls, name).__set__ for name in cls.__slots__)
 
 
@@ -147,6 +148,43 @@ def _exact_int(name: str, value: object) -> int:
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     return int(value)
+
+
+def _built(cls: type, *args: object, **kwargs: object) -> object:
+    # A miss of ``_shared``.  A bool argument is re-keyed as the int it
+    # equals, so that both keys hold one value; otherwise the class's
+    # guarded constructor checks the arguments and builds the value.
+    if bool in map(type, (*args, *kwargs.values())):
+        args = [_exact_int("", x) if type(x) is bool else x for x in args]
+        kwargs = {k: _exact_int("", x) if type(x) is bool else x for k, x in kwargs.items()}
+        return _shared(cls, *args, **kwargs)
+    return type.__call__(cls, *args, **kwargs)
+
+
+# The class call of a ``_Shared`` class: one C-level cache read on a hit.
+# Typed, so that a float is refused on every call and never reads the
+# entry of the int it equals.  An argument must hash: ``S3S4Invariant([1],
+# 0)`` raises ``unhashable type: 'list'``.  The bound holds the distinct
+# argument tuples of a working set such as the benchmark's classify-grid
+# (about 2,450 per seed) with room to spare; past it, the least recently
+# used value is dropped, and a later call builds an equal one.
+_shared = lru_cache(maxsize=4096, typed=True)(_built)
+
+
+class _Shared(type):
+    """The metaclass of the value classes that only callers build: a call
+    ``cls(*args)`` hands out one shared frozen value per argument tuple
+    (see ``_shared``), as the library's cached doors do."""
+
+    __call__ = _shared
+
+    @property
+    def __signature__(cls):
+        # What help() and inspect show for a call of the class: the
+        # parameters of its __init__, not the cache's (*args, **kwargs).
+        from inspect import signature
+
+        return signature(partial(cls.__init__, None))
 
 
 # Error messages show a number of up to this many digits, and name a longer

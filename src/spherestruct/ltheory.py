@@ -35,6 +35,12 @@ the pair (4j, 4k), and 0 otherwise, and builds its class as a draft
 Z_{t_{p+q}}.  The composed route, the topological obstruction x*y + z
 applied to the comparison images, gives the same class; it lives in
 ``tests/helpers.py`` as the reference the tests compare against.
+
+A ``NormalClassDiff`` coordinate is a shared value too: its class is
+``cyclic._Shared``, so ``NormalClassDiff(4, 3) is NormalClassDiff(4, 3)``,
+and a repeated call is one builtin cache read.  An ``LGroupKind`` checks
+its dimension by the index rule and refuses a symbol other than the one
+of its dimension.
 """
 
 from __future__ import annotations
@@ -42,7 +48,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bp import _RESIDUAL, _SHAPES, _residual_split, check_pair
-from .cyclic import _checked_index, _draft, _exact_int, _shown, _slot_writers, _value
+from .cyclic import _Shared, _checked_index, _draft, _exact_int, _shown, _shown_repr, _value
 from .levine import _t_multiple_of_4
 
 __all__ = [
@@ -65,7 +71,15 @@ class LGroupKind:
     symbol: str  # "Z" | "0" | "Z/2"
 
     def __init__(self, dim: int, symbol: str) -> None:
-        self.__setstate__((dim, symbol))
+        if type(dim) is not int or dim < 0:
+            dim = _checked_index("LGroupKind", "dim", dim, 0)
+        canonical = _QUADRATIC[dim % 4]
+        if symbol != canonical:
+            raise ValueError(
+                f"the L-group in dimension {_shown(dim)} is {canonical!r}, "
+                f"got {_shown_repr(symbol)}"
+            )
+        self.__setstate__((dim, canonical))
 
     def __str__(self) -> str:
         return self.symbol
@@ -125,11 +139,12 @@ _LClassDraft = _draft(LClass)
 
 
 @_value
-class NormalClassDiff:
+class NormalClassDiff(metaclass=_Shared):
     """A smooth normal invariant of a sphere, reduced to its Z-coordinate.
 
     ``phi`` is the integer coordinate, meaningful only in dimensions
-    divisible by 4 and normalised to 0 elsewhere.
+    divisible by 4 and normalised to 0 elsewhere.  One value is shared
+    per argument tuple (``cyclic._Shared``).
     """
 
     __slots__ = ("dim", "phi")
@@ -141,11 +156,7 @@ class NormalClassDiff:
             dim = _exact_int("dim", dim)
         if type(phi) is not int:
             phi = _exact_int("phi", phi)
-        _set_normal_dim(self, dim)
-        _set_normal_phi(self, phi if dim % 4 == 0 else 0)
-
-
-_set_normal_dim, _set_normal_phi = _slot_writers(NormalClassDiff)
+        self.__setstate__((dim, phi if dim % 4 == 0 else 0))
 
 
 def theta_diff(

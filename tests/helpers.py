@@ -338,6 +338,7 @@ def package_caches() -> list:
 
 
 def core_caches() -> list:
-    # The caches of the private cores: every cache but that of the door
-    # ``bernoulli``, which counts a refused call as a miss.
-    return [cache for cache in package_caches() if cache.__name__.startswith("_")]
+    # The caches of the private cores: every cache but the typed ones at a
+    # door, bernoulli's and the value classes' call (``cyclic._shared``),
+    # which count a refused call as a miss.
+    return [cache for cache in package_caches() if not cache.cache_parameters()["typed"]]

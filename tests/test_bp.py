@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from spherestruct import (
     KnownGroup,
     LClass,
+    LGroupKind,
     MAX_BERNOULLI_INDEX,
     NormalClassDiff,
     S3S4Invariant,
@@ -38,6 +39,7 @@ from spherestruct import (
     theta_order,
     top_structure_set,
     wall_triple_of_plumbing,
+    WallTriple,
 )
 from spherestruct import bp, structset
 from spherestruct.bp import (
@@ -51,6 +53,7 @@ from spherestruct.cyclic import (
     CyclicGroup,
     CyclicSubgroup,
     _cyclic_group,
+    _shared,
     _subgroup,
 )
 from spherestruct.structset import normalize_dims
@@ -706,6 +709,7 @@ _INT_DOORS = {
     "subgroup_generated-n": ("n", lambda x: subgroup_generated(x, 2)),
     "subgroup_generated-g": ("g", lambda x: subgroup_generated(28, x)),
     "l_group": ("i", lambda x: l_group(x)),
+    "LGroupKind": ("dim", lambda x: LGroupKind(x, "0")),
     "LClass-dim": ("dim", lambda x: LClass(x, 3)),
     "LClass-value": ("value", lambda x: LClass(4, x)),
     "NormalClassDiff-dim": ("dim", lambda x: NormalClassDiff(x, 3)),
@@ -730,6 +734,8 @@ _INT_DOORS = {
     "s3s4_inertia_group": ("v", lambda x: s3s4_inertia_group(x)),
     "wall_triple_of_plumbing-u": ("u", lambda x: wall_triple_of_plumbing(x, 2)),
     "wall_triple_of_plumbing-v": ("v", lambda x: wall_triple_of_plumbing(2, x)),
+    "WallTriple-s_alpha_x": ("s_alpha_x", lambda x: WallTriple(x, 2)),
+    "WallTriple-s_alpha_y": ("s_alpha_y", lambda x: WallTriple(2, x)),
     "plumbing_boundary_class-u": ("u", lambda x: plumbing_boundary_class(x, 2)),
     "plumbing_boundary_class-v": ("v", lambda x: plumbing_boundary_class(2, x)),
     "S4S4Manifold-u": ("u", lambda x: S4S4Manifold(x, 0, 1)),
@@ -738,9 +744,11 @@ _INT_DOORS = {
 }
 
 # Every lru_cache of a core in the package, a core added later too: a
-# refused argument reaches none of them.  bernoulli's cache, which counts
-# a refused call as a miss, is compared by its size.
+# refused argument reaches none of them.  The typed door caches,
+# bernoulli's and the value classes' call cache, count a refused call as
+# a miss, so they are compared by their sizes.
 _ALL_CACHES = tuple(core_caches())
+_DOOR_CACHES = (bernoulli, _shared)
 
 
 def _outcome(call):
@@ -777,15 +785,15 @@ def test_bernoulli_keeps_its_typed_cache():
 @pytest.mark.parametrize("value", [1.0, "1"], ids=["float", "str"])
 def test_every_integer_door_refuses_a_non_int_before_any_cache(door, value):
     name, call = _INT_DOORS[door]
-    # bernoulli's typed cache counts the refused call as a miss, but
-    # stores nothing, so its size is compared.
+    # A typed door cache counts the refused call as a miss, but stores
+    # nothing, so its size is compared.
     before = [cache.cache_info() for cache in _ALL_CACHES]
-    size = bernoulli.cache_info().currsize
+    sizes = [cache.cache_info().currsize for cache in _DOOR_CACHES]
     with pytest.raises(TypeError) as info:
         call(value)
     assert str(info.value) == f"{name} must be an int, got {type(value).__name__}"
     assert [cache.cache_info() for cache in _ALL_CACHES] == before
-    assert bernoulli.cache_info().currsize == size
+    assert [cache.cache_info().currsize for cache in _DOOR_CACHES] == sizes
 
 
 @pytest.mark.parametrize(

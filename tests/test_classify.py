@@ -172,6 +172,15 @@ def test_wall_triple_fields():
     assert triple == WallTriple(48, -72)
 
 
+def test_a_wall_triple_refuses_a_non_int_field():
+    # Both fields follow the integer rule; WallTriple(1.5, "x") was built.
+    with pytest.raises(TypeError, match="^s_alpha_x must be an int, got float$"):
+        WallTriple(1.5, "x")
+    with pytest.raises(TypeError, match="^s_alpha_y must be an int, got str$"):
+        WallTriple(24, "x")
+    assert repr(WallTriple(True, -24)) == "WallTriple(s_alpha_x=1, s_alpha_y=-24)"
+
+
 def test_plumbing_boundary_values():
     assert plumbing_boundary_class(1, 1).value == 24  # -4 mod 28
     assert plumbing_boundary_class(1, -1).value == 4

@@ -22,6 +22,8 @@ from hypothesis.stateful import RuleBasedStateMachine, rule
 from spherestruct import (
     KnownGroup,
     NormalClassDiff,
+    S3S4Invariant,
+    S4S4Manifold,
     bp_order,
     builtin_table,
     del_map,
@@ -37,6 +39,7 @@ from spherestruct import (
     subgroup_generated,
     theta_diff,
 )
+from spherestruct.cyclic import _shared
 
 from helpers import package_caches
 
@@ -92,6 +95,9 @@ _DOORS = {
     "group_structure_possible": group_structure_possible,
     "image_f_residual": image_f_residual,
     "forgetful_fiber": forgetful_fiber,
+    "S3S4Invariant": S3S4Invariant,
+    "S4S4Manifold": S4S4Manifold,
+    "NormalClassDiff": NormalClassDiff,
 }
 
 # Pairs of every shape, both orders, rejected ones, and p + q = 21 and 22,
@@ -133,15 +139,23 @@ _CALLS = st.one_of(
     st.builds(lambda pair: ("group_structure_possible", *pair), _pairs),
     st.builds(lambda pair: ("image_f_residual", *pair), _pairs),
     st.builds(lambda pair, d: ("forgetful_fiber", *pair, d), _pairs, _ints),
+    st.tuples(st.just("S3S4Invariant"), _ints, _ints),
+    # 7 divides u*v for u = 7 or a 0, so that some manifolds exist.
+    st.tuples(st.just("S4S4Manifold"), st.one_of(_ints, st.just(7)), _ints, _ints),
+    st.tuples(st.just("NormalClassDiff"), _ints, _ints),
 )
 
-# Sweeps of more distinct arguments than a bounded cache holds (1024).
+# Sweeps of more distinct arguments than a bounded cache holds: each
+# sweep's length, then its call.  The cores hold 1024 entries, and the
+# class call of the caller-built values (cyclic._shared) more.
+_PAST_SHARED = _shared.cache_parameters()["maxsize"] + 100
 _SWEEPS = {
-    "del_map": lambda k: del_map(4, 4, k, 1),
-    "theta_diff": lambda k: _obstruction(4, 4, k, 1, 1, 0),
-    "eta_fiber_size": lambda k: eta_fiber_size(3, 4, k),
-    "finite": lambda k: KnownGroup.finite(k + 1),
-    "subgroup_generated": lambda k: subgroup_generated(k + 1, 2),
+    "del_map": (1100, lambda k: del_map(4, 4, k, 1)),
+    "theta_diff": (1100, lambda k: _obstruction(4, 4, k, 1, 1, 0)),
+    "eta_fiber_size": (1100, lambda k: eta_fiber_size(3, 4, k)),
+    "finite": (1100, lambda k: KnownGroup.finite(k + 1)),
+    "subgroup_generated": (1100, lambda k: subgroup_generated(k + 1, 2)),
+    "NormalClassDiff": (_PAST_SHARED, lambda k: NormalClassDiff(4, k)),
 }
 
 
@@ -179,8 +193,9 @@ class CallHistory(RuleBasedStateMachine):
 
     @rule(sweep=st.sampled_from(sorted(_SWEEPS)), start=st.integers(1, 5000))
     def evict(self, sweep, start):
-        for k in range(start, start + 1100):
-            _SWEEPS[sweep](k)
+        length, call = _SWEEPS[sweep]
+        for k in range(start, start + length):
+            call(k)
 
     @rule()
     def compare_with_cleared_caches(self):
@@ -201,3 +216,9 @@ CallHistory.TestCase.settings = settings(
     suppress_health_check=[HealthCheck.too_slow],
 )
 test_answers_do_not_depend_on_call_history = CallHistory.TestCase
+
+
+def test_the_machine_clears_the_cache_of_shared_values():
+    # helpers.package_caches finds the class call of the caller-built
+    # values, so the machine clears and evicts it like every core.
+    assert any(cache is _shared for cache in _CACHES)

@@ -1,6 +1,6 @@
 import pytest
 
-from spherestruct import LClass, NormalClassDiff, l_group, theta_diff
+from spherestruct import LClass, LGroupKind, NormalClassDiff, l_group, theta_diff
 
 from helpers import check_theta_diff_box, forgetful_f, pairing, theta_top
 
@@ -16,6 +16,22 @@ def test_l_group_rejects_a_non_integer_or_negative_dimension():
         l_group(4.0)
     with pytest.raises(ValueError, match=r"^l_group\(i\) requires i >= 0, got -1$"):
         l_group(-1)
+
+
+def test_an_l_group_kind_names_the_group_of_its_dimension():
+    # The dimension follows the index rule, and the symbol must be the one
+    # that l_group gives; LGroupKind(2.5, "Q") was built.
+    with pytest.raises(TypeError, match="^dim must be an int, got float$"):
+        LGroupKind(2.5, "Q")
+    with pytest.raises(ValueError, match=r"^LGroupKind\(dim\) requires dim >= 0, got -1$"):
+        LGroupKind(-1, "0")
+    with pytest.raises(ValueError, match=r"^the L-group in dimension 2 is 'Z/2', got 'Q'$"):
+        LGroupKind(2, "Q")
+    with pytest.raises(ValueError, match=r"^the L-group in dimension 4 is 'Z', got 4$"):
+        LGroupKind(4, 4)
+    assert [LGroupKind(i, l_group(i).symbol) for i in range(8)] == [
+        l_group(i) for i in range(8)
+    ]
 
 
 def test_lclass_normalisation():

@@ -8,6 +8,7 @@ elements and subgroups built on a shared ``cyclic_group(n)`` and on a
 fresh ``CyclicGroup(n)`` mix freely.
 """
 
+import inspect
 import json
 import os
 import pickle
@@ -61,6 +62,7 @@ from spherestruct.cyclic import (
     CyclicSubgroup,
     _cyclic_group,
     _element,
+    _shared,
     _shown,
     _shown_group,
     _slot_writers,
@@ -98,15 +100,6 @@ VALUE_CLASSES = (
     CyclicGroup, CyclicElement, CyclicSubgroup, KnownGroup, LGroupKind, LClass,
     NormalClassDiff, StructureSetPresentation, TopStructureSet,
     GroupStructureVerdict, S3S4Invariant, WallTriple, S4S4Manifold,
-)
-
-# The classes whose __init__ passes its fields to the guarded
-# __setstate__, so that it refuses a built value too: every class that a
-# library function builds (as a draft, ``cyclic._value``) or shares.
-# Only the three that callers alone build keep an unguarded __init__.
-GUARDED_INIT = (
-    CyclicGroup, CyclicElement, CyclicSubgroup, KnownGroup, LGroupKind, LClass,
-    StructureSetPresentation, TopStructureSet, GroupStructureVerdict, WallTriple,
 )
 
 
@@ -189,14 +182,15 @@ def test_every_value_class_is_frozen_and_slotted():
             with pytest.raises(AttributeError, match=f"^cannot delete field '{name}'$"):
                 delattr(value, name)
         # Writing a built value again is refused before any write, by
-        # __setstate__ on every class and by __init__ on the guarded ones.
+        # __setstate__ and by __init__: every __init__ passes its fields to
+        # the guarded __setstate__, since every class hands out shared
+        # values, from a cache or as drafts (``cyclic._value``).
         shown, fields = repr(value), _fields(value)
         refused = f"^cannot assign to field '{cls.__slots__[0]}'$"
         with pytest.raises(AttributeError, match=refused):
             value.__setstate__(list(fields.values()))
-        if cls in GUARDED_INIT:
-            with pytest.raises(AttributeError, match=refused):
-                value.__init__(**fields)
+        with pytest.raises(AttributeError, match=refused):
+            value.__init__(**fields)
         assert repr(value) == shown and value == type(value)(**fields), cls
 
 
@@ -229,6 +223,87 @@ def test_a_shared_bp8_element_refuses_init_and_every_answer_stays():
         "CyclicElement(group=CyclicGroup(order=28), value=3)"
     )
     assert not s3s4_structure_equal(S3S4Invariant(3, 0), S3S4Invariant(10, 0))
+
+
+# A call of each class that callers alone build, another call of it, and
+# the first call with a bool for an int argument.
+_CALLER_BUILT = {
+    "S3S4Invariant": (S3S4Invariant, (5, 1), (6, 7), (5, True)),
+    "S4S4Manifold": (S4S4Manifold, (7, 1, 0), (14, 2, 1), (7, True, False)),
+    "NormalClassDiff": (NormalClassDiff, (4, 1), (8, 3), (4, True)),
+}
+_caller_built = pytest.mark.parametrize(
+    "cls, args, other, bools", _CALLER_BUILT.values(), ids=_CALLER_BUILT.keys()
+)
+
+
+@_caller_built
+def test_a_caller_built_value_is_shared_and_refuses_init(cls, args, other, bools):
+    # Each argument tuple gets one value, which __init__ cannot rewrite:
+    # it used to write through unguarded slot writers.
+    value = cls(*args)
+    shown = repr(value)
+    assert cls(*args) is value
+    with pytest.raises(AttributeError, match=f"^cannot assign to field '{cls.__slots__[0]}'$"):
+        value.__init__(*other)
+    assert repr(value) == shown == repr(cls(*args)) and cls(*args) is value
+    assert cls(*other) is cls(*other) != value
+
+
+@_caller_built
+@pytest.mark.parametrize("bool_first", [True, False], ids=["bool-first", "int-first"])
+def test_a_bool_argument_shares_the_value_of_its_int(cls, args, other, bools, bool_first):
+    # From a cold cache, whichever comes first, both keys hold one value,
+    # positional or by keyword.
+    _shared.cache_clear()
+    first = cls(*bools) if bool_first else cls(*args)
+    assert cls(*bools) is first is cls(*args)
+    words = dict(zip(cls.__slots__, bools))
+    assert cls(**words) is cls(**dict(zip(cls.__slots__, args))) == first
+
+
+@_caller_built
+def test_a_float_is_refused_even_after_its_int_is_shared(cls, args, other, bools):
+    # The cache is typed: 1.0 never reads the entry of 1.
+    name = cls.__slots__[len(args) - 1]
+    floats = (*args[:-1], float(args[-1]))
+    assert cls(*args) is cls(*args)
+    size = _shared.cache_info().currsize
+    with pytest.raises(TypeError, match=f"^{name} must be an int, got float$"):
+        cls(*floats)
+    assert _shared.cache_info().currsize == size
+
+
+@_caller_built
+def test_a_warm_caller_built_value_enters_no_python_function(cls, args, other, bools):
+    # A hit is the builtin cache's read: no Python-level __call__ or
+    # __init__ runs.
+    assert entered(lambda: cls(*args)) == []
+
+
+@_caller_built
+def test_a_caller_built_class_shows_its_constructor_parameters(cls, args, other, bools):
+    # The class call is the cache's (*args, **kwargs); help() and inspect
+    # still show the parameters of __init__.
+    assert tuple(inspect.signature(cls).parameters) == cls.__slots__
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: S3S4Invariant([1], 0),
+        lambda: S4S4Manifold(7, [1], 0),
+        lambda: NormalClassDiff(4, [1]),
+    ],
+    ids=["S3S4Invariant", "S4S4Manifold", "NormalClassDiff"],
+)
+def test_an_unhashable_argument_meets_the_cache_first(call):
+    # The cache hashes the arguments before any check runs, so a list is
+    # refused with Python's own text and stores nothing.
+    size = _shared.cache_info().currsize
+    with pytest.raises(TypeError, match=r"^unhashable type: 'list'$"):
+        call()
+    assert _shared.cache_info().currsize == size
 
 
 def test_every_trivial_known_group_is_the_one_shared_value():
@@ -565,13 +640,13 @@ def test_a_presentation_is_built_by_its_draft_or_its_constructor():
 
 
 def test_no_module_keeps_a_slot_writer_of_a_class_the_library_builds():
-    # Library-built values are drafts, so no module holds a named slot
-    # writer of one; the guarded __init__ writes through __setstate__.
+    # No module holds a named slot writer of a value class: library-built
+    # values are drafts, and every __init__ writes through __setstate__.
     for module in (bp, classify, cyclic, ltheory, structset, tables):
         for name, writer in vars(module).items():
             descriptor = getattr(writer, "__self__", None)
             owner = getattr(descriptor, "__objclass__", None)
-            assert owner not in GUARDED_INIT, (module.__name__, name)
+            assert owner not in VALUE_CLASSES, (module.__name__, name)
 
 
 @settings(max_examples=150, deadline=None)
