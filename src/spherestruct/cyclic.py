@@ -59,7 +59,7 @@ def _value(cls: type) -> type:
     ``__hash__`` to None, since its read-only views do not hash).
 
     The three classes that callers alone build (``ltheory.NormalClassDiff``,
-    ``classify.S3S4Invariant`` and ``S4S4Manifold``) are made by
+    ``classify.S3S4Invariant`` and ``S4S4Manifold``) have the metaclass
     ``_Shared``: a call of the class is a read of one cache, so it hands
     out one shared value per argument tuple, and the constructor and its
     guard run only on a miss.
