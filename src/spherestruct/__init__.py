@@ -7,24 +7,24 @@ obstruction groups 8 t_p t_q . bP_{p+q}, stabilisers and fibre sizes of
 the homotopy-sphere action, and full diffeomorphism classifications over
 S^3 x S^4 and S^4 x S^4.
 
-A library module's ``__all__`` is its public API: the package
-re-exports each of them, and its own ``__all__`` is ``__version__``
-followed by theirs.  The command-line front end ``cli`` is not
-re-exported.
+``_HOMES`` is the one list of public names.  It maps each library
+module, in layer order, lowest first, to its public names in order, and
+each module's ``__all__`` is its entry (``__all__ = _HOMES["bp"]``).
+The package's own ``__all__`` is ``__version__`` followed by them all.
+The command-line front end ``cli`` is not re-exported.  A public name is
+added, renamed or removed in its module's entry here.  A new library
+module gets an entry here and a place in ``LAYERS`` in
+``tests/test_api.py``, and
+``tests/test_api.py::test_the_package_re_exports_each_library_module_all``
+fails until the two agree.
 
 The package loads lazily (PEP 562): ``import spherestruct`` runs no
 library module.  The first read of a public name imports its home
 module, which imports the layers below it, and binds the value here, so
 later reads are plain attribute hits; the first read of a submodule
 (``spherestruct.bp``, ``spherestruct.cli``) imports it.  ``_HOMES``
-names the home of each public name without importing it, so it repeats
-each module's ``__all__`` in order, and lists the modules in their
-layer order, lowest first: a public name is added, renamed or removed
-in both lists together, a module is added to ``_HOMES`` and to
-``LAYERS`` in ``tests/test_api.py`` together, and
-``tests/test_api.py::test_the_package_re_exports_each_library_module_all``
-fails until they agree.  ``from spherestruct import *`` imports every
-library module but ``cli``.
+names the home of each public name without importing it.  ``from
+spherestruct import *`` imports every library module but ``cli``.
 """
 
 from importlib import import_module as _import_module

@@ -64,6 +64,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from . import _HOMES
 from .cyclic import (
     CyclicGroup,
     CyclicSubgroup,
@@ -77,13 +78,7 @@ from .cyclic import (
 from .levine import _t_multiple_of_4
 from .tables import _BUILTIN, GroupTable, KnownGroup, _checked_table
 
-__all__ = [
-    "t",
-    "bp_order",
-    "check_pair",
-    "pairing_coefficient",
-    "residual_group",
-]
+__all__ = _HOMES["bp"]
 
 
 def t(i: int) -> int:

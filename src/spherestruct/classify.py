@@ -63,6 +63,7 @@ test.
 
 from __future__ import annotations
 
+from . import _HOMES
 from .bp import residual_group, t
 from .cyclic import (
     CyclicElement,
@@ -76,19 +77,7 @@ from .cyclic import (
 )
 from .structset import _del_map, stabilizer
 
-__all__ = [
-    "BP8",
-    "S3S4Invariant",
-    "WallTriple",
-    "S4S4Manifold",
-    "s3s4_structure_equal",
-    "s3s4_diffeomorphic",
-    "s3s4_inertia_group",
-    "wall_triple_of_plumbing",
-    "plumbing_boundary_class",
-    "s4s4_almost_diffeomorphic",
-    "s4s4_diffeomorphic",
-]
+__all__ = _HOMES["classify"]
 
 BP8 = cyclic_group(t(8))
 # Indexed by x % BP8.order (see the module docstring).

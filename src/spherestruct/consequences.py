@@ -36,19 +36,14 @@ and ``top_structure_set`` keeps the factor order it is given.
 
 from __future__ import annotations
 
-from . import bp
+from . import _HOMES, bp
 from .bp import _RESIDUAL, _SHAPES, _STABILIZER
 from .cyclic import CyclicGroup, _exact_int, _shown
 from .ltheory import l_group
 from .structset import GroupStructureVerdict, TopStructureSet, eta_fiber_size
 from .tables import KnownGroup
 
-__all__ = [
-    "top_structure_set",
-    "group_structure_possible",
-    "forgetful_fiber",
-    "image_f_residual",
-]
+__all__ = _HOMES["consequences"]
 
 
 def top_structure_set(p: int, q: int) -> TopStructureSet:

@@ -32,13 +32,9 @@ from functools import lru_cache, partial
 from math import gcd
 from operator import attrgetter
 
-__all__ = [
-    "CyclicGroup",
-    "cyclic_group",
-    "CyclicElement",
-    "CyclicSubgroup",
-    "subgroup_generated",
-]
+from . import _HOMES
+
+__all__ = _HOMES["cyclic"]
 
 
 def _value(cls: type) -> type:

@@ -44,9 +44,10 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+from . import _HOMES
 from .cyclic import _checked_index, _past_cap
 
-__all__ = ["MAX_BERNOULLI_INDEX", "num_b_over_4k"]
+__all__ = _HOMES["levine"]
 
 # Largest index bernoulli and num_b_over_4k accept, so t_i needs i <= 3308.
 # It is the largest k for which t_{4k} has at most 4300 decimal digits,

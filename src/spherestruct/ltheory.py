@@ -38,26 +38,22 @@ applied to the comparison images, gives the same class; it lives in
 
 A ``NormalClassDiff`` coordinate is a shared value too: its class is
 ``cyclic._Shared``, so ``NormalClassDiff(4, 3) is NormalClassDiff(4, 3)``,
-and a repeated call is one builtin cache read.  An ``LGroupKind`` checks
-its dimension by the index rule and refuses a symbol other than the one
-of its dimension.
+and a repeated call is one builtin cache read.  ``LGroupKind``,
+``LClass`` and ``NormalClassDiff`` check their dimension by the index
+rule (``dim >= 0``), and an ``LGroupKind`` refuses a symbol other than
+the one of its dimension.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 
+from . import _HOMES
 from .bp import _RESIDUAL, _SHAPES, _residual_split, check_pair
 from .cyclic import _Shared, _checked_index, _draft, _exact_int, _shown, _shown_repr, _value
 from .levine import _t_multiple_of_4
 
-__all__ = [
-    "LGroupKind",
-    "LClass",
-    "NormalClassDiff",
-    "l_group",
-    "theta_diff",
-]
+__all__ = _HOMES["ltheory"]
 
 _QUADRATIC = ("Z", "0", "Z/2", "0")
 
@@ -106,8 +102,8 @@ class LClass:
     value: int
 
     def __init__(self, dim: int, value: int) -> None:
-        if type(dim) is not int:
-            dim = _exact_int("dim", dim)
+        if type(dim) is not int or dim < 0:
+            dim = _checked_index("LClass", "dim", dim, 0)
         if type(value) is not int:
             value = _exact_int("value", value)
         symbol = _QUADRATIC[dim % 4]
@@ -152,8 +148,8 @@ class NormalClassDiff(metaclass=_Shared):
     phi: int
 
     def __init__(self, dim: int, phi: int = 0) -> None:
-        if type(dim) is not int:
-            dim = _exact_int("dim", dim)
+        if type(dim) is not int or dim < 0:
+            dim = _checked_index("NormalClassDiff", "dim", dim, 0)
         if type(phi) is not int:
             phi = _exact_int("phi", phi)
         self.__setstate__((dim, phi if dim % 4 == 0 else 0))

@@ -27,9 +27,10 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 
+from . import _HOMES
 from .levine import _check_index, _tangent
 
-__all__ = ["bernoulli"]
+__all__ = _HOMES["rationals"]
 
 
 @lru_cache(maxsize=None, typed=True)

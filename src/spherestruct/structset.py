@@ -76,7 +76,10 @@ tests pin that both routes build the same value.
 
 ``TopStructureSet`` and ``GroupStructureVerdict`` are the values of
 ``consequences``, the layer above, which builds them.  They stay here
-so that each keeps its ``__module__``, repr and pickle bytes.
+so that each keeps its ``__module__``, repr and pickle bytes.  Each
+refuses a field of the wrong type when it is built: a factor that is not
+an ``LGroupKind``, a ``possible`` that is not a bool, or a ``reason``
+that is neither a str nor None.
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
-from . import bp, tables
+from . import _HOMES, bp, tables
 from .bp import _RESIDUAL, _SHAPES, _STABILIZER
 from .cyclic import (
     CyclicElement,
@@ -100,18 +103,7 @@ from .cyclic import (
 from .ltheory import LGroupKind
 from .tables import _UNKNOWN, GroupTable, KnownGroup, _checked_table, _finite
 
-__all__ = [
-    "StructureSetPresentation",
-    "TopStructureSet",
-    "GroupStructureVerdict",
-    "ACTION_FREE",
-    "ACTION_STABILIZER",
-    "normalize_dims",
-    "present",
-    "del_map",
-    "stabilizer",
-    "eta_fiber_size",
-]
+__all__ = _HOMES["structset"]
 
 ACTION_FREE = "free_everywhere"
 ACTION_STABILIZER = "stabilizers_vary_with_d"
@@ -381,6 +373,9 @@ class TopStructureSet:
     q_factor: LGroupKind
 
     def __init__(self, p_factor: LGroupKind, q_factor: LGroupKind) -> None:
+        for name, factor in (("p_factor", p_factor), ("q_factor", q_factor)):
+            if type(factor) is not LGroupKind:
+                raise TypeError(f"{name} must be an LGroupKind, got {type(factor).__name__}")
         self.__setstate__((p_factor, q_factor))
 
     @property
@@ -401,6 +396,10 @@ class GroupStructureVerdict:
     reason: str | None
 
     def __init__(self, possible: bool, reason: str | None = None) -> None:
+        if type(possible) is not bool:
+            raise TypeError(f"possible must be a bool, got {type(possible).__name__}")
+        if reason is not None and type(reason) is not str:
+            raise TypeError(f"reason must be a str or None, got {type(reason).__name__}")
         self.__setstate__((possible, reason))
 
     def __bool__(self) -> bool:

@@ -73,22 +73,13 @@ from collections.abc import Mapping
 from functools import lru_cache
 from types import MappingProxyType
 
+from . import _HOMES
 from .cyclic import (
     _checked_index, _checked_order, _draft, _shown, _shown_repr, _slot_writers, _value,
 )
 from .levine import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
-__all__ = [
-    "KnownGroup",
-    "GroupTable",
-    "TableError",
-    "TableReadError",
-    "builtin_table",
-    "theta_order",
-    "pi_go",
-    "parse_table",
-    "load_table",
-]
+__all__ = _HOMES["tables"]
 
 
 class TableError(ValueError):

@@ -108,21 +108,57 @@ def _package_imports(tree):
                     yield node.lineno, rest.partition(".")[0] or "__init__"
 
 
+# The names a module may read from the package root: the version, and
+# the one list of public names.  Neither loads a layer.
+ROOT_NAMES = ("__version__", "_HOMES")
+
+
+def _tree(name):
+    package = Path(spherestruct.__file__).resolve().parent
+    return ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
+
+
 def test_each_module_imports_only_the_layers_below_it():
-    # Imports run one way, so the package has no import cycle.  A name
-    # read from the package root other than __version__ would hide the
-    # layer it comes from, and could load layers above the reader.
+    # Imports run one way, so the package has no import cycle.  Any other
+    # name read from the package root would hide the layer it comes from,
+    # and could load layers above the reader.
     package = Path(spherestruct.__file__).resolve().parent
     modules = sorted(path.stem for path in package.glob("*.py"))
     assert modules == sorted(LAYERS + ("__init__", "__main__"))
     wrong = []
     for rank, name in enumerate(LAYERS):
-        tree = ast.parse((package / f"{name}.py").read_text(encoding="utf-8"))
-        for line, target in _package_imports(tree):
-            below = target in LAYERS[:rank] or target == "__version__"
+        for line, target in _package_imports(_tree(name)):
+            below = target in LAYERS[:rank] or target in ROOT_NAMES
             if not below:
                 wrong.append(f"{name}.py:{line} imports {target}")
     assert wrong == []
+
+
+def test_each_library_module_all_is_its_homes_entry():
+    # spherestruct._HOMES is the one list of public names: each library
+    # module binds __all__ once, to its own entry, and reads nothing else
+    # from the package root; cli exports nothing and reads only the
+    # version, so a hand-typed list cannot come back.
+    read = set()
+    for name in LAYERS:
+        tree = _tree(name)
+        bound = [
+            ast.unparse(node.value)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign))
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if getattr(target, "id", None) == "__all__"
+        ]
+        root = {target for _, target in _package_imports(tree) if target not in LAYERS}
+        read |= root
+        if name == "cli":
+            assert (bound, root) == ([], {"__version__"})
+        else:
+            assert (bound, root) == ([f"_HOMES[{name!r}]"], {"_HOMES"}), name
+            home = importlib.import_module(f"spherestruct.{name}")
+            assert home.__all__ is spherestruct._HOMES[name], name
+    # So the layer test allows exactly what the modules read.
+    assert read == set(ROOT_NAMES)
 
 
 def _scoped_nodes(tree, kind=ast.Call, scope=""):
@@ -398,3 +434,15 @@ def test_the_readme_library_example_runs():
     result = doctest.DocTestRunner().run(test)
     assert result.attempted == block.count(">>> ") > 0
     assert result.failed == 0
+
+
+def test_the_readme_layer_orders_are_homes():
+    # README names the layer order twice: the API paragraph lists the
+    # library modules, and the bp_order bullet the import order, cli last.
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(
+        encoding="utf-8"
+    )
+    (api,) = re.findall(r"in\s+layer\s+order\s+\(([^)]*)\)", readme)
+    (imports,) = re.findall(r"import\s+one\s+way:\s+([^:]*?),\s+an\s+order", readme)
+    assert tuple(re.findall(r"`(\w+)`", api)) == tuple(spherestruct._HOMES)
+    assert tuple(re.findall(r"`(\w+)`", imports)) == (*spherestruct._HOMES, "cli")

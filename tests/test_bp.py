@@ -839,22 +839,29 @@ def test_a_message_about_a_bool_prints_the_int_it_equals(call, message):
         (l_group, 0, "l_group(i) requires i >= 0, got -1"),
         (bernoulli, 1, "bernoulli(k) requires k >= 1, got 0"),
         (num_b_over_4k, 1, "num_b_over_4k(k) requires k >= 1, got 0"),
+        (lambda x: LGroupKind(x, "0"), 0, "LGroupKind(dim) requires dim >= 0, got -1"),
+        (lambda x: LClass(x, 1), 0, "LClass(dim) requires dim >= 0, got -1"),
+        (
+            lambda x: NormalClassDiff(x, 1), 0,
+            "NormalClassDiff(dim) requires dim >= 0, got -1",
+        ),
     ],
     ids=["t", "bp_order", "GroupTable.bp_order", "theta_order", "pi_go", "l_group",
-         "bernoulli", "num_b_over_4k"],
+         "bernoulli", "num_b_over_4k", "LGroupKind", "LClass", "NormalClassDiff"],
 )
 def test_every_range_door_refuses_one_below_its_least_before_any_cache(
     call, least, message
 ):
     # One range rule, one message form: "<door>(<arg>) requires <arg> >=
-    # <least>, got <value>".  bernoulli's typed cache is compared by size.
+    # <least>, got <value>".  The typed door caches, bernoulli's and the
+    # value classes' call cache, are compared by size.
     before = [cache.cache_info() for cache in _ALL_CACHES]
-    size = bernoulli.cache_info().currsize
+    sizes = [cache.cache_info().currsize for cache in _DOOR_CACHES]
     with pytest.raises(ValueError) as info:
         call(least - 1)
     assert str(info.value) == message
     assert [cache.cache_info() for cache in _ALL_CACHES] == before
-    assert bernoulli.cache_info().currsize == size
+    assert [cache.cache_info().currsize for cache in _DOOR_CACHES] == sizes
 
 
 @pytest.mark.parametrize("m", [0, -4, -8, 1, 2, 3])

@@ -34,6 +34,17 @@ def test_an_l_group_kind_names_the_group_of_its_dimension():
     ]
 
 
+def test_an_l_class_and_a_normal_invariant_refuse_a_negative_dimension():
+    # The index rule of LGroupKind and l_group; both were built.
+    with pytest.raises(ValueError, match=r"^LClass\(dim\) requires dim >= 0, got -3$"):
+        LClass(-3, 1)
+    with pytest.raises(
+        ValueError, match=r"^NormalClassDiff\(dim\) requires dim >= 0, got -4$"
+    ):
+        NormalClassDiff(-4, 3)
+    assert LClass(0, 5) == LClass(False, 5) and NormalClassDiff(0, 5).phi == 5
+
+
 def test_lclass_normalisation():
     assert LClass(3, 17).value == 0
     assert LClass(10, 3).value == 1

@@ -30,7 +30,9 @@ from spherestruct import bp
 from spherestruct.structset import (
     ACTION_FREE,
     ACTION_STABILIZER,
+    GroupStructureVerdict,
     StructureSetPresentation,
+    TopStructureSet,
     normalize_dims,
 )
 from spherestruct.tables import builtin_table
@@ -305,6 +307,30 @@ def test_group_structure_verdicts():
     for p in range(2, 60):
         for q in range(max(2, 5 - p), 60):
             assert group_structure_possible(p, q) == group_structure_possible(q, p), (p, q)
+
+
+def test_the_consequence_values_refuse_a_field_of_the_wrong_type():
+    # Each failed late: TopStructureSet(1, 2).is_singleton raised
+    # AttributeError, and bool(GroupStructureVerdict("yes", 3)) raised
+    # "__bool__ should return bool".
+    z = top_structure_set(4, 4).p_factor
+    for call, message in (
+        (lambda: TopStructureSet(1, 2), "p_factor must be an LGroupKind, got int"),
+        (lambda: TopStructureSet(z, "Z"), "q_factor must be an LGroupKind, got str"),
+        (lambda: GroupStructureVerdict("yes", 3), "possible must be a bool, got str"),
+        (lambda: GroupStructureVerdict(1), "possible must be a bool, got int"),
+        (
+            lambda: GroupStructureVerdict(False, 3),
+            "reason must be a str or None, got int",
+        ),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
+    # The library builds the same values as before.
+    assert TopStructureSet(z, z) == top_structure_set(4, 4)
+    assert GroupStructureVerdict(True) == group_structure_possible(2, 5)
+    verdict = GroupStructureVerdict(False, "image not a subgroup")
+    assert verdict == group_structure_possible(4, 4)
 
 
 def test_group_structure_cross_check_against_component_tests():
