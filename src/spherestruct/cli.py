@@ -13,6 +13,15 @@ orders (``tables._decimal``): an optional ``-`` and then ASCII digits, so
 ``+16``, ``1_6``, `` 16 `` and non-ASCII digits are usage errors, and an
 error shows a long number by its digit count (``cyclic._shown``).
 
+Handlers read the library through the package namespace (``lib.t``,
+``lib.present``), whose first read of a public name imports its home
+module and the layers below it, so a query loads only the module that
+answers it: ``t 16`` loads ``tables``, ``cyclic``, ``levine`` and
+``bp``, never ``classify`` and its tables, and only ``bernoulli`` loads
+``rationals`` and ``fractions``.  ``spherestruct._HOMES`` alone names
+the home of a public name; from home modules ``cli`` imports only the
+shared private rules it lists nowhere.
+
 Exit status: 0 on success, 1 on domain errors (a precondition violated by
 otherwise well-formed arguments, a malformed table file, or an index
 above the Bernoulli cap), 2 on usage errors (including a malformed
@@ -26,29 +35,10 @@ import argparse
 import os
 import sys
 
-from . import __version__
-from .bp import bp_order, pairing_coefficient, residual_group, t
-from .classify import (
-    S3S4Invariant,
-    S4S4Manifold,
-    plumbing_boundary_class,
-    s3s4_diffeomorphic,
-    s3s4_inertia_group,
-    s3s4_structure_equal,
-    s4s4_almost_diffeomorphic,
-    s4s4_diffeomorphic,
-    wall_triple_of_plumbing,
-)
-from .consequences import (
-    group_structure_possible,
-    image_f_residual,
-    top_structure_set,
-)
+import spherestruct as lib
+
 from .cyclic import _shown, _shown_repr
-from .structset import eta_fiber_size, present, stabilizer
-from .tables import (
-    GroupTable, KnownGroup, TableError, TableReadError, _decimal, load_table,
-)
+from .tables import _decimal
 
 PROG = "spherestruct"
 
@@ -70,11 +60,11 @@ class UsageError(Exception):
     """Argument combinations argparse alone cannot reject."""
 
 
-def _order_or_unknown(group: KnownGroup) -> int | str:
+def _order_or_unknown(group: lib.KnownGroup) -> int | str:
     return "unknown" if group.is_unknown else group.order
 
 
-def _cyclic_name(group: KnownGroup, name: str) -> str:
+def _cyclic_name(group: lib.KnownGroup, name: str) -> str:
     if group.is_unknown:
         return f"{name} = unknown"
     if group.is_trivial:
@@ -92,9 +82,7 @@ def _operands(args) -> dict:
 
 
 def _cmd_bernoulli(args, table):
-    from .rationals import bernoulli  # only this subcommand needs fractions
-
-    value = bernoulli(args.k)
+    value = lib.bernoulli(args.k)
     payload = {
         **_operands(args),
         "value": str(value),
@@ -105,7 +93,7 @@ def _cmd_bernoulli(args, table):
 
 
 def _cmd_t(args, table):
-    value = t(args.i)
+    value = lib.t(args.i)
     text = [f"t_{args.i} = {value}"]
     notes = [_NOTE_FORMULA, "t_4 = 2 by definition; t_i = 0 off multiples of 4"]
     if args.i == 16:
@@ -115,7 +103,7 @@ def _cmd_t(args, table):
 
 
 def _cmd_bp_order(args, table):
-    group = bp_order(args.m, table)
+    group = lib.bp_order(args.m, table)
     payload = {
         **_operands(args),
         "group": group.as_json(),
@@ -128,14 +116,14 @@ def _cmd_bp_order(args, table):
 
 
 def _cmd_residual(args, table):
-    group = residual_group(args.p, args.q)
+    group = lib.residual_group(args.p, args.q)
     n = args.p + args.q
     payload = {
         **_operands(args),
         "order": group.order,
-        "generator_coefficient": pairing_coefficient(args.p, args.q),
+        "generator_coefficient": lib.pairing_coefficient(args.p, args.q),
         "ambient_bp_dim": n,
-        "ambient_bp_order": t(n) if n % 4 == 0 else None,
+        "ambient_bp_order": lib.t(n) if n % 4 == 0 else None,
     }
     label = f"8*t_{args.p}*t_{args.q} . bP_{n}"
     if group.order == 1:
@@ -146,12 +134,12 @@ def _cmd_residual(args, table):
 
 
 def _cmd_structure_set(args, table):
-    pres = present(args.p, args.q, table)
+    pres = lib.present(args.p, args.q, table)
     return pres.as_dict(), pres.lines(), [_NOTE_FORMULA, _NOTE_TABLE]
 
 
 def _cmd_fiber(args, table):
-    group = eta_fiber_size(args.p, args.q, args.d, table)
+    group = lib.eta_fiber_size(args.p, args.q, args.d, table)
     payload = {**_operands(args), "fiber_order": _order_or_unknown(group)}
     if group.is_unknown:
         text = [f"fibre over d = {args.d}: unknown size"]
@@ -161,7 +149,7 @@ def _cmd_fiber(args, table):
 
 
 def _cmd_stabilizer(args, table):
-    sub = stabilizer(args.p, args.q, args.d)
+    sub = lib.stabilizer(args.p, args.q, args.d)
     payload = {
         **_operands(args),
         "ambient_order": sub.ambient.order,
@@ -172,7 +160,7 @@ def _cmd_stabilizer(args, table):
 
 
 def _cmd_group_structure(args, table):
-    verdict = group_structure_possible(args.p, args.q)
+    verdict = lib.group_structure_possible(args.p, args.q)
     payload = {**_operands(args), "possible": verdict.possible, "reason": verdict.reason}
     if verdict.possible:
         text = ["group structure possible: yes"]
@@ -182,7 +170,7 @@ def _cmd_group_structure(args, table):
 
 
 def _cmd_image_f(args, table):
-    residual = image_f_residual(args.p, args.q)
+    residual = lib.image_f_residual(args.p, args.q)
     is_subgroup = residual.order == 1
     payload = {
         **_operands(args),
@@ -200,7 +188,7 @@ def _cmd_image_f(args, table):
 
 
 def _cmd_top_set(args, table):
-    top = top_structure_set(args.p, args.q)
+    top = lib.top_structure_set(args.p, args.q)
     payload = {
         **_operands(args),
         "factors": [top.p_factor.symbol, top.q_factor.symbol],
@@ -214,15 +202,15 @@ def _cmd_top_set(args, table):
 
 
 def _cmd_classify_s3s4(args, table):
-    a = S3S4Invariant(args.sigma0, args.v0)
-    b = S3S4Invariant(args.sigma1, args.v1)
+    a = lib.S3S4Invariant(args.sigma0, args.v0)
+    b = lib.S3S4Invariant(args.sigma1, args.v1)
     payload = {
         "a": {"sigma": a.sigma.value, "v": a.v},
         "b": {"sigma": b.sigma.value, "v": b.v},
-        "structure_equal": s3s4_structure_equal(a, b),
-        "diffeomorphic": s3s4_diffeomorphic(a, b),
-        "inertia_order_a": s3s4_inertia_group(a.v).order,
-        "inertia_order_b": s3s4_inertia_group(b.v).order,
+        "structure_equal": lib.s3s4_structure_equal(a, b),
+        "diffeomorphic": lib.s3s4_diffeomorphic(a, b),
+        "inertia_order_a": lib.s3s4_inertia_group(a.v).order,
+        "inertia_order_b": lib.s3s4_inertia_group(b.v).order,
     }
     text = [
         f"manifolds (sigma, v): ({a.sigma.value}, {a.v}) vs ({b.sigma.value}, {b.v})",
@@ -240,8 +228,8 @@ def _cmd_classify_s4s4(args, table):
                 "classify-s4s4 takes either --plumbing U V or six integers, not both"
             )
         u, v = args.plumbing
-        triple = wall_triple_of_plumbing(u, v)
-        boundary = plumbing_boundary_class(u, v)
+        triple = lib.wall_triple_of_plumbing(u, v)
+        boundary = lib.plumbing_boundary_class(u, v)
         payload = {
             "mode": "plumbing-boundary",
             "u": u,
@@ -263,13 +251,13 @@ def _cmd_classify_s4s4(args, table):
             "classify-s4s4 needs U0 V0 PHI0 U1 V1 PHI1 (or --plumbing U V)"
         )
     u0, v0, phi0, u1, v1, phi1 = args.data
-    a = S4S4Manifold(u0, v0, phi0)
-    b = S4S4Manifold(u1, v1, phi1)
+    a = lib.S4S4Manifold(u0, v0, phi0)
+    b = lib.S4S4Manifold(u1, v1, phi1)
     payload = {
         "a": {"u": a.u, "v": a.v, "phi": a.phi},
         "b": {"u": b.u, "v": b.v, "phi": b.phi},
-        "almost_diffeomorphic": s4s4_almost_diffeomorphic(a, b),
-        "diffeomorphic": s4s4_diffeomorphic(a, b),
+        "almost_diffeomorphic": lib.s4s4_almost_diffeomorphic(a, b),
+        "diffeomorphic": lib.s4s4_diffeomorphic(a, b),
     }
     text = [
         f"manifolds N_(u,v,phi): ({a.u}, {a.v}, {a.phi}) vs ({b.u}, {b.v}, {b.phi})",
@@ -288,7 +276,7 @@ def _integer(text: str) -> int:
     # ``tables._decimal``, and a long number shown by its digit count.
     try:
         value = _decimal(text, "argument")
-    except TableError:  # more digits than int() converts
+    except lib.TableError:  # more digits than int() converts
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown(text)}") from None
     if value is None:
         raise argparse.ArgumentTypeError(f"invalid int value: {_shown_repr(text)}")
@@ -357,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
         prog=PROG,
         description="exact structure-set calculator for products of spheres",
     )
-    parser.add_argument("--version", action="version", version=f"{PROG} {__version__}")
+    parser.add_argument("--version", action="version", version=f"{PROG} {lib.__version__}")
     sub = parser.add_subparsers(dest="command", required=True, metavar="COMMAND")
     for name, (_, help_text, arguments) in _COMMANDS.items():
         sp = sub.add_parser(name, parents=[common], help=help_text)
@@ -366,13 +354,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_table(args) -> GroupTable | None:
+def _load_table(args) -> lib.GroupTable | None:
     path = args.table or os.environ.get("SURGERY_TABLE")
     if not path:
         return None
     try:
-        return load_table(path)
-    except TableReadError as exc:
+        return lib.load_table(path)
+    except lib.TableReadError as exc:
         raise UsageError(str(exc)) from exc
 
 

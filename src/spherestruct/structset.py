@@ -39,7 +39,8 @@ is None or a ``GroupTable``) and then read ``bp``'s cores and the record
 of a pair, never ``t``, ``residual_group``, ``pairing_coefficient`` or
 ``bp_order``; ``present`` reads its three orders off its table.  The one
 exception is ``StructureSetPresentation.as_dict``, which reads c through
-``pairing_coefficient``: a value built by keyword has unchecked fields.
+``pairing_coefficient``: the constructor checks the type of each field,
+not its range, so a value built by keyword may hold p = 0.
 Every shape test reads ``bp``'s table of the three shapes,
 ``_SHAPES[p & 3][q & 3]``, which is symmetric: it names the shape of
 the pair in either order.  The order rule lives in ``normalize_dims``,
@@ -72,7 +73,14 @@ of their calls in a sweep are first calls.
 ``_del_map`` builds its element through ``cyclic._element``.  Keyword
 construction, which takes the place of ``dataclasses.replace`` (values
 are not dataclasses), goes through the hand-written ``__init__``, and
-tests pin that both routes build the same value.
+tests pin that both routes build the same value.  The constructor
+refuses a field of the wrong type when the value is built, not when it
+is first read: p, q, input_p, input_q and a stabiliser coefficient other
+than None by the integer rule, a ``theta_group`` or ``bp_next`` that is
+not a ``KnownGroup``, ``normal_invariants`` other than a tuple of two,
+a ``residual`` that is not a ``CyclicGroup`` (each a ``TypeError``),
+and an ``action_case`` other than ``ACTION_FREE`` and
+``ACTION_STABILIZER`` (a ``ValueError``).  The draft skips these checks.
 
 ``TopStructureSet`` and ``GroupStructureVerdict`` are the values of
 ``consequences``, the layer above, which builds them.  They stay here
@@ -93,10 +101,12 @@ from .cyclic import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
+    _check_group,
     _cyclic_group,
     _draft,
     _element,
     _exact_int,
+    _shown_repr,
     _subgroup,
     _value,
 )
@@ -150,9 +160,31 @@ class StructureSetPresentation:
         action_case: str,
         stabilizer_coefficient: int | None,
     ) -> None:
+        dims = [
+            value if type(value) is int else _exact_int(name, value)
+            for name, value in (("p", p), ("q", q), ("input_p", input_p), ("input_q", input_q))
+        ]
+        for name, group in (("theta_group", theta_group), ("bp_next", bp_next)):
+            if type(group) is not KnownGroup:
+                raise TypeError(f"{name} must be a KnownGroup, got {type(group).__name__}")
+        pair = normal_invariants
+        if not (type(pair) is tuple and len(pair) == 2 and {*map(type, pair)} == {KnownGroup}):
+            shown = type(pair).__name__
+            if type(pair) is tuple:
+                shown = f"({', '.join(type(group).__name__ for group in pair)})"
+            raise TypeError(f"normal_invariants must be a tuple of two KnownGroup, got {shown}")
+        if type(residual) is not CyclicGroup:
+            _check_group("residual", residual)
+        if action_case != ACTION_FREE and action_case != ACTION_STABILIZER:
+            raise ValueError(
+                f"action_case must be {ACTION_FREE!r} or {ACTION_STABILIZER!r}, "
+                f"got {_shown_repr(action_case)}"
+            )
+        coefficient = stabilizer_coefficient
+        if coefficient is not None and type(coefficient) is not int:
+            coefficient = _exact_int("stabilizer_coefficient", coefficient)
         self.__setstate__((
-            p, q, input_p, input_q, theta_group, bp_next,
-            normal_invariants, residual, action_case, stabilizer_coefficient,
+            *dims, theta_group, bp_next, normal_invariants, residual, action_case, coefficient,
         ))
 
     def sequence_text(self) -> str:

@@ -108,9 +108,9 @@ def _package_imports(tree):
                     yield node.lineno, rest.partition(".")[0] or "__init__"
 
 
-# The names a module may read from the package root: the version, and
-# the one list of public names.  Neither loads a layer.
-ROOT_NAMES = ("__version__", "_HOMES")
+# The name a library module may read from the package root: the one list
+# of public names, which loads no layer.
+ROOT_NAMES = ("_HOMES",)
 
 
 def _tree(name):
@@ -121,15 +121,16 @@ def _tree(name):
 def test_each_module_imports_only_the_layers_below_it():
     # Imports run one way, so the package has no import cycle.  Any other
     # name read from the package root would hide the layer it comes from,
-    # and could load layers above the reader.
+    # and could load layers above the reader.  Only cli, the top layer,
+    # reads the package object itself: no layer lies above it to load.
     package = Path(spherestruct.__file__).resolve().parent
     modules = sorted(path.stem for path in package.glob("*.py"))
     assert modules == sorted(LAYERS + ("__init__", "__main__"))
     wrong = []
     for rank, name in enumerate(LAYERS):
+        allowed = {*LAYERS[:rank], *ROOT_NAMES, *(("__init__",) if name == "cli" else ())}
         for line, target in _package_imports(_tree(name)):
-            below = target in LAYERS[:rank] or target in ROOT_NAMES
-            if not below:
+            if target not in allowed:
                 wrong.append(f"{name}.py:{line} imports {target}")
     assert wrong == []
 
@@ -137,8 +138,9 @@ def test_each_module_imports_only_the_layers_below_it():
 def test_each_library_module_all_is_its_homes_entry():
     # spherestruct._HOMES is the one list of public names: each library
     # module binds __all__ once, to its own entry, and reads nothing else
-    # from the package root; cli exports nothing and reads only the
-    # version, so a hand-typed list cannot come back.
+    # from the package root; cli exports nothing and reads every public
+    # name through the package object, so a hand-typed list cannot come
+    # back, and a renamed public name fails here, not in a subcommand.
     read = set()
     for name in LAYERS:
         tree = _tree(name)
@@ -150,15 +152,40 @@ def test_each_library_module_all_is_its_homes_entry():
             if getattr(target, "id", None) == "__all__"
         ]
         root = {target for _, target in _package_imports(tree) if target not in LAYERS}
-        read |= root
         if name == "cli":
-            assert (bound, root) == ([], {"__version__"})
+            assert (bound, root) == ([], {"__init__"})
+            imported, attributes = _cli_library_reads(tree)
+            assert imported and not imported & set(spherestruct._HOME)
+            assert attributes and attributes <= {"__version__", *spherestruct.__all__}
         else:
+            read |= root
             assert (bound, root) == ([f"_HOMES[{name!r}]"], {"_HOMES"}), name
             home = importlib.import_module(f"spherestruct.{name}")
             assert home.__all__ is spherestruct._HOMES[name], name
-    # So the layer test allows exactly what the modules read.
+    # So the layer test allows exactly what the library modules read.
     assert read == set(ROOT_NAMES)
+
+
+def _cli_library_reads(tree):
+    # The names cli imports from home modules, and the attributes it reads
+    # off the package object, which it uses for nothing else.
+    imported = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level and node.module in LAYERS
+        for alias in node.names
+    }
+    (package,) = (
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Import)
+        for alias in node.names
+        if alias.name == "spherestruct"
+    )
+    parents = {child: node for node in ast.walk(tree) for child in ast.iter_child_nodes(node)}
+    uses = [node for node in ast.walk(tree) if isinstance(node, ast.Name) and node.id == package]
+    assert all(isinstance(parents[node], ast.Attribute) for node in uses)
+    return imported, {parents[node].attr for node in uses}
 
 
 def _scoped_nodes(tree, kind=ast.Call, scope=""):
@@ -385,6 +412,32 @@ def test_importing_the_package_does_not_load(module):
     )
     loaded_by_bernoulli = module in ("fractions", "decimal", "numbers")
     assert _fresh(code) == f"[]\nFalse\nFalse\nFalse\n{loaded_by_bernoulli}\n"
+
+
+def test_a_query_loads_only_the_module_that_answers_it():
+    # cli reads the library through the package namespace, so a subcommand
+    # loads its answer's home and the layers below it, and nothing above.
+    code = (
+        "import contextlib, io, sys\n"
+        "from spherestruct.cli import main\n"
+        "def loaded(*argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        assert main(list(argv)) == 0\n"
+        "    names = (m.split('.') for m in sys.modules)\n"
+        "    print(*sorted(n[1] for n in names if n[0] == 'spherestruct' and len(n) == 2))\n"
+        "loaded('t', '16')\n"
+        "print('fractions' in sys.modules)\n"
+        "loaded('bernoulli', '3')\n"
+        "print('fractions' in sys.modules)\n"
+        "loaded('classify-s3s4', '1', '2', '3', '2')\n"
+    )
+    assert _fresh(code).splitlines() == [
+        "bp cli cyclic levine tables",
+        "False",
+        "bp cli cyclic levine rationals tables",
+        "True",
+        "bp classify cli cyclic levine ltheory rationals structset tables",
+    ]
 
 
 def test_import_builds_the_classifier_tables_from_t4_and_t8_only():

@@ -904,18 +904,18 @@ def test_the_inline_pair_tests_refuse_what_check_pair_refuses():
 @pytest.mark.parametrize(
     "p, error, message",
     [(0, ValueError, "t(i) requires i >= 1, got 0"),
-     (4.0, TypeError, "a must be an int, got float")],
+     (4.0, TypeError, "p must be an int, got float")],
 )
 def test_as_dict_checks_the_fields_of_a_keyword_built_presentation(p, error, message):
-    # as_dict reads c through pairing_coefficient, because the fields of a
-    # value built by keyword are unchecked; p = 0 once left t_0 = -0.125
-    # in t's cache.
+    # The constructor checks the type of each field, so a float p is
+    # refused when the value is built; as_dict reads c through
+    # pairing_coefficient, because a range error still reaches it: p = 0
+    # once left t_0 = -0.125 in t's cache.
     value = present(4, 4)
     fields = {name: getattr(value, name) for name in value.__slots__}
-    built = StructureSetPresentation(**{**fields, "p": p, "q": 4})
     before = [cache.cache_info() for cache in _ALL_CACHES]
     with pytest.raises(error) as info:
-        built.as_dict()
+        StructureSetPresentation(**{**fields, "p": p, "q": 4}).as_dict()
     assert str(info.value) == message
     assert [cache.cache_info() for cache in _ALL_CACHES] == before
 

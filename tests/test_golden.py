@@ -3,7 +3,11 @@
 ``golden_cli.json`` lists queries together with the exit status, standard
 output and standard error they produced when the file was recorded; a
 refactor must reproduce every one of them exactly.  The argument
-``@table`` stands for ``golden_table.json`` beside this file.  To record
+``@table`` stands for ``golden_table.json`` beside this file.  The
+``--help`` cases are recorded under CPython 3.11's argparse layout;
+another version may lay help out differently (under 3.13 the top-level
+``--help`` case differs in argparse's column width), while every other
+case holds from Python 3.10 on.  To record
 the outputs again after an intended output change:
 
     PYTHONPATH=src python tests/test_golden.py

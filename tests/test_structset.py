@@ -333,6 +333,54 @@ def test_the_consequence_values_refuse_a_field_of_the_wrong_type():
     assert verdict == group_structure_possible(4, 4)
 
 
+def test_a_presentation_refuses_a_field_of_the_wrong_type():
+    # StructureSetPresentation(1, 2, ..., 10).lines() once raised
+    # AttributeError: 'int' object has no attribute 'is_unknown'.
+    with pytest.raises(TypeError, match="^theta_group must be a KnownGroup, got int$"):
+        StructureSetPresentation(1, 2, 3, 4, 5, 6, 7, 8, 9, 10)
+    pres = present(4, 3)
+    fields = {name: getattr(pres, name) for name in pres.__slots__}
+    z = fields["theta_group"]
+    for name, value, error, message in (
+        ("p", 4.0, TypeError, "p must be an int, got float"),
+        ("q", "3", TypeError, "q must be an int, got str"),
+        ("input_p", None, TypeError, "input_p must be an int, got NoneType"),
+        ("input_q", 3.0, TypeError, "input_q must be an int, got float"),
+        ("theta_group", 28, TypeError, "theta_group must be a KnownGroup, got int"),
+        ("bp_next", None, TypeError, "bp_next must be a KnownGroup, got NoneType"),
+        (
+            "normal_invariants", [z, z], TypeError,
+            "normal_invariants must be a tuple of two KnownGroup, got list",
+        ),
+        (
+            "normal_invariants", (z, 2), TypeError,
+            r"normal_invariants must be a tuple of two KnownGroup, got \(KnownGroup, int\)",
+        ),
+        (
+            "normal_invariants", (z,), TypeError,
+            r"normal_invariants must be a tuple of two KnownGroup, got \(KnownGroup\)",
+        ),
+        ("residual", 1, TypeError, "residual must be a CyclicGroup, got int"),
+        (
+            "action_case", "free", ValueError,
+            "action_case must be 'free_everywhere' or 'stabilizers_vary_with_d', "
+            "got 'free'",
+        ),
+        (
+            "stabilizer_coefficient", 32.0, TypeError,
+            "stabilizer_coefficient must be an int, got float",
+        ),
+    ):
+        with pytest.raises(error, match=f"^{message}$"):
+            StructureSetPresentation(**{**fields, name: value})
+    # A bool int field is the int it equals, and None is a coefficient.
+    built = StructureSetPresentation(**{**fields, "input_q": True})
+    assert type(built.input_q) is int and built.input_q == 1
+    built = StructureSetPresentation(**{**fields, "stabilizer_coefficient": None})
+    assert built.stabilizer_coefficient is None
+    assert StructureSetPresentation(**fields) == pres
+
+
 def test_group_structure_cross_check_against_component_tests():
     # Reconstruct the two obstructions from del_map and stabilizer outputs
     # and compare with the verdict, p + q <= 16.
