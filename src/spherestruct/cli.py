@@ -123,10 +123,10 @@ def _cmd_residual(args, table):
         "order": group.order,
         "generator_coefficient": lib.pairing_coefficient(args.p, args.q),
         "ambient_bp_dim": n,
-        "ambient_bp_order": lib.t(n) if n % 4 == 0 else None,
+        "ambient_bp_order": lib.t(n) or None,  # t_n = 0 off multiples of 4
     }
     label = f"8*t_{args.p}*t_{args.q} . bP_{n}"
-    if group.order == 1:
+    if group.is_trivial:
         text = [f"residual group {label} = 0 (trivial)"]
     else:
         text = [f"residual group {label} = {group} (order {group.order})"]
@@ -150,55 +150,30 @@ def _cmd_fiber(args, table):
 
 def _cmd_stabilizer(args, table):
     sub = lib.stabilizer(args.p, args.q, args.d)
-    payload = {
-        **_operands(args),
-        "ambient_order": sub.ambient.order,
-        "generator": sub.generator_value % sub.ambient.order,
-        "order": sub.order,
-    }
-    return payload, [f"stabiliser(d = {args.d}) = {sub} (order {sub.order})"], [_NOTE_FORMULA]
+    text = [f"stabiliser(d = {args.d}) = {sub} (order {sub.order})"]
+    return {**_operands(args), **sub.as_dict()}, text, [_NOTE_FORMULA]
 
 
 def _cmd_group_structure(args, table):
     verdict = lib.group_structure_possible(args.p, args.q)
-    payload = {**_operands(args), "possible": verdict.possible, "reason": verdict.reason}
-    if verdict.possible:
-        text = ["group structure possible: yes"]
-    else:
-        text = [f"group structure possible: no ({verdict.reason})"]
-    return payload, text, [_NOTE_FORMULA]
+    return {**_operands(args), **verdict.as_dict()}, verdict.lines(), [_NOTE_FORMULA]
 
 
 def _cmd_image_f(args, table):
+    # image_f_residual refuses a pair off the (4j, 4k) shape.  On it the
+    # group-structure verdict is the answer: possible exactly when the
+    # forgetful image is a subgroup.
     residual = lib.image_f_residual(args.p, args.q)
-    is_subgroup = residual.order == 1
-    payload = {
-        **_operands(args),
-        "is_subgroup": is_subgroup,
-        "residual_order": residual.order,
-    }
-    if is_subgroup:
-        text = ["image of the forgetful map is a subgroup: yes"]
-    else:
-        text = [
-            "image of the forgetful map is a subgroup: no "
-            f"(residual group {residual})"
-        ]
-    return payload, text, [_NOTE_FORMULA]
+    is_subgroup = lib.group_structure_possible(args.p, args.q).possible
+    payload = {**_operands(args), "is_subgroup": is_subgroup, "residual_order": residual.order}
+    answer = "yes" if is_subgroup else f"no (residual group {residual})"
+    return payload, [f"image of the forgetful map is a subgroup: {answer}"], [_NOTE_FORMULA]
 
 
 def _cmd_top_set(args, table):
     top = lib.top_structure_set(args.p, args.q)
-    payload = {
-        **_operands(args),
-        "factors": [top.p_factor.symbol, top.q_factor.symbol],
-        "is_group": True,
-        "singleton": top.is_singleton,
-    }
-    text = [f"S^Top(S^{args.p} x S^{args.q}) = {top} (a group)"]
-    if top.is_singleton:
-        text.append("the topological structure set is a single point")
-    return payload, text, ["topological structure set: L_p x L_q, 4-periodic"]
+    notes = ["topological structure set: L_p x L_q, 4-periodic"]
+    return {**_operands(args), **top.as_dict()}, top.lines(), notes
 
 
 def _cmd_classify_s3s4(args, table):

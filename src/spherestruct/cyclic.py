@@ -251,6 +251,10 @@ class CyclicGroup:
     def element(self, value: int) -> CyclicElement:
         return CyclicElement(self, value)
 
+    @property
+    def is_trivial(self) -> bool:
+        return self.order == 1
+
     def __str__(self) -> str:
         return "0" if self.order == 1 else f"Z_{self.order}"
 
@@ -372,7 +376,11 @@ def _element(group: CyclicGroup, value: int) -> CyclicElement:
 
 @_value
 class CyclicSubgroup:
-    """A subgroup of Z_n, canonicalised to its generator gcd(g mod n, n)."""
+    """A subgroup of Z_n, canonicalised to its generator gcd(g mod n, n).
+
+    ``as_dict`` is its form in the CLI's ``stabilizer`` answer, and its
+    generator, shown as g mod n (0 for the trivial subgroup), is the one
+    ``str`` prints."""
 
     __slots__ = ("ambient", "generator_value")
     ambient: CyclicGroup
@@ -404,9 +412,12 @@ class CyclicSubgroup:
     def is_trivial(self) -> bool:
         return self.order == 1
 
+    def as_dict(self) -> dict:
+        n = self.ambient.order
+        return {"ambient_order": n, "generator": self.generator_value % n, "order": self.order}
+
     def __str__(self) -> str:
-        shown = self.generator_value % self.ambient.order
-        return f"<{shown}> in {self.ambient}"
+        return f"<{self.as_dict()['generator']}> in {self.ambient}"
 
 
 _SubgroupDraft = _draft(CyclicSubgroup)

@@ -417,6 +417,17 @@ class TopStructureSet:
     def __str__(self) -> str:
         return f"{self.p_factor} x {self.q_factor}"
 
+    def as_dict(self) -> dict:
+        factors = [self.p_factor.symbol, self.q_factor.symbol]
+        return {"factors": factors, "is_group": True, "singleton": self.is_singleton}
+
+    def lines(self) -> list[str]:
+        """The set as the text lines ``top-set`` prints."""
+        head = f"S^Top(S^{self.p_factor.dim} x S^{self.q_factor.dim}) = {self} (a group)"
+        if self.is_singleton:
+            return [head, "the topological structure set is a single point"]
+        return [head]
+
 
 @_value
 class GroupStructureVerdict:
@@ -436,3 +447,12 @@ class GroupStructureVerdict:
 
     def __bool__(self) -> bool:
         return self.possible
+
+    def as_dict(self) -> dict:
+        return {"possible": self.possible, "reason": self.reason}
+
+    def lines(self) -> list[str]:
+        """The verdict as the text line ``group-structure`` prints."""
+        if self.possible:
+            return ["group structure possible: yes"]
+        return [f"group structure possible: no ({self.reason})"]
