@@ -22,6 +22,17 @@ answers it: ``t 16`` loads ``tables``, ``cyclic``, ``levine`` and
 the home of a public name; from home modules ``cli`` imports only the
 shared private rules it lists nowhere.
 
+Handlers decide no fact: each is a library call plus a render, with the
+query echo and the notes as its own.  A value that renders itself (the
+presentation, the two consequence values of ``structset``, a subgroup's
+``as_dict``) gives the payload and the text; otherwise the handler
+labels what the library answered.  ``image-f`` takes its answer from
+``group_structure_possible``, whose verdict on the (4j, 4k) shape is
+whether the forgetful image is a subgroup, and ``image_f_residual``
+refuses the other shapes and names the residual group.  An ``ast`` test
+in ``tests/test_cli.py`` keeps arithmetic and comparisons on anything
+but the arguments, and literal bools, out of the handlers.
+
 Exit status: 0 on success, 1 on domain errors (a precondition violated by
 otherwise well-formed arguments, a malformed table file, or an index
 above the Bernoulli cap), 2 on usage errors (including a malformed

@@ -18,9 +18,13 @@ p, q >= 2 and p + q >= 5, and draws two consequences from it:
 The topological structure set, by contrast, is a group isomorphic to
 L_p x L_q (``top_structure_set``).  ``group_structure_possible``
 answers both consequences by the shape of the pair, with one of three
-shared verdicts; ``image_f_residual`` hands out the residual group of
-the second, and ``forgetful_fiber`` the size of a fibre of the
-forgetful map over S^3 x S^4.
+shared verdicts: on {4j, 4k} its verdict is whether the forgetful image
+is a subgroup ("image not a subgroup" when not), and the CLI's
+``image-f`` reads it there.  ``image_f_residual`` hands out the residual
+group of the second and refuses every other shape, and
+``forgetful_fiber`` the size of a fibre of the forgetful map over
+S^3 x S^4.  Both value classes render themselves (``as_dict`` and
+``lines``), as the presentation does.
 
 This module sits between ``structset`` and ``classify``.  Its two value
 classes, ``GroupStructureVerdict`` and ``TopStructureSet``, live in

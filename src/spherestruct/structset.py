@@ -87,7 +87,11 @@ and an ``action_case`` other than ``ACTION_FREE`` and
 so that each keeps its ``__module__``, repr and pickle bytes.  Each
 refuses a field of the wrong type when it is built: a factor that is not
 an ``LGroupKind``, a ``possible`` that is not a bool, or a ``reason``
-that is neither a str nor None.
+that is neither a str nor None.  Like the presentation, each renders
+itself: ``as_dict`` is its JSON payload and ``lines`` the text the
+``top-set`` or ``group-structure`` subcommand prints, so the CLI adds
+only the query echo and the notes.  The top set reads its dimensions
+from its factors, whose order is the order it was given.
 """
 
 from __future__ import annotations
