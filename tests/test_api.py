@@ -8,6 +8,7 @@ import pkgutil
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -499,3 +500,20 @@ def test_the_readme_layer_orders_are_homes():
     (imports,) = re.findall(r"import\s+one\s+way:\s+([^:]*?),\s+an\s+order", readme)
     assert tuple(re.findall(r"`(\w+)`", api)) == tuple(spherestruct._HOMES)
     assert tuple(re.findall(r"`(\w+)`", imports)) == (*spherestruct._HOMES, "cli")
+
+
+def test_the_version_has_one_home():
+    # pyproject.toml declares the version dynamic and reads it from the
+    # package, so the wheel's metadata and ``--version`` cannot disagree.
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parent.parent / "pyproject.toml"
+    config = tomllib.loads(path.read_text(encoding="utf-8"))
+    assert "version" not in config["project"]
+    assert config["project"]["dynamic"] == ["version"]
+    dynamic = config["tool"]["setuptools"]["dynamic"]
+    assert dynamic == {"version": {"attr": "spherestruct.__version__"}}
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls the table beta
+        resolved = pyprojecttoml.read_configuration(path)["project"]["version"]
+    assert resolved == spherestruct.__version__

@@ -1,14 +1,24 @@
+import argparse
+import ast
+import builtins
 import json
 import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import spherestruct
-from spherestruct import MAX_BERNOULLI_INDEX, KnownGroup, eta_fiber_size, t
-from spherestruct.cli import main
+from spherestruct import (
+    MAX_BERNOULLI_INDEX,
+    KnownGroup,
+    eta_fiber_size,
+    image_f_residual,
+    t,
+)
+from spherestruct.cli import _cmd_image_f, main
 
 
 def run(capsys, argv):
@@ -494,3 +504,70 @@ def test_inconsistent_table_is_rejected_at_load(tmp_path, capsys):
     assert code == 1
     assert "|bP_8| = 28 does not divide |Theta_7| = 3" in err
     assert out == ""
+
+
+# What a comparison or an arithmetic operation in a handler may read: the
+# parsed arguments, constants and builtins such as len.
+_HANDLER_NAMES = {"args"} | set(dir(builtins))
+_OPERATIONS = (ast.Compare, ast.BinOp, ast.UnaryOp, ast.AugAssign)
+
+
+def _handler_spots(source: str) -> list[str]:
+    # Each outermost comparison or arithmetic operation in a ``_cmd_*``
+    # function that reads anything but _HANDLER_NAMES, and each literal
+    # bool, as its source text.  ``not`` is logic, not arithmetic.
+    spots = []
+
+    def visit(node):
+        if isinstance(node, ast.Constant) and type(node.value) is bool:
+            spots.append(node)
+            return
+        if isinstance(node, _OPERATIONS) and not isinstance(getattr(node, "op", None), ast.Not):
+            names = {name.id for name in ast.walk(node) if isinstance(name, ast.Name)}
+            if not names <= _HANDLER_NAMES:
+                spots.append(node)
+                return
+        for child in ast.iter_child_nodes(node):
+            visit(child)
+
+    for node in ast.parse(source).body:
+        if isinstance(node, ast.FunctionDef) and node.name.startswith("_cmd_"):
+            visit(node)
+    return [ast.get_source_segment(source, node) for node in spots]
+
+
+def test_the_handlers_decide_no_fact():
+    # A handler looks its answer up and renders it: the library decides
+    # every fact the CLI prints, so a handler computes and compares
+    # nothing but its arguments, and writes no fact as a literal bool.
+    source = (Path(spherestruct.__file__).resolve().parent / "cli.py").read_text(encoding="utf-8")
+    assert _handler_spots(source) == []
+
+
+def test_the_handler_pin_finds_a_decided_fact():
+    source = """
+def _cmd_image_f(args, table):
+    residual = lib.image_f_residual(args.p, args.q)
+    return residual.order == 1, -residual.order, not residual
+def _cmd_residual(args, table):
+    n = args.p + args.q
+    return lib.t(n) if n % 4 == 0 else None, args.m % 4 == 2, len(args.data) != 6
+def _cmd_top_set(args, table):
+    return {"is_group": True}
+def _render(group):
+    return group.order == 1
+"""
+    assert _handler_spots(source) == [
+        "residual.order == 1", "-residual.order", "n % 4 == 0", "True",
+    ]
+
+
+def test_image_f_is_a_subgroup_exactly_when_the_residual_group_is_trivial():
+    # The rule the handler once applied itself is the reference for the
+    # verdict it now reads, on every (4j, 4k) with j + k <= 60.
+    for j in range(1, 60):
+        for k in range(1, 61 - j):
+            p, q = 4 * j, 4 * k
+            args = argparse.Namespace(command="image-f", json=True, table=None, p=p, q=q)
+            payload, _, _ = _cmd_image_f(args, None)
+            assert payload["is_subgroup"] == (image_f_residual(p, q).order == 1), (p, q)

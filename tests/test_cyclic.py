@@ -1,5 +1,7 @@
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from spherestruct import (
     CyclicElement,
@@ -143,3 +145,23 @@ def test_non_integer_values_are_rejected():
     assert z28.element(True) == z28.element(1)
     assert CyclicGroup(True) == CyclicGroup(1)
     assert subgroup_generated(28, True) == subgroup_generated(28, 1)
+
+
+def test_a_group_is_trivial_exactly_at_order_one():
+    assert CyclicGroup(1).is_trivial and cyclic_group(True).is_trivial
+    assert not any(CyclicGroup(n).is_trivial for n in (2, 28, 992))
+    assert str(CyclicGroup(1)) == "0"
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 10**6), st.integers(-(10**8), 10**8))
+@example(28, 0)
+@example(28, 32)
+@example(1, 5)
+def test_a_subgroup_renders_its_shown_generator(n, g):
+    # The reference is the rule the CLI's stabilizer payload applied
+    # itself, and the text str() printed: the generator shown as g mod n.
+    for sub in (subgroup_generated(n, g), CyclicSubgroup(cyclic_group(n), g)):
+        shown = sub.generator_value % n
+        assert sub.as_dict() == {"ambient_order": n, "generator": shown, "order": sub.order}
+        assert str(sub) == f"<{shown}> in {sub.ambient}"

@@ -581,3 +581,38 @@ def test_the_doors_agree_with_normalize_dims_and_the_cores(p, q, d, swap):
     assert stabilizer(p, q, d) == stabilizer(np_, nq, d)
     assert eta_fiber_size(p, q, d) == eta_fiber_size(np_, nq, d)
     assert present(p, q) == _presentation_from_cores(p, q)
+
+
+def test_the_top_set_renders_as_the_top_set_subcommand_did():
+    # The reference is the payload and text the CLI's handler built
+    # itself before the value rendered itself.
+    for p in range(2, 14):
+        for q in range(max(2, 5 - p), 14):
+            top = top_structure_set(p, q)
+            assert top.as_dict() == {
+                "factors": [top.p_factor.symbol, top.q_factor.symbol],
+                "is_group": True,
+                "singleton": top.is_singleton,
+            }
+            text = [f"S^Top(S^{p} x S^{q}) = {top} (a group)"]
+            if top.is_singleton:
+                text.append("the topological structure set is a single point")
+            assert top.lines() == text
+
+
+def test_the_three_verdicts_render_as_the_group_structure_subcommand_did():
+    verdicts = {
+        group_structure_possible(p, q) for p in range(2, 30) for q in range(max(2, 5 - p), 30)
+    }
+    assert {verdict.lines()[0] for verdict in verdicts} == {
+        "group structure possible: yes",
+        "group structure possible: no (non-constant stabilizers)",
+        "group structure possible: no (image not a subgroup)",
+    }
+    for verdict in verdicts:
+        assert verdict.as_dict() == {"possible": verdict.possible, "reason": verdict.reason}
+        if verdict.possible:
+            text = ["group structure possible: yes"]
+        else:
+            text = [f"group structure possible: no ({verdict.reason})"]
+        assert verdict.lines() == text
