@@ -71,6 +71,7 @@ from .cyclic import (
     _exact_int,
     _Shared,
     _shown,
+    _shown_group,
     _value,
     cyclic_group,
     subgroup_generated,
@@ -101,13 +102,13 @@ class S3S4Invariant(metaclass=_Shared):
     def __init__(self, sigma: CyclicElement | int, v: int) -> None:
         if isinstance(sigma, int):
             sigma = _BP8_ELEMENTS[sigma % BP8.order]
-        elif not isinstance(sigma, CyclicElement):
+        elif type(sigma) is not CyclicElement:
             raise TypeError(
                 f"sigma must be an int or an element of {BP8}, "
                 f"got {type(sigma).__name__}"
             )
         elif sigma.group.order != BP8.order:
-            raise ValueError(f"sigma must lie in {BP8}, got {sigma.group}")
+            raise ValueError(f"sigma must lie in {BP8}, got {_shown_group(sigma.group)}")
         if type(v) is not int:
             v = _exact_int("v", v)
         self.__setstate__((sigma, v))

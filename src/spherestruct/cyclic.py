@@ -8,7 +8,9 @@ canonical generator is always a positive divisor of n; the trivial
 subgroup is stored with generator n itself.
 
 The module also holds the package's argument rules that every door
-shares: ``_exact_int`` for an integer, ``_checked_index`` for an
+shares: ``_exact_int`` for an integer, ``_checked_class`` for a value
+of one class, which refuses a subclass too and whose one form is
+``<name> must be a <Class>, got <type>``, ``_checked_index`` for an
 index's least value, whose one message form is
 ``<door>(<arg>) requires <arg> >= <least>, got <value>``,
 ``_past_cap`` for an index above a cap, whose one form is
@@ -97,7 +99,7 @@ def _value(cls: type) -> type:
 
     def __setstate__(self, state):
         if hasattr(self, first):  # built: refused before any write
-            raise AttributeError(f"cannot assign to field {first!r}")
+            _refuse_assignment(self, first, state)
         for write, value in zip(writers, state):
             write(self, value)
 
@@ -144,6 +146,16 @@ def _exact_int(name: str, value: object) -> int:
     if not isinstance(value, int):
         raise TypeError(f"{name} must be an int, got {type(value).__name__}")
     return int(value)
+
+
+def _checked_class(name: str, value: object, cls: type, what: str = "") -> object:
+    # The package's one class rule, the slow branch behind every door's
+    # ``type(value) is not cls``: ``cls`` itself passes, and anything
+    # else, a subclass too, is refused; ``what`` replaces "a <Class>".
+    if type(value) is not cls:
+        what = what or f"a {cls.__name__}"
+        raise TypeError(f"{name} must be {what}, got {type(value).__name__}")
+    return value
 
 
 def _built(cls: type, *args: object, **kwargs: object) -> object:
@@ -289,12 +301,6 @@ def _group(n: int) -> CyclicGroup:
     return group
 
 
-def _check_group(name: str, group: object) -> None:
-    # The slow branch behind ``type(group) is not CyclicGroup``.
-    if not isinstance(group, CyclicGroup):
-        raise TypeError(f"{name} must be a CyclicGroup, got {type(group).__name__}")
-
-
 def cyclic_group(n: int) -> CyclicGroup:
     """The shared Z_n value: equal to ``CyclicGroup(n)``, built once per
     order and then reused (safe because the value is frozen).  A bool is
@@ -324,8 +330,7 @@ class CyclicElement:
     def __init__(self, group: CyclicGroup, value: int) -> None:
         if type(value) is not int:
             value = _exact_int("value", value)
-        if type(group) is not CyclicGroup:
-            _check_group("group", group)
+        _checked_class("group", group, CyclicGroup)
         self.__setstate__((group, value % group.order))
 
     def _check_same_group(self, other: CyclicElement) -> None:
@@ -389,8 +394,7 @@ class CyclicSubgroup:
     def __init__(self, ambient: CyclicGroup, generator_value: int) -> None:
         if type(generator_value) is not int:
             generator_value = _exact_int("generator_value", generator_value)
-        if type(ambient) is not CyclicGroup:
-            _check_group("ambient", ambient)
+        _checked_class("ambient", ambient, CyclicGroup)
         n = ambient.order
         self.__setstate__((ambient, gcd(generator_value % n, n)))
 
@@ -399,8 +403,7 @@ class CyclicSubgroup:
         return self.ambient.order // self.generator_value
 
     def contains(self, x: CyclicElement) -> bool:
-        if type(x) is not CyclicElement:
-            raise TypeError(f"x must be a CyclicElement, got {type(x).__name__}")
+        _checked_class("x", x, CyclicElement)
         if x.group.order != self.ambient.order:
             raise ValueError(
                 f"element of {_shown_group(x.group)} tested against a subgroup "

@@ -50,7 +50,9 @@ from functools import lru_cache
 
 from . import _HOMES
 from .bp import _RESIDUAL, _SHAPES, _residual_split, check_pair
-from .cyclic import _Shared, _checked_index, _draft, _exact_int, _shown, _shown_repr, _value
+from .cyclic import (
+    _Shared, _checked_class, _checked_index, _draft, _exact_int, _shown, _shown_repr, _value,
+)
 from .levine import _t_multiple_of_4
 
 __all__ = _HOMES["ltheory"]
@@ -166,7 +168,8 @@ def theta_diff(
     if not (type(p) is int and type(q) is int and p >= 2 and q >= 2 and p + q >= 5):
         check_pair(p, q)
     if not (type(u) is type(v) is type(w) is NormalClassDiff):
-        _check_coordinates(u, v, w)
+        for name, x in (("u", u), ("v", v), ("w", w)):
+            _checked_class(name, x, NormalClassDiff)
     if u.dim != p or v.dim != q or w.dim != p + q:
         raise ValueError(
             f"coordinate dimensions must be ({_shown(p)}, {_shown(q)}, "
@@ -174,14 +177,6 @@ def theta_diff(
             f"{_shown(w.dim)})"
         )
     return _theta_diff(p, q, u.phi, v.phi, w.phi)
-
-
-def _check_coordinates(u: object, v: object, w: object) -> None:
-    # The slow branch behind theta_diff's type test: the first of u, v
-    # and w that is not a NormalClassDiff is named.
-    for name, x in (("u", u), ("v", v), ("w", w)):
-        if type(x) is not NormalClassDiff:
-            raise TypeError(f"{name} must be a NormalClassDiff, got {type(x).__name__}")
 
 
 # The core of theta_diff, for the ints its door has checked; bounded, as

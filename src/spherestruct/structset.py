@@ -105,7 +105,7 @@ from .cyclic import (
     CyclicElement,
     CyclicGroup,
     CyclicSubgroup,
-    _check_group,
+    _checked_class,
     _cyclic_group,
     _draft,
     _element,
@@ -168,17 +168,15 @@ class StructureSetPresentation:
             value if type(value) is int else _exact_int(name, value)
             for name, value in (("p", p), ("q", q), ("input_p", input_p), ("input_q", input_q))
         ]
-        for name, group in (("theta_group", theta_group), ("bp_next", bp_next)):
-            if type(group) is not KnownGroup:
-                raise TypeError(f"{name} must be a KnownGroup, got {type(group).__name__}")
+        _checked_class("theta_group", theta_group, KnownGroup)
+        _checked_class("bp_next", bp_next, KnownGroup)
         pair = normal_invariants
         if not (type(pair) is tuple and len(pair) == 2 and {*map(type, pair)} == {KnownGroup}):
             shown = type(pair).__name__
             if type(pair) is tuple:
                 shown = f"({', '.join(type(group).__name__ for group in pair)})"
             raise TypeError(f"normal_invariants must be a tuple of two KnownGroup, got {shown}")
-        if type(residual) is not CyclicGroup:
-            _check_group("residual", residual)
+        _checked_class("residual", residual, CyclicGroup)
         if action_case != ACTION_FREE and action_case != ACTION_STABILIZER:
             raise ValueError(
                 f"action_case must be {ACTION_FREE!r} or {ACTION_STABILIZER!r}, "
@@ -409,9 +407,8 @@ class TopStructureSet:
     q_factor: LGroupKind
 
     def __init__(self, p_factor: LGroupKind, q_factor: LGroupKind) -> None:
-        for name, factor in (("p_factor", p_factor), ("q_factor", q_factor)):
-            if type(factor) is not LGroupKind:
-                raise TypeError(f"{name} must be an LGroupKind, got {type(factor).__name__}")
+        _checked_class("p_factor", p_factor, LGroupKind, "an LGroupKind")
+        _checked_class("q_factor", q_factor, LGroupKind, "an LGroupKind")
         self.__setstate__((p_factor, q_factor))
 
     @property
@@ -443,10 +440,11 @@ class GroupStructureVerdict:
     reason: str | None
 
     def __init__(self, possible: bool, reason: str | None = None) -> None:
-        if type(possible) is not bool:
-            raise TypeError(f"possible must be a bool, got {type(possible).__name__}")
-        if reason is not None and type(reason) is not str:
-            raise TypeError(f"reason must be a str or None, got {type(reason).__name__}")
+        _checked_class("possible", possible, bool)
+        if reason is not None:
+            _checked_class("reason", reason, str, "a str or None")
+        if possible == (reason is not None):  # a reason names the obstruction
+            raise ValueError(f"reason {_shown_repr(reason)} contradicts possible={possible}")
         self.__setstate__((possible, reason))
 
     def __bool__(self) -> bool:

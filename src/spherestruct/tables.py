@@ -75,7 +75,8 @@ from types import MappingProxyType
 
 from . import _HOMES
 from .cyclic import (
-    _checked_index, _checked_order, _draft, _shown, _shown_repr, _slot_writers, _value,
+    _checked_class, _checked_index, _checked_order, _draft, _refuse_assignment, _shown,
+    _shown_repr, _slot_writers, _value,
 )
 from .levine import MAX_BERNOULLI_INDEX, _t_multiple_of_4
 
@@ -245,7 +246,7 @@ class GroupTable:
         bp: Mapping[int, KnownGroup] | None = None,
     ) -> None:
         if hasattr(self, "theta"):  # built: refused before any write
-            raise AttributeError("cannot assign to field 'theta'")
+            _refuse_assignment(self, "theta", theta)
         given = (theta, pi_go_torsion, bp)
         theta, torsions, bp = map(_checked_family, _FAMILIES, given)
         for write, entries in zip(_table_writers, (theta, torsions, bp)):
@@ -330,10 +331,9 @@ def _checked_family(family: str, entries: object) -> dict[int, KnownGroup]:
 
 
 def _checked_table(table: object) -> GroupTable:
-    # A door's ``table`` other than None (the built-in table).
-    if not isinstance(table, GroupTable):
-        raise TypeError(f"table must be a GroupTable, got {type(table).__name__}")
-    return table
+    # A door's ``table`` other than None (the built-in table): a GroupTable
+    # itself, since a subclass could answer a lookup past the gate.
+    return _checked_class("table", table, GroupTable)
 
 
 def theta_order(n: int, table: GroupTable | None = None) -> KnownGroup:

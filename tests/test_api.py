@@ -278,9 +278,35 @@ def test_each_argument_rule_has_one_home():
     ]
     # subgroup_generated reads the order rule of CyclicGroup.
     assert not [name for name in sources if "ambient order must be" in sources[name]]
-    # One table check.
-    text = "table must be a GroupTable"
-    assert sum(source.count(text) for source in sources.values()) == 1
+    # One class rule, cyclic._checked_class, behind every door that takes a
+    # value of one class: no other module defines it, no module spells its
+    # "must be a <Class>, got" form, and a TypeError that says "must be" is
+    # raised only by it, the integer rule and the composite checks named
+    # here (S3S4Invariant's int or element, the pair of normal invariants,
+    # and a table family's mapping and dimension keys).
+    rules = sorted(
+        f"{name}.{node.name}"
+        for name, tree in trees.items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_checked_class"
+    )
+    assert rules == ["cyclic._checked_class"]
+    spelled = {name: re.findall(r"must be an? \w+, got", source) for name, source in sources.items()}
+    assert {name: forms for name, forms in spelled.items() if forms} == {
+        "cyclic": ["must be an int, got"], "tables": ["must be a mapping, got"],
+    }
+    raisers = sorted(
+        f"{name}.{scope}"
+        for name, tree in trees.items()
+        for scope, node in _scoped_nodes(tree, ast.Raise)
+        if getattr(getattr(node.exc, "func", None), "id", None) == "TypeError"
+        and "must be" in ast.unparse(node.exc)
+    )
+    assert raisers == [
+        "classify.S3S4Invariant.__init__", "cyclic._checked_class", "cyclic._exact_int",
+        "structset.StructureSetPresentation.__init__", "tables._checked_family",
+        "tables._checked_family",
+    ]
     # One range rule, cyclic._checked_index, behind every index door, and
     # one cap rule, cyclic._past_cap, behind the caps of t and bernoulli;
     # no door spells out its own message.
@@ -320,6 +346,7 @@ def test_each_argument_rule_has_one_home():
         "ltheory.LClass.__add__": {"self", "other"},
         "cyclic.CyclicElement._check_same_group": {"self", "other"},
         "cyclic.CyclicSubgroup.contains": {"self", "x"},
+        "classify.S3S4Invariant.__init__": {"sigma"},
     }
     through, raw = set(), []
     for name, tree in trees.items():
@@ -343,14 +370,28 @@ def test_each_argument_rule_has_one_home():
         "pi_go(n) requires", "l_group(i) requires", "(k) requires k",
     ):
         assert not [name for name in sources if text in sources[name]], text
-    table_tests = sorted(
+    # The class rule refuses a subclass, so no isinstance test names a
+    # class of the package, and the one table check is the class rule's.
+    classes = {
+        node.name for tree in trees.values() for node in ast.walk(tree)
+        if isinstance(node, ast.ClassDef)
+    }
+    class_tests = sorted(
         f"{name}.{scope}"
         for name, tree in trees.items()
         for scope, call in _scoped_nodes(tree)
         if getattr(call.func, "id", None) == "isinstance"
-        and getattr(call.args[1], "id", None) == "GroupTable"
+        and {getattr(node, "id", None) for node in ast.walk(call.args[1])} & classes
     )
-    assert table_tests == ["tables._checked_table"]
+    assert class_tests == []
+    table_tests = sorted(
+        f"{name}.{scope}: {ast.unparse(call)}"
+        for name, tree in trees.items()
+        for scope, call in _scoped_nodes(tree)
+        if getattr(call.func, "id", None) == "_checked_class"
+        and "GroupTable" in {getattr(node, "id", None) for node in ast.walk(call)}
+    )
+    assert table_tests == ["tables._checked_table: _checked_class('table', table, GroupTable)"]
 
 
 def test_the_shape_of_a_pair_has_one_home():

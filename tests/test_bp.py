@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from spherestruct import (
+    GroupTable,
     KnownGroup,
     LClass,
     LGroupKind,
@@ -651,6 +652,22 @@ def test_a_table_is_none_or_a_group_table(door):
             call(bad)
         with pytest.raises((TypeError, ValueError), match=f"^{first_message}$"):
             bad_call(bad)
+
+
+class _Table(GroupTable):
+    # A subclass that says |Theta_n| = 3 whatever its families hold.
+    def theta_order(self, n):
+        return KnownGroup.finite(3)
+
+
+@pytest.mark.parametrize("door", ["present", "eta_fiber_size", "bp_order", "theta_order", "pi_go"])
+def test_a_subclass_of_group_table_is_refused_at_every_table_door(door):
+    # The table was once tested by isinstance, so a subclass skipped the
+    # gate: eta_fiber_size(3, 4, 1, table) answered order 0 and present
+    # reported |Theta_7| = 3.
+    call = _TABLE_DOORS[door][0]
+    with pytest.raises(TypeError, match="^table must be a GroupTable, got _Table$"):
+        call(_Table())
 
 
 def test_pairing_coefficient_rejects_non_integers_before_its_cache():

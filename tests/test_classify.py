@@ -78,6 +78,28 @@ def test_non_integer_fields_are_rejected_at_construction():
     assert S4S4Manifold(True, 0, True).phi == 1
 
 
+def test_sigma_is_an_element_of_cyclic_element_itself():
+    # A subclass of CyclicElement was once taken as sigma; the element is
+    # tested by exact type, as every other value of the package is.
+    class Element(CyclicElement):
+        pass
+
+    message = "^sigma must be an int or an element of Z_28, got Element$"
+    with pytest.raises(TypeError, match=message):
+        S3S4Invariant(Element(BP8, 3), 1)
+
+
+def test_a_wrong_group_of_sigma_is_shown_by_the_display_rule():
+    # The group of sigma was printed in full: a 231-character message for
+    # an element of Z_(10**200).
+    sigma = CyclicElement(CyclicGroup(10**200), 5)
+    message = r"^sigma must lie in Z_28, got Z_<integer of 201 digits>$"
+    with pytest.raises(ValueError, match=message):
+        S3S4Invariant(sigma, 1)
+    with pytest.raises(ValueError, match=r"^sigma must lie in Z_28, got 0$"):
+        S3S4Invariant(CyclicElement(CyclicGroup(1), 0), 1)
+
+
 def test_s3s4_tables_match_the_library_rules():
     vs = [*range(-3 * 28, 3 * 28 + 1), HUGE, -HUGE, 28 * HUGE, -(28 * HUGE) - 5]
     for v in vs:

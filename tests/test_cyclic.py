@@ -128,6 +128,21 @@ def test_a_non_group_first_argument_is_rejected():
             call()
 
 
+def test_a_subclass_of_cyclic_group_is_rejected():
+    # The group was once tested by isinstance, so a subclass, which may
+    # answer another order, was taken as Z_n.
+    class Group(CyclicGroup):
+        pass
+
+    z = Group(28)
+    for call, message in (
+        (lambda: CyclicElement(z, 5), "group must be a CyclicGroup, got Group"),
+        (lambda: CyclicSubgroup(z, 4), "ambient must be a CyclicGroup, got Group"),
+    ):
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            call()
+
+
 def test_non_integer_values_are_rejected():
     z28 = cyclic_group(28)
     for call, message in (

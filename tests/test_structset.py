@@ -6,6 +6,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from spherestruct import (
+    CyclicGroup,
     GroupTable,
     KnownGroup,
     NormalClassDiff,
@@ -379,6 +380,39 @@ def test_a_presentation_refuses_a_field_of_the_wrong_type():
     built = StructureSetPresentation(**{**fields, "stabilizer_coefficient": None})
     assert built.stabilizer_coefficient is None
     assert StructureSetPresentation(**fields) == pres
+
+
+def test_a_presentation_refuses_a_subclass_of_cyclic_group():
+    class Group(CyclicGroup):
+        pass
+
+    pres = present(4, 3)
+    fields = {name: getattr(pres, name) for name in pres.__slots__}
+    residual = Group(pres.residual.order)
+    with pytest.raises(TypeError, match="^residual must be a CyclicGroup, got Group$"):
+        StructureSetPresentation(**{**fields, "residual": residual})
+
+
+def test_a_verdict_whose_reason_contradicts_it_is_refused():
+    # GroupStructureVerdict(False).lines() once printed "group structure
+    # possible: no (None)", and a possible verdict carried a reason that
+    # lines() dropped.
+    for possible, reason, message in (
+        (False, None, r"reason None contradicts possible=False"),
+        (True, "x", r"reason 'x' contradicts possible=True"),
+        (True, "x" * 1000, r"reason <str of 1002 characters> contradicts possible=True"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            GroupStructureVerdict(possible, reason)
+    # The type checks come first.
+    with pytest.raises(TypeError, match="^reason must be a str or None, got int$"):
+        GroupStructureVerdict(False, 3)
+    with pytest.raises(TypeError, match="^possible must be a bool, got int$"):
+        GroupStructureVerdict(0)
+    assert GroupStructureVerdict(True).lines() == ["group structure possible: yes"]
+    assert GroupStructureVerdict(False, "image not a subgroup").lines() == [
+        "group structure possible: no (image not a subgroup)"
+    ]
 
 
 def test_group_structure_cross_check_against_component_tests():
