@@ -149,8 +149,8 @@ def _exact_int(name: str, value: object) -> int:
 
 
 def _checked_class(name: str, value: object, cls: type, what: str = "") -> object:
-    # The package's one class rule, the slow branch behind every door's
-    # ``type(value) is not cls``: ``cls`` itself passes, and anything
+    # The package's one class rule, called directly or behind a door's
+    # inline ``type(value) is not cls``: ``cls`` itself passes, and anything
     # else, a subclass too, is refused; ``what`` replaces "a <Class>".
     if type(value) is not cls:
         what = what or f"a {cls.__name__}"

@@ -279,11 +279,12 @@ def test_each_argument_rule_has_one_home():
     # subgroup_generated reads the order rule of CyclicGroup.
     assert not [name for name in sources if "ambient order must be" in sources[name]]
     # One class rule, cyclic._checked_class, behind every door that takes a
-    # value of one class: no other module defines it, no module spells its
-    # "must be a <Class>, got" form, and a TypeError that says "must be" is
-    # raised only by it, the integer rule and the composite checks named
-    # here (S3S4Invariant's int or element, the pair of normal invariants,
-    # and a table family's mapping and dimension keys).
+    # value of one class: no other module defines it, the only other
+    # "must be a <word>, got" texts are the integer rule's and a table
+    # family's mapping check, and a TypeError that says "must be" is raised
+    # only by it, the integer rule and the composite checks named here
+    # (S3S4Invariant's int or element, the pair of normal invariants, and a
+    # table family's mapping and dimension keys).
     rules = sorted(
         f"{name}.{node.name}"
         for name, tree in trees.items()
